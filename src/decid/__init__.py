@@ -9,8 +9,8 @@ from .errors import (CapExceeded, CycleIntroduced,
                      DependentMechanismsUnassessed, DecidError, ModelError,
                      NoDecisionOrder, NodeBudgetExceeded, NotCausal, NotHcf,
                      NotObservable, NoUtilityNode, ParseError,
-                     PolicySpaceExceeded, QueryError, StateSpaceExceeded,
-                     UnknownVariable, WorldCapExceeded,
+                     PolicySpaceExceeded, QueryError, ReassessmentRequired,
+                     StateSpaceExceeded, UnknownVariable, WorldCapExceeded,
                      ZeroProbabilityEvidence)
 from .model import (Assignment, ConditionalTable, Diagram, Node, UtilityTable,
                     Variable, chance_node, decision_node, enumerate_instances,
@@ -18,7 +18,7 @@ from .model import (Assignment, ConditionalTable, Diagram, Node, UtilityTable,
 from .graphs import (BlockingQuery, CauseReport, CertificationReport, blocks,
                      certify_causal_network, d_separated, graphical_causes,
                      graphical_fixed_set, is_set_decision,
-                     minimal_blocking_sets, removable_arcs)
+                     minimal_blocking_sets, minimal_sets, removable_arcs)
 from .mechanisms import (HcfDiagram, MechanismSpec, canonical_mechanism_prior,
                          check_marginal_reproduction,
                          enumerate_mechanism_states, mechanism_name,

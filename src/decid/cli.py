@@ -9,19 +9,20 @@ human summary with --pretty).  Exit codes: 0 success, 1 usage error,
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
 
 from . import (CapExceeded, HcfDiagram, ModelError, QueryError, UnknownVariable,
-               CounterfactualQuery, blocks, BlockingQuery,
-               certify_causal_network, check_marginal_reproduction,
-               counterfactual, d_separated, graphical_causes,
-               graphical_fixed_set, joint, minimal_blocking_sets,
-               oracle_causes, oracle_is_d_map, optimal_policy, parse_document,
-               posterior, serialize_model, to_hcf, validate_diagram,
-               value_of_information)
+               CounterfactualQuery, certify_causal_network,
+               check_marginal_reproduction, counterfactual, d_separated,
+               graphical_causes, graphical_fixed_set, joint,
+               minimal_blocking_sets, oracle_causes, oracle_is_d_map,
+               optimal_policy, parse_document, posterior, serialize_model,
+               to_hcf, validate_diagram, value_of_information)
 from .inference import WORLD_PAIR_CAP
+from .mechanisms import _diagram_of
 
 EXIT_OK, EXIT_USAGE, EXIT_INVALID, EXIT_QUERY, EXIT_CAP = 0, 1, 2, 3, 4
 
@@ -51,17 +52,12 @@ def _load(path: str):
 
 def _load_valid(path: str):
     parsed = _load(path)
-    d = parsed.diagram if isinstance(parsed, HcfDiagram) else parsed
-    violations = validate_diagram(d)
+    violations = validate_diagram(_diagram_of(parsed))
     if violations:
         print(json.dumps({"valid": False, "violations": violations},
                          indent=2, sort_keys=True))
         raise SystemExit(EXIT_INVALID)
     return parsed
-
-
-def _diagram(parsed):
-    return parsed.diagram if isinstance(parsed, HcfDiagram) else parsed
 
 
 def _hcf(parsed, assume_causal=False):
@@ -94,14 +90,9 @@ def _factor_doc(f) -> dict:
         "probabilities": {
             "|".join(key): sig12(float(v))
             for key, v in zip(
-                _keys(f.states), f.values.reshape(-1))
+                itertools.product(*f.states), f.values.reshape(-1))
         },
     }
-
-
-def _keys(states):
-    import itertools
-    return itertools.product(*states)
 
 
 def build_parser() -> _Parser:
@@ -202,13 +193,19 @@ def run_command(argv) -> int:
 
 def _world_cap() -> int:
     raw = os.environ.get("CID_CAP_WORLDS")
-    return int(raw) if raw else WORLD_PAIR_CAP
+    if not raw:
+        return WORLD_PAIR_CAP
+    if raw.strip().isdecimal() and int(raw) > 0:
+        return int(raw)
+    print(f"decid: CID_CAP_WORLDS must be a positive integer, got {raw!r}",
+          file=sys.stderr)
+    raise SystemExit(EXIT_USAGE)
 
 
 def _dispatch(args) -> int:
     if args.command == "validate":
         parsed = _load(args.model)
-        violations = validate_diagram(_diagram(parsed))
+        violations = validate_diagram(_diagram_of(parsed))
         doc = {"valid": not violations, "violations": violations}
         code = EXIT_OK if not violations else EXIT_INVALID
         _emit(doc, lambda d: (
@@ -217,7 +214,7 @@ def _dispatch(args) -> int:
         return code
 
     parsed = _load_valid(args.model)
-    d = _diagram(parsed)
+    d = _diagram_of(parsed)
 
     if args.command == "fixed-set":
         members = sorted(graphical_fixed_set(d, set(args.given)))
@@ -232,8 +229,9 @@ def _dispatch(args) -> int:
         if args.method == "graphical":
             report = graphical_causes(d, args.target)
         else:
+            cap = _world_cap()
             report = oracle_causes(_hcf(parsed), args.target,
-                                   world_pair_cap=_world_cap())
+                                   world_pair_cap=cap)
         doc = {"target": report.target, "method": report.method,
                "cause_sets": [sorted(s) for s in report.cause_sets],
                "reason": report.reason}
@@ -278,8 +276,7 @@ def _dispatch(args) -> int:
         if not isinstance(parsed, HcfDiagram):
             raise QueryError("model has no mechanisms section; "
                              "run to-hcf first")
-        with open(args.original, encoding="utf-8") as f:
-            orig = _diagram(parse_document(f.read()))
+        orig = _diagram_of(_load(args.original))
         violations = check_marginal_reproduction(orig, parsed)
         doc = {"pass": not violations, "violations": violations,
                "priors": {m.name: {

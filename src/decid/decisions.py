@@ -11,15 +11,15 @@ every decision-affected node exists once factually and once primed.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import (CycleIntroduced, NoDecisionOrder, NotHcf, NotObservable,
                      NoUtilityNode, PolicySpaceExceeded, UnknownVariable)
-from .inference import Factor, local_distribution, posterior
+from .inference import Factor, _probability, posterior
 from .mechanisms import HcfDiagram
 from .model import (CHANCE, DECISION, DETERMINISTIC, UTILITY, Assignment,
                     Diagram, Node, Variable, chance_node, instance_keys,
-                    parent_variables, validate_diagram)
+                    parent_variables)
 
 POLICY_SPACE_CAP = 10 ** 6
 
@@ -71,12 +71,7 @@ def expected_utility(d: Diagram, policy: Policy) -> float:
         for x in topo:
             if d.node(x).kind == DECISION:
                 assignment[x] = policy.choose(x, assignment)
-        p = 1.0
-        for n in uncertain:
-            dist = local_distribution(d, n, assignment)
-            p *= dist[n.states.index(assignment[n.name])]
-            if p == 0.0:
-                break
+        p = _probability(d, uncertain, assignment)
         if p > 0.0:
             key = tuple(assignment[a] for a in u.utility.parent_order)
             eu += p * u.utility.rows[key]
@@ -237,12 +232,8 @@ def build_twin(h: HcfDiagram) -> TwinDiagram:
     return TwinDiagram(twin, frozenset(shared), primed)
 
 
-def _utility_value_labels(n: Node) -> list[str]:
-    return [f"{v:.12g}" for v in sorted(set(n.utility.rows.values()))]
-
-
 def _utility_as_deterministic(d: Diagram, n: Node, copy2, mapped) -> Node | None:
-    labels = _utility_value_labels(n)
+    labels = [f"{v:.12g}" for v in sorted(set(n.utility.rows.values()))]
     if len(labels) < 2:
         return None
     rows = {k: [1.0 if lab == f"{v:.12g}" else 0.0 for lab in labels]

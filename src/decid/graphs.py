@@ -15,14 +15,13 @@ expressible.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import NodeBudgetExceeded, UnknownVariable
 from .model import (CHANCE, DECISION, DETERMINISTIC, DO_NOTHING, SET_PREFIX,
-                    UTILITY, Diagram, instance_keys, parent_variables)
+                    TOL, UTILITY, Diagram, instance_keys, parent_variables)
 
 MINIMAL_SET_NODE_BUDGET = 20
-REMOVABILITY_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -52,78 +51,54 @@ def _check_names(d: Diagram, names) -> None:
             raise UnknownVariable(f"unknown variable {x!r}")
 
 
-def _out_arcs(d: Diagram) -> dict[str, set[str]]:
-    out: dict[str, set[str]] = {}
-    for a, b in d.all_arcs():
-        out.setdefault(a, set()).add(b)
-    return out
-
-
 def blocks(d: Diagram, q: BlockingQuery) -> bool:
     """True iff every directed path (relevance and information arcs)
     from a decision in ``q.decisions`` to the target hits ``q.candidate_set``."""
-    C, D, x = set(q.candidate_set), set(q.decisions), q.target
+    C, D, x = frozenset(q.candidate_set), frozenset(q.decisions), q.target
     _check_names(d, C | D | {x})
-    if x in C:
-        return True
-    out = _out_arcs(d)
-    seen = set()
-    frontier = [s for s in D if s not in C]
-    while frontier:
-        n = frontier.pop()
-        for c in out.get(n, ()):
-            if c == x:
-                return False
-            if c not in C and c not in seen:
-                seen.add(c)
-                frontier.append(c)
-    return True
+    return x in C or x not in d.descendants(D - C, avoid=C)
 
 
-def _blocks(d: Diagram, C, D, x) -> bool:
-    return blocks(d, BlockingQuery(frozenset(C), frozenset(D), x))
+def minimal_sets(pool, holds, node_budget: int = MINIMAL_SET_NODE_BUDGET,
+                 ) -> list[frozenset[str]]:
+    """All inclusion-minimal subsets C of ``pool`` with ``holds(C)``,
+    smallest first then lexicographic.
+
+    Exhaustive search by size with superset pruning; complete at desk
+    scale, capped by ``node_budget`` pool members.  ``holds`` must be
+    monotone (a superset of a holding set holds too).
+    """
+    pool = sorted(pool)
+    if len(pool) > node_budget:
+        raise NodeBudgetExceeded(
+            f"{len(pool)} candidate nodes exceed budget {node_budget}")
+    if holds(frozenset()):
+        return [frozenset()]  # every other set is a superset
+    found: list[frozenset[str]] = []
+    # Combinations of a sorted pool come out lexicographic within a size.
+    for size in range(1, len(pool) + 1):
+        for combo in itertools.combinations(pool, size):
+            cand = frozenset(combo)
+            if not any(m <= cand for m in found) and holds(cand):
+                found.append(cand)
+    return found
 
 
 def minimal_blocking_sets(d: Diagram, decisions, target, exclude=frozenset(),
                           node_budget: int = MINIMAL_SET_NODE_BUDGET,
                           ) -> list[frozenset[str]]:
     """All inclusion-minimal C from (U ∪ D) \\ ({target} ∪ exclude) that
-    block the decisions from the target, smallest first then lexicographic.
-
-    Exhaustive subset search with superset pruning; complete at desk
-    scale, capped by ``node_budget`` candidate nodes.
-    """
-    D = set(decisions)
+    block the decisions from the target, smallest first then lexicographic."""
+    D = frozenset(decisions)
     _check_names(d, D | {target})
-    pool = sorted((set(d.uncertain()) | set(d.decisions()))
-                  - {target} - set(exclude))
-    if len(pool) > node_budget:
-        raise NodeBudgetExceeded(
-            f"{len(pool)} candidate nodes exceed budget {node_budget}")
-    found: list[frozenset[str]] = []
-    for size in range(len(pool) + 1):
-        for combo in itertools.combinations(pool, size):
-            cand = frozenset(combo)
-            if any(m <= cand for m in found):
-                continue
-            if _blocks(d, cand, D, target):
-                found.append(cand)
-        if size == 0 and found:
-            break  # the empty set blocks vacuously; nothing else is minimal
-    found.sort(key=lambda s: (len(s), sorted(s)))
-    return found
+    pool = (set(d.uncertain()) | set(d.decisions())) - {target} - set(exclude)
+    return minimal_sets(
+        pool, lambda C: target not in d.descendants(D - C, avoid=C),
+        node_budget)
 
 
 # ---------------------------------------------------------------------------
 # d-separation
-
-
-def _relevance_parents(d: Diagram) -> dict[str, set[str]]:
-    # Information arcs are dropped: decisions act as parentless sources.
-    pa: dict[str, set[str]] = {n.name: set() for n in d.nodes}
-    for a, b in d.relevance_arcs:
-        pa[b].add(a)
-    return pa
 
 
 def d_separated(d: Diagram, X, Y, Z) -> bool:
@@ -136,11 +111,12 @@ def d_separated(d: Diagram, X, Y, Z) -> bool:
     _check_names(d, X | Y | Z)
     if (X & Y) or (X & Z) or (Y & Z):
         raise ValueError("X, Y, Z must be pairwise disjoint")
-    pa = _relevance_parents(d)
+    # Information arcs are dropped: decisions act as parentless sources.
+    pa: dict[str, set[str]] = {n.name: set() for n in d.nodes}
     ch: dict[str, set[str]] = {n.name: set() for n in d.nodes}
-    for b, parents in pa.items():
-        for a in parents:
-            ch[a].add(b)
+    for a, b in d.relevance_arcs:
+        pa[b].add(a)
+        ch[a].add(b)
 
     # Z together with its ancestors: nodes at which colliders are active.
     anc_z = set()
@@ -184,11 +160,11 @@ def graphical_fixed_set(d: Diagram, C=frozenset()) -> frozenset[str]:
     Sound (an F-map consequence) only when the diagram is causal; on
     non-causal diagrams the result is merely the graphical claim.
     """
-    D = set(d.decisions())
-    C = set(C)
+    C = frozenset(C)
     _check_names(d, C)
+    reached = d.descendants(set(d.decisions()) - C, avoid=C)
     return frozenset(x for x in d.uncertain()
-                     if x not in C and _blocks(d, C, D, x))
+                     if x not in C and x not in reached)
 
 
 def graphical_causes(d: Diagram, target: str,
@@ -225,27 +201,18 @@ def removable_arcs(d: Diagram) -> list[tuple[str, str]]:
             continue
         if xn.kind in (CHANCE, DETERMINISTIC):
             order, rows = xn.table.parent_order, xn.table.rows
-            get = lambda key: rows[key]
         elif xn.kind == UTILITY:
-            order, rows = xn.utility.parent_order, xn.utility.rows
-            get = lambda key: (rows[key],)
+            order = xn.utility.parent_order
+            rows = {k: (v,) for k, v in xn.utility.rows.items()}
         else:
             continue
         i = order.index(a)
-        rest = [p for p in order if p != a]
-        same = True
-        for key in instance_keys(parent_variables(d, rest)):
-            dists = []
-            for s in src.states:
-                full = list(key)
-                full.insert(i, s)
-                dists.append(get(tuple(full)))
-            base = dists[0]
-            if any(abs(u - v) > REMOVABILITY_TOL
-                   for dist in dists[1:] for u, v in zip(base, dist)):
-                same = False
-                break
-        if same:
+        rest = parent_variables(d, [p for p in order if p != a])
+        base, *others = src.states
+        if not any(abs(u - v) > TOL
+                   for key in instance_keys(rest) for s in others
+                   for u, v in zip(rows[key[:i] + (base,) + key[i:]],
+                                   rows[key[:i] + (s,) + key[i:]])):
             removable.append((a, x))
     return removable
 

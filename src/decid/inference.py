@@ -22,8 +22,11 @@ import numpy as np
 
 from .errors import (NotHcf, UnknownVariable, WorldCapExceeded,
                      ZeroProbabilityEvidence)
+from .graphs import CauseReport, d_separated, minimal_sets
+from .mechanisms import _diagram_of
 from .model import (CHANCE, DECISION, DETERMINISTIC, DO_NOTHING, SET_PREFIX,
-                    UTILITY, Assignment, Diagram, Node)
+                    TOL, UTILITY, Assignment, Diagram, Node,
+                    enumerate_instances, parent_variables)
 
 WORLD_PAIR_CAP = 10 ** 7
 
@@ -140,6 +143,17 @@ def node_factor(d: Diagram, node: Node, decisions: Assignment) -> Factor:
     return Factor(scope, states, values)
 
 
+def _probability(d: Diagram, nodes, assignment: Assignment) -> float:
+    """Product of the nodes' local probabilities at ``assignment``."""
+    p = 1.0
+    for n in nodes:
+        dist = local_distribution(d, n, assignment)
+        p *= dist[n.states.index(assignment[n.name])]
+        if p == 0.0:
+            break
+    return p
+
+
 # ---------------------------------------------------------------------------
 # Full-joint enumeration
 
@@ -157,13 +171,7 @@ def joint(d: Diagram, decisions: Assignment) -> Factor:
         assignment = dict(decisions)
         for n, i in zip(nodes, combo):
             assignment[n.name] = n.states[i]
-        p = 1.0
-        for n in nodes:
-            dist = local_distribution(d, n, assignment)
-            p *= dist[n.states.index(assignment[n.name])]
-            if p == 0.0:
-                break
-        values[combo] = p
+        values[combo] = _probability(d, nodes, assignment)
     return Factor(names, states, values)
 
 
@@ -297,7 +305,7 @@ def propagate(diagram: Diagram, world: Assignment, decisions: Assignment
         if node.kind == DECISION:
             raise UnknownVariable(f"missing decision binding for {x}")
         dist = local_distribution(diagram, node, assignment)
-        hits = [s for s, p in zip(node.states, dist) if abs(p - 1.0) <= 1e-12]
+        hits = [s for s, p in zip(node.states, dist) if abs(p - 1.0) <= TOL]
         if len(hits) != 1:
             raise NotHcf(f"non-fixed node {x} is not deterministic; "
                          "transform the diagram to Howard Canonical Form first")
@@ -312,11 +320,8 @@ class WorldTable:
     def __init__(self, diagram: Diagram, world_pair_cap: int = WORLD_PAIR_CAP):
         self.diagram = diagram
         self.worlds = functional_worlds(diagram)
-        decs = diagram.decisions()
-        self.decision_instances = [
-            dict(zip(decs, combo))
-            for combo in itertools.product(*(diagram.node(x).states for x in decs))
-        ]
+        self.decision_instances = enumerate_instances(
+            parent_variables(diagram, diagram.decisions()))
         n_pairs = len(self.worlds) * len(self.decision_instances) ** 2
         if n_pairs > world_pair_cap:
             raise WorldCapExceeded(
@@ -342,7 +347,7 @@ def oracle_fixed_set_member(h, target: str, conditioning=frozenset(),
     """Definition-level check: in every positive-weight functional world,
     decision choices that agree on the conditioning set give the target
     the same value."""
-    diagram = _as_diagram(h)
+    diagram = _diagram_of(h)
     _check(diagram, [target], conditioning)
     return WorldTable(diagram, world_pair_cap).fixed_given(target, conditioning)
 
@@ -355,41 +360,22 @@ def oracle_causes(h, target: str, world_pair_cap: int = WORLD_PAIR_CAP,
     every inclusion-minimal subset of decisions and uncertain variables
     whose observation pins the target down.
     """
-    from .graphs import CauseReport
-    from .errors import NodeBudgetExceeded
-
-    diagram = _as_diagram(h)
+    diagram = _diagram_of(h)
     _check(diagram, [target], ())
     table = WorldTable(diagram, world_pair_cap)
     if table.fixed_given(target, ()):
         return CauseReport(target, (), "oracle",
                            reason=f"{target} is unaffected by the decisions "
                                   "(member of the fixed set)")
-    pool = sorted((set(diagram.uncertain()) | set(diagram.decisions()))
-                  - {target})
-    if len(pool) > node_budget:
-        raise NodeBudgetExceeded(
-            f"{len(pool)} candidate nodes exceed budget {node_budget}")
-    found: list[frozenset[str]] = []
-    for size in range(1, len(pool) + 1):
-        for combo in itertools.combinations(pool, size):
-            cand = frozenset(combo)
-            if any(m <= cand for m in found):
-                continue
-            if table.fixed_given(target, sorted(cand)):
-                found.append(cand)
-    found.sort(key=lambda s: (len(s), sorted(s)))
+    pool = (set(diagram.uncertain()) | set(diagram.decisions())) - {target}
+    found = minimal_sets(
+        pool, lambda C: table.fixed_given(target, sorted(C)), node_budget)
     return CauseReport(target, tuple(found), "oracle")
-
-
-def _as_diagram(h) -> Diagram:
-    return h.diagram if hasattr(h, "diagram") else h
 
 
 def _check(diagram: Diagram, targets, conditioning) -> None:
     for x in targets:
-        node = diagram.node(x)
-        if node.kind == DECISION:
+        if diagram.node(x).kind == DECISION:
             raise UnknownVariable(f"{x} is a decision; only chance variables "
                                   "have fixed-set membership")
     for c in conditioning:
@@ -398,9 +384,6 @@ def _check(diagram: Diagram, targets, conditioning) -> None:
 
 # ---------------------------------------------------------------------------
 # D-map oracle
-
-
-CI_TOL = 1e-9
 
 
 def oracle_is_d_map(d: Diagram, max_cond: int = 2):
@@ -412,13 +395,9 @@ def oracle_is_d_map(d: Diagram, max_cond: int = 2):
     distribution is flat across its alternatives.  Returns (verdict,
     counterexample or None).
     """
-    from .graphs import d_separated
-
     chance = d.uncertain()
     decisions = d.decisions()
-    dec_instances = [dict(zip(decisions, combo))
-                     for combo in itertools.product(
-                         *(d.node(x).states for x in decisions))]
+    dec_instances = enumerate_instances(parent_variables(d, decisions))
     joints = {tuple(sorted(di.items())): joint(d, di) for di in dec_instances}
 
     for x, y in itertools.combinations(chance, 2):
@@ -458,7 +437,7 @@ def _ci_chance(f: Factor, x, y, Z) -> bool:
     py = g.values.sum(axis=xi, keepdims=True)
     with np.errstate(divide="ignore", invalid="ignore"):
         dev = np.where(pz > 0, g.values / pz - (px / pz) * (py / pz), 0.0)
-    return bool(np.max(np.abs(dev), initial=0.0) <= CI_TOL)
+    return bool(np.max(np.abs(dev), initial=0.0) <= TOL)
 
 
 def _ci_decision(d: Diagram, joints, dec_instances, x, dec, Z) -> bool:
@@ -481,6 +460,6 @@ def _ci_decision(d: Diagram, joints, dec_instances, x, dec, Z) -> bool:
         for arr, ok in conds[1:]:
             mask = base_ok & ok
             dev = np.where(mask, base - arr, 0.0)
-            if np.max(np.abs(dev), initial=0.0) > CI_TOL:
+            if np.max(np.abs(dev), initial=0.0) > TOL:
                 return False
     return True

@@ -24,15 +24,15 @@ from dataclasses import dataclass, field
 
 from .errors import (DependentMechanismsUnassessed, NotCausal,
                      ReassessmentRequired, StateSpaceExceeded)
-from .model import (CHANCE, DECISION, DETERMINISTIC, UTILITY,
-                    ConditionalTable, Diagram, Node, Variable, chance_node,
-                    instance_keys, parent_variables)
+from .model import (CHANCE, DETERMINISTIC, TOL, ConditionalTable, Diagram,
+                    Node, Variable, chance_node, instance_keys,
+                    parent_variables, validate_diagram)
 
 MECHANISM_STATE_CAP = 10 ** 6
 
-# A mapping is a tuple of target states, one per Y-instance, aligned
-# with the lexicographic Y-instance order.
-Mapping = tuple
+# A mechanism state is a tuple of target states, one per Y-instance,
+# aligned with the lexicographic Y-instance order.
+StateMapping = tuple
 
 
 @dataclass(frozen=True)
@@ -40,7 +40,7 @@ class MechanismSpec:
     target: str
     domain: tuple[str, ...]            # non-fixed parents Y, in table order
     fixed_parents: tuple[str, ...]     # parents Z that stay upstream
-    states: tuple[Mapping, ...]
+    states: tuple[StateMapping, ...]
     prior: ConditionalTable
 
     @property
@@ -55,15 +55,21 @@ class HcfDiagram:
     provenance: dict = field(default_factory=dict)
 
 
+def _diagram_of(parsed) -> Diagram:
+    """The diagram itself, or the one inside an HcfDiagram."""
+    return parsed.diagram if isinstance(parsed, HcfDiagram) else parsed
+
+
 def mechanism_name(target: str, domain) -> str:
     return f"{target}({','.join(domain)})"
 
 
-def mechanism_state_label(mapping: Mapping) -> str:
+def mechanism_state_label(mapping: StateMapping) -> str:
     return ",".join(mapping)
 
 
-def _mappings(x: Variable, y_vars: list[Variable], cap: int) -> list[Mapping]:
+def _mappings(x: Variable, y_vars: list[Variable], cap: int
+              ) -> list[StateMapping]:
     q = 1
     for v in y_vars:
         q *= len(v.states)
@@ -75,7 +81,8 @@ def _mappings(x: Variable, y_vars: list[Variable], cap: int) -> list[Mapping]:
 
 
 def enumerate_mechanism_states(x: Variable, domain: list[Variable],
-                               cap: int = MECHANISM_STATE_CAP) -> list[Mapping]:
+                               cap: int = MECHANISM_STATE_CAP
+                               ) -> list[StateMapping]:
     """All r^q mappings from domain instances to states of x, in
     canonical lexicographic order."""
     if not domain:
@@ -219,8 +226,6 @@ def to_hcf(d: Diagram, assume_causal: bool = False,
 
 def validate_hcf(h: HcfDiagram) -> list[str]:
     """HCF-specific invariants, on top of ordinary diagram validity."""
-    from .model import validate_diagram
-
     report = validate_diagram(h.diagram)
     d = h.diagram
     if not d.causal:
@@ -243,9 +248,6 @@ def validate_hcf(h: HcfDiagram) -> list[str]:
 
 # ---------------------------------------------------------------------------
 # Audit
-
-
-MARGINAL_TOL = 1e-9
 
 
 def check_marginal_reproduction(orig: Diagram, hcf: HcfDiagram) -> list[str]:
@@ -273,7 +275,7 @@ def check_marginal_reproduction(orig: Diagram, hcf: HcfDiagram) -> list[str]:
                 for k, state in enumerate(node.states):
                     total = sum(p for mapping, p in zip(spec.states, prior_row)
                                 if mapping[i] == state)
-                    if abs(total - orig_row[k]) > MARGINAL_TOL:
+                    if abs(total - orig_row[k]) > TOL:
                         violations.append(
                             f"{spec.target}: P({spec.target}={state} | "
                             f"y={y_key}, z={z_key}) is {orig_row[k]!r} "

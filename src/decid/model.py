@@ -4,7 +4,11 @@ A diagram is a DAG over chance, deterministic, decision, and utility
 nodes.  Relevance arcs point into chance/deterministic/utility nodes and
 carry the conditional tables; information arcs point into decisions and
 record what is known when the decision is made.  Diagrams are immutable
-after construction and safe to share across workers.
+after construction and safe to share across workers.  Derived indexes
+(name lookup, children, set decisions by target, topological order) are
+computed once per diagram, on first use; ``replace`` and ``with_arcs``
+build a new diagram, so an index never outlives the arcs it was read
+from.
 
 Set decisions ("do nothing" / "set x to k") are stored structurally: the
 target's conditional table ranges only over its ordinary parents, and
@@ -13,14 +17,18 @@ the inference engine composes the intervention at query time.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from .errors import UnknownVariable
 
-ROW_SUM_TOL = 1e-9
+# One tolerance for every probability comparison: row sums, one-hot
+# rows, propagation, arc removability, marginal and independence audits.
+TOL = 1e-9
 
 CHANCE = "chance"
 DETERMINISTIC = "deterministic"
@@ -117,16 +125,59 @@ class Diagram:
     causal: bool = False
     declared_fixed: frozenset[str] = frozenset()
 
+    # -- indexes, computed once per diagram -------------------------------
+
+    @cached_property
+    def _by_name(self) -> dict[str, Node]:
+        # Reversed, so the first of duplicate names wins.
+        return {n.name: n for n in reversed(self.nodes)}
+
+    @cached_property
+    def _children(self) -> dict[str, set[str]]:
+        out: dict[str, set[str]] = {}
+        for a, b in self.all_arcs():
+            out.setdefault(a, set()).add(b)
+        return out
+
+    @cached_property
+    def _set_decisions(self) -> dict[str, list[str]]:
+        out: dict[str, list[str]] = {}
+        for n in self.nodes:
+            if n.kind == DECISION and n.set_decision_for is not None:
+                out.setdefault(n.set_decision_for, []).append(n.name)
+        return out
+
+    @cached_property
+    def _topological_order(self) -> tuple[str, ...]:
+        # Kahn's algorithm, smallest ready name first; arcs with an
+        # unknown endpoint are ignored.
+        indeg = dict.fromkeys(self._by_name, 0)
+        for a, b in set(self.all_arcs()):
+            if a in indeg and b in indeg:
+                indeg[b] += 1
+        ready = [n for n, k in indeg.items() if k == 0]
+        heapq.heapify(ready)
+        order: list[str] = []
+        while ready:
+            n = heapq.heappop(ready)
+            order.append(n)
+            for c in self._children.get(n, ()):
+                if c in indeg:
+                    indeg[c] -= 1
+                    if indeg[c] == 0:
+                        heapq.heappush(ready, c)
+        return tuple(order)
+
     # -- lookups ---------------------------------------------------------
 
     def node(self, name: str) -> Node:
-        for n in self.nodes:
-            if n.name == name:
-                return n
-        raise UnknownVariable(f"unknown variable {name!r}")
+        try:
+            return self._by_name[name]
+        except KeyError:
+            raise UnknownVariable(f"unknown variable {name!r}") from None
 
     def has(self, name: str) -> bool:
-        return any(n.name == name for n in self.nodes)
+        return name in self._by_name
 
     def names(self) -> list[str]:
         return [n.name for n in self.nodes]
@@ -139,10 +190,7 @@ class Diagram:
         return [n.name for n in self.nodes if n.kind in (CHANCE, DETERMINISTIC)]
 
     def utility(self) -> Node | None:
-        for n in self.nodes:
-            if n.kind == UTILITY:
-                return n
-        return None
+        return next((n for n in self.nodes if n.kind == UTILITY), None)
 
     def all_arcs(self) -> list[tuple[str, str]]:
         return list(self.relevance_arcs) + list(self.information_arcs)
@@ -155,44 +203,28 @@ class Diagram:
         return sorted(a for a, b in self.information_arcs if b == name)
 
     def children(self, name: str) -> set[str]:
-        return {b for a, b in self.all_arcs() if a == name}
+        return set(self._children.get(name, ()))
 
     def set_decisions_for(self, target: str) -> list[str]:
-        return [n.name for n in self.nodes
-                if n.kind == DECISION and n.set_decision_for == target]
+        return list(self._set_decisions.get(target, ()))
 
     # -- graph structure -------------------------------------------------
 
     def topological_order(self) -> list[str]:
-        known = {n.name for n in self.nodes}
-        arcs = [(a, b) for a, b in self.all_arcs() if a in known and b in known]
-        order: list[str] = []
-        indeg = {n.name: 0 for n in self.nodes}
-        for a, b in arcs:
-            indeg[b] += 1
-        ready = sorted(n for n, k in indeg.items() if k == 0)
-        while ready:
-            n = ready.pop(0)
-            order.append(n)
-            for a, b in arcs:
-                if a == n:
-                    indeg[b] -= 1
-                    if indeg[b] == 0:
-                        ready.append(b)
-            ready.sort()
-        return order
+        """Kahn's order with name tie-breaks; shorter than the node list
+        when the combined arc graph has a cycle."""
+        return list(self._topological_order)
 
-    def descendants(self, sources: Iterable[str]) -> set[str]:
-        """Strict descendants of ``sources`` following all arcs."""
-        out: dict[str, set[str]] = {}
-        for a, b in self.all_arcs():
-            out.setdefault(a, set()).add(b)
+    def descendants(self, sources: Iterable[str],
+                    avoid: Iterable[str] = frozenset()) -> set[str]:
+        """Strict descendants of ``sources`` following all arcs, along
+        paths that enter no node of ``avoid``."""
+        children = self._children
         seen: set[str] = set()
         frontier = list(sources)
         while frontier:
-            n = frontier.pop()
-            for c in out.get(n, ()):
-                if c not in seen:
+            for c in children.get(frontier.pop(), ()):
+                if c not in seen and c not in avoid:
                     seen.add(c)
                     frontier.append(c)
         return seen
@@ -218,10 +250,8 @@ def enumerate_instances(variables: Sequence[Variable]) -> list[Assignment]:
     names = [v.name for v in variables]
     if len(set(names)) != len(names):
         raise ValueError(f"duplicate variable names in {names}")
-    out = []
-    for combo in itertools.product(*(v.states for v in variables)):
-        out.append(dict(zip(names, combo)))
-    return out
+    return [dict(zip(names, combo))
+            for combo in itertools.product(*(v.states for v in variables))]
 
 
 def instance_keys(variables: Sequence[Variable]) -> list[tuple[str, ...]]:
@@ -245,8 +275,6 @@ def validate_diagram(d: Diagram) -> list[str]:
     dupes = {x for x in names if names.count(x) > 1}
     for x in sorted(dupes):
         report.append(f"duplicate variable {x!r}")
-    known = set(names)
-    by_name = {n.name: n for n in d.nodes}
 
     for n in d.nodes:
         if n.kind not in KINDS:
@@ -263,20 +291,19 @@ def validate_diagram(d: Diagram) -> list[str]:
                 if "|" in s:
                     report.append(f"{n.name}: state {s!r} contains reserved '|'")
 
-    utilities = [n for n in d.nodes if n.kind == UTILITY]
-    if len(utilities) > 1:
+    if sum(n.kind == UTILITY for n in d.nodes) > 1:
         report.append("more than one utility node")
 
     # Arc sanity.
     for a, b in d.relevance_arcs:
-        if a not in known or b not in known:
+        if not (d.has(a) and d.has(b)):
             report.append(f"relevance arc {a}->{b}: unknown endpoint")
-        elif by_name[b].kind == DECISION:
+        elif d.node(b).kind == DECISION:
             report.append(f"relevance arc {a}->{b}: arcs into decisions must be information arcs")
     for a, b in d.information_arcs:
-        if a not in known or b not in known:
+        if not (d.has(a) and d.has(b)):
             report.append(f"information arc {a}->{b}: unknown endpoint")
-        elif by_name[b].kind != DECISION:
+        elif d.node(b).kind != DECISION:
             report.append(f"information arc {a}->{b}: target is not a decision")
     if len(d.topological_order()) != len(set(names)):
         report.append("cycle in combined arc graph")
@@ -287,8 +314,7 @@ def validate_diagram(d: Diagram) -> list[str]:
 
     for n in d.nodes:
         rel_parents = d.parents(n.name)
-        setdecs = {s for s in rel_parents
-                   if by_name[s].kind == DECISION and by_name[s].set_decision_for == n.name}
+        setdecs = rel_parents & set(d.set_decisions_for(n.name))
         if n.kind in (CHANCE, DETERMINISTIC):
             if n.table is None:
                 report.append(f"{n.name}: missing conditional table")
@@ -333,7 +359,7 @@ def validate_diagram(d: Diagram) -> list[str]:
         if sorted(d.decision_order) != sorted(d.decisions()):
             report.append("decision_order is not a permutation of the decision nodes")
     for x in sorted(d.declared_fixed):
-        if x not in known:
+        if not d.has(x):
             report.append(f"declared_fixed names unknown variable {x!r}")
 
     return report
@@ -355,25 +381,24 @@ def _check_table(d: Diagram, n: Node) -> list[str]:
             continue
         if any(p < 0 or p > 1 for p in dist):
             report.append(f"{n.name}: row {k} has entries outside [0, 1]")
-        if abs(sum(dist) - 1.0) > ROW_SUM_TOL:
+        if abs(sum(dist) - 1.0) > TOL:
             report.append(f"{n.name}: row sum {sum(dist)!r} != 1 at row {k}")
         if n.kind == DETERMINISTIC:
-            ones = sum(1 for p in dist if abs(p - 1.0) <= ROW_SUM_TOL)
-            zeros = sum(1 for p in dist if abs(p) <= ROW_SUM_TOL)
+            ones = sum(1 for p in dist if abs(p - 1.0) <= TOL)
+            zeros = sum(1 for p in dist if abs(p) <= TOL)
             if ones != 1 or zeros != len(dist) - 1:
                 report.append(f"{n.name}: row {k} of deterministic node is not one-hot")
     return report
 
 
 def _check_set_decision(d: Diagram, n: Node) -> list[str]:
-    report = []
     target = n.set_decision_for
     if not d.has(target):
         return [f"{n.name}: set decision targets unknown variable {target!r}"]
     tnode = d.node(target)
     if tnode.kind not in (CHANCE, DETERMINISTIC):
-        report.append(f"{n.name}: set decision target {target} is not a chance node")
-        return report
+        return [f"{n.name}: set decision target {target} is not a chance node"]
+    report = []
     expected = {DO_NOTHING} | {SET_PREFIX + s for s in tnode.states}
     if set(n.states) != expected:
         report.append(f"{n.name}: set decision alternatives {sorted(n.states)} "

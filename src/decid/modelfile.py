@@ -12,10 +12,9 @@ from __future__ import annotations
 import json
 
 from .errors import ParseError
-from .mechanisms import HcfDiagram, MechanismSpec
+from .mechanisms import HcfDiagram, MechanismSpec, _diagram_of
 from .model import (CHANCE, DECISION, DETERMINISTIC, UTILITY,
-                    ConditionalTable, Diagram, Node, UtilityTable, Variable,
-                    validate_diagram)
+                    ConditionalTable, Diagram, Node, UtilityTable, Variable)
 
 _TOP_KEYS = {"variables", "relevance_arcs", "information_arcs", "cpts",
              "deterministic", "utility", "decision_order", "annotations",
@@ -25,49 +24,49 @@ _TABLE_KEYS = {"parent_order", "rows"}
 _UTILITY_KEYS = {"parents", "values"}
 _ANNOTATION_KEYS = {"causal", "declared_fixed"}
 _MECHANISM_KEYS = {"node", "source", "domain", "fixed_parents", "mappings"}
+_NAMES = "names"     # _get's type tag for a list of strings
+_TYPE_NAMES = {dict: "an object", list: "a list", str: "a string",
+               bool: "true or false", _NAMES: "a list of strings"}
 
 
 def parse_document(text: str):
     """Parse a model document into a Diagram, or an HcfDiagram when a
-    mechanisms section is present."""
+    mechanisms section is present.  Every malformed document raises
+    ParseError."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(f"invalid JSON at column {e.colno}: {e.msg}",
                          line=e.lineno) from e
-    if not isinstance(doc, dict):
-        raise ParseError("top-level document must be an object")
     _reject_unknown(doc, _TOP_KEYS, "document")
 
-    variables = doc.get("variables")
-    if not isinstance(variables, list):
+    variables = _get(doc, "variables", list, "document")
+    if variables is None:
         raise ParseError("'variables' must be a list")
     nodes = []
     states_of = {}
     kinds = {}
     for entry in variables:
         _reject_unknown(entry, _VAR_KEYS, "variable entry")
-        name = entry.get("name")
+        name = _get(entry, "name", str, "variable entry")
         kind = entry.get("kind")
-        if not isinstance(name, str) or not name:
+        if not name:
             raise ParseError(f"variable entry {entry!r} needs a name")
         if name in states_of:
             raise ParseError(f"duplicate variable {name!r}")
         if kind not in (CHANCE, DETERMINISTIC, DECISION, UTILITY):
             raise ParseError(f"{name}: unknown kind {kind!r}")
-        states = tuple(entry.get("states", []))
-        if kind != UTILITY and (not states or
-                                not all(isinstance(s, str) for s in states)):
+        states = _get(entry, "states", _NAMES, name, ())
+        if kind != UTILITY and not states:
             raise ParseError(f"{name}: states must be a list of labels")
         states_of[name] = states
         kinds[name] = kind
-        nodes.append((name, kind, states, entry.get("set_decision_for")))
+        nodes.append((name, kind, states,
+                      _get(entry, "set_decision_for", str, name)))
 
-    cpts = doc.get("cpts", {}) or {}
-    dets = doc.get("deterministic", {}) or {}
-    for section, label in ((cpts, "cpts"), (dets, "deterministic")):
-        if not isinstance(section, dict):
-            raise ParseError(f"'{label}' must be an object")
+    cpts = _get(doc, "cpts", dict, "document", {})
+    dets = _get(doc, "deterministic", dict, "document", {})
+    utility = _get(doc, "utility", dict, "document")
 
     built = []
     for name, kind, states, sdf in nodes:
@@ -82,20 +81,11 @@ def parse_document(text: str):
             built.append(Node(Variable(name, states), DECISION,
                               set_decision_for=sdf))
         else:
-            spec = doc.get("utility")
-            if not isinstance(spec, dict):
+            if utility is None:
                 raise ParseError(f"{name}: utility node declared but no "
                                  "'utility' section")
-            _reject_unknown(spec, _UTILITY_KEYS, "utility section")
-            parents = tuple(spec.get("parents", []))
-            values = {}
-            for key, v in spec.get("values", {}).items():
-                if not isinstance(v, (int, float)):
-                    raise ParseError(f"{name}: utility value {v!r} at {key!r} "
-                                     "is not a number")
-                values[_split_key(key, parents, states_of, name)] = float(v)
-            built.append(Node(Variable(name, ()), UTILITY,
-                              utility=UtilityTable(parents, values)))
+            table = _parse_utility(name, utility, states_of)
+            built.append(Node(Variable(name, ()), UTILITY, utility=table))
     for section, label, kind in ((cpts, "cpts", CHANCE),
                                  (dets, "deterministic", DETERMINISTIC)):
         for name in section:
@@ -106,40 +96,42 @@ def parse_document(text: str):
     relevance = _parse_arcs(doc.get("relevance_arcs", []), "relevance_arcs")
     information = _parse_arcs(doc.get("information_arcs", []),
                               "information_arcs")
-    order = doc.get("decision_order")
-    if order is not None and not (isinstance(order, list)
-                                  and all(isinstance(x, str) for x in order)):
-        raise ParseError("'decision_order' must be a list of names")
-    ann = doc.get("annotations", {}) or {}
+    ann = _get(doc, "annotations", dict, "document", {})
     _reject_unknown(ann, _ANNOTATION_KEYS, "annotations")
+    diagram = Diagram(
+        tuple(built), relevance, information,
+        _get(doc, "decision_order", _NAMES, "document"),
+        causal=_get(ann, "causal", bool, "annotations", False),
+        declared_fixed=frozenset(_get(ann, "declared_fixed", _NAMES,
+                                      "annotations", ())))
 
-    diagram = Diagram(tuple(built), relevance, information,
-                      tuple(order) if order is not None else None,
-                      causal=bool(ann.get("causal", False)),
-                      declared_fixed=frozenset(ann.get("declared_fixed", [])))
-
-    if "mechanisms" not in doc:
+    entries = _get(doc, "mechanisms", list, "document")
+    if entries is None:
         return diagram
     mechanisms, provenance = [], {}
-    for entry in doc["mechanisms"]:
+    for entry in entries:
         _reject_unknown(entry, _MECHANISM_KEYS, "mechanism entry")
-        mech, source = entry.get("node"), entry.get("source")
+        mech = _get(entry, "node", str, "mechanism entry")
+        source = _get(entry, "source", str, "mechanism entry")
         if mech not in states_of:
             raise ParseError(f"mechanism names unknown node {mech!r}")
         if source not in states_of:
             raise ParseError(f"mechanism {mech}: unknown source {source!r}")
-        mappings = tuple(tuple(m) for m in entry.get("mappings", []))
-        spec = MechanismSpec(source, tuple(entry.get("domain", [])),
-                             tuple(entry.get("fixed_parents", [])),
-                             mappings, diagram.node(mech).table)
+        mappings = _get(entry, "mappings", list, mech, [])
+        if not all(map(_is_names, mappings)):
+            raise ParseError(f"{mech}: every mapping must be a list of "
+                             "state labels")
+        spec = MechanismSpec(source, _get(entry, "domain", _NAMES, mech, ()),
+                             _get(entry, "fixed_parents", _NAMES, mech, ()),
+                             tuple(map(tuple, mappings)),
+                             diagram.node(mech).table)
         mechanisms.append(spec)
         provenance[mech] = source
     return HcfDiagram(diagram, tuple(mechanisms), provenance)
 
 
 def parse_model(text: str) -> Diagram:
-    parsed = parse_document(text)
-    return parsed.diagram if isinstance(parsed, HcfDiagram) else parsed
+    return _diagram_of(parse_document(text))
 
 
 def _reject_unknown(obj, allowed, where):
@@ -148,6 +140,23 @@ def _reject_unknown(obj, allowed, where):
     unknown = set(obj) - allowed
     if unknown:
         raise ParseError(f"unknown key(s) {sorted(unknown)} in {where}")
+
+
+def _is_names(value) -> bool:
+    return isinstance(value, list) and all(isinstance(x, str) for x in value)
+
+
+def _get(obj: dict, key, kind, where, default=None):
+    """``obj[key]`` checked against a JSON type (a list of strings comes
+    back as a tuple); absent or null gives ``default``."""
+    value = obj.get(key)
+    if value is None:
+        return default
+    if kind is _NAMES and _is_names(value):
+        return tuple(value)
+    if kind is not _NAMES and isinstance(value, kind):
+        return value
+    raise ParseError(f"{where}: '{key}' must be {_TYPE_NAMES[kind]}")
 
 
 def _parse_arcs(raw, label):
@@ -177,9 +186,9 @@ def _split_key(key, parents, states_of, owner):
 
 def _parse_table(name, spec, states_of) -> ConditionalTable:
     _reject_unknown(spec, _TABLE_KEYS, f"table for {name}")
-    parents = tuple(spec.get("parent_order", []))
+    parents = _get(spec, "parent_order", _NAMES, name, ())
     rows = {}
-    for key, dist in spec.get("rows", {}).items():
+    for key, dist in _get(spec, "rows", dict, name, {}).items():
         if not (isinstance(dist, list)
                 and all(isinstance(p, (int, float)) for p in dist)):
             raise ParseError(f"{name}: row {key!r} must be a list of numbers")
@@ -188,6 +197,23 @@ def _parse_table(name, spec, states_of) -> ConditionalTable:
         rows[_split_key(key, parents, states_of, name)] = tuple(
             float(p) for p in dist)
     return ConditionalTable(parents, rows)
+
+
+def _parse_utility(name, spec, states_of) -> UtilityTable:
+    _reject_unknown(spec, _UTILITY_KEYS, "utility section")
+    parents = _get(spec, "parents", _NAMES, name, ())
+    values = {}
+    for key, v in _get(spec, "values", dict, name, {}).items():
+        if not isinstance(v, (int, float)):
+            raise ParseError(f"{name}: utility value {v!r} at {key!r} "
+                             "is not a number")
+        row = _split_key(key, parents, states_of, name)
+        try:
+            values[row] = float(v)
+        except OverflowError:
+            raise ParseError(f"{name}: utility value at {key!r} is too "
+                             "large") from None
+    return UtilityTable(parents, values)
 
 
 # ---------------------------------------------------------------------------

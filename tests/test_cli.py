@@ -1,8 +1,12 @@
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import decid
 from decid.cli import run_command
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
@@ -70,6 +74,31 @@ def test_cap_exceeded_is_exit_4(capsys, monkeypatch):
                          "--of", "w", "--method", "oracle")
     assert code == 4
     assert "cap" in doc["error"]
+
+
+@pytest.mark.parametrize("raw", ["abc", "0", "-3"])
+def test_bad_world_cap_is_usage_error(capsys, monkeypatch, raw):
+    monkeypatch.setenv("CID_CAP_WORLDS", raw)
+    code = run_command(["causes", model("coin"), "--of", "w",
+                        "--method", "oracle"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "CID_CAP_WORLDS must be a positive integer" in captured.err
+
+
+def test_malformed_table_is_exit_2_without_traceback(tmp_path):
+    doc = json.loads((FIXTURES / "m1.json").read_text())
+    doc["cpts"]["lung_cancer"]["rows"] = [[0.9, 0.1]]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    env = dict(os.environ,
+               PYTHONPATH=str(pathlib.Path(decid.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "decid.cli", "validate",
+                           str(bad)], capture_output=True, text=True, env=env)
+    assert proc.returncode == 2
+    assert "rows" in json.loads(proc.stdout)["error"]
+    assert "Traceback" not in proc.stderr
 
 
 # ---------------------------------------------------------------------------

@@ -234,6 +234,10 @@ def test_voi_declared_fixed_cycle():
                 declared_fixed=frozenset({"x"}))
     with pytest.raises(CycleIntroduced):
         value_of_information(d, "x", "d")
+    # Indexes already read from d must not leak into the widened diagram.
+    assert d.topological_order() == ["d", "x", "payoff"]
+    with pytest.raises(CycleIntroduced):
+        value_of_information(d, "x", "d")
 
 
 def _two_stage():

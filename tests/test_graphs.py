@@ -1,11 +1,13 @@
 import itertools
+import random
 
 import pytest
 
 from decid import (BlockingQuery, Diagram, blocks, certify_causal_network,
                    chance_node, d_separated, decision_node, graphical_causes,
                    graphical_fixed_set, is_set_decision, minimal_blocking_sets,
-                   removable_arcs, set_decision_node, validate_diagram)
+                   minimal_sets, removable_arcs, set_decision_node,
+                   validate_diagram)
 from decid.errors import NodeBudgetExceeded
 
 from genmodels import random_dag
@@ -321,7 +323,6 @@ def _blocks_all(d, D, C, X):
 
 @pytest.mark.parametrize("seed", range(50))
 def test_blocking_graphoid_axioms(seed):
-    import random
     d = random_dag(seed)
     D = set(d.decisions())
     rng = random.Random(seed + 7)
@@ -352,3 +353,89 @@ def test_blocking_symmetry_counterexample():
     assert validate_diagram(d) == []
     assert _blocks(d, set(), {"d"}, "x")
     assert not _blocks(d, set(), {"x"}, "d")
+
+
+# ---------------------------------------------------------------------------
+# Independent routes: path enumeration and networkx
+
+
+def _paths(d, source, target, path=()):
+    """Every simple directed path from source to target over all arcs."""
+    path = path + (source,)
+    if source == target:
+        yield path
+        return
+    for a, b in d.relevance_arcs + d.information_arcs:
+        if a == source and b not in path:
+            yield from _paths(d, b, target, path)
+
+
+def _blocked_by_enumeration(d, C, D, x):
+    return all(set(path) & C for dec in D for path in _paths(d, dec, x))
+
+
+def _dag_with_information_arcs(seed):
+    """A random DAG plus acyclic information arcs into its decisions."""
+    rng = random.Random(seed)
+    d = random_dag(seed, n_nodes=7, p_arc=0.35)
+    info = []
+    for dec in d.decisions():
+        for x in d.uncertain():
+            g = d.with_arcs(information=info)
+            if rng.random() < 0.3 and not any(_paths(g, dec, x)):
+                info.append((x, dec))
+    return d.with_arcs(information=info)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_blocking_matches_path_enumeration(seed):
+    d = _dag_with_information_arcs(seed)
+    rng = random.Random(seed)
+    names = d.names()
+    for _ in range(15):
+        x = rng.choice(d.uncertain())
+        others = [n for n in names if n != x]
+        C = set(rng.sample(others, rng.randint(0, 3)))
+        D = set(rng.sample(d.decisions(), rng.randint(1, 2)))
+        assert _blocks(d, C, D, x) == _blocked_by_enumeration(d, C, D, x)
+        fixed = {y for y in d.uncertain() if y not in C and
+                 _blocked_by_enumeration(d, C, set(d.decisions()), y)}
+        assert graphical_fixed_set(d, C) == fixed
+
+
+def test_d_separation_matches_networkx():
+    nx = pytest.importorskip("networkx")
+    for seed in range(200):
+        d = random_dag(seed, n_nodes=8, p_arc=0.3)
+        g = nx.DiGraph()
+        g.add_nodes_from(d.names())
+        g.add_edges_from(d.relevance_arcs)
+        rng = random.Random(seed)
+        for _ in range(5):
+            pool = d.names()
+            rng.shuffle(pool)
+            nx_, ny, nz = rng.randint(1, 2), rng.randint(1, 2), rng.randint(0, 3)
+            X, Y = set(pool[:nx_]), set(pool[nx_:nx_ + ny])
+            Z = set(pool[nx_ + ny:nx_ + ny + nz])
+            assert d_separated(d, X, Y, Z) == nx.is_d_separator(g, X, Y, Z), \
+                (seed, X, Y, Z)
+
+
+# ---------------------------------------------------------------------------
+# The shared subset search
+
+
+def test_minimal_sets_smallest_first_then_lexicographic():
+    def holds(C):
+        return "a" in C or {"b", "c"} <= C
+    assert minimal_sets({"c", "b", "a", "z"}, holds) == [
+        frozenset({"a"}), frozenset({"b", "c"})]
+    assert minimal_sets({"a"}, lambda C: True) == [frozenset()]
+    assert minimal_sets({"a"}, lambda C: False) == []
+
+
+def test_minimal_sets_checks_the_budget_before_searching():
+    def holds(C):
+        raise AssertionError("searched past the budget")
+    with pytest.raises(NodeBudgetExceeded):
+        minimal_sets({"a", "b", "c"}, holds, node_budget=2)

@@ -8,8 +8,8 @@ from decid import (Diagram, Factor, WorldTable, chance_node, decision_node,
                    oracle_causes, oracle_fixed_set_member, oracle_is_d_map,
                    parse_model, posterior, propagate, serialize_model,
                    set_decision_node, to_hcf, validate_diagram)
-from decid.errors import (NotHcf, UnknownVariable, WorldCapExceeded,
-                          ZeroProbabilityEvidence)
+from decid.errors import (NodeBudgetExceeded, NotHcf, UnknownVariable,
+                          WorldCapExceeded, ZeroProbabilityEvidence)
 
 from genmodels import random_diagram
 
@@ -223,6 +223,12 @@ def test_oracle_causes_fixed_target(coin):
     report = oracle_causes(coin, "c")
     assert report.cause_sets == ()
     assert "fixed set" in report.reason
+
+
+def test_oracle_causes_checks_fixed_target_before_budget(coin):
+    assert oracle_causes(coin, "c", node_budget=0).cause_sets == ()
+    with pytest.raises(NodeBudgetExceeded):
+        oracle_causes(coin, "w", node_budget=0)
 
 
 def test_oracle_causes_m1_hcf(m1):

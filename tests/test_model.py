@@ -1,8 +1,10 @@
+from dataclasses import replace
+
 import pytest
 
-from decid import (Diagram, Variable, chance_node, decision_node,
-                   enumerate_instances, parse_model, serialize_model,
-                   validate_diagram)
+from decid import (Diagram, Variable, WorldTable, chance_node, decision_node,
+                   enumerate_instances, oracle_fixed_set_member, parse_model,
+                   serialize_model, validate_diagram)
 
 from genmodels import random_diagram
 
@@ -117,3 +119,59 @@ def test_serialize_parse_round_trip(seed):
     assert set(again.relevance_arcs) == set(d.relevance_arcs)
     for x in d.uncertain():
         assert again.node(x).table == d.node(x).table
+
+
+# ---------------------------------------------------------------------------
+# Cached indexes
+
+
+def test_node_lookup_keeps_first_occurrence():
+    first = chance_node("a", ["0", "1"], [], {(): [0.5, 0.5]})
+    second = decision_node("a", ["x", "y"])
+    d = Diagram((first, second))
+    assert d.node("a") is first
+    assert d.has("a") and not d.has("b")
+    assert any("duplicate" in v for v in validate_diagram(d))
+
+
+def test_with_arcs_gets_a_fresh_topological_order():
+    d = two_node()
+    assert d.topological_order() == ["smoke", "lc"]
+    flipped = d.with_arcs(relevance=[("lc", "smoke")])
+    assert flipped.topological_order() == ["lc", "smoke"]
+    assert flipped.children("lc") == {"smoke"}
+    cyclic = d.with_arcs(relevance=[("smoke", "lc"), ("lc", "smoke")])
+    assert cyclic.topological_order() == []
+    assert d.topological_order() == ["smoke", "lc"]
+    assert d.children("lc") == set()
+
+
+def test_descendants_avoid_stops_the_walk():
+    chain = [chance_node("a", ["0", "1"], [], {(): [0.5, 0.5]})] + [
+        chance_node(x, ["0", "1"], [p], {("0",): [0.5, 0.5],
+                                         ("1",): [0.5, 0.5]})
+        for p, x in (("a", "b"), ("b", "c"))]
+    d = Diagram(tuple(chain), (("a", "b"), ("b", "c")))
+    assert d.descendants(["a"]) == {"b", "c"}
+    assert d.descendants(["a"], avoid={"b"}) == set()
+    assert d.descendants(["a"], avoid={"c"}) == {"b"}
+    d.children("a").add("c")          # a copy; the index is untouched
+    assert d.children("a") == {"b"}
+
+
+# ---------------------------------------------------------------------------
+# One tolerance for validation and propagation
+
+
+def test_near_one_hot_row_that_validates_also_propagates(coin):
+    w = coin.node("w")
+    rows = dict(w.table.rows)
+    rows[("heads", "heads")] = (1 - 5e-10, 5e-10)
+    near = chance_node("w", w.states, w.table.parent_order, rows,
+                       deterministic=True)
+    d = replace(coin, nodes=tuple(near if n.name == "w" else n
+                                  for n in coin.nodes))
+    assert validate_diagram(d) == []
+    assert len(WorldTable(d).worlds) == 2
+    assert oracle_fixed_set_member(d, "w", {"d"})
+    assert not oracle_fixed_set_member(d, "w")

@@ -120,6 +120,24 @@ def test_mechanism_naming_unknown_node():
     _expect(doc, "ghost")
 
 
+def test_rows_given_as_list():
+    doc = _doc()
+    doc["cpts"]["lung_cancer"]["rows"] = [[0.9, 0.1]]
+    _expect(doc, "rows")
+
+
+def test_parent_order_given_as_number():
+    doc = _doc()
+    doc["cpts"]["lung_cancer"]["parent_order"] = 3
+    _expect(doc, "parent_order")
+
+
+def test_causal_annotation_must_be_boolean():
+    doc = _doc()
+    doc["annotations"]["causal"] = "no"
+    _expect(doc, "causal")
+
+
 # ---------------------------------------------------------------------------
 # Round trips
 
