@@ -1,11 +1,14 @@
 """Policy evaluation, value of information, and twin-network
 counterfactual queries.
 
-Policy search is exhaustive over the (capped) policy space: correctness
-baseline first, and it doubles as the oracle for any smarter evaluator
-added later.  Counterfactuals run standard inference over a twin
-diagram: the fixed layer (fixed chance nodes and mechanisms) is shared,
-every decision-affected node exists once factually and once primed.
+Expected utility runs variable elimination over the same family factors
+as ``posterior``: the chance and utility factors of a diagram are built
+once and every policy only adds one deterministic rule factor per
+decision.  Policy search stays exhaustive over the (capped) policy
+space, so it doubles as the oracle for any smarter search added later.
+Counterfactuals run ``posterior`` over a twin diagram: the fixed layer
+(fixed chance nodes and mechanisms) is shared, every decision-affected
+node exists once factually and once primed.
 """
 
 from __future__ import annotations
@@ -15,11 +18,11 @@ from dataclasses import dataclass
 
 from .errors import (CycleIntroduced, NoDecisionOrder, NotHcf, NotObservable,
                      NoUtilityNode, PolicySpaceExceeded, UnknownVariable)
-from .inference import Factor, _probability, posterior
+from .inference import Factor, eliminate, family_factor, posterior
 from .mechanisms import HcfDiagram
-from .model import (CHANCE, DECISION, DETERMINISTIC, UTILITY, Assignment,
-                    Diagram, Node, Variable, chance_node, instance_keys,
-                    parent_variables)
+from .model import (CHANCE, DECISION, DETERMINISTIC, TOL, UTILITY,
+                    Assignment, Diagram, Node, Variable, chance_node,
+                    instance_keys, parent_variables)
 
 POLICY_SPACE_CAP = 10 ** 6
 
@@ -60,22 +63,27 @@ class CounterfactualQuery:
 
 def expected_utility(d: Diagram, policy: Policy) -> float:
     """Sum over joint outcomes of P(outcome | policy) * utility."""
+    return _policy_value(d, _model_factors(d), policy)
+
+
+def _model_factors(d: Diagram) -> list[Factor]:
     u = d.utility()
     if u is None:
         raise NoUtilityNode("diagram has no utility node")
-    uncertain = [d.node(x) for x in d.uncertain()]
-    topo = d.topological_order()
-    eu = 0.0
-    for combo in itertools.product(*(n.states for n in uncertain)):
-        assignment = {n.name: s for n, s in zip(uncertain, combo)}
-        for x in topo:
-            if d.node(x).kind == DECISION:
-                assignment[x] = policy.choose(x, assignment)
-        p = _probability(d, uncertain, assignment)
-        if p > 0.0:
-            key = tuple(assignment[a] for a in u.utility.parent_order)
-            eu += p * u.utility.rows[key]
-    return eu
+    return [family_factor(d, d.node(x)) for x in d.uncertain() + [u.name]]
+
+
+def _policy_value(d: Diagram, model: list[Factor], policy: Policy) -> float:
+    """Eliminate every variable from the chance and utility factors and
+    one deterministic rule factor per decision."""
+    rules = []
+    for dec in d.decisions():
+        alts = d.node(dec).states
+        rows = {key: [1.0 if a == alt else 0.0 for a in alts]
+                for key, alt in policy.rules[dec].items()}
+        rule = chance_node(dec, alts, policy.info_order[dec], rows)
+        rules.append(family_factor(d, rule))
+    return float(eliminate(model + rules, ()).values)
 
 
 def enumerate_policies(d: Diagram, cap: int = POLICY_SPACE_CAP):
@@ -107,16 +115,19 @@ def enumerate_policies(d: Diagram, cap: int = POLICY_SPACE_CAP):
 
 def optimal_policy(d: Diagram, cap: int = POLICY_SPACE_CAP
                    ) -> tuple[Policy, float]:
-    """Exhaustively maximize expected utility; ties keep the first
-    policy in canonical order."""
-    best = None
-    best_eu = None
-    for policy in enumerate_policies(d, cap):
-        eu = expected_utility(d, policy)
-        if best_eu is None or eu > best_eu:
-            best, best_eu = policy, eu
+    """Exhaustively maximize expected utility.  A later policy wins only
+    by more than ``TOL * max(1, |best|)``, so ties within rounding keep
+    the first policy in canonical order."""
+    policies = enumerate_policies(d, cap)
+    best = next(policies, None)
     if best is None:
         raise NoDecisionOrder("no policies to evaluate")
+    model = _model_factors(d)
+    best_eu = _policy_value(d, model, best)
+    for policy in policies:
+        eu = _policy_value(d, model, policy)
+        if eu > best_eu + TOL * max(1.0, abs(best_eu)):
+            best, best_eu = policy, eu
     return best, best_eu
 
 

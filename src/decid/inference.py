@@ -1,9 +1,12 @@
 """Exact inference and the semantic fixed-set / cause oracles.
 
-Two independent routes are kept deliberately separate: ``joint`` builds
-the full joint by direct enumeration of conditional-table products,
-while ``posterior`` runs variable elimination over factors.  Tests hold
-the two against each other.
+One core serves every production query: ``family_factor`` reads a
+node's table, decision parents and set decisions included, as one
+factor, and ``eliminate`` sums variables out of a factor product.
+``posterior`` reduces the family factors at the decisions and the
+evidence; expected utility and policy search in ``decisions`` run on
+the same factors.  ``joint`` stays a separate route by direct
+enumeration: it is the reference that the tests hold the core against.
 
 The oracles realize fixed-set membership literally: enumerate every
 functional world (joint instance of the fixed nodes, mechanisms
@@ -16,6 +19,7 @@ and are skipped.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,15 +40,15 @@ WORLD_PAIR_CAP = 10 ** 7
 
 
 class Factor:
-    """Nonnegative real table over an ordered variable scope."""
+    """Real table over an ordered variable scope; utilities may be negative."""
 
     __slots__ = ("scope", "states", "values")
 
     def __init__(self, scope, states, values):
         self.scope = tuple(scope)
-        self.states = tuple(tuple(s) for s in states)
+        self.states = tuple(map(tuple, states))
         self.values = np.asarray(values, dtype=float)
-        assert self.values.shape == tuple(len(s) for s in self.states)
+        assert self.values.shape == tuple(map(len, self.states))
 
     def __repr__(self):
         return f"Factor(scope={self.scope})"
@@ -99,59 +103,37 @@ def _expand(f: Factor, scope, states) -> np.ndarray:
 # Local distributions with set-decision composition
 
 
-def forced_state(d: Diagram, node: Node, assignment: Assignment) -> str | None:
-    """State forced by the node's set decision, or None (absent or
-    "do nothing")."""
+def local_distribution(d: Diagram, node: Node, assignment: Assignment
+                       ) -> tuple[float, ...]:
+    """P(node | parent values in ``assignment``), with any "set x to k"
+    intervention composed in."""
     for s in d.set_decisions_for(node.name):
         alt = assignment.get(s)
         if alt is None:
             raise UnknownVariable(f"set decision {s} is unassigned")
         if alt != DO_NOTHING:
-            return alt[len(SET_PREFIX):]
-    return None
-
-
-def local_distribution(d: Diagram, node: Node, assignment: Assignment
-                       ) -> tuple[float, ...]:
-    """P(node | parent values in ``assignment``), with any "set x to k"
-    intervention composed in."""
-    forced = forced_state(d, node, assignment)
-    if forced is not None:
-        return tuple(1.0 if s == forced else 0.0 for s in node.states)
+            forced = alt[len(SET_PREFIX):]
+            return tuple(1.0 if x == forced else 0.0 for x in node.states)
     key = tuple(assignment[p] for p in node.table.parent_order)
     return node.table.rows[key]
 
 
-def node_factor(d: Diagram, node: Node, decisions: Assignment) -> Factor:
-    """CPT factor over the node and its chance parents, with decision
-    parents sliced at their assigned alternatives."""
-    forced = forced_state(d, node, decisions)
-    if forced is not None:
-        return Factor([node.name], [node.states],
-                      [1.0 if s == forced else 0.0 for s in node.states])
-    free = [p for p in node.table.parent_order if p not in decisions]
-    scope = free + [node.name]
-    states = [d.node(p).states for p in free] + [node.states]
-    shape = tuple(len(s) for s in states)
-    values = np.empty(shape)
-    for combo in itertools.product(*(range(len(d.node(p).states)) for p in free)):
-        bound = dict(decisions)
-        for p, i in zip(free, combo):
-            bound[p] = d.node(p).states[i]
-        key = tuple(bound[p] for p in node.table.parent_order)
-        values[combo] = node.table.rows[key]
-    return Factor(scope, states, values)
-
-
-def _probability(d: Diagram, nodes, assignment: Assignment) -> float:
-    """Product of the nodes' local probabilities at ``assignment``."""
-    p = 1.0
-    for n in nodes:
-        dist = local_distribution(d, n, assignment)
-        p *= dist[n.states.index(assignment[n.name])]
-        if p == 0.0:
-            break
-    return p
+def family_factor(d: Diagram, node: Node) -> Factor:
+    """The node's table as one factor over its relevance parents,
+    decisions included, and the node itself.  A set decision is an axis
+    of its own: "do nothing" keeps the table, "set x to k" is one-hot.
+    A utility factor holds the utility values and has no axis of its own."""
+    table = node.utility if node.kind == UTILITY else node.table
+    set_decisions = d.set_decisions_for(node.name)
+    parents = list(table.parent_order) + set_decisions
+    states = [d.node(p).states for p in parents]
+    cells = [local_distribution(d, node, dict(zip(parents, key)))
+             if set_decisions else table.rows[key]
+             for key in itertools.product(*states)]
+    if node.kind != UTILITY:
+        parents, states = parents + [node.name], states + [node.states]
+    shape = [len(s) for s in states]
+    return Factor(parents, states, np.reshape(cells, shape))
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +153,8 @@ def joint(d: Diagram, decisions: Assignment) -> Factor:
         assignment = dict(decisions)
         for n, i in zip(nodes, combo):
             assignment[n.name] = n.states[i]
-        values[combo] = _probability(d, nodes, assignment)
+        values[combo] = math.prod(local_distribution(d, n, assignment)[i]
+                                  for n, i in zip(nodes, combo))
     return Factor(names, states, values)
 
 
@@ -190,48 +173,53 @@ def _require_full_decisions(d: Diagram, decisions: Assignment) -> None:
 
 def posterior(d: Diagram, decisions: Assignment, evidence: Assignment,
               query) -> Factor:
-    """P(query | evidence, decisions) by variable elimination with a
-    greedy min-fill order (name tie-break, so runs are reproducible)."""
+    """P(query | evidence, decisions) by variable elimination over the
+    family factors, reduced at the decisions and the evidence alike."""
     _require_full_decisions(d, decisions)
     query = list(query)
     for x in list(evidence) + query:
-        node = d.node(x)
-        if node.kind not in (CHANCE, DETERMINISTIC):
+        if d.node(x).kind not in (CHANCE, DETERMINISTIC):
             raise UnknownVariable(f"{x} is not an uncertain variable")
     if set(query) & set(evidence):
         raise ValueError("query and evidence overlap")
+    for v, s in evidence.items():
+        if s not in d.node(v).states:
+            raise UnknownVariable(f"{s!r} is not a state of {v}")
 
+    bound = {dec: decisions[dec] for dec in d.decisions()}
+    bound.update(evidence)
     factors = []
     for x in d.uncertain():
-        f = node_factor(d, d.node(x), decisions)
-        for v, s in evidence.items():
-            if v in f.scope:
-                if s not in d.node(v).states:
-                    raise UnknownVariable(f"{s!r} is not a state of {v}")
-                f = f.reduce(v, s)
+        f = family_factor(d, d.node(x))
+        for v in f.scope:
+            if v in bound:
+                f = f.reduce(v, bound[v])
         factors.append(f)
 
-    to_eliminate = {v for f in factors for v in f.scope} - set(query)
+    result = eliminate(factors, query)
+    if result.total() <= 0.0:
+        raise ZeroProbabilityEvidence(
+            f"evidence {evidence} has zero probability under {decisions}")
+    return result.normalize()
+
+
+def eliminate(factors, keep) -> Factor:
+    """Sum every variable outside ``keep`` out of the product of the
+    factors, in a greedy min-fill order (name tie-break, so runs are
+    reproducible).  The result's scope is ``keep``, in that order."""
+    to_eliminate = {v for f in factors for v in f.scope} - set(keep)
     for var in _min_fill_order(factors, to_eliminate):
         related = [f for f in factors if var in f.scope]
-        if not related:
-            continue
         prod = related[0]
         for f in related[1:]:
             prod = prod.multiply(f)
         factors = [f for f in factors if var not in f.scope]
         factors.append(prod.marginalize(var))
-
     result = factors[0]
     for f in factors[1:]:
         result = result.multiply(f)
-    if result.total() <= 0.0:
-        raise ZeroProbabilityEvidence(
-            f"evidence {evidence} has zero probability under {decisions}")
-    result = result.normalize()
-    # Canonicalize scope order to the query order.
-    perm = [result.scope.index(q) for q in query]
-    return Factor(query, [result.states[i] for i in perm],
+    perm = [result.scope.index(v) for v in keep]
+    return Factor(keep, [result.states[i] for i in perm],
                   np.transpose(result.values, perm))
 
 

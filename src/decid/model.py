@@ -356,8 +356,14 @@ def validate_diagram(d: Diagram) -> list[str]:
             report.append(f"{x}: more than one set decision ({sorted(setdecs)})")
 
     if d.decision_order is not None:
-        if sorted(d.decision_order) != sorted(d.decisions()):
+        order = list(d.decision_order)
+        if sorted(order) != sorted(d.decisions()):
             report.append("decision_order is not a permutation of the decision nodes")
+        for i, dec in enumerate(order):
+            ancestors = [a for a in order[i + 1:] if dec in d.descendants([a])]
+            if ancestors:
+                report.append(f"decision_order lists {dec} before {ancestors[0]}, "
+                              f"but {dec} descends from {ancestors[0]}")
     for x in sorted(d.declared_fixed):
         if not d.has(x):
             report.append(f"declared_fixed names unknown variable {x!r}")

@@ -3,7 +3,8 @@
 import itertools
 import random
 
-from decid import Diagram, chance_node, decision_node, utility_node
+from decid import (Diagram, chance_node, decision_node, set_decision_node,
+                   utility_node)
 
 
 def random_distribution(rng, k):
@@ -107,3 +108,54 @@ def random_dag(seed, n_nodes=8, n_decisions=2, p_arc=0.3):
         nodes.append(chance_node(name, ["s0", "s1"], parents, rows))
         arcs.extend((p, name) for p in parents)
     return Diagram(tuple(nodes), tuple(arcs), (), tuple(decisions))
+
+
+def random_policy_diagram(seed, n_chance=4):
+    """Random utility diagram for policy-evaluation suites.
+
+    Two ordinary binary decisions, ``d1`` observing ``d0`` half the
+    time; a decision that observes no decision observes one fixed root
+    half the time; a set decision on
+    one chance node half the time; utilities from -50 to 100 over zero
+    to two parents, one of them possibly a decision.  Decision order is
+    the topological order of the decisions, so the diagram validates.
+    """
+    rng = random.Random(seed)
+    nodes = [decision_node("d0", ["a0", "a1"]),
+             decision_node("d1", ["a0", "a1"])]
+    relevance, information = [], []
+    if rng.random() < 0.5:
+        information.append(("d0", "d1"))
+    n_roots = rng.randint(1, 2)
+    earlier = ["d0", "d1"]
+    states = {"d0": ("a0", "a1"), "d1": ("a0", "a1")}
+    for i in range(n_chance):
+        name = f"x{i}"
+        k = rng.randint(2, 3) if i >= n_roots else 2
+        states[name] = tuple(f"s{j}" for j in range(k))
+        parents = [] if i < n_roots else sorted(
+            rng.sample(earlier, rng.randint(1, min(2, len(earlier)))))
+        rows = {key: random_distribution(rng, k)
+                for key in itertools.product(*(states[p] for p in parents))}
+        nodes.append(chance_node(name, states[name], parents, rows))
+        relevance.extend((p, name) for p in parents)
+        earlier.append(name)
+    roots = [f"x{i}" for i in range(n_roots)]
+    for dec in ("d0", "d1"):
+        if rng.random() < 0.5 and ("d0", dec) not in information:
+            information.append((rng.choice(roots), dec))
+    if rng.random() < 0.5:
+        target = rng.choice(earlier[2 + n_roots:])
+        nodes.append(set_decision_node("s", states[target], target))
+        relevance.append(("s", target))
+    pool = [x for x in earlier if x.startswith("x")]
+    parents = sorted(rng.sample(pool, rng.randint(0, 2)))
+    if parents and rng.random() < 0.3:
+        parents[0] = rng.choice(["d0", "d1"])
+    values = {key: round(rng.uniform(-50, 100), 3)
+              for key in itertools.product(*(states[p] for p in parents))}
+    nodes.append(utility_node("payoff", parents, values))
+    relevance.extend((p, "payoff") for p in parents)
+    d = Diagram(tuple(nodes), tuple(relevance), tuple(information))
+    order = tuple(x for x in d.topological_order() if x in d.decisions())
+    return Diagram(tuple(nodes), tuple(relevance), tuple(information), order)

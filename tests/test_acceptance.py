@@ -123,9 +123,9 @@ def test_criterion_04_blocking_implies_fixed(report):
         d = random_diagram(seed, n_chance=3, max_states=2, n_decisions=2)
         seed += 1
         h = to_hcf(d)
-        table = WorldTable(h.diagram)
-        if len(table.worlds) > 512:
+        if len(functional_worlds(h.diagram)) > 512:
             continue
+        table = WorldTable(h.diagram)
         accepted += 1
         hd = h.diagram
         D = frozenset(hd.decisions())

@@ -1,17 +1,21 @@
 import itertools
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from decid import (CounterfactualQuery, Diagram, Policy, build_twin,
                    chance_node, counterfactual, decision_node,
-                   enumerate_policies, expected_utility, functional_worlds,
-                   optimal_policy, propagate, to_hcf, utility_node,
-                   validate_diagram, value_of_information)
+                   enumerate_instances, enumerate_policies, expected_utility,
+                   functional_worlds, joint, optimal_policy, propagate,
+                   to_hcf, utility_node, validate_diagram,
+                   value_of_information)
 from decid.errors import (CycleIntroduced, NoDecisionOrder, NotHcf,
                           NotObservable, PolicySpaceExceeded,
                           ZeroProbabilityEvidence)
+from decid.model import TOL, parent_variables
 
-from genmodels import random_diagram
+from genmodels import random_diagram, random_policy_diagram
 
 
 # ---------------------------------------------------------------------------
@@ -204,11 +208,80 @@ def test_policy_space_cap(coin_utility):
         list(enumerate_policies(informed, cap=2))
 
 
-def test_no_decision_order_rejected(coin_utility):
-    from dataclasses import replace
+def test_no_decision_order_rejected(coin_utility, coin):
     bare = replace(coin_utility, decision_order=None)
     with pytest.raises(NoDecisionOrder):
         list(enumerate_policies(bare))
+    # Without an order and without a utility node, the order is reported.
+    with pytest.raises(NoDecisionOrder):
+        optimal_policy(replace(coin, decision_order=None))
+
+
+def _reference_eus(d, policies):
+    """Expected utilities by direct enumeration: every decision instance's
+    joint, masked to the cells where the policy makes those choices.
+    Cells that a policy must match in the same way are summed first."""
+    u = d.utility()
+    info = {dec: d.info_parents(dec) for dec in d.decisions()}
+    weight = {}   # ((decision, info instance, choice), ...) -> sum of p * u
+    for di in enumerate_instances(parent_variables(d, d.decisions())):
+        f = joint(d, di)
+        for idx in np.ndindex(f.values.shape):
+            cell = dict(di)
+            cell.update((v, f.states[i][k])
+                        for i, (v, k) in enumerate(zip(f.scope, idx)))
+            need = tuple((dec, tuple(cell[p] for p in info[dec]), di[dec])
+                         for dec in info)
+            key = tuple(cell[p] for p in u.utility.parent_order)
+            weight[need] = weight.get(need, 0.0) + (
+                f.values[idx] * u.utility.rows[key])
+    return [sum(w for need, w in weight.items()
+                if all(p.choose(dec, dict(zip(info[dec], key))) == alt
+                       for dec, key, alt in need))
+            for p in policies]
+
+
+def _first_of_ties(eus):
+    top = max(eus)
+    return next(i for i, eu in enumerate(eus)
+                if eu >= top - TOL * max(1.0, abs(top)))
+
+
+def test_expected_utility_and_optimal_policy_match_enumeration():
+    covered = dict.fromkeys(
+        ["set decision", "decision observes decision", "negative utility",
+         "parentless utility"], 0)
+    for seed in range(200):
+        d = random_policy_diagram(seed)
+        assert validate_diagram(d) == []
+        u = d.utility().utility
+        covered["set decision"] += any(
+            d.node(x).set_decision_for for x in d.decisions())
+        covered["decision observes decision"] += any(
+            a in d.decisions() for a, _ in d.information_arcs)
+        covered["negative utility"] += min(u.rows.values()) < 0
+        covered["parentless utility"] += not u.parent_order
+
+        policies = list(enumerate_policies(d))
+        want = _reference_eus(d, policies)
+        for i in {0, seed % len(policies), len(policies) - 1}:
+            assert expected_utility(d, policies[i]) == pytest.approx(
+                want[i], rel=1e-12, abs=1e-12), seed
+        best, eu = optimal_policy(d)
+        i = _first_of_ties(want)
+        assert best == policies[i], seed
+        assert eu == pytest.approx(want[i], rel=1e-12, abs=1e-12), seed
+    assert all(covered.values()), covered
+
+
+def test_optimal_policy_ties_keep_the_first_policy():
+    """Ties within rounding keep the first policy in canonical order."""
+    for seed in range(200):
+        d = random_diagram(seed, n_chance=4, max_states=2, with_utility=True)
+        policies = list(enumerate_policies(d))
+        best, _ = optimal_policy(d)
+        assert best == policies[_first_of_ties(
+            _reference_eus(d, policies))], seed
 
 
 # ---------------------------------------------------------------------------
@@ -218,6 +291,13 @@ def test_no_decision_order_rejected(coin_utility):
 def test_voi_coin(coin_utility):
     assert value_of_information(coin_utility, "c", "d") == pytest.approx(
         0.5, abs=1e-12)
+
+
+def test_voi_without_decision_order_is_rejected(coin_utility):
+    bare = replace(coin_utility, decision_order=None)
+    for no_forgetting in (False, True):
+        with pytest.raises(NoDecisionOrder):
+            value_of_information(bare, "c", "d", no_forgetting=no_forgetting)
 
 
 def test_voi_rejects_decision_affected_variable(coin_utility):

@@ -65,6 +65,18 @@ def test_relevance_arc_into_decision_rejected():
     assert any("information" in v for v in validate_diagram(diagram))
 
 
+def test_decision_order_must_follow_the_arcs():
+    d0 = decision_node("d0", ["a", "b"])
+    d1 = decision_node("d1", ["a", "b"])
+    x = chance_node("x", ["0", "1"], ["d0"],
+                    {("a",): [0.5, 0.5], ("b",): [0.2, 0.8]})
+    diagram = Diagram((d0, d1, x), (("d0", "x"),), (("x", "d1"),),
+                      ("d0", "d1"))
+    assert validate_diagram(diagram) == []
+    assert validate_diagram(replace(diagram, decision_order=("d1", "d0"))) \
+        == ["decision_order lists d1 before d0, but d1 descends from d0"]
+
+
 def test_validate_is_pure_and_idempotent():
     d = two_node()
     first = validate_diagram(d)
