@@ -23,9 +23,10 @@ from .mechanisms import (HcfDiagram, MechanismSpec, canonical_mechanism_prior,
                          check_marginal_reproduction,
                          enumerate_mechanism_states, mechanism_name,
                          mechanism_state_label, to_hcf, validate_hcf)
-from .inference import (Factor, FunctionalWorld, WorldTable, functional_worlds,
-                        joint, oracle_causes, oracle_fixed_set_member,
-                        oracle_is_d_map, posterior, propagate)
+from .inference import (Factor, FunctionalWorld, WorldTable, count_worlds,
+                        functional_worlds, joint, oracle_causes,
+                        oracle_fixed_set_member, oracle_is_d_map, posterior,
+                        propagate)
 from .decisions import (CounterfactualQuery, Policy, TwinDiagram, build_twin,
                         counterfactual, enumerate_policies, expected_utility,
                         optimal_policy, value_of_information)

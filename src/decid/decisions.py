@@ -14,14 +14,16 @@ node exists once factually and once primed.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from .errors import (CycleIntroduced, NoDecisionOrder, NotHcf, NotObservable,
                      NoUtilityNode, PolicySpaceExceeded, UnknownVariable)
-from .inference import Factor, eliminate, family_factor, posterior
+from .inference import (Factor, eliminate, family_factor, posterior,
+                        value_label_node)
 from .mechanisms import HcfDiagram
 from .model import (CHANCE, DECISION, DETERMINISTIC, TOL, UTILITY,
-                    Assignment, Diagram, Node, Variable, chance_node,
+                    Assignment, Diagram, chance_node, decision_node,
                     instance_keys, parent_variables)
 
 POLICY_SPACE_CAP = 10 ** 6
@@ -93,20 +95,19 @@ def enumerate_policies(d: Diagram, cap: int = POLICY_SPACE_CAP):
         raise NoDecisionOrder("diagram has no decision order")
     decisions = list(d.decision_order)
     info_order = {dec: tuple(d.info_parents(dec)) for dec in decisions}
-    slots = []   # (decision, info instance key)
-    choices = []
-    total = 1
-    for dec in decisions:
-        alts = d.node(dec).states
-        keys = instance_keys(parent_variables(d, info_order[dec]))
-        for key in keys:
-            slots.append((dec, key))
-            choices.append(alts)
-            total *= len(alts)
-            if total > cap:
-                raise PolicySpaceExceeded(
-                    f"policy space exceeds cap {cap}")
-    for combo in itertools.product(*choices):
+    # Each decision has |alternatives| ** |information instances| rules.
+    space = [(len(d.node(dec).states), math.prod(
+        len(v.states) for v in parent_variables(d, info_order[dec])))
+        for dec in decisions]
+    bits = sum(n * math.log2(k) for k, n in space if k)
+    total = math.prod(k ** n for k, n in space) if bits < 2000 else None
+    if total is None or total > cap:
+        size = f"about 2^{bits:.0f}" if total is None else total
+        raise PolicySpaceExceeded(
+            f"policy space of {size} policies exceeds cap {cap}")
+    slots = [(dec, key) for dec in decisions
+             for key in instance_keys(parent_variables(d, info_order[dec]))]
+    for combo in itertools.product(*(d.node(dec).states for dec, _ in slots)):
         rules = {dec: {} for dec in decisions}
         for (dec, key), alt in zip(slots, combo):
             rules[dec][key] = alt
@@ -190,8 +191,10 @@ def build_twin(h: HcfDiagram) -> TwinDiagram:
                          "transform to Howard Canonical Form first")
     shared = {n.name for n in d.nodes if n.name not in desc
               and n.kind != DECISION}
-    nonfixed = [n for n in d.nodes if n.name not in shared]
-    primed = {n.name: n.name + PRIME for n in nonfixed}
+    affected = [value_label_node(n) for n in d.nodes if n.name not in shared]
+    primed = {n.name: n.name + PRIME for n in affected}
+    dropped = {n.name for n in affected
+               if d.node(n.name).kind == UTILITY and len(n.states) < 2}
 
     def mapped(name, copy2):
         return primed[name] if copy2 and name in primed else name
@@ -200,58 +203,30 @@ def build_twin(h: HcfDiagram) -> TwinDiagram:
     relevance = [(a, b) for a, b in d.relevance_arcs
                  if a in shared and b in shared]
     information = []
-    order1, order2 = [], []
     for copy2 in (False, True):
-        for n in nonfixed:
+        for n in affected:
             name = mapped(n.name, copy2)
             if n.kind == DECISION:
-                target = n.set_decision_for
-                nodes.append(Node(Variable(name, n.states), DECISION,
-                                  set_decision_for=mapped(target, copy2)
-                                  if target else None))
-                (order2 if copy2 else order1).append(name)
-            elif n.kind == UTILITY:
-                converted = _utility_as_deterministic(d, n, copy2, mapped)
-                if converted is not None:
-                    nodes.append(converted)
-            else:
-                table = n.table
-                new_order = tuple(mapped(p, copy2) for p in table.parent_order)
-                rows = {k: list(v) for k, v in table.rows.items()}
-                nodes.append(chance_node(name, n.states, new_order, rows,
+                nodes.append(decision_node(
+                    name, n.states, mapped(n.set_decision_for, copy2)))
+            elif n.name not in dropped:
+                parents = tuple(mapped(p, copy2) for p in n.table.parent_order)
+                nodes.append(chance_node(name, n.states, parents, n.table.rows,
                                          deterministic=n.kind == DETERMINISTIC))
-        for a, b in d.relevance_arcs:
-            if b in shared:
-                continue
-            bn = d.node(b)
-            if bn.kind == UTILITY and _utility_as_deterministic(
-                    d, bn, copy2, mapped) is None:
-                continue
-            relevance.append((mapped(a, copy2), mapped(b, copy2)))
-        for a, b in d.information_arcs:
-            information.append((mapped(a, copy2), mapped(b, copy2)))
+        relevance.extend((mapped(a, copy2), mapped(b, copy2))
+                         for a, b in d.relevance_arcs
+                         if b not in shared and b not in dropped)
+        information.extend((mapped(a, copy2), mapped(b, copy2))
+                           for a, b in d.information_arcs)
 
-    decision_order = None
-    if d.decision_order is not None:
-        decision_order = tuple(d.decision_order) + tuple(
-            primed[x] for x in d.decision_order)
-    elif order1:
-        decision_order = tuple(order1 + order2)
+    order = d.decision_order
+    if order is None and d.decisions():
+        order = d.decisions()
+    if order is not None:
+        order = tuple(order) + tuple(primed[x] for x in order)
     twin = Diagram(tuple(nodes), tuple(relevance), tuple(information),
-                   decision_order, causal=d.causal,
-                   declared_fixed=d.declared_fixed)
+                   order, causal=d.causal, declared_fixed=d.declared_fixed)
     return TwinDiagram(twin, frozenset(shared), primed)
-
-
-def _utility_as_deterministic(d: Diagram, n: Node, copy2, mapped) -> Node | None:
-    labels = [f"{v:.12g}" for v in sorted(set(n.utility.rows.values()))]
-    if len(labels) < 2:
-        return None
-    rows = {k: [1.0 if lab == f"{v:.12g}" else 0.0 for lab in labels]
-            for k, v in n.utility.rows.items()}
-    new_order = tuple(mapped(p, copy2) for p in n.utility.parent_order)
-    return chance_node(mapped(n.name, copy2), labels, new_order, rows,
-                       deterministic=True)
 
 
 def counterfactual(h: HcfDiagram, q: CounterfactualQuery) -> Factor:

@@ -1,19 +1,17 @@
 """Exact inference and the semantic fixed-set / cause oracles.
 
-One core serves every production query: ``family_factor`` reads a
-node's table, decision parents and set decisions included, as one
-factor, and ``eliminate`` sums variables out of a factor product.
-``posterior`` reduces the family factors at the decisions and the
-evidence; expected utility and policy search in ``decisions`` run on
-the same factors.  ``joint`` stays a separate route by direct
+One core serves every query: ``family_factor`` reads a node's table,
+decision parents and set decisions included, as one factor.
+``eliminate`` sums variables out of a factor product for ``posterior``
+and for expected utility and policy search in ``decisions``; the
+oracles' ``propagate`` and ``WorldTable`` index the same factors to
+carry worlds forward.  ``joint`` stays a separate route by direct
 enumeration: it is the reference that the tests hold the core against.
 
-The oracles realize fixed-set membership literally: enumerate every
-functional world (joint instance of the fixed nodes, mechanisms
-included), propagate it deterministically under every decision instance,
-and check that the target never varies across decision choices that
-agree on the conditioning set.  Zero-weight worlds carry no obligations
-and are skipped.
+The oracles realize fixed-set membership literally: every functional
+world of positive weight (joint instance of the fixed nodes, mechanisms
+included) is propagated under every decision instance, and the target
+may not vary across decision choices that agree on the conditioning set.
 """
 
 from __future__ import annotations
@@ -29,7 +27,7 @@ from .errors import (NotHcf, UnknownVariable, WorldCapExceeded,
 from .graphs import CauseReport, d_separated, minimal_sets
 from .mechanisms import _diagram_of
 from .model import (CHANCE, DECISION, DETERMINISTIC, DO_NOTHING, SET_PREFIX,
-                    TOL, UTILITY, Assignment, Diagram, Node,
+                    TOL, UTILITY, Assignment, Diagram, Node, chance_node,
                     enumerate_instances, parent_variables)
 
 WORLD_PAIR_CAP = 10 ** 7
@@ -165,6 +163,9 @@ def _require_full_decisions(d: Diagram, decisions: Assignment) -> None:
         if decisions[dec] not in d.node(dec).states:
             raise UnknownVariable(
                 f"{decisions[dec]!r} is not an alternative of {dec}")
+    for x in decisions:
+        if d.node(x).kind != DECISION:
+            raise UnknownVariable(f"{x} is not a decision")
 
 
 # ---------------------------------------------------------------------------
@@ -186,8 +187,7 @@ def posterior(d: Diagram, decisions: Assignment, evidence: Assignment,
         if s not in d.node(v).states:
             raise UnknownVariable(f"{s!r} is not a state of {v}")
 
-    bound = {dec: decisions[dec] for dec in d.decisions()}
-    bound.update(evidence)
+    bound = {**decisions, **evidence}
     factors = []
     for x in d.uncertain():
         f = family_factor(d, d.node(x))
@@ -258,21 +258,80 @@ class FunctionalWorld:
 def functional_worlds(diagram: Diagram) -> list[FunctionalWorld]:
     """Joint instances of the fixed nodes with their prior weights;
     zero-weight worlds are dropped."""
-    fixed = diagram.fixed_nodes()
-    order = [x for x in diagram.topological_order() if x in fixed]
     worlds = [({}, 1.0)]
-    for x in order:
-        node = diagram.node(x)
-        if set(node.table.parent_order) - fixed:
-            raise NotHcf(f"fixed node {x} has a non-fixed parent")
+    for node in _fixed_in_order(diagram):
         nxt = []
         for assignment, w in worlds:
             key = tuple(assignment[p] for p in node.table.parent_order)
             for s, p in zip(node.states, node.table.rows[key]):
                 if w * p > 0.0:
-                    nxt.append(({**assignment, x: s}, w * p))
+                    nxt.append(({**assignment, node.name: s}, w * p))
         worlds = nxt
     return [FunctionalWorld(a, w) for a, w in worlds]
+
+
+def count_worlds(diagram: Diagram) -> int:
+    """``len(functional_worlds(diagram))`` without listing the worlds:
+    elimination over the 0/1 support of each fixed node's table."""
+    support = []
+    for node in _fixed_in_order(diagram):
+        f = family_factor(diagram, node)
+        for s in diagram.set_decisions_for(node.name):
+            f = f.reduce(s, DO_NOTHING)   # worlds read the plain table
+        support.append(Factor(f.scope, f.states, f.values > 0.0))
+    return round(eliminate(support, ()).total()) if support else 1
+
+
+def _fixed_in_order(diagram: Diagram) -> list[Node]:
+    """The fixed nodes in topological order; each may have only fixed
+    parents."""
+    fixed = diagram.fixed_nodes()
+    nodes = [diagram.node(x) for x in diagram.topological_order()
+             if x in fixed]
+    for node in nodes:
+        if set(node.table.parent_order) - fixed:
+            raise NotHcf(f"fixed node {node.name} has a non-fixed parent")
+    return nodes
+
+
+def value_label_node(node: Node) -> Node:
+    """A utility as a deterministic node over its ``f"{v:.12g}"`` value
+    labels, sorted by value and merged; any other node as it is."""
+    if node.kind != UTILITY:
+        return node
+    labels = list(dict.fromkeys(
+        f"{v:.12g}" for v in sorted(node.utility.rows.values())))
+    rows = {k: [float(lab == f"{v:.12g}") for lab in labels]
+            for k, v in node.utility.rows.items()}
+    return chance_node(node.name, labels, node.utility.parent_order, rows,
+                       deterministic=True)
+
+
+def _fill(d: Diagram, given: dict) -> dict:
+    """Extend ``given`` (name -> broadcastable array of state indices)
+    to every variable, in topological order, through each node's family
+    factor.  Every row a cell reaches must be one-hot within ``TOL``."""
+    values = dict(given)
+    for x in d.topological_order():
+        if x in values:
+            continue
+        node = value_label_node(d.node(x))
+        if node.kind == DECISION:
+            raise UnknownVariable(f"missing decision binding for {x}")
+        f = family_factor(d, node)
+        rows = f.values[tuple(values[p] for p in f.scope[:-1])]
+        hits = np.abs(rows - 1.0) <= TOL
+        if not np.all(hits.sum(axis=-1) == 1):
+            raise NotHcf(f"non-fixed node {x} is not deterministic; "
+                         "transform the diagram to Howard Canonical Form first")
+        values[x] = hits.argmax(axis=-1)
+    return values
+
+
+def _indices(d: Diagram, cells, shape) -> dict:
+    """State indices of the variables bound in ``cells``, as ``shape``."""
+    return {x: np.reshape([d.node(x).states.index(c[x]) for c in cells], shape)
+            for x in cells[0] if d.has(x)}
 
 
 def propagate(diagram: Diagram, world: Assignment, decisions: Assignment
@@ -280,54 +339,42 @@ def propagate(diagram: Diagram, world: Assignment, decisions: Assignment
     """Deterministically extend a functional world and a decision
     instance to every variable.  Utility nodes get their value's string
     form so they can participate as oracle targets."""
-    assignment = dict(world)
-    assignment.update(decisions)
-    for x in diagram.topological_order():
-        if x in assignment:
-            continue
-        node = diagram.node(x)
-        if node.kind == UTILITY:
-            key = tuple(assignment[p] for p in node.utility.parent_order)
-            assignment[x] = f"{node.utility.rows[key]:.12g}"
-            continue
-        if node.kind == DECISION:
-            raise UnknownVariable(f"missing decision binding for {x}")
-        dist = local_distribution(diagram, node, assignment)
-        hits = [s for s, p in zip(node.states, dist) if abs(p - 1.0) <= TOL]
-        if len(hits) != 1:
-            raise NotHcf(f"non-fixed node {x} is not deterministic; "
-                         "transform the diagram to Howard Canonical Form first")
-        assignment[x] = hits[0]
+    assignment = {**world, **decisions}
+    for x, i in _fill(diagram, _indices(diagram, [assignment], ())).items():
+        assignment.setdefault(x, value_label_node(diagram.node(x)).states[i])
     return assignment
 
 
 class WorldTable:
-    """Propagation of every functional world under every decision
-    instance, cached so that many fixed-set queries stay cheap."""
+    """Every functional world propagated under every decision instance.
+    ``values[x]`` holds x's state index (a utility's: its value label's)
+    as an int array of shape (worlds, decision instances).  The cap is
+    checked on ``count_worlds`` before any world is listed."""
 
     def __init__(self, diagram: Diagram, world_pair_cap: int = WORLD_PAIR_CAP):
         self.diagram = diagram
-        self.worlds = functional_worlds(diagram)
         self.decision_instances = enumerate_instances(
             parent_variables(diagram, diagram.decisions()))
-        n_pairs = len(self.worlds) * len(self.decision_instances) ** 2
+        n_pairs = count_worlds(diagram) * len(self.decision_instances) ** 2
         if n_pairs > world_pair_cap:
             raise WorldCapExceeded(
                 f"{n_pairs} world/decision pairs exceed cap {world_pair_cap}")
-        self.rows = [[propagate(diagram, w.assignment, di)
-                      for di in self.decision_instances]
-                     for w in self.worlds]
+        self.worlds = functional_worlds(diagram)
+        given = _indices(diagram, [w.assignment for w in self.worlds], (-1, 1))
+        given.update(_indices(diagram, self.decision_instances, (1, -1)))
+        shape = (len(self.worlds), len(self.decision_instances))
+        self.values = {x: np.broadcast_to(v, shape)
+                       for x, v in _fill(diagram, given).items()}
 
     def fixed_given(self, target: str, conditioning) -> bool:
-        C = list(conditioning)
-        for row in self.rows:
-            groups: dict[tuple, str] = {}
-            for assignment in row:
-                key = tuple(assignment[c] for c in C)
-                val = assignment[target]
-                if groups.setdefault(key, val) != val:
-                    return False
-        return True
+        """In every world, decision instances that agree on the
+        conditioning set give the target one value."""
+        def same(x):
+            return self.values[x][:, :, None] == self.values[x][:, None, :]
+        ok = same(target)
+        for c in conditioning:
+            ok |= ~same(c)
+        return bool(ok.all())
 
 
 def oracle_fixed_set_member(h, target: str, conditioning=frozenset(),

@@ -389,9 +389,10 @@ def test_criterion_11_mutual_causes_are_functional(report):
                 # In every state of the world, knowing b (and the
                 # decisions) must determine a: the two variables are
                 # deterministically related.
-                for world_rows in table.rows:
+                for world in table.worlds:
                     mapping = {}
-                    for row in world_rows:
+                    for di in table.decision_instances:
+                        row = propagate(d, world.assignment, di)
                         if mapping.setdefault(row[b], row[a]) != row[a]:
                             problems.append((seed, a, b))
                             break

@@ -9,6 +9,8 @@ import pytest
 import decid
 from decid.cli import run_command
 
+from genmodels import random_diagram
+
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
 
@@ -74,6 +76,22 @@ def test_cap_exceeded_is_exit_4(capsys, monkeypatch):
                          "--of", "w", "--method", "oracle")
     assert code == 4
     assert "cap" in doc["error"]
+
+
+def test_large_world_space_is_exit_4_without_traceback(tmp_path):
+    big = random_diagram(55, n_chance=4, max_states=3, n_decisions=2)
+    path = tmp_path / "big.json"
+    path.write_text(decid.serialize_model(big))
+    env = dict(os.environ,
+               PYTHONPATH=str(pathlib.Path(decid.__file__).parents[1]))
+    env.pop("CID_CAP_WORLDS", None)
+    proc = subprocess.run([sys.executable, "-m", "decid.cli", "causes",
+                           str(path), "--of", "x3", "--method", "oracle"],
+                          capture_output=True, text=True, env=env,
+                          timeout=60)
+    assert proc.returncode == 4
+    assert "241864704 world/decision pairs" in json.loads(proc.stdout)["error"]
+    assert "Traceback" not in proc.stderr
 
 
 @pytest.mark.parametrize("raw", ["abc", "0", "-3"])
@@ -231,6 +249,13 @@ def test_infer_missing_decision_is_exit_3(capsys):
     code, doc = run_json(capsys, "infer", model("m1"))
     assert code == 3
     assert "smoke" in doc["error"]
+
+
+def test_infer_misspelt_decision_is_exit_3(capsys):
+    code, doc = run_json(capsys, "infer", model("m1"), "--decisions",
+                         "smoke=yes,smok=no", "--query", "lung_cancer")
+    assert code == 3
+    assert "smok" in doc["error"]
 
 
 def test_counterfactual(capsys):

@@ -7,11 +7,11 @@ import pytest
 from decid import (CounterfactualQuery, Diagram, Policy, build_twin,
                    chance_node, counterfactual, decision_node,
                    enumerate_instances, enumerate_policies, expected_utility,
-                   functional_worlds, joint, optimal_policy, propagate,
-                   to_hcf, utility_node, validate_diagram,
-                   value_of_information)
+                   functional_worlds, joint, optimal_policy,
+                   oracle_fixed_set_member, propagate, to_hcf, utility_node,
+                   validate_diagram, value_of_information)
 from decid.errors import (CycleIntroduced, NoDecisionOrder, NotHcf,
-                          NotObservable, PolicySpaceExceeded,
+                          NotObservable, PolicySpaceExceeded, UnknownVariable,
                           ZeroProbabilityEvidence)
 from decid.model import TOL, parent_variables
 
@@ -53,13 +53,23 @@ def test_twin_drops_constant_utility():
         ("heads", "heads"): [1.0, 0.0], ("heads", "tails"): [0.0, 1.0],
         ("tails", "heads"): [0.0, 1.0], ("tails", "tails"): [1.0, 0.0]},
         deterministic=True)
-    flat = utility_node("payoff", ["w"], {("win",): 1.0, ("lose",): 1.0})
-    diag = Diagram((d, c, w, flat),
-                   (("d", "w"), ("c", "w"), ("w", "payoff")), (), ("d",),
-                   causal=True)
-    twin = build_twin(to_hcf(diag))
-    assert not twin.diagram.has("payoff")
-    assert not twin.diagram.has("payoff'")
+    # 1.0 + 1e-13 also prints as "1" at 12 significant digits, so that
+    # utility is as constant as the first.
+    for lose in (1.0, 1.0 + 1e-13):
+        flat = utility_node("payoff", ["w"], {("win",): 1.0, ("lose",): lose})
+        diag = Diagram((d, c, w, flat),
+                       (("d", "w"), ("c", "w"), ("w", "payoff")), (), ("d",),
+                       causal=True)
+        h = to_hcf(diag)
+        twin = build_twin(h)
+        assert not twin.diagram.has("payoff")
+        assert not twin.diagram.has("payoff'")
+        assert validate_diagram(twin.diagram) == []
+        q = CounterfactualQuery({"d": "heads"}, {}, {"d": "tails"},
+                                ("payoff",))
+        with pytest.raises(UnknownVariable):
+            counterfactual(h, q)
+        assert oracle_fixed_set_member(h, "payoff")
 
 
 def test_twin_rejects_non_hcf(m1):
@@ -206,6 +216,23 @@ def test_policy_space_cap(coin_utility):
     informed = coin_utility.with_arcs(information=[("c", "d")])
     with pytest.raises(PolicySpaceExceeded):
         list(enumerate_policies(informed, cap=2))
+
+
+def test_policy_space_cap_names_the_size():
+    d = random_diagram(5, n_chance=8, max_states=2, with_utility=True)
+    d = d.with_arcs(information=[(x, dec) for x in ("x0", "x1")
+                                 for dec in ("d0", "d1")])
+    with pytest.raises(PolicySpaceExceeded,
+                       match="policy space of 256 policies exceeds cap 100"):
+        optimal_policy(d, cap=100)
+    assert len(list(enumerate_policies(d, cap=256))) == 256
+    roots = [chance_node(f"r{i}", ["s0", "s1"], [], {(): [0.5, 0.5]})
+             for i in range(11)]
+    wide = Diagram((*roots, decision_node("d", ["a0", "a1"])), (),
+                   tuple((r.name, "d") for r in roots), ("d",))
+    with pytest.raises(PolicySpaceExceeded,
+                       match="policy space of about 2\\^2048 policies"):
+        list(enumerate_policies(wide, cap=100))
 
 
 def test_no_decision_order_rejected(coin_utility, coin):

@@ -1,17 +1,19 @@
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from decid import (Diagram, Factor, WorldTable, chance_node, decision_node,
-                   functional_worlds, graphical_fixed_set, joint,
-                   oracle_causes, oracle_fixed_set_member, oracle_is_d_map,
-                   parse_model, posterior, propagate, serialize_model,
-                   set_decision_node, to_hcf, validate_diagram)
+from decid import (Diagram, Factor, WorldTable, chance_node, count_worlds,
+                   decision_node, functional_worlds, graphical_fixed_set,
+                   inference, joint, oracle_causes, oracle_fixed_set_member,
+                   oracle_is_d_map, parse_model, posterior, propagate,
+                   serialize_model, set_decision_node, to_hcf,
+                   validate_diagram)
 from decid.errors import (NodeBudgetExceeded, NotHcf, UnknownVariable,
                           WorldCapExceeded, ZeroProbabilityEvidence)
 
-from genmodels import random_diagram
+from genmodels import random_diagram, random_functional_diagram
 
 SEEDED = list(range(12))
 
@@ -72,6 +74,15 @@ def test_joint_requires_all_decisions(m1):
         joint(m1, {})
     with pytest.raises(UnknownVariable):
         joint(m1, {"smoke": "maybe"})
+
+
+@pytest.mark.parametrize("extra", ["smok", "lung_cancer"])
+def test_decision_keys_must_name_decisions(m1, extra):
+    decisions = {"smoke": "yes", extra: "no"}
+    with pytest.raises(UnknownVariable):
+        joint(m1, decisions)
+    with pytest.raises(UnknownVariable):
+        posterior(m1, decisions, {}, ["lung_cancer"])
 
 
 def test_posterior_fig2a_marginal(fig2a):
@@ -245,6 +256,91 @@ def test_oracle_causes_utility_target(fig2a):
 def test_world_pair_cap(coin):
     with pytest.raises(WorldCapExceeded):
         WorldTable(coin, world_pair_cap=1)
+
+
+def test_world_cap_trips_before_the_worlds_are_listed(monkeypatch):
+    h = to_hcf(random_diagram(55, n_chance=4, max_states=3, n_decisions=2))
+    assert count_worlds(h.diagram) == 15_116_544
+
+    def listed(diagram):
+        raise AssertionError("functional worlds listed before the cap check")
+    monkeypatch.setattr(inference, "functional_worlds", listed)
+    with pytest.raises(WorldCapExceeded, match="241864704 world/decision"):
+        WorldTable(h.diagram)
+
+
+def test_non_fixed_parent_is_reported_before_the_cap(m1):
+    declared = replace(m1, declared_fixed=frozenset({"lung_cancer"}))
+    with pytest.raises(NotHcf, match="non-fixed parent"):
+        WorldTable(declared, world_pair_cap=1)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_count_worlds_matches_functional_worlds(seed):
+    d = to_hcf(random_diagram(seed, n_chance=4, max_states=2)).diagram
+    assert count_worlds(d) == len(functional_worlds(d))
+    # Fixed deterministic nodes put zeros in the support.
+    f = random_functional_diagram(seed, n_roots=3, n_det=4)
+    assert count_worlds(f) == len(functional_worlds(f))
+
+
+def _rows_from_joint(d, table):
+    """For each world and decision instance, the variables' values at
+    the one positive cell of ``joint(d, di)`` that agrees with the world."""
+    rows = [[] for _ in table.worlds]
+    for di in table.decision_instances:
+        f = joint(d, di)
+        free = [x for x in f.scope if x not in d.fixed_nodes()]
+        for row, world in zip(rows, table.worlds):
+            at = tuple(f.states[i].index(world.assignment[x])
+                       if x in world.assignment else slice(None)
+                       for i, x in enumerate(f.scope))
+            cells = np.argwhere(f.values[at] > 0.0)
+            assert len(cells) == 1
+            row.append({**world.assignment, **di,
+                        **{x: d.node(x).states[i]
+                           for x, i in zip(free, cells[0])}})
+    return rows
+
+
+def _grouped_fixed_given(rows, target, C):
+    for row in rows:
+        seen = {}
+        for cell in row:
+            key = tuple(cell[c] for c in C)
+            if seen.setdefault(key, cell[target]) != cell[target]:
+                return False
+    return True
+
+
+def _canonical_forms():
+    for seed in range(60):
+        yield to_hcf(random_diagram(seed, n_chance=3, max_states=2,
+                                    n_decisions=2)).diagram
+        yield random_functional_diagram(seed, n_roots=2, n_det=3,
+                                        n_decisions=2)
+
+
+def test_array_oracle_matches_joint_and_grouping():
+    checked = 0
+    for d in _canonical_forms():
+        if np.prod([len(d.node(x).states) for x in d.uncertain()]) > 4096:
+            continue
+        checked += 1
+        table = WorldTable(d)
+        rows = _rows_from_joint(d, table)
+        for x in d.uncertain():
+            states = np.array(d.node(x).states)
+            want = [[cell[x] for cell in row] for row in rows]
+            assert states[table.values[x]].tolist() == want
+        pool = sorted(set(d.uncertain()) | set(d.decisions()))
+        for x in d.uncertain():
+            others = [p for p in pool if p != x]
+            for C in itertools.chain.from_iterable(
+                    itertools.combinations(others, k) for k in range(3)):
+                assert table.fixed_given(x, C) == \
+                    _grouped_fixed_given(rows, x, C), (x, C)
+    assert checked >= 100
 
 
 # ---------------------------------------------------------------------------
