@@ -12,6 +12,7 @@ import argparse
 import itertools
 import json
 import os
+import re
 import sys
 
 from . import (CapExceeded, HcfDiagram, ModelError, QueryError, UnknownVariable,
@@ -80,7 +81,9 @@ def _pairs(text: str) -> dict:
 
 
 def _names(text: str) -> list[str]:
-    return [t.strip() for t in text.split(",") if t.strip()]
+    """Comma-separated names.  A comma inside parentheses belongs to the
+    name, as in the mechanism ``life(lung_cancer,cardio)``."""
+    return [t.strip() for t in re.split(r",(?![^()]*\))", text) if t.strip()]
 
 
 def _factor_doc(f) -> dict:

@@ -1,11 +1,14 @@
 """Policy evaluation, value of information, and twin-network
 counterfactual queries.
 
-Expected utility runs variable elimination over the same family factors
-as ``posterior``: the chance and utility factors of a diagram are built
-once and every policy only adds one deterministic rule factor per
-decision.  Policy search stays exhaustive over the (capped) policy
-space, so it doubles as the oracle for any smarter search added later.
+Expected utility is linear in the policy.  One variable elimination
+over the same family factors as ``posterior`` sums every variable but
+the decisions and what they observe out of the chance and utility
+factors; each policy is then scored by indexing that table at the
+alternatives its rules choose and summing.  A policy search, and both
+searches of a value of information, run one elimination.  Policy search
+stays exhaustive over the (capped) policy space, so it doubles as the
+oracle for any smarter search added later.
 Counterfactuals run ``posterior`` over a twin diagram: the fixed layer
 (fixed chance nodes and mechanisms) is shared, every decision-affected
 node exists once factually and once primed.
@@ -16,6 +19,8 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import (CycleIntroduced, NoDecisionOrder, NotHcf, NotObservable,
                      NoUtilityNode, PolicySpaceExceeded, UnknownVariable)
@@ -65,27 +70,64 @@ class CounterfactualQuery:
 
 def expected_utility(d: Diagram, policy: Policy) -> float:
     """Sum over joint outcomes of P(outcome | policy) * utility."""
-    return _policy_value(d, _model_factors(d), policy)
+    info_order = {dec: policy.info_order[dec] for dec in d.decisions()}
+    return _scorer(_utility_table(d, info_order), info_order)(policy.rules)
 
 
-def _model_factors(d: Diagram) -> list[Factor]:
+def _utility_table(d: Diagram, info_order) -> Factor:
+    """Expected utility as a table over the decisions and the variables
+    they observe: every other variable is summed out of the chance and
+    utility family factors, once.  Expected utility is linear in the
+    policy, so this table scores every policy that observes no more."""
     u = d.utility()
     if u is None:
         raise NoUtilityNode("diagram has no utility node")
-    return [family_factor(d, d.node(x)) for x in d.uncertain() + [u.name]]
+    observed = [p for parents in info_order.values() for p in parents]
+    keep = list(dict.fromkeys(d.decisions() + observed))
+    factors = [family_factor(d, d.node(x)) for x in d.uncertain() + [u.name]]
+    # A decision that no factor reads still needs its axis in the table.
+    read = {v for f in factors for v in f.scope}
+    factors += [Factor([x], [d.node(x).states], np.ones(len(d.node(x).states)))
+                for x in keep if x not in read]
+    return eliminate(factors, keep)
 
 
-def _policy_value(d: Diagram, model: list[Factor], policy: Policy) -> float:
-    """Eliminate every variable from the chance and utility factors and
-    one deterministic rule factor per decision."""
-    rules = []
-    for dec in d.decisions():
-        alts = d.node(dec).states
-        rows = {key: [1.0 if a == alt else 0.0 for a in alts]
-                for key, alt in policy.rules[dec].items()}
-        rule = chance_node(dec, alts, policy.info_order[dec], rows)
-        rules.append(family_factor(d, rule))
-    return float(eliminate(model + rules, ()).values)
+def _scorer(q: Factor, info_order):
+    """A function from policy rules to expected utility.  Every axis of
+    ``q`` that is not a decision is summed over; each decision's choice
+    is an index array over those axes, read from its rule after the
+    choices of the decisions it observes."""
+    axes = dict(zip(q.scope, q.states))
+    free = {x: np.arange(len(s)).reshape(
+                [-1 if x == y else 1 for y in q.scope])
+            for x, s in axes.items() if x not in info_order}
+    order: list[str] = []
+
+    def place(dec, path=()):
+        if dec in path:
+            raise ValueError(
+                f"policy information order has a cycle through {dec}")
+        if dec not in order:
+            for p in info_order[dec]:
+                if p in info_order:
+                    place(p, path + (dec,))
+            order.append(dec)
+    for dec in info_order:
+        place(dec)
+    decisions = [(dec, {a: i for i, a in enumerate(axes[dec])},
+                  info_order[dec],
+                  list(itertools.product(*(axes[p] for p in info_order[dec]))),
+                  [len(axes[p]) for p in info_order[dec]])
+                 for dec in order]
+
+    def value(rules) -> float:
+        at = dict(free)
+        for dec, alts, parents, keys, shape in decisions:
+            rule = rules[dec]
+            choice = np.array([alts[rule[k]] for k in keys]).reshape(shape)
+            at[dec] = choice[tuple(at[p] for p in parents)]
+        return float(q.values[tuple(at[x] for x in q.scope)].sum())
+    return value
 
 
 def enumerate_policies(d: Diagram, cap: int = POLICY_SPACE_CAP):
@@ -120,13 +162,24 @@ def optimal_policy(d: Diagram, cap: int = POLICY_SPACE_CAP
     by more than ``TOL * max(1, |best|)``, so ties within rounding keep
     the first policy in canonical order."""
     policies = enumerate_policies(d, cap)
-    best = next(policies, None)
-    if best is None:
+    first = _first(policies)
+    return _best(first, policies, _utility_table(d, first.info_order))
+
+
+def _first(policies) -> Policy:
+    first = next(policies, None)
+    if first is None:
         raise NoDecisionOrder("no policies to evaluate")
-    model = _model_factors(d)
-    best_eu = _policy_value(d, model, best)
-    for policy in policies:
-        eu = _policy_value(d, model, policy)
+    return first
+
+
+def _best(first: Policy, rest, q: Factor) -> tuple[Policy, float]:
+    """The best of ``first`` and ``rest`` scored on ``q``, by the tie
+    rule of ``optimal_policy``."""
+    value = _scorer(q, first.info_order)
+    best, best_eu = first, value(first.rules)
+    for policy in rest:
+        eu = value(policy.rules)
         if eu > best_eu + TOL * max(1.0, abs(best_eu)):
             best, best_eu = policy, eu
     return best, best_eu
@@ -166,9 +219,17 @@ def value_of_information(d: Diagram, observed: str, decision: str,
     if len(d2.topological_order()) != len(d2.nodes):
         raise CycleIntroduced(
             f"information arc {observed}->{decision} creates a cycle")
-    _, base = optimal_policy(d, cap)
-    _, informed = optimal_policy(d2, cap)
-    return informed - base
+    base = enumerate_policies(d, cap)
+    first = _first(base)
+    # One table scores both searches.  Family factors ignore information
+    # arcs and d2 observes all that d does, so a base policy scores
+    # exactly as the informed policy that ignores ``observed``.
+    q = _utility_table(
+        d2, {dec: d2.info_parents(dec) for dec in d2.decisions()})
+    informed = enumerate_policies(d2, cap)
+    _, informed_eu = _best(_first(informed), informed, q)
+    _, base_eu = _best(first, base, q)
+    return informed_eu - base_eu
 
 
 # ---------------------------------------------------------------------------

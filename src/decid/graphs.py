@@ -48,6 +48,8 @@ class CertificationReport:
 def _check_names(d: Diagram, names) -> None:
     for x in names:
         if not d.has(x):
+            # The least unknown name, whatever the set's iteration order.
+            x = min(y for y in names if not d.has(y))
             raise UnknownVariable(f"unknown variable {x!r}")
 
 

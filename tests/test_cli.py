@@ -165,6 +165,36 @@ def test_dsep(capsys):
     assert doc["d_separated"] is False
 
 
+def test_dsep_names_a_mechanism(capsys, tmp_path):
+    """A comma inside parentheses belongs to the mechanism's name."""
+    hcf = tmp_path / "fig1_hcf.json"
+    run(capsys, "to-hcf", model("fig1"), "-o", str(hcf))
+    life = "life(lung_cancer,cardio)"
+    code, doc = run_json(capsys, "d-sep", str(hcf), "--x", life,
+                         "--y", "smoke", "--given", "diet")
+    assert code == 0
+    assert doc == {"x": [life], "y": ["smoke"], "given": ["diet"],
+                   "d_separated": True}
+    code, doc = run_json(capsys, "d-sep", str(hcf), "--x", "smoke",
+                         "--y", "diet", "--given", f"{life},life")
+    assert code == 0
+    assert doc["given"] == ["life", life] and doc["d_separated"] is False
+
+
+def test_unknown_name_does_not_depend_on_hash_seed():
+    env = dict(os.environ,
+               PYTHONPATH=str(pathlib.Path(decid.__file__).parents[1]))
+    for seed in ("1", "2", "3"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "decid.cli", "d-sep", model("fig1"),
+             "--x", "smoke", "--y", "nope_b,nope_a", "--given", "diet"],
+            capture_output=True, text=True, timeout=60,
+            env={**env, "PYTHONHASHSEED": seed})
+        assert proc.returncode == 3, seed
+        assert json.loads(proc.stdout) == {
+            "error": "unknown variable 'nope_a'"}, seed
+
+
 def test_minimal(capsys):
     code, doc = run_json(capsys, "minimal", model("fig2a"),
                          "--target", "payoff")

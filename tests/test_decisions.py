@@ -377,3 +377,102 @@ def test_voi_is_nonnegative(seed):
     fixed = sorted(d.fixed_nodes())
     for x in fixed:
         assert value_of_information(d, x, "d0") >= -1e-12
+
+
+def test_voi_on_policy_diagrams_is_exactly_nonnegative():
+    """Both searches score on one table, so a base policy's value equals
+    that of the informed policy ignoring the new observation bit for
+    bit: VOI is never below zero, and is zero when nothing is learned."""
+    exact_zero = dict.fromkeys(["arc exists", "no path to utility"], 0)
+    for seed in range(200):
+        d = random_policy_diagram(seed)
+        roots = [x for x in sorted(d.fixed_nodes()) if not d.parents(x)]
+        for x in roots:
+            for dec in d.decisions():
+                voi = value_of_information(d, x, dec)
+                assert voi >= 0.0, (seed, x, dec, voi)
+                if (x, dec) in d.information_arcs:
+                    exact_zero["arc exists"] += 1
+                    assert voi == 0.0, (seed, x, dec, voi)
+                if "payoff" not in d.descendants([x]):
+                    exact_zero["no path to utility"] += 1
+                    assert voi == 0.0, (seed, x, dec, voi)
+    assert all(exact_zero.values()), exact_zero
+
+
+def test_one_elimination_per_query(monkeypatch, coin_utility):
+    import decid.decisions as decisions
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return eliminate(*args, **kwargs)
+
+    eliminate = decisions.eliminate
+    monkeypatch.setattr(decisions, "eliminate", counting)
+    pol8 = random_diagram(5, n_chance=8, max_states=2, with_utility=True)
+    pol8 = pol8.with_arcs(information=[(x, dec) for x in ("x0", "x1")
+                                       for dec in ("d0", "d1")])
+    informed = coin_utility.with_arcs(information=[("c", "d")])
+    for d, size in ((coin_utility, 2), (informed, 4), (pol8, 256)):
+        policies = list(enumerate_policies(d))
+        assert len(policies) == size
+        for query in (lambda: optimal_policy(d),
+                      lambda: expected_utility(d, policies[-1])):
+            calls.clear()
+            query()
+            assert len(calls) == 1, size
+    for d, x, dec in ((coin_utility, "c", "d"), (pol8, "x3", "d0")):
+        calls.clear()
+        value_of_information(d, x, dec)
+        assert len(calls) == 1
+
+
+def test_expected_utility_without_decision_order():
+    """d1 observes d0 and comes first in the node list; no order given."""
+    d1 = decision_node("d1", ["a0", "a1"])
+    d0 = decision_node("d0", ["a0", "a1"])
+    x = chance_node("x", ["s0", "s1"], ["d0"],
+                    {("a0",): [0.3, 0.7], ("a1",): [0.6, 0.4]})
+    y = chance_node("y", ["s0", "s1"], ["x", "d1"], {
+        ("s0", "a0"): [0.9, 0.1], ("s0", "a1"): [0.2, 0.8],
+        ("s1", "a0"): [0.5, 0.5], ("s1", "a1"): [0.35, 0.65]})
+    payoff = utility_node("payoff", ["y", "d0"], {
+        ("s0", "a0"): 10.0, ("s0", "a1"): -4.0,
+        ("s1", "a0"): 3.5, ("s1", "a1"): 7.25})
+    d = Diagram((d1, d0, x, y, payoff),
+                (("d0", "x"), ("x", "y"), ("d1", "y"), ("y", "payoff"),
+                 ("d0", "payoff")), (("d0", "d1"),))
+    assert validate_diagram(d) == [] and d.decision_order is None
+    policies = [Policy({"d1": ("d0",), "d0": ()},
+                       {"d1": {("a0",): r0, ("a1",): r1}, "d0": {(): a}})
+                for r0, r1, a in itertools.product(["a0", "a1"], repeat=3)]
+    for policy, want in zip(policies, _reference_eus(d, policies)):
+        assert expected_utility(d, policy) == pytest.approx(
+            want, rel=1e-12, abs=1e-12)
+    # Rules that observe each other in a cycle choose nothing.
+    cycle = Policy({"d1": ("d0",), "d0": ("d1",)},
+                   {"d1": {("a0",): "a0", ("a1",): "a1"},
+                    "d0": {("a0",): "a0", ("a1",): "a1"}})
+    with pytest.raises(ValueError, match="cycle"):
+        expected_utility(d, cycle)
+
+
+def test_expected_utility_reads_the_policy_information():
+    """A policy may observe other variables than the diagram's
+    information arcs say; expected utility follows the policy."""
+    for seed in range(50):
+        d = random_policy_diagram(seed)
+        roots = [x for x in d.uncertain() if not d.parents(x)]
+        flips = [("d0", "d1")] + [(r, dec) for r in roots
+                                  for dec in d.decisions()]
+        info = set(d.information_arcs) ^ {flips[seed % len(flips)]}
+        other = d.with_arcs(information=sorted(info))
+        other = replace(other, decision_order=tuple(
+            x for x in other.topological_order() if x in d.decisions()))
+        assert validate_diagram(other) == []
+        policies = list(enumerate_policies(other))
+        want = _reference_eus(other, policies)
+        for i in {0, seed % len(policies), len(policies) - 1}:
+            assert expected_utility(d, policies[i]) == pytest.approx(
+                want[i], rel=1e-12, abs=1e-12), seed
