@@ -68,16 +68,25 @@ def _hcf(parsed, assume_causal=False):
 
 
 def _pairs(text: str) -> dict:
+    """Comma-separated name=state pairs.  A comma splits only where a new
+    ``name=`` starts, so mechanism names and states keep their commas."""
     out = {}
     if not text:
         return out
-    for part in text.split(","):
+    for part in re.split(r",(?=\s*[^,=()]+(?:\([^()]*\))?\s*=)", text):
         if "=" not in part:
             raise argparse.ArgumentTypeError(
                 f"{part!r} is not a name=state pair")
         k, v = part.split("=", 1)
         out[k.strip()] = v.strip()
     return out
+
+
+def _count(text: str) -> int:
+    if not text.strip().isdecimal():
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not a non-negative integer")
+    return int(text)
 
 
 def _names(text: str) -> list[str]:
@@ -162,7 +171,7 @@ def build_parser() -> _Parser:
     cmd("certify-causal", help="certify the diagram as a causal network")
 
     c = cmd("is-d-map", help="numerical independence vs d-separation scan")
-    c.add_argument("--max-cond", type=int, default=2)
+    c.add_argument("--max-cond", type=_count, default=2)
 
     return p
 

@@ -24,8 +24,8 @@ import numpy as np
 
 from .errors import (CycleIntroduced, NoDecisionOrder, NotHcf, NotObservable,
                      NoUtilityNode, PolicySpaceExceeded, UnknownVariable)
-from .inference import (Factor, eliminate, family_factor, posterior,
-                        value_label_node)
+from .inference import (Factor, _with_axes, eliminate, family_factor,
+                        posterior, value_label_node)
 from .mechanisms import HcfDiagram
 from .model import (CHANCE, DECISION, DETERMINISTIC, TOL, UTILITY,
                     Assignment, Diagram, chance_node, decision_node,
@@ -85,11 +85,7 @@ def _utility_table(d: Diagram, info_order) -> Factor:
     observed = [p for parents in info_order.values() for p in parents]
     keep = list(dict.fromkeys(d.decisions() + observed))
     factors = [family_factor(d, d.node(x)) for x in d.uncertain() + [u.name]]
-    # A decision that no factor reads still needs its axis in the table.
-    read = {v for f in factors for v in f.scope}
-    factors += [Factor([x], [d.node(x).states], np.ones(len(d.node(x).states)))
-                for x in keep if x not in read]
-    return eliminate(factors, keep)
+    return eliminate(_with_axes(d, factors, keep), keep)
 
 
 def _scorer(q: Factor, info_order):

@@ -2,11 +2,10 @@
 
 One core serves every query: ``family_factor`` reads a node's table,
 decision parents and set decisions included, as one factor.
-``eliminate`` sums variables out of a factor product for ``posterior``
-and for expected utility and policy search in ``decisions``; the
-oracles' ``propagate`` and ``WorldTable`` index the same factors to
-carry worlds forward.  ``joint`` stays a separate route by direct
-enumeration: it is the reference that the tests hold the core against.
+``eliminate`` sums variables out of a factor product for ``posterior``,
+``joint`` and ``oracle_is_d_map`` and for expected utility and policy
+search in ``decisions``; the oracles' ``propagate`` and ``WorldTable``
+index the same factors to carry worlds forward.
 
 The oracles realize fixed-set membership literally: every functional
 world of positive weight (joint instance of the fixed nodes, mechanisms
@@ -16,8 +15,8 @@ may not vary across decision choices that agree on the conditioning set.
 
 from __future__ import annotations
 
+import functools
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,22 +97,7 @@ def _expand(f: Factor, scope, states) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Local distributions with set-decision composition
-
-
-def local_distribution(d: Diagram, node: Node, assignment: Assignment
-                       ) -> tuple[float, ...]:
-    """P(node | parent values in ``assignment``), with any "set x to k"
-    intervention composed in."""
-    for s in d.set_decisions_for(node.name):
-        alt = assignment.get(s)
-        if alt is None:
-            raise UnknownVariable(f"set decision {s} is unassigned")
-        if alt != DO_NOTHING:
-            forced = alt[len(SET_PREFIX):]
-            return tuple(1.0 if x == forced else 0.0 for x in node.states)
-    key = tuple(assignment[p] for p in node.table.parent_order)
-    return node.table.rows[key]
+# Family factors and the full joint
 
 
 def family_factor(d: Diagram, node: Node) -> Factor:
@@ -122,38 +106,53 @@ def family_factor(d: Diagram, node: Node) -> Factor:
     of its own: "do nothing" keeps the table, "set x to k" is one-hot.
     A utility factor holds the utility values and has no axis of its own."""
     table = node.utility if node.kind == UTILITY else node.table
-    set_decisions = d.set_decisions_for(node.name)
-    parents = list(table.parent_order) + set_decisions
-    states = [d.node(p).states for p in parents]
-    cells = [local_distribution(d, node, dict(zip(parents, key)))
-             if set_decisions else table.rows[key]
-             for key in itertools.product(*states)]
+    scope = list(table.parent_order)
+    states = [d.node(p).states for p in scope]
+    values = np.array([table.rows[key] for key in itertools.product(*states)])
+    values = values.reshape([len(s) for s in states] + list(values.shape[1:]))
+    k = len(scope)
+    # Inserted last-first, so the first set decision that sets x wins.
+    for s in reversed(d.set_decisions_for(node.name)):
+        alts = d.node(s).states
+        values = np.stack(
+            [values if a == DO_NOTHING else np.broadcast_to(
+                np.array(node.states) == a[len(SET_PREFIX):], values.shape)
+             for a in alts], axis=k)
+        scope.insert(k, s)
+        states.insert(k, alts)
     if node.kind != UTILITY:
-        parents, states = parents + [node.name], states + [node.states]
-    shape = [len(s) for s in states]
-    return Factor(parents, states, np.reshape(cells, shape))
-
-
-# ---------------------------------------------------------------------------
-# Full-joint enumeration
+        scope.append(node.name)
+        states.append(node.states)
+    return Factor(scope, states, values)
 
 
 def joint(d: Diagram, decisions: Assignment) -> Factor:
     """Joint factor over all uncertain variables given a full decision
-    instance, by direct enumeration of conditional-table products."""
+    instance: the product of the family factors reduced at it."""
     _require_full_decisions(d, decisions)
-    names = d.uncertain()
-    nodes = [d.node(x) for x in names]
-    states = [n.states for n in nodes]
-    shape = tuple(len(s) for s in states)
-    values = np.empty(shape)
-    for combo in itertools.product(*(range(k) for k in shape)):
-        assignment = dict(decisions)
-        for n, i in zip(nodes, combo):
-            assignment[n.name] = n.states[i]
-        values[combo] = math.prod(local_distribution(d, n, assignment)[i]
-                                  for n, i in zip(nodes, combo))
-    return Factor(names, states, values)
+    return eliminate(_reduced_factors(d, decisions), d.uncertain())
+
+
+def _reduced_factors(d: Diagram, bound: Assignment) -> list[Factor]:
+    """The uncertain variables' family factors, each reduced at the
+    variables of ``bound`` in its scope."""
+    factors = []
+    for x in d.uncertain():
+        f = family_factor(d, d.node(x))
+        for v in f.scope:
+            if v in bound:
+                f = f.reduce(v, bound[v])
+        factors.append(f)
+    return factors
+
+
+def _with_axes(d: Diagram, factors, keep) -> list[Factor]:
+    """``factors`` plus a ones factor for each variable of ``keep`` that
+    none of them reads, so an elimination keeps that variable's axis."""
+    read = {v for f in factors for v in f.scope}
+    return factors + [Factor([x], [d.node(x).states],
+                             np.ones(len(d.node(x).states)))
+                      for x in keep if x not in read]
 
 
 def _require_full_decisions(d: Diagram, decisions: Assignment) -> None:
@@ -187,16 +186,7 @@ def posterior(d: Diagram, decisions: Assignment, evidence: Assignment,
         if s not in d.node(v).states:
             raise UnknownVariable(f"{s!r} is not a state of {v}")
 
-    bound = {**decisions, **evidence}
-    factors = []
-    for x in d.uncertain():
-        f = family_factor(d, d.node(x))
-        for v in f.scope:
-            if v in bound:
-                f = f.reduce(v, bound[v])
-        factors.append(f)
-
-    result = eliminate(factors, query)
+    result = eliminate(_reduced_factors(d, {**decisions, **evidence}), query)
     if result.total() <= 0.0:
         raise ZeroProbabilityEvidence(
             f"evidence {evidence} has zero probability under {decisions}")
@@ -206,7 +196,10 @@ def posterior(d: Diagram, decisions: Assignment, evidence: Assignment,
 def eliminate(factors, keep) -> Factor:
     """Sum every variable outside ``keep`` out of the product of the
     factors, in a greedy min-fill order (name tie-break, so runs are
-    reproducible).  The result's scope is ``keep``, in that order."""
+    reproducible).  The result's scope is ``keep``, in that order; with
+    no factors it is the unit factor."""
+    if not factors:
+        return Factor((), (), 1.0)
     to_eliminate = {v for f in factors for v in f.scope} - set(keep)
     for var in _min_fill_order(factors, to_eliminate):
         related = [f for f in factors if var in f.scope]
@@ -430,17 +423,33 @@ def oracle_is_d_map(d: Diagram, max_cond: int = 2):
     distribution is flat across its alternatives.  Returns (verdict,
     counterexample or None).
     """
+    if max_cond < 0:
+        raise ValueError(f"max_cond must be non-negative, got {max_cond}")
     chance = d.uncertain()
     decisions = d.decisions()
-    dec_instances = enumerate_instances(parent_variables(d, decisions))
-    joints = {tuple(sorted(di.items())): joint(d, di) for di in dec_instances}
+    factors = [family_factor(d, d.node(x)) for x in chance]
+    p = eliminate(_with_axes(d, factors, decisions), chance + decisions).values
+    largest = min(max_cond + 2, len(chance))
+
+    @functools.cache
+    def marginal(names: frozenset):
+        """P(names | decisions) and its chance scope, in ``chance``
+        order; one axis per decision follows.  A set smaller than the
+        scan's largest is summed from a cached superset."""
+        scope = [v for v in chance if v in names]
+        if len(scope) < largest:
+            extra = next(v for v in chance if v not in names)
+            g, sup = marginal(names | {extra})
+            return g.sum(axis=sup.index(extra)), scope
+        drop = tuple(i for i, v in enumerate(chance) if v not in names)
+        return p.sum(axis=drop), scope
 
     for x, y in itertools.combinations(chance, 2):
         others = [v for v in chance if v not in (x, y)]
         for k in range(min(max_cond, len(others)) + 1):
             for Z in itertools.combinations(others, k):
-                if all(_ci_chance(joints[tuple(sorted(di.items()))], x, y, Z)
-                       for di in dec_instances):
+                g, scope = marginal(frozenset((x, y, *Z)))
+                if _ci_chance(g, scope.index(x), scope.index(y)):
                     if not d_separated(d, {x}, {y}, set(Z) | set(decisions)):
                         return False, {"x": x, "y": y, "given": list(Z)}
 
@@ -449,52 +458,35 @@ def oracle_is_d_map(d: Diagram, max_cond: int = 2):
             others = [v for v in chance if v != x]
             for k in range(min(max_cond, len(others)) + 1):
                 for Z in itertools.combinations(others, k):
-                    if _ci_decision(d, joints, dec_instances, x, dec, Z):
+                    g, scope = marginal(frozenset((x, *Z)))
+                    if _ci_decision(g, scope.index(x),
+                                    len(scope) + decisions.index(dec)):
                         rest = set(decisions) - {dec}
                         if not d_separated(d, {x}, {dec}, set(Z) | rest):
                             return False, {"x": x, "y": dec, "given": list(Z)}
     return True, None
 
 
-def _marginal_to(f: Factor, keep) -> Factor:
-    for v in f.scope:
-        if v not in keep:
-            f = f.marginalize(v)
-    return f
-
-
-def _ci_chance(f: Factor, x, y, Z) -> bool:
-    """max |P(x,y|z) - P(x|z)P(y|z)| <= tolerance, over z with P(z) > 0."""
-    g = _marginal_to(f, {x, y, *Z})
-    xi, yi = g.scope.index(x), g.scope.index(y)
-    pz = g.values.sum(axis=(xi, yi), keepdims=True)
-    px = g.values.sum(axis=yi, keepdims=True)
-    py = g.values.sum(axis=xi, keepdims=True)
+def _ci_chance(g: np.ndarray, xi: int, yi: int) -> bool:
+    """max |P(x,y|z) - P(x|z)P(y|z)| <= tolerance, over z with P(z) > 0
+    and over every decision instance."""
+    pz = g.sum(axis=(xi, yi), keepdims=True)
+    px = g.sum(axis=yi, keepdims=True)
+    py = g.sum(axis=xi, keepdims=True)
     with np.errstate(divide="ignore", invalid="ignore"):
-        dev = np.where(pz > 0, g.values / pz - (px / pz) * (py / pz), 0.0)
+        dev = np.where(pz > 0, g / pz - (px / pz) * (py / pz), 0.0)
     return bool(np.max(np.abs(dev), initial=0.0) <= TOL)
 
 
-def _ci_decision(d: Diagram, joints, dec_instances, x, dec, Z) -> bool:
-    """x independent of decision dec given Z: for every setting of the
-    other decisions and every z, P(x | z) is constant across dec's
-    alternatives."""
-    groups: dict[tuple, list] = {}
-    for di in dec_instances:
-        rest = tuple(sorted((k, v) for k, v in di.items() if k != dec))
-        f = _marginal_to(joints[tuple(sorted(di.items()))], {x, *Z})
-        groups.setdefault(rest, []).append(f)
-    for fs in groups.values():
-        xi = fs[0].scope.index(x)
-        conds = []
-        for f in fs:
-            pz = f.values.sum(axis=xi, keepdims=True)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                conds.append((np.where(pz > 0, f.values / pz, np.nan), pz > 0))
-        base, base_ok = conds[0]
-        for arr, ok in conds[1:]:
-            mask = base_ok & ok
-            dev = np.where(mask, base - arr, 0.0)
-            if np.max(np.abs(dev), initial=0.0) > TOL:
-                return False
-    return True
+def _ci_decision(g: np.ndarray, xi: int, di: int) -> bool:
+    """x independent of the decision on axis ``di`` given z: for every
+    setting of the other decisions and every z, P(x | z) is constant
+    across the decision's alternatives under which z has positive
+    probability."""
+    pz = g.sum(axis=xi, keepdims=True)
+    ok = pz > 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cond = g / pz
+    hi = np.max(cond, axis=di, where=ok, initial=-np.inf)
+    lo = np.min(cond, axis=di, where=ok, initial=np.inf)
+    return bool(np.max(hi - lo, initial=0.0) <= TOL)

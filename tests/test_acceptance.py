@@ -24,6 +24,7 @@ from decid import (BlockingQuery, CounterfactualQuery, Variable,
 from decid.errors import NotObservable, StateSpaceExceeded
 
 from genmodels import random_dag, random_diagram, random_functional_diagram
+from reference import enumerate_joint
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -341,7 +342,7 @@ def test_criterion_10_elimination_matches_enumeration(report):
             continue
         chance = d.uncertain()
         for di in _decision_instances(d):
-            full = joint(d, di)
+            full = enumerate_joint(d, di)
             for x in chance:
                 brute = full
                 for v in chance:

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import pathlib
@@ -7,7 +8,7 @@ import sys
 import pytest
 
 import decid
-from decid.cli import run_command
+from decid.cli import _pairs, run_command
 
 from genmodels import random_diagram
 
@@ -275,6 +276,34 @@ def test_infer_zero_probability_evidence_is_exit_3(capsys, tmp_path):
     assert "zero" in out["error"]
 
 
+def test_pairs_split_where_a_new_name_starts():
+    assert _pairs("smoke=yes, diet=good") == {"smoke": "yes", "diet": "good"}
+    assert _pairs("s=set=yes,d=a") == {"s": "set=yes", "d": "a"}
+    assert _pairs("life(lung_cancer,cardio)=short,long,cardio(diet)=good,bad") \
+        == {"life(lung_cancer,cardio)": "short,long", "cardio(diet)": "good,bad"}
+    with pytest.raises(argparse.ArgumentTypeError):
+        _pairs("bad,smoke=yes")
+
+
+@pytest.mark.parametrize("evidence", [
+    "life(lung_cancer,cardio)=short,short,short,long",
+    "cardio(diet)=good,bad",
+])
+def test_infer_takes_mechanism_evidence(capsys, tmp_path, evidence):
+    hcf = tmp_path / "fig1_hcf.json"
+    run(capsys, "to-hcf", model("fig1"), "-o", str(hcf))
+    code, doc = run_json(capsys, "infer", str(hcf),
+                         "--decisions", "smoke=yes,diet=good",
+                         "--evidence", evidence, "--query", "lung_cancer")
+    assert code == 0
+    name, state = evidence.split("=")
+    f = decid.posterior(decid.parse_model(hcf.read_text()),
+                        {"smoke": "yes", "diet": "good"}, {name: state},
+                        ["lung_cancer"])
+    assert doc["probabilities"]["yes"] == pytest.approx(
+        f.value({"lung_cancer": "yes"}))
+
+
 def test_infer_missing_decision_is_exit_3(capsys):
     code, doc = run_json(capsys, "infer", model("m1"))
     assert code == 3
@@ -336,6 +365,11 @@ def test_is_d_map(capsys):
     code, doc = run_json(capsys, "is-d-map", model("m1"))
     assert code == 0
     assert doc["is_d_map"] is True and doc["counterexample"] is None
+
+
+@pytest.mark.parametrize("max_cond", ["-1", "two"])
+def test_is_d_map_bad_max_cond_is_usage_error(capsys, max_cond):
+    assert run(capsys, "is-d-map", model("m1"), "--max-cond", max_cond)[0] == 1
 
 
 def test_pretty_mode_is_human_readable(capsys):

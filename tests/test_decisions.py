@@ -7,7 +7,7 @@ import pytest
 from decid import (CounterfactualQuery, Diagram, Policy, build_twin,
                    chance_node, counterfactual, decision_node,
                    enumerate_instances, enumerate_policies, expected_utility,
-                   functional_worlds, joint, optimal_policy,
+                   functional_worlds, optimal_policy,
                    oracle_fixed_set_member, propagate, to_hcf, utility_node,
                    validate_diagram, value_of_information)
 from decid.errors import (CycleIntroduced, NoDecisionOrder, NotHcf,
@@ -16,6 +16,7 @@ from decid.errors import (CycleIntroduced, NoDecisionOrder, NotHcf,
 from decid.model import TOL, parent_variables
 
 from genmodels import random_diagram, random_policy_diagram
+from reference import enumerate_joint
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +253,7 @@ def _reference_eus(d, policies):
     info = {dec: d.info_parents(dec) for dec in d.decisions()}
     weight = {}   # ((decision, info instance, choice), ...) -> sum of p * u
     for di in enumerate_instances(parent_variables(d, d.decisions())):
-        f = joint(d, di)
+        f = enumerate_joint(d, di)
         for idx in np.ndindex(f.values.shape):
             cell = dict(di)
             cell.update((v, f.states[i][k])

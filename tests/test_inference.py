@@ -5,15 +5,18 @@ import numpy as np
 import pytest
 
 from decid import (Diagram, Factor, WorldTable, chance_node, count_worlds,
-                   decision_node, functional_worlds, graphical_fixed_set,
-                   inference, joint, oracle_causes, oracle_fixed_set_member,
-                   oracle_is_d_map, parse_model, posterior, propagate,
-                   serialize_model, set_decision_node, to_hcf,
-                   validate_diagram)
+                   decision_node, enumerate_instances, functional_worlds,
+                   graphical_fixed_set, inference, joint, oracle_causes,
+                   oracle_fixed_set_member, oracle_is_d_map, parse_model,
+                   posterior, propagate, serialize_model, set_decision_node,
+                   to_hcf, validate_diagram)
 from decid.errors import (NodeBudgetExceeded, NotHcf, UnknownVariable,
                           WorldCapExceeded, ZeroProbabilityEvidence)
+from decid.model import TOL, parent_variables
 
-from genmodels import random_diagram, random_functional_diagram
+from genmodels import (random_diagram, random_functional_diagram,
+                       random_policy_diagram)
+from reference import enumerate_joint
 
 SEEDED = list(range(12))
 
@@ -135,6 +138,25 @@ def test_set_decision_composes_at_query_time():
     assert g.value({"lc": "no"}) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_joint_without_uncertain_variables_is_the_unit_factor():
+    d = Diagram((decision_node("d", ["a", "b"]),), (), (), ("d",))
+    f = joint(d, {"d": "a"})
+    assert f.scope == () and f.total() == 1.0
+    assert inference.eliminate([], ()).total() == 1.0
+
+
+def test_joint_matches_enumeration_with_set_decisions():
+    set_decisions = 0
+    for seed in range(60):
+        d = random_policy_diagram(seed)
+        set_decisions += any(d.node(x).set_decision_for for x in d.decisions())
+        for di in enumerate_instances(parent_variables(d, d.decisions())):
+            got, want = joint(d, di), enumerate_joint(d, di)
+            assert got.scope == want.scope and got.states == want.states
+            assert np.max(np.abs(got.values - want.values)) <= 1e-15, seed
+    assert set_decisions >= 20
+
+
 # ---------------------------------------------------------------------------
 # Variable elimination agrees with brute-force enumeration
 
@@ -157,7 +179,7 @@ def test_posterior_matches_enumeration(seed):
     rng = random.Random(seed + 31)
     for combo in itertools.product(["a0", "a1"], repeat=2):
         decisions = {"d0": combo[0], "d1": combo[1]}
-        full = joint(d, decisions)
+        full = enumerate_joint(d, decisions)
         chance = d.uncertain()
         rng.shuffle(chance)
         query = [chance[0]]
@@ -286,10 +308,11 @@ def test_count_worlds_matches_functional_worlds(seed):
 
 def _rows_from_joint(d, table):
     """For each world and decision instance, the variables' values at
-    the one positive cell of ``joint(d, di)`` that agrees with the world."""
+    the one positive cell of ``enumerate_joint(d, di)`` that agrees with
+    the world."""
     rows = [[] for _ in table.worlds]
     for di in table.decision_instances:
-        f = joint(d, di)
+        f = enumerate_joint(d, di)
         free = [x for x in f.scope if x not in d.fixed_nodes()]
         for row, world in zip(rows, table.worlds):
             at = tuple(f.states[i].index(world.assignment[x])
@@ -389,3 +412,87 @@ def test_random_diagrams_are_d_maps(seed):
     d = random_diagram(seed, n_chance=3, max_states=2, n_decisions=2)
     ok, witness = oracle_is_d_map(d, max_cond=1)
     assert ok, witness
+
+
+def test_decision_alternatives_compare_where_z_is_possible():
+    """z = 0 only under a0, so P(x | z = 1) is compared between a1 and a2
+    alone, and it differs."""
+    dec = decision_node("dec", ["a0", "a1", "a2"])
+    z = chance_node("z", ["0", "1"], ["dec"], {
+        ("a0",): [1.0, 0.0], ("a1",): [0.0, 1.0], ("a2",): [0.0, 1.0]},
+        deterministic=True)
+    x = chance_node("x", ["0", "1"], ["dec"], {
+        ("a0",): [0.5, 0.5], ("a1",): [0.2, 0.8], ("a2",): [0.9, 0.1]})
+    d = Diagram((dec, z, x), (("dec", "z"), ("dec", "x")), (), ("dec",))
+    assert oracle_is_d_map(d) == (True, None)
+
+
+def test_max_cond_must_be_non_negative(m1):
+    with pytest.raises(ValueError):
+        oracle_is_d_map(m1, max_cond=-1)
+
+
+def _reference_marginal(f, names) -> dict:
+    """P(names) summed cell by cell from the joint factor ``f``."""
+    out = {}
+    for idx in np.ndindex(f.values.shape):
+        cell = {v: s[i] for v, s, i in zip(f.scope, f.states, idx)}
+        key = tuple(cell[v] for v in names)
+        out[key] = out.get(key, 0.0) + float(f.values[idx])
+    return out
+
+
+def _independent_on_reference(d, x, y, Z) -> bool:
+    """The oracle's independence test for one pair, on the reference
+    joint of each decision instance."""
+    decisions = d.decisions()
+    joints = [(di, enumerate_joint(d, di))
+              for di in enumerate_instances(parent_variables(d, decisions))]
+    if y not in decisions:
+        for _, f in joints:
+            pxyz = _reference_marginal(f, [x, y, *Z])
+            pxz = _reference_marginal(f, [x, *Z])
+            pyz = _reference_marginal(f, [y, *Z])
+            pz = _reference_marginal(f, Z)
+            for (a, b, *z), p in pxyz.items():
+                n = pz[tuple(z)]
+                if n > 0 and abs(p / n - pxz[(a, *z)] / n * pyz[(b, *z)] / n) > TOL:
+                    return False
+        return True
+    conditionals = {}    # (other decisions, x state, z) -> P(x | z) per alternative
+    for di, f in joints:
+        rest = tuple(v for k, v in sorted(di.items()) if k != y)
+        pz = _reference_marginal(f, Z)
+        for (a, *z), p in _reference_marginal(f, [x, *Z]).items():
+            if pz[tuple(z)] > 0:
+                conditionals.setdefault((rest, a, tuple(z)), []).append(
+                    p / pz[tuple(z)])
+    return all(max(c) - min(c) <= TOL for c in conditionals.values())
+
+
+def test_d_map_counterexamples_hold_on_the_reference_joint():
+    """Each counterexample is a numerical independence on the reference
+    joint that networkx finds d-connected."""
+    nx = pytest.importorskip("networkx")
+    corpus = itertools.chain(
+        (random_diagram(seed, n_chance=4, max_states=3, n_decisions=2)
+         for seed in range(40)),
+        (to_hcf(random_diagram(seed, n_chance=3, max_states=2,
+                               n_decisions=1)).diagram for seed in range(40)),
+        (random_functional_diagram(seed, n_roots=2, n_det=3, n_decisions=2)
+         for seed in range(40)),
+        (random_policy_diagram(seed) for seed in range(30)))
+    found = {"chance": 0, "decision": 0}
+    for d in corpus:
+        ok, witness = oracle_is_d_map(d, max_cond=2)
+        if ok:
+            continue
+        x, y, Z = witness["x"], witness["y"], witness["given"]
+        found["decision" if y in d.decisions() else "chance"] += 1
+        assert _independent_on_reference(d, x, y, Z), witness
+        g = nx.DiGraph()
+        g.add_nodes_from(d.names())
+        g.add_edges_from(d.relevance_arcs)
+        rest = set(d.decisions()) - {y}
+        assert not nx.is_d_separator(g, {x}, {y}, set(Z) | rest), witness
+    assert found["chance"] >= 40 and found["decision"] >= 5, found
