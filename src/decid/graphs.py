@@ -90,10 +90,18 @@ def minimal_blocking_sets(d: Diagram, decisions, target, exclude=frozenset(),
                           node_budget: int = MINIMAL_SET_NODE_BUDGET,
                           ) -> list[frozenset[str]]:
     """All inclusion-minimal C from (U ∪ D) \\ ({target} ∪ exclude) that
-    block the decisions from the target, smallest first then lexicographic."""
+    block the decisions from the target, smallest first then lexicographic.
+
+    Only nodes on a directed path from one of ``decisions`` to the
+    target are tried: dropping any other node from a blocking set leaves it
+    blocking, so no minimal set holds one.  ``node_budget`` counts these
+    nodes.
+    """
     D = frozenset(decisions)
     _check_names(d, D | {target})
-    pool = (set(d.uncertain()) | set(d.decisions())) - {target} - set(exclude)
+    on_path = (D | d.descendants(D)) & d.ancestors([target])
+    pool = (on_path & (set(d.uncertain()) | set(d.decisions()))
+            - {target} - set(exclude))
     return minimal_sets(
         pool, lambda C: target not in d.descendants(D - C, avoid=C),
         node_budget)

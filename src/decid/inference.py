@@ -386,7 +386,11 @@ def oracle_causes(h, target: str, world_pair_cap: int = WORLD_PAIR_CAP,
 
     Empty (with a reason) when the target is already fixed; otherwise
     every inclusion-minimal subset of decisions and uncertain variables
-    whose observation pins the target down.
+    whose observation pins the target down.  Only decisions and their
+    descendants are tried: any other node takes one value per world, so
+    observing it never tells two decision choices apart.  The graph
+    decides this, not ``declared_fixed``; ``node_budget`` counts these
+    nodes.
     """
     diagram = _diagram_of(h)
     _check(diagram, [target], ())
@@ -395,7 +399,8 @@ def oracle_causes(h, target: str, world_pair_cap: int = WORLD_PAIR_CAP,
         return CauseReport(target, (), "oracle",
                            reason=f"{target} is unaffected by the decisions "
                                   "(member of the fixed set)")
-    pool = (set(diagram.uncertain()) | set(diagram.decisions())) - {target}
+    D = set(diagram.decisions())
+    pool = D | (diagram.descendants(D) & set(diagram.uncertain()) - {target})
     found = minimal_sets(
         pool, lambda C: table.fixed_given(target, sorted(C)), node_budget)
     return CauseReport(target, tuple(found), "oracle")

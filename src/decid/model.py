@@ -5,10 +5,10 @@ nodes.  Relevance arcs point into chance/deterministic/utility nodes and
 carry the conditional tables; information arcs point into decisions and
 record what is known when the decision is made.  Diagrams are immutable
 after construction and safe to share across workers.  Derived indexes
-(name lookup, children, set decisions by target, topological order) are
-computed once per diagram, on first use; ``replace`` and ``with_arcs``
-build a new diagram, so an index never outlives the arcs it was read
-from.
+(name lookup, children, parents, set decisions by target, topological
+order) are computed once per diagram, on first use; ``replace`` and
+``with_arcs`` build a new diagram, so an index never outlives the arcs
+it was read from.
 
 Set decisions ("do nothing" / "set x to k") are stored structurally: the
 target's conditional table ranges only over its ordinary parents, and
@@ -20,6 +20,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
@@ -140,6 +141,14 @@ class Diagram:
         return out
 
     @cached_property
+    def _parents(self) -> dict[str, set[str]]:
+        # Over all arcs, the mirror of ``_children``.
+        out: dict[str, set[str]] = {}
+        for a, b in self.all_arcs():
+            out.setdefault(b, set()).add(a)
+        return out
+
+    @cached_property
     def _set_decisions(self) -> dict[str, list[str]]:
         out: dict[str, list[str]] = {}
         for n in self.nodes:
@@ -219,15 +228,11 @@ class Diagram:
                     avoid: Iterable[str] = frozenset()) -> set[str]:
         """Strict descendants of ``sources`` following all arcs, along
         paths that enter no node of ``avoid``."""
-        children = self._children
-        seen: set[str] = set()
-        frontier = list(sources)
-        while frontier:
-            for c in children.get(frontier.pop(), ()):
-                if c not in seen and c not in avoid:
-                    seen.add(c)
-                    frontier.append(c)
-        return seen
+        return _reach(self._children, sources, avoid)
+
+    def ancestors(self, sinks: Iterable[str]) -> set[str]:
+        """Strict ancestors of ``sinks`` following all arcs backwards."""
+        return _reach(self._parents, sinks, frozenset())
 
     def fixed_nodes(self) -> frozenset[str]:
         """Graphical fixed set: uncertain non-descendants of all decisions,
@@ -242,6 +247,18 @@ class Diagram:
             relevance_arcs=tuple(relevance) if relevance is not None else self.relevance_arcs,
             information_arcs=tuple(information) if information is not None else self.information_arcs,
         )
+
+
+def _reach(index: Mapping[str, set[str]], sources: Iterable[str],
+           avoid: Iterable[str]) -> set[str]:
+    seen: set[str] = set()
+    frontier = list(sources)
+    while frontier:
+        for c in index.get(frontier.pop(), ()):
+            if c not in seen and c not in avoid:
+                seen.add(c)
+                frontier.append(c)
+    return seen
 
 
 def enumerate_instances(variables: Sequence[Variable]) -> list[Assignment]:
@@ -272,8 +289,7 @@ def validate_diagram(d: Diagram) -> list[str]:
     """Return every violated structural invariant; empty means valid."""
     report: list[str] = []
     names = [n.name for n in d.nodes]
-    dupes = {x for x in names if names.count(x) > 1}
-    for x in sorted(dupes):
+    for x in sorted(x for x, k in Counter(names).items() if k > 1):
         report.append(f"duplicate variable {x!r}")
 
     for n in d.nodes:
@@ -312,8 +328,11 @@ def validate_diagram(d: Diagram) -> list[str]:
         # Table checks below assume a structurally coherent graph.
         return report
 
+    # Past the arc checks, information arcs enter decisions only, so a
+    # chance or utility node's parents over all arcs are its relevance
+    # parents.
     for n in d.nodes:
-        rel_parents = d.parents(n.name)
+        rel_parents = d._parents.get(n.name, set())
         setdecs = rel_parents & set(d.set_decisions_for(n.name))
         if n.kind in (CHANCE, DETERMINISTIC):
             if n.table is None:
@@ -360,7 +379,8 @@ def validate_diagram(d: Diagram) -> list[str]:
         if sorted(order) != sorted(d.decisions()):
             report.append("decision_order is not a permutation of the decision nodes")
         for i, dec in enumerate(order):
-            ancestors = [a for a in order[i + 1:] if dec in d.descendants([a])]
+            upstream = d.ancestors([dec])
+            ancestors = [a for a in order[i + 1:] if a in upstream]
             if ancestors:
                 report.append(f"decision_order lists {dec} before {ancestors[0]}, "
                               f"but {dec} descends from {ancestors[0]}")

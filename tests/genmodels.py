@@ -110,6 +110,21 @@ def random_dag(seed, n_nodes=8, n_decisions=2, p_arc=0.3):
     return Diagram(tuple(nodes), tuple(arcs), (), tuple(decisions))
 
 
+def random_dag_with_information(seed, n_nodes=7, n_decisions=2,
+                                p_arc=0.35, p_info=0.3):
+    """``random_dag`` plus acyclic information arcs into its decisions."""
+    rng = random.Random(seed)
+    d = random_dag(seed, n_nodes=n_nodes, n_decisions=n_decisions,
+                   p_arc=p_arc)
+    info = []
+    for dec in d.decisions():
+        for x in d.uncertain():
+            g = d.with_arcs(information=info)
+            if rng.random() < p_info and x not in g.descendants([dec]):
+                info.append((x, dec))
+    return d.with_arcs(information=info)
+
+
 def random_policy_diagram(seed, n_chance=4):
     """Random utility diagram for policy-evaluation suites.
 
@@ -159,3 +174,23 @@ def random_policy_diagram(seed, n_chance=4):
     d = Diagram(tuple(nodes), tuple(relevance), tuple(information))
     order = tuple(x for x in d.topological_order() if x in d.decisions())
     return Diagram(tuple(nodes), tuple(relevance), tuple(information), order)
+
+
+def ladder(rungs):
+    """Decision ``d`` and target ``t`` joined by two rails, ``a0..`` and
+    ``b0..``, with a rung ``a{i}->b{i}`` at every step: every node lies
+    on a path from ``d`` to ``t``."""
+    flat = {(s,): [0.5, 0.5] for s in ("0", "1")}
+    pair = {(s, u): [0.5, 0.5] for s in ("0", "1") for u in ("0", "1")}
+    nodes = [decision_node("d", ["0", "1"])]
+    arcs = []
+    for i in range(rungs):
+        a, b = f"a{i}", f"b{i}"
+        up = ("d", "d") if i == 0 else (f"a{i - 1}", f"b{i - 1}")
+        nodes.append(chance_node(a, ["0", "1"], [up[0]], flat))
+        nodes.append(chance_node(b, ["0", "1"], [up[1], a], pair))
+        arcs += [(up[0], a), (up[1], b), (a, b)]
+    last = (f"a{rungs - 1}", f"b{rungs - 1}")
+    nodes.append(chance_node("t", ["0", "1"], last, pair))
+    arcs += [(x, "t") for x in last]
+    return Diagram(tuple(nodes), tuple(arcs), (), ("d",))

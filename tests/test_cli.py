@@ -10,7 +10,7 @@ import pytest
 import decid
 from decid.cli import _pairs, run_command
 
-from genmodels import random_diagram
+from genmodels import ladder, random_dag, random_diagram
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -202,6 +202,26 @@ def test_minimal(capsys):
     assert code == 0
     assert doc["minimal_blocking_sets"] == [["smoke"],
                                             ["lung_cancer", "pleasure"]]
+
+
+def test_minimal_answers_where_only_the_pruned_pool_fits(capsys, tmp_path):
+    # 24 candidates in all, only 10 on a path from a decision to x14.
+    path = tmp_path / "dag25.json"
+    path.write_text(decid.serialize_model(random_dag(0, n_nodes=25)))
+    code, doc = run_json(capsys, "minimal", str(path), "--target", "x14")
+    assert code == 0
+    assert len(doc["minimal_blocking_sets"]) == 6
+    assert doc["minimal_blocking_sets"][0] == ["d0", "d1"]
+    code, doc = run_json(capsys, "causes", str(path), "--of", "x14")
+    assert code == 0 and len(doc["cause_sets"]) == 6
+
+
+def test_minimal_budget_is_exit_4_naming_the_pool(capsys, tmp_path):
+    path = tmp_path / "ladder.json"
+    path.write_text(decid.serialize_model(ladder(10)))
+    code, doc = run_json(capsys, "minimal", str(path), "--target", "t")
+    assert code == 4
+    assert doc["error"] == "21 candidate nodes exceed budget 20"
 
 
 def test_to_hcf_and_check_hcf(capsys, tmp_path):

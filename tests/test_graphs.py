@@ -10,7 +10,7 @@ from decid import (BlockingQuery, Diagram, blocks, certify_causal_network,
                    validate_diagram)
 from decid.errors import NodeBudgetExceeded
 
-from genmodels import random_dag
+from genmodels import ladder, random_dag, random_dag_with_information
 
 
 def _blocks(d, C, D, x):
@@ -57,9 +57,25 @@ def test_unreachable_target_blocked_by_empty_set(fig2a):
 
 
 def test_minimal_sets_budget():
+    d = ladder(10)
+    with pytest.raises(NodeBudgetExceeded,
+                       match="^21 candidate nodes exceed budget 20$"):
+        minimal_blocking_sets(d, {"d"}, "t")
+
+
+def test_budget_counts_only_the_nodes_on_a_path():
+    # 24 candidates in all, but few on a path from a decision to each
+    # target.
     d = random_dag(0, n_nodes=25, n_decisions=2)
-    with pytest.raises(NodeBudgetExceeded):
-        minimal_blocking_sets(d, set(d.decisions()), "x0")
+    D = set(d.decisions())
+    assert minimal_blocking_sets(d, D, "x0") == [frozenset()]
+    for x in ("x14", "x17"):
+        sets = minimal_blocking_sets(d, D, x)
+        assert len(sets) == 6
+        for s in sets:
+            assert _blocks(d, s, D, x)
+            for member in s:
+                assert not _blocks(d, s - {member}, D, x)
 
 
 @pytest.mark.parametrize("seed", range(30))
@@ -374,22 +390,9 @@ def _blocked_by_enumeration(d, C, D, x):
     return all(set(path) & C for dec in D for path in _paths(d, dec, x))
 
 
-def _dag_with_information_arcs(seed):
-    """A random DAG plus acyclic information arcs into its decisions."""
-    rng = random.Random(seed)
-    d = random_dag(seed, n_nodes=7, p_arc=0.35)
-    info = []
-    for dec in d.decisions():
-        for x in d.uncertain():
-            g = d.with_arcs(information=info)
-            if rng.random() < 0.3 and not any(_paths(g, dec, x)):
-                info.append((x, dec))
-    return d.with_arcs(information=info)
-
-
 @pytest.mark.parametrize("seed", range(40))
 def test_blocking_matches_path_enumeration(seed):
-    d = _dag_with_information_arcs(seed)
+    d = random_dag_with_information(seed)
     rng = random.Random(seed)
     names = d.names()
     for _ in range(15):
@@ -419,6 +422,33 @@ def test_d_separation_matches_networkx():
             Z = set(pool[nx_ + ny:nx_ + ny + nz])
             assert d_separated(d, X, Y, Z) == nx.is_d_separator(g, X, Y, Z), \
                 (seed, X, Y, Z)
+
+
+def _full_pool_blocking_sets(d, D, x, exclude):
+    """The same predicate over every uncertain variable and decision,
+    with the budget raised to fit."""
+    pool = (set(d.uncertain()) | set(d.decisions())) - {x} - set(exclude)
+    return minimal_sets(pool, lambda C: x not in d.descendants(D - C, avoid=C),
+                        node_budget=len(pool))
+
+
+def test_pruned_pool_gives_the_full_pool_answer():
+    queries = multi = 0
+    for seed in range(300):
+        rng = random.Random(seed)
+        d = random_dag_with_information(
+            seed, n_nodes=rng.randint(5, 12), n_decisions=rng.randint(1, 3),
+            p_arc=rng.choice((0.2, 0.35, 0.5)))
+        for x in d.names():
+            D = set(rng.sample(d.decisions(), rng.randint(1, len(d.decisions()))))
+            others = [y for y in d.names() if y != x]
+            exclude = set(rng.sample(others, rng.randint(0, 2)))
+            got = minimal_blocking_sets(d, D, x, exclude)
+            assert got == _full_pool_blocking_sets(d, D, x, exclude), \
+                (seed, x, D, exclude)
+            queries += 1
+            multi += any(len(s) > 1 for s in got)
+    assert queries >= 2000 and multi >= 200
 
 
 # ---------------------------------------------------------------------------

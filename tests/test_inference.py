@@ -1,4 +1,5 @@
 import itertools
+import random
 from dataclasses import replace
 
 import numpy as np
@@ -6,10 +7,10 @@ import pytest
 
 from decid import (Diagram, Factor, WorldTable, chance_node, count_worlds,
                    decision_node, enumerate_instances, functional_worlds,
-                   graphical_fixed_set, inference, joint, oracle_causes,
-                   oracle_fixed_set_member, oracle_is_d_map, parse_model,
-                   posterior, propagate, serialize_model, set_decision_node,
-                   to_hcf, validate_diagram)
+                   graphical_fixed_set, inference, joint, minimal_sets,
+                   oracle_causes, oracle_fixed_set_member, oracle_is_d_map,
+                   parse_model, posterior, propagate, serialize_model,
+                   set_decision_node, to_hcf, validate_diagram)
 from decid.errors import (NodeBudgetExceeded, NotHcf, UnknownVariable,
                           WorldCapExceeded, ZeroProbabilityEvidence)
 from decid.model import TOL, parent_variables
@@ -262,6 +263,54 @@ def test_oracle_causes_checks_fixed_target_before_budget(coin):
     assert oracle_causes(coin, "c", node_budget=0).cause_sets == ()
     with pytest.raises(NodeBudgetExceeded):
         oracle_causes(coin, "w", node_budget=0)
+
+
+def test_oracle_causes_budget_counts_decisions_and_their_descendants(fig1):
+    nx = pytest.importorskip("networkx")
+    h = to_hcf(fig1)
+    d = h.diagram
+    g = nx.DiGraph(d.relevance_arcs + d.information_arcs)
+    D = set(d.decisions())
+    reached = D.union(*(nx.descendants(g, x) for x in D))
+    pool = reached & (set(d.uncertain()) | D) - {"life"}
+    assert len(pool) == 4 < len(set(d.uncertain()) | D) - 1
+    report = oracle_causes(h, "life", node_budget=len(pool))
+    assert report.cause_sets == oracle_causes(h, "life").cause_sets
+    with pytest.raises(NodeBudgetExceeded,
+                       match=f"^{len(pool)} candidate nodes exceed budget"):
+        oracle_causes(h, "life", node_budget=len(pool) - 1)
+
+
+def _oracle_corpus():
+    """Canonical forms of at most 12 nodes, some with utility targets."""
+    for seed in range(1200):
+        rng = random.Random(seed)
+        yield to_hcf(random_functional_diagram(
+            seed, n_roots=rng.randint(1, 2), n_det=rng.randint(2, 4),
+            n_decisions=rng.randint(1, 2)))
+    for seed in range(400):
+        yield to_hcf(random_diagram(seed, n_chance=2, max_states=2,
+                                    n_decisions=1 + seed % 2,
+                                    with_utility=seed % 3 == 0))
+
+
+def test_oracle_causes_pruned_pool_gives_the_full_pool_answer():
+    queries = 0
+    for h in _oracle_corpus():
+        d = h.diagram
+        assert len(d.nodes) <= 12
+        table = WorldTable(d)
+        utility = [d.utility().name] if d.utility() else []
+        for x in d.uncertain() + utility:
+            if table.fixed_given(x, ()):
+                continue
+            pool = (set(d.uncertain()) | set(d.decisions())) - {x}
+            full = minimal_sets(
+                pool, lambda C: table.fixed_given(x, sorted(C)),
+                node_budget=len(pool))
+            assert list(oracle_causes(h, x).cause_sets) == full
+            queries += 1
+    assert queries >= 2000
 
 
 def test_oracle_causes_m1_hcf(m1):

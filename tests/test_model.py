@@ -6,7 +6,7 @@ from decid import (Diagram, Variable, WorldTable, chance_node, decision_node,
                    enumerate_instances, oracle_fixed_set_member, parse_model,
                    serialize_model, validate_diagram)
 
-from genmodels import random_diagram
+from genmodels import random_dag_with_information, random_diagram
 
 
 def two_node(p_yes_given_yes=0.2, p_yes_given_no=0.05):
@@ -169,6 +169,22 @@ def test_descendants_avoid_stops_the_walk():
     assert d.descendants(["a"], avoid={"c"}) == {"b"}
     d.children("a").add("c")          # a copy; the index is untouched
     assert d.children("a") == {"b"}
+
+
+def test_ancestors_match_networkx():
+    nx = pytest.importorskip("networkx")
+    info = 0
+    for seed in range(100):
+        d = random_dag_with_information(seed, n_nodes=10, p_arc=0.3)
+        info += len(d.information_arcs)
+        g = nx.DiGraph()
+        g.add_nodes_from(d.names())
+        g.add_edges_from(d.relevance_arcs + d.information_arcs)
+        for x in d.names():
+            assert d.ancestors([x]) == nx.ancestors(g, x), (seed, x)
+        assert d.ancestors(d.decisions()) == set().union(
+            *(nx.ancestors(g, x) for x in d.decisions()))
+    assert info >= 100
 
 
 # ---------------------------------------------------------------------------
