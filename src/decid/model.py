@@ -205,7 +205,8 @@ class Diagram:
         return list(self.relevance_arcs) + list(self.information_arcs)
 
     def parents(self, name: str) -> set[str]:
-        return {a for a, b in self.relevance_arcs if b == name}
+        """Parents over all arcs, the mirror of ``children``."""
+        return set(self._parents.get(name, ()))
 
     def info_parents(self, name: str) -> list[str]:
         # Canonical (sorted) order; information arcs are an unordered set.
@@ -328,11 +329,8 @@ def validate_diagram(d: Diagram) -> list[str]:
         # Table checks below assume a structurally coherent graph.
         return report
 
-    # Past the arc checks, information arcs enter decisions only, so a
-    # chance or utility node's parents over all arcs are its relevance
-    # parents.
     for n in d.nodes:
-        rel_parents = d._parents.get(n.name, set())
+        rel_parents = d.parents(n.name)
         setdecs = rel_parents & set(d.set_decisions_for(n.name))
         if n.kind in (CHANCE, DETERMINISTIC):
             if n.table is None:

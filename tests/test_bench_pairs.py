@@ -7,33 +7,50 @@ bench_pairs = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(bench_pairs)
 
 
-def _pairs(parent_ops, change_ops):
-    def metrics(ops):
+PARENT = [800, 810, 820, 830, 840, 850, 860, 870, 880, 890]
+
+
+def _pairs(parent_ops, change_ops, change_failed=0):
+    def metrics(ops, failed):
         return {"ops_per_s": ops, "op_p50_ms": 1000 / ops,
                 "op_p90_ms": 2000 / ops, "setup_s": 0.15,
-                "peak_rss_mb": 35.0}
-    return [{"seed": 301 + i, "parent": metrics(p), "change": metrics(c)}
+                "peak_rss_mb": 35.0, "attempted": ops * 30, "failed": failed}
+    return [{"seed": 301 + i, "parent": metrics(p, 0),
+             "change": metrics(c, change_failed)}
             for i, (p, c) in enumerate(zip(parent_ops, change_ops))]
 
 
 def test_claim_needs_nine_wins_in_ten_and_a_gap_beyond_the_spread():
-    parent = [800, 810, 820, 830, 840, 850, 860, 870, 880, 890]
-    nine = _pairs(parent, [1700] * 9 + [890])
-    summary = bench_pairs.summarize(nine)
-    assert summary["ops_per_s"]["change_wins"] == 9
-    assert summary["ops_per_s"]["change_losses"] == 0      # one tie
-    assert bench_pairs.claim_holds(summary, "ops_per_s")
-    assert bench_pairs.claim_holds(summary, "op_p50_ms")   # lower is better
-    assert summary["setup_s"]["change_wins"] == 0
-    assert not bench_pairs.claim_holds(summary, "setup_s")
+    nine = bench_pairs.summarize(_pairs(PARENT, [1700] * 9 + [890]))
+    ops = nine["metrics"]["ops_per_s"]
+    assert ops["change_wins"] == 9
+    assert ops["change_losses"] == 0                  # one tie
+    assert ops["claim_holds"]
+    assert nine["metrics"]["op_p50_ms"]["claim_holds"]  # lower is better
+    assert nine["metrics"]["setup_s"]["change_wins"] == 0
+    assert not nine["metrics"]["setup_s"]["claim_holds"]
 
-    eight = bench_pairs.summarize(_pairs(parent, [1700] * 8 + [700] * 2))
-    assert not bench_pairs.claim_holds(eight, "ops_per_s")
+    eight = bench_pairs.summarize(_pairs(PARENT, [1700] * 8 + [700] * 2))
+    assert not eight["metrics"]["ops_per_s"]["claim_holds"]
 
     # Ten wins, but the medians differ by less than the parent's spread.
-    close = bench_pairs.summarize(_pairs(parent, [p + 1 for p in parent]))
-    assert close["ops_per_s"]["change_wins"] == 10
-    assert not bench_pairs.claim_holds(close, "ops_per_s")
+    close = bench_pairs.summarize(_pairs(PARENT, [p + 1 for p in PARENT]))
+    assert close["metrics"]["ops_per_s"]["change_wins"] == 10
+    assert not close["metrics"]["ops_per_s"]["claim_holds"]
+
+
+def test_no_claim_when_the_change_fails_more_operations():
+    failing = bench_pairs.summarize(_pairs(PARENT, [1700] * 10, 1))
+    assert failing["failed"] == {"parent": 0, "change": 10}
+    assert failing["metrics"]["ops_per_s"]["change_wins"] == 10
+    assert not failing["metrics"]["ops_per_s"]["claim_holds"]
+
+
+def test_held_out_verdict_needs_every_pair():
+    won = bench_pairs.wins_every_pair(_pairs([850] * 3, [1700] * 3))
+    assert won["ops_per_s"] and not won["setup_s"]     # a tie is no win
+    lost = bench_pairs.wins_every_pair(_pairs([850] * 3, [1700, 1700, 840]))
+    assert not lost["ops_per_s"]
 
 
 def test_seed_lists():

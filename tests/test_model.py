@@ -171,7 +171,7 @@ def test_descendants_avoid_stops_the_walk():
     assert d.children("a") == {"b"}
 
 
-def test_ancestors_match_networkx():
+def test_ancestors_and_parents_match_networkx():
     nx = pytest.importorskip("networkx")
     info = 0
     for seed in range(100):
@@ -182,6 +182,7 @@ def test_ancestors_match_networkx():
         g.add_edges_from(d.relevance_arcs + d.information_arcs)
         for x in d.names():
             assert d.ancestors([x]) == nx.ancestors(g, x), (seed, x)
+            assert d.parents(x) == set(g.predecessors(x)), (seed, x)
         assert d.ancestors(d.decisions()) == set().union(
             *(nx.ancestors(g, x) for x in d.decisions()))
     assert info >= 100

@@ -1,21 +1,24 @@
 """Alternated parent/change pairs of ``bench/run.py``, written to one JSON file.
 
     python3 tools/bench_pairs.py --parent c5d4d84^ --change c5d4d84 \
-        --workload policy_eval --seeds 301-310 --held-out 9001 \
-        --claim ops_per_s --out BENCH_5.json
+        --workload policy_eval --seeds 301-310 --held-out 9001,9001,9001 \
+        --out BENCH_5.json
 
 Each side is a git revision, exported with ``git archive`` into a
 scratch directory, or an existing directory (``.`` for the working
 tree).  Both sides run their own ``bench/run.py`` with the same
-workload, seed and run length, one after the other; the side that runs
-first alternates from pair to pair.  The file records the machine, the
-seeds, every pair's end-to-end metrics, each side's median and
-quartiles, the pairs the change won, and whether the claimed metric
-meets the claim rule: the change wins at least nine tenths of the
-pairs (ties count for neither side) and the medians differ by more
-than the parent's interquartile range; on the held-out seeds (repeat a
-seed for more pairs) the change must win every pair.  ``--traced-seed``
-adds one traced run per side, for the per-layer self times.
+workload and seed for the ``run_seconds`` of ``BENCHMARK.json``, one
+after the other; the side that runs first alternates from pair to
+pair.  One traced run per side on the first seed gives the per-layer
+self times.  The file records the machine, the seeds, every pair's
+end-to-end metrics and failed operations, each side's median and
+quartiles, the pairs the change won, and for every end-to-end metric
+whether a gain on it would meet the claim rule: the change fails no
+more operations than the parent, wins at least nine tenths of the
+pairs (ties count for neither side), and the medians differ by more
+than the parent's interquartile range.  With held-out seeds (repeat a
+seed for more pairs) it also records, per metric, whether the change
+won every held-out pair.
 """
 
 from __future__ import annotations
@@ -54,13 +57,12 @@ def checkout(spec: str, work: Path) -> Path:
     return dest
 
 
-def run_bench(tree: Path, workload: str, seed: int, seconds: float,
-              trace: int = 0) -> dict:
+def run_bench(tree: Path, workload: str, seed: int, trace: int = 0) -> dict:
     """The metrics line of one ``bench/run.py`` process."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     done = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds),
+         "--seed", str(seed), "--seconds", str(BENCHMARK["run_seconds"]),
          "--trace", str(trace)],
         cwd=tree, env=env, capture_output=True, text=True, timeout=1800)
     last = json.loads(done.stdout.strip().splitlines()[-1])
@@ -81,35 +83,50 @@ def gain(metric: str, parent: float, change: float) -> float:
 
 
 def summarize(pairs: list[dict]) -> dict:
-    out = {}
+    """Failed operations per side, and per end-to-end metric the
+    quartiles, the pairs won and lost, and the claim verdict."""
+    failed = failed_ops(pairs)
+    metrics = {}
     for name, better in BETTER.items():
         gains = [gain(name, p["parent"][name], p["change"][name])
                  for p in pairs]
-        out[name] = {"better": better,
-                     "parent": quartiles([p["parent"][name] for p in pairs]),
-                     "change": quartiles([p["change"][name] for p in pairs]),
-                     "change_wins": sum(g > 0 for g in gains),
-                     "change_losses": sum(g < 0 for g in gains),
-                     "pairs": len(pairs)}
-    return out
+        s = {"better": better,
+             "parent": quartiles([p["parent"][name] for p in pairs]),
+             "change": quartiles([p["change"][name] for p in pairs]),
+             "change_wins": sum(g > 0 for g in gains),
+             "change_losses": sum(g < 0 for g in gains),
+             "pairs": len(pairs)}
+        metrics[name] = s | {"claim_holds": claim_holds(name, s, failed)}
+    return {"failed": failed, "metrics": metrics}
 
 
-def claim_holds(summary: dict, metric: str) -> bool:
-    s = summary[metric]
+def failed_ops(pairs: list[dict]) -> dict:
+    return {side: sum(p[side]["failed"] for p in pairs)
+            for side in ("parent", "change")}
+
+
+def claim_holds(metric: str, s: dict, failed: dict) -> bool:
     spread = s["parent"]["q3"] - s["parent"]["q1"]
-    return (s["change_wins"] >= CLAIM_SHARE * s["pairs"] and
+    return (failed["change"] <= failed["parent"] and
+            s["change_wins"] >= CLAIM_SHARE * s["pairs"] and
             gain(metric, s["parent"]["median"], s["change"]["median"])
             > spread)
 
 
-def collect(trees: dict, workload: str, seeds: list[int], seconds: float,
-            ) -> list[dict]:
+def wins_every_pair(held: list[dict]) -> dict:
+    """Per end-to-end metric, whether the change won every held-out pair."""
+    return {name: all(gain(name, h["parent"][name], h["change"][name]) > 0
+                      for h in held)
+            for name in BETTER}
+
+
+def collect(trees: dict, workload: str, seeds: list[int]) -> list[dict]:
     pairs = []
     for i, seed in enumerate(seeds):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         pair = {"seed": seed, "first": order[0]}
         for side in order:
-            pair[side] = run_bench(trees[side], workload, seed, seconds)
+            pair[side] = run_bench(trees[side], workload, seed)
         print(f"seed {seed}: " + ", ".join(
             f"{side} {pair[side]['ops_per_s']:.1f} op/s"
             for side in ("parent", "change")), file=sys.stderr, flush=True)
@@ -142,42 +159,29 @@ def main(argv=None) -> int:
                    help="a range such as 301-310, or a comma list")
     p.add_argument("--held-out", type=seed_list, default=[],
                    help="seeds not used while the change was written")
-    p.add_argument("--seconds", type=float, default=20.0)
-    p.add_argument("--claim", help="the end-to-end metric claimed to gain")
-    p.add_argument("--traced-seed", type=int)
     p.add_argument("--out", required=True)
     args = p.parse_args(argv)
-    if args.claim is not None and args.claim not in BETTER:
-        p.error(f"--claim must be one of {sorted(BETTER)}")
 
     with tempfile.TemporaryDirectory() as work:
         trees = {"parent": checkout(args.parent, Path(work)),
                  "change": checkout(args.change, Path(work))}
-        pairs = collect(trees, args.workload, args.seeds, args.seconds)
-        held = collect(trees, args.workload, args.held_out, args.seconds)
-        traced = None
-        if args.traced_seed is not None:
-            traced = {side: run_bench(tree, args.workload, args.traced_seed,
-                                      args.seconds, trace=1)
-                      for side, tree in trees.items()}
+        pairs = collect(trees, args.workload, args.seeds)
+        held = collect(trees, args.workload, args.held_out)
+        traced = {side: run_bench(tree, args.workload, args.seeds[0], trace=1)
+                  for side, tree in trees.items()}
 
     doc = {"parent": args.parent, "change": args.change,
-           "workload": args.workload, "seconds": args.seconds,
+           "workload": args.workload, "seconds": BENCHMARK["run_seconds"],
            "machine": machine(), "seeds": args.seeds,
            "held_out_seeds": args.held_out, "pairs": pairs,
            "summary": summarize(pairs)}
     if held:
-        doc["held_out_pairs"] = held
-    if args.claim is not None:
-        doc["claim"] = {"metric": args.claim,
-                        "holds": claim_holds(doc["summary"], args.claim),
-                        "wins_every_held_out_pair": all(
-                            gain(args.claim, h["parent"][args.claim],
-                                 h["change"][args.claim]) > 0 for h in held)}
-    if traced is not None:
-        doc["traced"] = {"seed": args.traced_seed} | traced
+        doc["held_out"] = {"pairs": held, "failed": failed_ops(held),
+                           "change_wins_every_pair": wins_every_pair(held)}
+    doc["traced"] = {"seed": args.seeds[0]} | traced
     Path(args.out).write_text(json.dumps(doc, indent=1) + "\n")
-    print(json.dumps(doc.get("claim", {})), flush=True)
+    print(json.dumps({name: s["claim_holds"] for name, s
+                      in doc["summary"]["metrics"].items()}), flush=True)
     return 0
 
 
