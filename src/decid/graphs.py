@@ -98,7 +98,7 @@ def minimal_blocking_sets(d: Diagram, decisions, target, exclude=frozenset(),
     nodes.
     """
     D = frozenset(decisions)
-    _check_names(d, D | {target})
+    _check_names(d, D | {target} | set(exclude))
     on_path = (D | d.descendants(D)) & d.ancestors([target])
     pool = (on_path & (set(d.uncertain()) | set(d.decisions()))
             - {target} - set(exclude))

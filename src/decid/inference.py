@@ -11,6 +11,8 @@ The oracles realize fixed-set membership literally: every functional
 world of positive weight (joint instance of the fixed nodes, mechanisms
 included) is propagated under every decision instance, and the target
 may not vary across decision choices that agree on the conditioning set.
+Worlds are listed as state-index arrays; each variable's differences
+between decision instances are kept as one bitset per table.
 """
 
 from __future__ import annotations
@@ -251,40 +253,52 @@ class FunctionalWorld:
 def functional_worlds(diagram: Diagram) -> list[FunctionalWorld]:
     """Joint instances of the fixed nodes with their prior weights;
     zero-weight worlds are dropped."""
-    worlds = [({}, 1.0)]
-    for node in _fixed_in_order(diagram):
-        nxt = []
-        for assignment, w in worlds:
-            key = tuple(assignment[p] for p in node.table.parent_order)
-            for s, p in zip(node.states, node.table.rows[key]):
-                if w * p > 0.0:
-                    nxt.append(({**assignment, node.name: s}, w * p))
-        worlds = nxt
-    return [FunctionalWorld(a, w) for a, w in worlds]
+    return _as_worlds(diagram, *_world_arrays(diagram))
+
+
+def _world_arrays(diagram: Diagram) -> tuple[dict, np.ndarray]:
+    """The positive-weight worlds as name -> state-index array, and
+    their weights, in the order of ``functional_worlds``."""
+    index, weight = {}, np.ones(1)
+    for f in _fixed_tables(diagram):
+        p = f.values[tuple(index[v] for v in f.scope[:-1])] * weight[:, None]
+        w, s = np.nonzero(p > 0.0)
+        index = {v: a[w] for v, a in index.items()} | {f.scope[-1]: s}
+        weight = p[w, s]
+    return index, weight
+
+
+def _as_worlds(diagram: Diagram, index: dict, weight) -> list[FunctionalWorld]:
+    states = {x: [diagram.node(x).states[i] for i in a.tolist()]
+              for x, a in index.items()}
+    return [FunctionalWorld({x: s[k] for x, s in states.items()}, w)
+            for k, w in enumerate(weight.tolist())]
 
 
 def count_worlds(diagram: Diagram) -> int:
     """``len(functional_worlds(diagram))`` without listing the worlds:
     elimination over the 0/1 support of each fixed node's table."""
-    support = []
-    for node in _fixed_in_order(diagram):
-        f = family_factor(diagram, node)
-        for s in diagram.set_decisions_for(node.name):
-            f = f.reduce(s, DO_NOTHING)   # worlds read the plain table
-        support.append(Factor(f.scope, f.states, f.values > 0.0))
+    support = [Factor(f.scope, f.states, f.values > 0.0)
+               for f in _fixed_tables(diagram)]
     return round(eliminate(support, ()).total()) if support else 1
 
 
-def _fixed_in_order(diagram: Diagram) -> list[Node]:
-    """The fixed nodes in topological order; each may have only fixed
-    parents."""
+def _fixed_tables(diagram: Diagram) -> list[Factor]:
+    """Each fixed node's family factor, in topological order, reduced at
+    "do nothing" (worlds read the plain table); a fixed node may have
+    only fixed parents."""
     fixed = diagram.fixed_nodes()
-    nodes = [diagram.node(x) for x in diagram.topological_order()
-             if x in fixed]
-    for node in nodes:
-        if set(node.table.parent_order) - fixed:
-            raise NotHcf(f"fixed node {node.name} has a non-fixed parent")
-    return nodes
+    tables = []
+    for x in diagram.topological_order():
+        if x not in fixed:
+            continue
+        if set(diagram.node(x).table.parent_order) - fixed:
+            raise NotHcf(f"fixed node {x} has a non-fixed parent")
+        f = family_factor(diagram, diagram.node(x))
+        for s in diagram.set_decisions_for(x):
+            f = f.reduce(s, DO_NOTHING)
+        tables.append(f)
+    return tables
 
 
 def value_label_node(node: Node) -> Node:
@@ -342,7 +356,9 @@ class WorldTable:
     """Every functional world propagated under every decision instance.
     ``values[x]`` holds x's state index (a utility's: its value label's)
     as an int array of shape (worlds, decision instances).  The cap is
-    checked on ``count_worlds`` before any world is listed."""
+    checked on ``count_worlds`` before any world is listed.  x's
+    difference bitset has a bit per world and pair i < j of decision
+    instances, set where x differs; ``worlds`` is built when read."""
 
     def __init__(self, diagram: Diagram, world_pair_cap: int = WORLD_PAIR_CAP):
         self.diagram = diagram
@@ -352,22 +368,29 @@ class WorldTable:
         if n_pairs > world_pair_cap:
             raise WorldCapExceeded(
                 f"{n_pairs} world/decision pairs exceed cap {world_pair_cap}")
-        self.worlds = functional_worlds(diagram)
-        given = _indices(diagram, [w.assignment for w in self.worlds], (-1, 1))
+        self._index, self._weight = _world_arrays(diagram)
+        given = {x: a[:, None] for x, a in self._index.items()}
         given.update(_indices(diagram, self.decision_instances, (1, -1)))
-        shape = (len(self.worlds), len(self.decision_instances))
+        shape = (len(self._weight), len(self.decision_instances))
         self.values = {x: np.broadcast_to(v, shape)
                        for x, v in _fill(diagram, given).items()}
+        i, j = np.triu_indices(shape[1], k=1)
+        self._differs = {
+            x: int.from_bytes(np.packbits(v[:, i] != v[:, j]), "big")
+            for x, v in self.values.items()}
+
+    @functools.cached_property
+    def worlds(self) -> list[FunctionalWorld]:
+        return _as_worlds(self.diagram, self._index, self._weight)
 
     def fixed_given(self, target: str, conditioning) -> bool:
         """In every world, decision instances that agree on the
-        conditioning set give the target one value."""
-        def same(x):
-            return self.values[x][:, :, None] == self.values[x][:, None, :]
-        ok = same(target)
+        conditioning set give the target one value: no bit of the
+        target's difference bitset is outside every conditioning one."""
+        t = self._differs[target]
         for c in conditioning:
-            ok |= ~same(c)
-        return bool(ok.all())
+            t &= ~self._differs[c]
+        return not t
 
 
 def oracle_fixed_set_member(h, target: str, conditioning=frozenset(),

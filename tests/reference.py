@@ -4,6 +4,10 @@
 cell, as a product of conditional-table rows, with each "set x to k"
 decision composed in at the cell.  The suites hold ``joint``,
 ``posterior``, expected utility and the world table against it.
+
+``enumerate_worlds`` lists the functional worlds one fixed node at a
+time, a dict per world, reading each node's plain table row; the suites
+hold the index-array listing of ``functional_worlds`` against it.
 """
 
 import itertools
@@ -11,7 +15,7 @@ import math
 
 import numpy as np
 
-from decid import Factor
+from decid import Factor, FunctionalWorld
 from decid.model import DO_NOTHING, SET_PREFIX
 
 
@@ -40,3 +44,19 @@ def enumerate_joint(d, decisions):
         values[combo] = math.prod(local_distribution(d, n, assignment)[i]
                                   for n, i in zip(nodes, combo))
     return Factor(names, states, values)
+
+
+def enumerate_worlds(d):
+    """Joint instances of the fixed nodes, in topological order, with
+    their prior weights; zero-weight worlds are dropped."""
+    fixed = d.fixed_nodes()
+    worlds = [({}, 1.0)]
+    for node in [d.node(x) for x in d.topological_order() if x in fixed]:
+        nxt = []
+        for assignment, w in worlds:
+            key = tuple(assignment[p] for p in node.table.parent_order)
+            for s, p in zip(node.states, node.table.rows[key]):
+                if w * p > 0.0:
+                    nxt.append(({**assignment, node.name: s}, w * p))
+        worlds = nxt
+    return [FunctionalWorld(a, w) for a, w in worlds]

@@ -204,6 +204,13 @@ def test_minimal(capsys):
                                             ["lung_cancer", "pleasure"]]
 
 
+def test_minimal_misspelt_exclude_is_exit_3(capsys):
+    code, doc = run_json(capsys, "minimal", model("fig2a"),
+                         "--target", "payoff", "--exclude", "smokee")
+    assert code == 3
+    assert doc == {"error": "unknown variable 'smokee'"}
+
+
 def test_minimal_answers_where_only_the_pruned_pool_fits(capsys, tmp_path):
     # 24 candidates in all, only 10 on a path from a decision to x14.
     path = tmp_path / "dag25.json"

@@ -8,7 +8,7 @@ from decid import (BlockingQuery, Diagram, blocks, certify_causal_network,
                    graphical_fixed_set, is_set_decision, minimal_blocking_sets,
                    minimal_sets, removable_arcs, set_decision_node,
                    validate_diagram)
-from decid.errors import NodeBudgetExceeded
+from decid.errors import NodeBudgetExceeded, UnknownVariable
 
 from genmodels import ladder, random_dag, random_dag_with_information
 
@@ -54,6 +54,11 @@ def test_minimal_sets_for_lung_cancer(fig2a):
 
 def test_unreachable_target_blocked_by_empty_set(fig2a):
     assert minimal_blocking_sets(fig2a, {"smoke"}, "genotype") == [frozenset()]
+
+
+def test_minimal_sets_check_excluded_names(fig2a):
+    with pytest.raises(UnknownVariable, match="^unknown variable 'smokee'$"):
+        minimal_blocking_sets(fig2a, {"smoke"}, "payoff", exclude={"smokee"})
 
 
 def test_minimal_sets_budget():

@@ -10,14 +10,15 @@ from decid import (Diagram, Factor, WorldTable, chance_node, count_worlds,
                    graphical_fixed_set, inference, joint, minimal_sets,
                    oracle_causes, oracle_fixed_set_member, oracle_is_d_map,
                    parse_model, posterior, propagate, serialize_model,
-                   set_decision_node, to_hcf, validate_diagram)
+                   set_decision_node, to_hcf, utility_node,
+                   validate_diagram)
 from decid.errors import (NodeBudgetExceeded, NotHcf, UnknownVariable,
                           WorldCapExceeded, ZeroProbabilityEvidence)
 from decid.model import TOL, parent_variables
 
 from genmodels import (random_diagram, random_functional_diagram,
                        random_policy_diagram)
-from reference import enumerate_joint
+from reference import enumerate_joint, enumerate_worlds
 
 SEEDED = list(range(12))
 
@@ -335,7 +336,7 @@ def test_world_cap_trips_before_the_worlds_are_listed(monkeypatch):
 
     def listed(diagram):
         raise AssertionError("functional worlds listed before the cap check")
-    monkeypatch.setattr(inference, "functional_worlds", listed)
+    monkeypatch.setattr(inference, "_world_arrays", listed)
     with pytest.raises(WorldCapExceeded, match="241864704 world/decision"):
         WorldTable(h.diagram)
 
@@ -353,6 +354,50 @@ def test_count_worlds_matches_functional_worlds(seed):
     # Fixed deterministic nodes put zeros in the support.
     f = random_functional_diagram(seed, n_roots=3, n_det=4)
     assert count_worlds(f) == len(functional_worlds(f))
+
+
+def _listing_corpus():
+    """Canonical forms with fixed chance and deterministic nodes, and
+    HCFs of policy diagrams with a set decision, its target also
+    declared fixed where its parents all are."""
+    for seed in range(60):
+        yield to_hcf(random_diagram(seed, n_chance=3, max_states=3,
+                                    n_decisions=1 + seed % 2)).diagram
+        yield random_functional_diagram(seed, n_roots=2, n_det=3,
+                                        n_decisions=2)
+    for seed in range(120):
+        d = to_hcf(random_policy_diagram(seed, n_chance=3),
+                   assume_causal=True).diagram
+        target = _set_target(d)
+        if target is None:
+            continue
+        yield d
+        if set(d.node(target).table.parent_order) <= d.fixed_nodes():
+            yield replace(d, declared_fixed=frozenset({target}))
+
+
+def _set_target(d):
+    return next((d.node(x).set_decision_for for x in d.decisions()
+                 if d.node(x).set_decision_for), None)
+
+
+def test_functional_worlds_match_the_literal_listing():
+    kinds = {"plain": 0, "set": 0, "fixed set": 0}
+    for d in _listing_corpus():
+        if count_worlds(d) > 4096:
+            continue
+        want = enumerate_worlds(d)
+        got = functional_worlds(d)
+        assert [list(w.assignment.items()) for w in got] == \
+            [list(w.assignment.items()) for w in want]
+        assert all(abs(a.weight - b.weight) <= 1e-15
+                   for a, b in zip(got, want))
+        assert len(WorldTable(d).worlds) == len(want)
+        target = _set_target(d)
+        kinds["fixed set" if target in d.fixed_nodes() else
+              "set" if target else "plain"] += 1
+    assert sum(kinds.values()) >= 100
+    assert kinds["set"] >= 20 and kinds["fixed set"] >= 10, kinds
 
 
 def _rows_from_joint(d, table):
@@ -413,6 +458,89 @@ def test_array_oracle_matches_joint_and_grouping():
                 assert table.fixed_given(x, C) == \
                     _grouped_fixed_given(rows, x, C), (x, C)
     assert checked >= 100
+
+
+def _rows_by_propagation(d, table):
+    """Each literal world propagated under each decision instance,
+    utilities as their value labels."""
+    return [[propagate(d, w.assignment, di) for di in table.decision_instances]
+            for w in enumerate_worlds(d)]
+
+
+def _check_against_grouping(d, conditioning_pool=None):
+    """Every target, utility included, against every conditioning set
+    of at most two; returns the number of sets that held."""
+    table = WorldTable(d)
+    rows = _rows_by_propagation(d, table)
+    pool = sorted(conditioning_pool or set(d.uncertain()) | set(d.decisions()))
+    utility = [d.utility().name] if d.utility() else []
+    held = 0
+    for x in d.uncertain() + utility:
+        others = [p for p in pool if p != x]
+        for C in itertools.chain.from_iterable(
+                itertools.combinations(others, k) for k in range(3)):
+            want = _grouped_fixed_given(rows, x, C)
+            assert table.fixed_given(x, C) == want, (x, C)
+            held += want
+    return table, held
+
+
+def _coin_with_payoff(prior):
+    c = chance_node("c", ["h", "t"], [], {(): prior})
+    d = decision_node("d", ["h", "t"])
+    w = chance_node("w", ["win", "lose"], ["c", "d"],
+                    {(a, b): [float(a == b), float(a != b)]
+                     for a in "ht" for b in "ht"}, deterministic=True)
+    u = utility_node("u", ["w", "d"], {("win", "h"): 1.0, ("win", "t"): 2.0,
+                                       ("lose", "h"): 0.0, ("lose", "t"): 0.0})
+    return Diagram((c, d, w, u), (("c", "w"), ("d", "w"), ("w", "u"),
+                                  ("d", "u")), (), ("d",))
+
+
+def test_bitset_oracle_with_one_decision_instance():
+    # No decision: one instance, no pair of instances to tell apart.
+    c = chance_node("c", ["0", "1"], [], {(): [0.5, 0.5]})
+    x = chance_node("x", ["0", "1"], ["c"],
+                    {("0",): [1.0, 0.0], ("1",): [0.0, 1.0]},
+                    deterministic=True)
+    d = Diagram((c, x), (("c", "x"),), (), ())
+    table, held = _check_against_grouping(d)
+    assert table.decision_instances == [{}]
+    assert held == 4 and table.fixed_given("x", ())
+
+
+def test_bitset_oracle_on_a_one_world_table():
+    d = _coin_with_payoff([1.0, 0.0])
+    table, _ = _check_against_grouping(d)
+    assert [w.assignment for w in table.worlds] == [{"c": "h"}]
+    assert not table.fixed_given("w", ())
+    assert table.fixed_given("w", ["d"])
+
+
+def test_bitset_oracle_on_utility_targets():
+    d = _coin_with_payoff([0.5, 0.5])
+    table, _ = _check_against_grouping(d)
+    assert not table.fixed_given("u", ())
+    assert table.fixed_given("u", ["w"])
+    assert table.fixed_given("u", ["d"])
+    assert table.fixed_given("u", ["d", "c"])
+    assert not table.fixed_given("u", ["c"])
+    assert oracle_causes(d, "u").cause_sets == (frozenset({"d"}),
+                                                frozenset({"w"}))
+
+
+def test_bitset_oracle_conditioning_on_decisions_and_fixed_nodes():
+    checked = 0
+    for seed in range(24):
+        d = to_hcf(random_diagram(seed, n_chance=3, max_states=2,
+                                  n_decisions=2,
+                                  with_utility=True)).diagram
+        if count_worlds(d) > 256:
+            continue
+        pool = set(d.decisions()) | d.fixed_nodes()
+        _check_against_grouping(d, pool)
+        checked += 1
+    assert checked >= 15
 
 
 # ---------------------------------------------------------------------------
