@@ -4,11 +4,11 @@ counterfactual queries.
 Expected utility is linear in the policy.  One variable elimination
 over the same family factors as ``posterior`` sums every variable but
 the decisions and what they observe out of the chance and utility
-factors; each policy is then scored by indexing that table at the
-alternatives its rules choose and summing.  A policy search, and both
-searches of a value of information, run one elimination.  Policy search
-stays exhaustive over the (capped) policy space, so it doubles as the
-oracle for any smarter search added later.
+factors; one gather from that table per block of policies, at the
+alternatives their rules choose, and a sum per policy score them all.
+A policy search, and both searches of a value of information, run one
+elimination.  Policy search stays exhaustive over the (capped) policy
+space, so it doubles as the oracle for any smarter search added later.
 Counterfactuals run ``posterior`` over a twin diagram: the fixed layer
 (fixed chance nodes and mechanisms) is shared, every decision-affected
 node exists once factually and once primed.
@@ -32,6 +32,7 @@ from .model import (CHANCE, DECISION, DETERMINISTIC, TOL, UTILITY,
                     instance_keys, parent_variables)
 
 POLICY_SPACE_CAP = 10 ** 6
+GATHER_CELLS = 1 << 16     # utility-table cells one scoring gather reads
 
 PRIME = "'"
 
@@ -71,7 +72,12 @@ class CounterfactualQuery:
 def expected_utility(d: Diagram, policy: Policy) -> float:
     """Sum over joint outcomes of P(outcome | policy) * utility."""
     info_order = {dec: policy.info_order[dec] for dec in d.decisions()}
-    return _scorer(_utility_table(d, info_order), info_order)(policy.rules)
+    q = _utility_table(d, info_order)
+    score, axes = _scorer(q, info_order), dict(zip(q.scope, q.states))
+    choices = {dec: [[axes[dec].index(policy.rules[dec][k]) for k in
+                      itertools.product(*(axes[p] for p in parents))]]
+               for dec, parents in info_order.items()}
+    return float(score(choices)[0])
 
 
 def _utility_table(d: Diagram, info_order) -> Factor:
@@ -89,13 +95,15 @@ def _utility_table(d: Diagram, info_order) -> Factor:
 
 
 def _scorer(q: Factor, info_order):
-    """A function from policy rules to expected utility.  Every axis of
+    """A function from choices to the expected utility of each policy.
+    A decision's choices are a (policies, information instances) array
+    of alternative indices, instances in canonical order.  Every axis of
     ``q`` that is not a decision is summed over; each decision's choice
-    is an index array over those axes, read from its rule after the
-    choices of the decisions it observes."""
+    is an index array over the policies and those axes, read after the
+    choices of the decisions it observes, so one gather scores them all."""
     axes = dict(zip(q.scope, q.states))
     free = {x: np.arange(len(s)).reshape(
-                [-1 if x == y else 1 for y in q.scope])
+                [1] + [-1 if x == y else 1 for y in q.scope])
             for x, s in axes.items() if x not in info_order}
     order: list[str] = []
 
@@ -110,46 +118,88 @@ def _scorer(q: Factor, info_order):
             order.append(dec)
     for dec in info_order:
         place(dec)
-    decisions = [(dec, {a: i for i, a in enumerate(axes[dec])},
-                  info_order[dec],
-                  list(itertools.product(*(axes[p] for p in info_order[dec]))),
-                  [len(axes[p]) for p in info_order[dec]])
-                 for dec in order]
 
-    def value(rules) -> float:
+    def value(choices) -> np.ndarray:
+        n = max(map(len, choices.values()), default=1)
         at = dict(free)
-        for dec, alts, parents, keys, shape in decisions:
-            rule = rules[dec]
-            choice = np.array([alts[rule[k]] for k in keys]).reshape(shape)
-            at[dec] = choice[tuple(at[p] for p in parents)]
-        return float(q.values[tuple(at[x] for x in q.scope)].sum())
+        policy = np.arange(n).reshape([-1] + [1] * len(q.scope))
+        for dec in order:
+            parents = info_order[dec]
+            choice = np.reshape(choices[dec],
+                                [n] + [len(axes[p]) for p in parents])
+            at[dec] = choice[(policy, *(at[p] for p in parents))]
+        return q.values[tuple(at[x] for x in q.scope)].reshape(n, -1).sum(1)
     return value
 
 
-def enumerate_policies(d: Diagram, cap: int = POLICY_SPACE_CAP):
-    """All policies in canonical order: decisions in decision order,
-    information instances lexicographic, alternatives in state order."""
+def _space(d: Diagram, cap: int):
+    """``d``'s information order, each decision's information instances
+    and the alternative count of each (decision, instance) slot, all in
+    canonical order; raises before listing any when over ``cap``."""
     if d.decision_order is None:
         raise NoDecisionOrder("diagram has no decision order")
-    decisions = list(d.decision_order)
-    info_order = {dec: tuple(d.info_parents(dec)) for dec in decisions}
+    info_order = {dec: tuple(d.info_parents(dec)) for dec in d.decision_order}
     # Each decision has |alternatives| ** |information instances| rules.
     space = [(len(d.node(dec).states), math.prod(
-        len(v.states) for v in parent_variables(d, info_order[dec])))
-        for dec in decisions]
+        len(v.states) for v in parent_variables(d, parents)))
+        for dec, parents in info_order.items()]
     bits = sum(n * math.log2(k) for k, n in space if k)
     total = math.prod(k ** n for k, n in space) if bits < 2000 else None
     if total is None or total > cap:
         size = f"about 2^{bits:.0f}" if total is None else total
         raise PolicySpaceExceeded(
             f"policy space of {size} policies exceeds cap {cap}")
-    slots = [(dec, key) for dec in decisions
-             for key in instance_keys(parent_variables(d, info_order[dec]))]
-    for combo in itertools.product(*(d.node(dec).states for dec, _ in slots)):
-        rules = {dec: {} for dec in decisions}
-        for (dec, key), alt in zip(slots, combo):
-            rules[dec][key] = alt
-        yield Policy(info_order, rules)
+    keys = {dec: instance_keys(parent_variables(d, parents))
+            for dec, parents in info_order.items()}
+    return info_order, keys, [k for k, n in space for _ in range(n)]
+
+
+def _policy(d: Diagram, space, digits) -> Policy:
+    """The policy whose slots choose the alternatives ``digits``."""
+    info_order, keys, _ = space
+    at = iter(digits)
+    return Policy(info_order, {dec: {k: d.node(dec).states[next(at)]
+                                     for k in keys[dec]} for dec in keys})
+
+
+def _digits(radices, index) -> np.ndarray:
+    """One row of slot digits per policy of ``index``: policy i is the
+    mixed-radix number ``radices``, the last slot varying fastest."""
+    strides = [math.prod(radices[k + 1:]) for k in range(len(radices))]
+    return np.asarray(index)[:, None] // np.array(strides, int) % radices
+
+
+def enumerate_policies(d: Diagram, cap: int = POLICY_SPACE_CAP):
+    """All policies in canonical order: decisions in decision order,
+    information instances lexicographic, alternatives in state order."""
+    space = _space(d, cap)
+    for digits in itertools.product(*map(range, space[2])):
+        yield _policy(d, space, digits)
+
+
+def _search(d: Diagram, space, q: Factor) -> tuple[Policy, float]:
+    """The best policy of ``space`` on ``q`` by the tie rule of
+    ``optimal_policy``.  A block of policies is decoded and scored at
+    once, its cells and digits under ``GATHER_CELLS``; only the winner
+    is built as a ``Policy``."""
+    info_order, keys, radices = space
+    score = _scorer(q, info_order)
+    splits = np.cumsum([len(keys[dec]) for dec in info_order])[:-1]
+    cells = math.prod(len(s) for x, s in zip(q.scope, q.states)
+                      if x not in info_order)
+    block = max(1, GATHER_CELLS // (cells + len(radices)))
+    total, eus = math.prod(radices), []
+    for lo in range(0, total, block):
+        digits = _digits(radices, np.arange(lo, min(lo + block, total)))
+        eus += score(dict(zip(info_order, np.split(digits, splits, axis=1)))
+                     ).tolist()
+    if not eus:
+        raise NoDecisionOrder("no policies to evaluate")
+    best = 0
+    for i, eu in enumerate(eus):
+        if eu > eus[best] + TOL * max(1.0, abs(eus[best])):
+            best = i
+    return _policy(d, space, _digits(radices, [best])[0]), eus[best]
 
 
 def optimal_policy(d: Diagram, cap: int = POLICY_SPACE_CAP
@@ -157,28 +207,8 @@ def optimal_policy(d: Diagram, cap: int = POLICY_SPACE_CAP
     """Exhaustively maximize expected utility.  A later policy wins only
     by more than ``TOL * max(1, |best|)``, so ties within rounding keep
     the first policy in canonical order."""
-    policies = enumerate_policies(d, cap)
-    first = _first(policies)
-    return _best(first, policies, _utility_table(d, first.info_order))
-
-
-def _first(policies) -> Policy:
-    first = next(policies, None)
-    if first is None:
-        raise NoDecisionOrder("no policies to evaluate")
-    return first
-
-
-def _best(first: Policy, rest, q: Factor) -> tuple[Policy, float]:
-    """The best of ``first`` and ``rest`` scored on ``q``, by the tie
-    rule of ``optimal_policy``."""
-    value = _scorer(q, first.info_order)
-    best, best_eu = first, value(first.rules)
-    for policy in rest:
-        eu = value(policy.rules)
-        if eu > best_eu + TOL * max(1.0, abs(best_eu)):
-            best, best_eu = policy, eu
-    return best, best_eu
+    space = _space(d, cap)
+    return _search(d, space, _utility_table(d, space[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -215,16 +245,14 @@ def value_of_information(d: Diagram, observed: str, decision: str,
     if len(d2.topological_order()) != len(d2.nodes):
         raise CycleIntroduced(
             f"information arc {observed}->{decision} creates a cycle")
-    base = enumerate_policies(d, cap)
-    first = _first(base)
+    base = _space(d, cap)
     # One table scores both searches.  Family factors ignore information
     # arcs and d2 observes all that d does, so a base policy scores
     # exactly as the informed policy that ignores ``observed``.
     q = _utility_table(
         d2, {dec: d2.info_parents(dec) for dec in d2.decisions()})
-    informed = enumerate_policies(d2, cap)
-    _, informed_eu = _best(_first(informed), informed, q)
-    _, base_eu = _best(first, base, q)
+    _, informed_eu = _search(d2, _space(d2, cap), q)
+    _, base_eu = _search(d, base, q)
     return informed_eu - base_eu
 
 

@@ -253,14 +253,15 @@ class FunctionalWorld:
 def functional_worlds(diagram: Diagram) -> list[FunctionalWorld]:
     """Joint instances of the fixed nodes with their prior weights;
     zero-weight worlds are dropped."""
-    return _as_worlds(diagram, *_world_arrays(diagram))
+    return _as_worlds(diagram, *_world_arrays(_fixed_tables(diagram)))
 
 
-def _world_arrays(diagram: Diagram) -> tuple[dict, np.ndarray]:
-    """The positive-weight worlds as name -> state-index array, and
-    their weights, in the order of ``functional_worlds``."""
+def _world_arrays(tables) -> tuple[dict, np.ndarray]:
+    """The positive-weight worlds of the ``_fixed_tables`` as name ->
+    state-index array, and their weights, in the order of
+    ``functional_worlds``."""
     index, weight = {}, np.ones(1)
-    for f in _fixed_tables(diagram):
+    for f in tables:
         p = f.values[tuple(index[v] for v in f.scope[:-1])] * weight[:, None]
         w, s = np.nonzero(p > 0.0)
         index = {v: a[w] for v, a in index.items()} | {f.scope[-1]: s}
@@ -276,10 +277,14 @@ def _as_worlds(diagram: Diagram, index: dict, weight) -> list[FunctionalWorld]:
 
 
 def count_worlds(diagram: Diagram) -> int:
-    """``len(functional_worlds(diagram))`` without listing the worlds:
-    elimination over the 0/1 support of each fixed node's table."""
-    support = [Factor(f.scope, f.states, f.values > 0.0)
-               for f in _fixed_tables(diagram)]
+    """``len(functional_worlds(diagram))`` without listing the worlds."""
+    return _world_count(_fixed_tables(diagram))
+
+
+def _world_count(tables) -> int:
+    """The number of worlds of the ``_fixed_tables``: elimination over
+    the 0/1 support of each table."""
+    support = [Factor(f.scope, f.states, f.values > 0.0) for f in tables]
     return round(eliminate(support, ()).total()) if support else 1
 
 
@@ -356,7 +361,7 @@ class WorldTable:
     """Every functional world propagated under every decision instance.
     ``values[x]`` holds x's state index (a utility's: its value label's)
     as an int array of shape (worlds, decision instances).  The cap is
-    checked on ``count_worlds`` before any world is listed.  x's
+    checked on the world count before any world is listed.  x's
     difference bitset has a bit per world and pair i < j of decision
     instances, set where x differs; ``worlds`` is built when read."""
 
@@ -364,11 +369,12 @@ class WorldTable:
         self.diagram = diagram
         self.decision_instances = enumerate_instances(
             parent_variables(diagram, diagram.decisions()))
-        n_pairs = count_worlds(diagram) * len(self.decision_instances) ** 2
+        tables = _fixed_tables(diagram)
+        n_pairs = _world_count(tables) * len(self.decision_instances) ** 2
         if n_pairs > world_pair_cap:
             raise WorldCapExceeded(
                 f"{n_pairs} world/decision pairs exceed cap {world_pair_cap}")
-        self._index, self._weight = _world_arrays(diagram)
+        self._index, self._weight = _world_arrays(tables)
         given = {x: a[:, None] for x, a in self._index.items()}
         given.update(_indices(diagram, self.decision_instances, (1, -1)))
         shape = (len(self._weight), len(self.decision_instances))

@@ -403,7 +403,7 @@ def _check_table(d: Diagram, n: Node) -> list[str]:
             report.append(f"{n.name}: row {k} has {len(dist)} entries, "
                           f"expected {len(n.states)}")
             continue
-        if any(p < 0 or p > 1 for p in dist):
+        if not all(0 <= p <= 1 for p in dist):
             report.append(f"{n.name}: row {k} has entries outside [0, 1]")
         if abs(sum(dist) - 1.0) > TOL:
             report.append(f"{n.name}: row sum {sum(dist)!r} != 1 at row {k}")

@@ -192,7 +192,7 @@ def _parse_table(name, spec, states_of) -> ConditionalTable:
         if not (isinstance(dist, list)
                 and all(isinstance(p, (int, float)) for p in dist)):
             raise ParseError(f"{name}: row {key!r} must be a list of numbers")
-        if any(p < 0 or p > 1 for p in dist):
+        if not all(0 <= p <= 1 for p in dist):
             raise ParseError(f"{name}: row {key!r} has entries outside [0, 1]")
         rows[_split_key(key, parents, states_of, name)] = tuple(
             float(p) for p in dist)

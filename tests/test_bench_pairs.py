@@ -1,5 +1,6 @@
 import importlib.util
 import pathlib
+import subprocess
 
 TOOL = pathlib.Path(__file__).parents[1] / "tools" / "bench_pairs.py"
 spec = importlib.util.spec_from_file_location("bench_pairs", TOOL)
@@ -56,3 +57,34 @@ def test_held_out_verdict_needs_every_pair():
 def test_seed_lists():
     assert bench_pairs.seed_list("301-304") == [301, 302, 303, 304]
     assert bench_pairs.seed_list("9001,9001") == [9001, 9001]
+
+
+def _git(repo, *args):
+    return subprocess.run(
+        ["git", "-C", str(repo), "-c", "user.name=bench",
+         "-c", "user.email=bench@example.com", *args],
+        check=True, capture_output=True, text=True).stdout.strip()
+
+
+def test_sides_are_recorded_as_commits(tmp_path, monkeypatch):
+    repo = tmp_path / "repo"
+    repo.mkdir()
+    _git(repo, "init", "-q")
+    hashes = []
+    for text in ("one\n", "two\n"):
+        (repo / "a.txt").write_text(text)
+        _git(repo, "add", "a.txt")
+        _git(repo, "commit", "-q", "-m", text.strip())
+        hashes.append(_git(repo, "rev-parse", "--short", "HEAD"))
+    monkeypatch.setattr(bench_pairs, "ROOT", repo)
+    assert bench_pairs.describe("HEAD") == hashes[1]
+    assert bench_pairs.describe("HEAD^") == hashes[0]
+    assert bench_pairs.describe(str(repo)) == hashes[1]
+    (repo / "a.txt").write_text("three\n")
+    assert bench_pairs.describe(str(repo)) == hashes[1] + "+dirty"
+    _git(repo, "checkout", "-q", "a.txt")
+    (repo / "b.txt").write_text("untracked\n")
+    assert bench_pairs.describe(str(repo)) == hashes[1] + "+dirty"
+    plain = tmp_path / "plain"
+    plain.mkdir()
+    assert bench_pairs.describe(str(plain)) == str(plain.resolve())

@@ -65,6 +65,18 @@ def test_invalid_model_is_exit_2(capsys, tmp_path):
     assert run(capsys, "fixed-set", str(bad))[0] == 2
 
 
+def test_nan_probabilities_are_exit_2(capsys, tmp_path):
+    doc = json.loads((FIXTURES / "m1.json").read_text())
+    doc["cpts"]["lung_cancer"]["rows"]["no"] = [float("nan")] * 2
+    bad = tmp_path / "nan.json"
+    bad.write_text(json.dumps(doc))
+    assert "NaN" in bad.read_text()     # Python's json reads NaN back
+    code, out = run_json(capsys, "validate", str(bad))
+    assert code == 2 and "outside [0, 1]" in out["error"]
+    code, out = run_json(capsys, "infer", str(bad), "--decisions", "smoke=no")
+    assert code == 2 and "outside [0, 1]" in out["error"]
+
+
 def test_unknown_variable_is_exit_3(capsys):
     code, doc = run_json(capsys, "causes", model("m1"), "--of", "ghost")
     assert code == 3

@@ -1,9 +1,11 @@
 import itertools
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import decid.decisions as decisions
 from decid import (CounterfactualQuery, Diagram, Policy, build_twin,
                    chance_node, counterfactual, decision_node,
                    enumerate_instances, enumerate_policies, expected_utility,
@@ -223,17 +225,21 @@ def test_policy_space_cap_names_the_size():
     d = random_diagram(5, n_chance=8, max_states=2, with_utility=True)
     d = d.with_arcs(information=[(x, dec) for x in ("x0", "x1")
                                  for dec in ("d0", "d1")])
-    with pytest.raises(PolicySpaceExceeded,
-                       match="policy space of 256 policies exceeds cap 100"):
-        optimal_policy(d, cap=100)
+    for search in (lambda: optimal_policy(d, cap=100),
+                   lambda: value_of_information(d, "x3", "d0", cap=100)):
+        with pytest.raises(PolicySpaceExceeded, match="policy space of 256 "
+                           "policies exceeds cap 100"):
+            search()
     assert len(list(enumerate_policies(d, cap=256))) == 256
     roots = [chance_node(f"r{i}", ["s0", "s1"], [], {(): [0.5, 0.5]})
              for i in range(11)]
     wide = Diagram((*roots, decision_node("d", ["a0", "a1"])), (),
                    tuple((r.name, "d") for r in roots), ("d",))
-    with pytest.raises(PolicySpaceExceeded,
-                       match="policy space of about 2\\^2048 policies"):
-        list(enumerate_policies(wide, cap=100))
+    for search in (lambda: list(enumerate_policies(wide, cap=100)),
+                   lambda: optimal_policy(wide, cap=100)):
+        with pytest.raises(PolicySpaceExceeded,
+                           match="policy space of about 2\\^2048 policies"):
+            search()
 
 
 def test_no_decision_order_rejected(coin_utility, coin):
@@ -310,6 +316,91 @@ def test_optimal_policy_ties_keep_the_first_policy():
         best, _ = optimal_policy(d)
         assert best == policies[_first_of_ties(
             _reference_eus(d, policies))], seed
+
+
+def test_policy_index_decodes_to_the_enumerated_policy():
+    """Policy i of the block search is the mixed-radix number of its
+    slots' alternative indices, the last slot fastest: the i-th policy
+    ``enumerate_policies`` lists."""
+    covered = dict.fromkeys(["set decision", "decision observes decision"],
+                            0)
+    for seed in range(120):
+        d = random_policy_diagram(seed)
+        covered["set decision"] += any(
+            d.node(x).set_decision_for for x in d.decisions())
+        covered["decision observes decision"] += any(
+            a in d.decisions() for a, _ in d.information_arcs)
+        space = decisions._space(d, decisions.POLICY_SPACE_CAP)
+        policies = list(enumerate_policies(d))
+        radices = space[2]
+        assert len(policies) == math.prod(radices), seed
+        rows = decisions._digits(radices, np.arange(len(policies)))
+        for i, policy in enumerate(policies):
+            assert decisions._policy(d, space, rows[i]) == policy, (seed, i)
+            assert decisions._digits(radices, [i]).tolist() == [
+                rows[i].tolist()]
+    assert all(covered.values()), covered
+
+
+def _recorded_blocks(monkeypatch):
+    """Every block of expected utilities the search scores, in order."""
+    blocks = []
+    scorer = decisions._scorer
+
+    def recording(q, info_order):
+        score = scorer(q, info_order)
+
+        def record(choices):
+            blocks.append(score(choices))
+            return blocks[-1]
+        return record
+    monkeypatch.setattr(decisions, "_scorer", recording)
+    return blocks
+
+
+@pytest.mark.parametrize("gather_cells", [9, 24])
+def test_small_blocks_score_every_policy(monkeypatch, gather_cells):
+    """With blocks of a few policies the search scores every policy as
+    the reference does and keeps the first of tied policies, also when
+    the ties fall in different blocks."""
+    monkeypatch.setattr(decisions, "GATHER_CELLS", gather_cells)
+    blocks = _recorded_blocks(monkeypatch)
+    covered = dict.fromkeys(["several blocks", "partial last block",
+                             "tie across a block edge"], 0)
+    corpus = [random_policy_diagram(seed) for seed in range(60)] + [
+        random_diagram(seed, n_chance=4, max_states=2, with_utility=True)
+        for seed in range(60)] + [_two_stage()]
+    for n, d in enumerate(corpus):
+        policies = list(enumerate_policies(d))
+        want = _reference_eus(d, policies)
+        blocks.clear()
+        best, eu = optimal_policy(d)
+        assert np.concatenate(blocks) == pytest.approx(
+            want, rel=1e-12, abs=1e-12), n
+        i = _first_of_ties(want)
+        assert best == policies[i], n
+        assert eu == pytest.approx(want[i], rel=1e-12, abs=1e-12), n
+        sizes = [len(b) for b in blocks]
+        covered["several blocks"] += len(sizes) > 1
+        covered["partial last block"] += len(sizes) > 1 and (
+            sizes[-1] < sizes[0])
+        top = want[i]
+        tied = [j for j, w in enumerate(want)
+                if w >= top - TOL * max(1.0, abs(top))]
+        edges = np.cumsum(sizes)
+        covered["tie across a block edge"] += len(
+            set(np.searchsorted(edges, tied, side="right"))) > 1
+    assert all(covered.values()), covered
+
+
+def test_empty_policy_space_is_reported():
+    """A decision without alternatives (it fails validation) leaves no
+    policy to choose."""
+    d = Diagram((decision_node("d", []), utility_node("u", [], {(): 1.0})),
+                (), (), ("d",))
+    assert list(enumerate_policies(d)) == []
+    with pytest.raises(NoDecisionOrder, match="no policies to evaluate"):
+        optimal_policy(d)
 
 
 # ---------------------------------------------------------------------------

@@ -42,6 +42,20 @@ def test_bad_row_sum_names_node_and_row():
     assert hits and "lc" in hits[0] and "no" in hits[0]
 
 
+def test_nan_row_is_outside_the_unit_interval():
+    """NaN fails every comparison, so it must not slip past the range
+    and row-sum checks."""
+    nan = float("nan")
+    lc = chance_node("lc", ["no", "yes"], ["smoke"], {
+        ("no",): [nan, nan],
+        ("yes",): [0.8, 0.2],
+    })
+    smoke = chance_node("smoke", ["no", "yes"], [], {(): [0.6, 0.4]})
+    d = Diagram((smoke, lc), (("smoke", "lc"),))
+    assert validate_diagram(d) == [
+        "lc: row ('no',) has entries outside [0, 1]"]
+
+
 def test_missing_cpt_row_reported():
     lc = chance_node("lc", ["no", "yes"], ["smoke"], {("no",): [0.9, 0.1]})
     smoke = chance_node("smoke", ["no", "yes"], [], {(): [0.6, 0.4]})

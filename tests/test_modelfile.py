@@ -84,6 +84,12 @@ def test_probability_out_of_range():
     _expect(doc, "outside [0, 1]")
 
 
+def test_nan_probability_is_out_of_range():
+    doc = _doc()
+    doc["cpts"]["lung_cancer"]["rows"]["no"] = [float("nan"), 0.5]
+    _expect(doc, "outside [0, 1]")
+
+
 def test_cpt_for_non_chance_variable():
     doc = _doc()
     doc["cpts"]["smoke"] = {"parent_order": [], "rows": {"": [0.5, 0.5]}}

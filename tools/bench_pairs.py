@@ -6,11 +6,14 @@
 
 Each side is a git revision, exported with ``git archive`` into a
 scratch directory, or an existing directory (``.`` for the working
-tree).  Both sides run their own ``bench/run.py`` with the same
-workload and seed for the ``run_seconds`` of ``BENCHMARK.json``, one
-after the other; the side that runs first alternates from pair to
-pair.  One traced run per side on the first seed gives the per-layer
-self times.  The file records the machine, the seeds, every pair's
+tree).  The record names each side as it was when the runs began: a
+revision by its short hash, a directory by its HEAD's short hash with
+``+dirty`` when it holds uncommitted changes.  Both sides run their own
+``bench/run.py`` with the same workload and seed for the
+``run_seconds`` of ``BENCHMARK.json``, one after the other; the side
+that runs first alternates from pair to pair.  One traced run per side
+on the first seed gives the per-layer self times.  The file records
+the machine, the seeds, every pair's
 end-to-end metrics and failed operations, each side's median and
 quartiles, the pairs the change won, and for every end-to-end metric
 whether a gain on it would meet the claim rule: the change fails no
@@ -55,6 +58,24 @@ def checkout(spec: str, work: Path) -> Path:
         with tarfile.open(fileobj=f) as tar:
             tar.extractall(dest, filter="data")
     return dest
+
+
+def describe(spec: str) -> str:
+    """What ``spec`` names, fixed at the time of the run: a revision's
+    short hash, or for a directory the short hash of its HEAD with
+    ``+dirty`` when ``git status`` lists any change in it; a directory
+    outside git is named by its absolute path."""
+    def git(*args, cwd=ROOT):
+        return subprocess.run(["git", *args], cwd=cwd, check=True, text=True,
+                              capture_output=True).stdout.strip()
+    if not Path(spec).is_dir():
+        return git("rev-parse", "--short", spec)
+    try:
+        head = git("rev-parse", "--short", "HEAD", cwd=spec)
+        dirty = git("status", "--porcelain", cwd=spec)
+    except subprocess.CalledProcessError:
+        return str(Path(spec).resolve())
+    return head + ("+dirty" if dirty else "")
 
 
 def run_bench(tree: Path, workload: str, seed: int, trace: int = 0) -> dict:
@@ -162,6 +183,7 @@ def main(argv=None) -> int:
     p.add_argument("--out", required=True)
     args = p.parse_args(argv)
 
+    names = {"parent": describe(args.parent), "change": describe(args.change)}
     with tempfile.TemporaryDirectory() as work:
         trees = {"parent": checkout(args.parent, Path(work)),
                  "change": checkout(args.change, Path(work))}
@@ -170,7 +192,7 @@ def main(argv=None) -> int:
         traced = {side: run_bench(tree, args.workload, args.seeds[0], trace=1)
                   for side, tree in trees.items()}
 
-    doc = {"parent": args.parent, "change": args.change,
+    doc = {"parent": names["parent"], "change": names["change"],
            "workload": args.workload, "seconds": BENCHMARK["run_seconds"],
            "machine": machine(), "seeds": args.seeds,
            "held_out_seeds": args.held_out, "pairs": pairs,
