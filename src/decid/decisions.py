@@ -4,7 +4,7 @@ counterfactual queries.
 Expected utility is linear in the policy.  One variable elimination
 over the same family factors as ``posterior`` sums every variable but
 the decisions and what they observe out of the chance and utility
-factors; one gather from that table per block of policies, at the
+factors, barren chance nodes left out; one gather from that table per block of policies, at the
 alternatives their rules choose, and a sum per policy score them all.
 A policy search, and both searches of a value of information, run one
 elimination.  Policy search stays exhaustive over the (capped) policy
@@ -24,8 +24,8 @@ import numpy as np
 
 from .errors import (CycleIntroduced, NoDecisionOrder, NotHcf, NotObservable,
                      NoUtilityNode, PolicySpaceExceeded, UnknownVariable)
-from .inference import (Factor, _with_axes, eliminate, family_factor,
-                        posterior, value_label_node)
+from .inference import (Factor, _requisite_factors, _with_axes, eliminate,
+                        family_factor, posterior, value_label_node)
 from .mechanisms import HcfDiagram
 from .model import (CHANCE, DECISION, DETERMINISTIC, TOL, UTILITY,
                     Assignment, Diagram, chance_node, decision_node,
@@ -72,12 +72,20 @@ class CounterfactualQuery:
 def expected_utility(d: Diagram, policy: Policy) -> float:
     """Sum over joint outcomes of P(outcome | policy) * utility."""
     info_order = {dec: policy.info_order[dec] for dec in d.decisions()}
-    q = _utility_table(d, info_order)
-    score, axes = _scorer(q, info_order), dict(zip(q.scope, q.states))
-    choices = {dec: [[axes[dec].index(policy.rules[dec][k]) for k in
-                      itertools.product(*(axes[p] for p in parents))]]
+    choices = {dec: [[_choice(d, dec, policy.rules.get(dec, {}), k) for k in
+                      instance_keys(parent_variables(d, parents))]]
                for dec, parents in info_order.items()}
-    return float(score(choices)[0])
+    q = _utility_table(d, info_order)
+    return float(_scorer(q, info_order)(choices)[0])
+
+
+def _choice(d: Diagram, dec: str, rules, key) -> int:
+    """The index of the alternative ``rules`` choose at ``key``."""
+    if key not in rules:
+        raise UnknownVariable(f"policy for {dec} has no rule for {key}")
+    if rules[key] not in d.node(dec).states:
+        raise UnknownVariable(f"{rules[key]!r} is not an alternative of {dec}")
+    return d.node(dec).states.index(rules[key])
 
 
 def _utility_table(d: Diagram, info_order) -> Factor:
@@ -90,7 +98,8 @@ def _utility_table(d: Diagram, info_order) -> Factor:
         raise NoUtilityNode("diagram has no utility node")
     observed = [p for parents in info_order.values() for p in parents]
     keep = list(dict.fromkeys(d.decisions() + observed))
-    factors = [family_factor(d, d.node(x)) for x in d.uncertain() + [u.name]]
+    factors = _requisite_factors(d, {}, keep + [u.name]) + [
+        family_factor(d, u)]
     return eliminate(_with_axes(d, factors, keep), keep)
 
 

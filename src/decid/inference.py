@@ -4,8 +4,11 @@ One core serves every query: ``family_factor`` reads a node's table,
 decision parents and set decisions included, as one factor.
 ``eliminate`` sums variables out of a factor product for ``posterior``,
 ``joint`` and ``oracle_is_d_map`` and for expected utility and policy
-search in ``decisions``; the oracles' ``propagate`` and ``WorldTable``
-index the same factors to carry worlds forward.
+search in ``decisions``, one ``np.einsum`` contraction per variable;
+the oracles' ``propagate`` and ``WorldTable`` index the same factors to
+carry worlds forward.  ``posterior`` and the expected-utility table
+drop barren nodes first: only the variables asked about and their
+ancestors enter the elimination.
 
 The oracles realize fixed-set membership literally: every functional
 world of positive weight (joint instance of the fixed nodes, mechanisms
@@ -132,14 +135,18 @@ def joint(d: Diagram, decisions: Assignment) -> Factor:
     """Joint factor over all uncertain variables given a full decision
     instance: the product of the family factors reduced at it."""
     _require_full_decisions(d, decisions)
-    return eliminate(_reduced_factors(d, decisions), d.uncertain())
+    return eliminate(_requisite_factors(d, decisions, d.uncertain()),
+                     d.uncertain())
 
 
-def _reduced_factors(d: Diagram, bound: Assignment) -> list[Factor]:
-    """The uncertain variables' family factors, each reduced at the
-    variables of ``bound`` in its scope."""
+def _requisite_factors(d: Diagram, bound: Assignment, names) -> list[Factor]:
+    """The family factors of the uncertain variables among ``names`` and
+    their ancestors, each reduced at the variables of ``bound`` in its
+    scope.  Every other uncertain variable is barren: its descendants
+    are too and its rows sum to 1, so summing it out multiplies by 1."""
+    need = set(names) | d.ancestors(names)
     factors = []
-    for x in d.uncertain():
+    for x in (x for x in d.uncertain() if x in need):
         f = family_factor(d, d.node(x))
         for v in f.scope:
             if v in bound:
@@ -187,8 +194,13 @@ def posterior(d: Diagram, decisions: Assignment, evidence: Assignment,
     for v, s in evidence.items():
         if s not in d.node(v).states:
             raise UnknownVariable(f"{s!r} is not a state of {v}")
+    for x in query:
+        if query.count(x) > 1:
+            raise ValueError(f"query names {x} more than once")
 
-    result = eliminate(_reduced_factors(d, {**decisions, **evidence}), query)
+    factors = _requisite_factors(d, {**decisions, **evidence},
+                                 query + list(evidence))
+    result = eliminate(factors, query)
     if result.total() <= 0.0:
         raise ZeroProbabilityEvidence(
             f"evidence {evidence} has zero probability under {decisions}")
@@ -198,24 +210,29 @@ def posterior(d: Diagram, decisions: Assignment, evidence: Assignment,
 def eliminate(factors, keep) -> Factor:
     """Sum every variable outside ``keep`` out of the product of the
     factors, in a greedy min-fill order (name tie-break, so runs are
-    reproducible).  The result's scope is ``keep``, in that order; with
-    no factors it is the unit factor."""
+    reproducible).  Each step is one contraction of the factors that
+    read the variable.  The result's scope is ``keep``, in that order;
+    with no factors it is the unit factor."""
     if not factors:
         return Factor((), (), 1.0)
     to_eliminate = {v for f in factors for v in f.scope} - set(keep)
     for var in _min_fill_order(factors, to_eliminate):
         related = [f for f in factors if var in f.scope]
-        prod = related[0]
-        for f in related[1:]:
-            prod = prod.multiply(f)
         factors = [f for f in factors if var not in f.scope]
-        factors.append(prod.marginalize(var))
-    result = factors[0]
-    for f in factors[1:]:
-        result = result.multiply(f)
-    perm = [result.scope.index(v) for v in keep]
-    return Factor(keep, [result.states[i] for i in perm],
-                  np.transpose(result.values, perm))
+        scope = dict.fromkeys(v for f in related for v in f.scope)
+        factors.append(_contract(related, [v for v in scope if v != var]))
+    return _contract(factors, keep)
+
+
+def _contract(factors, keep) -> Factor:
+    """The product of ``factors`` summed over every variable outside
+    ``keep``, with scope ``keep``: one ``np.einsum``, each variable an
+    integer subscript."""
+    states = {v: s for f in factors for v, s in zip(f.scope, f.states)}
+    ids = {v: i for i, v in enumerate(states)}
+    args = [a for f in factors for a in (f.values, [ids[v] for v in f.scope])]
+    return Factor(keep, [states[v] for v in keep],
+                  np.einsum(*args, [ids[v] for v in keep]))
 
 
 def _min_fill_order(factors, to_eliminate) -> list[str]:

@@ -8,6 +8,10 @@ decision composed in at the cell.  The suites hold ``joint``,
 ``enumerate_worlds`` lists the functional worlds one fixed node at a
 time, a dict per world, reading each node's plain table row; the suites
 hold the index-array listing of ``functional_worlds`` against it.
+
+``barren`` names the uncertain variables that have no directed path to
+a set of names, by a walk down from each, so the suites can check that
+their corpora exercise the pruning of such variables.
 """
 
 import itertools
@@ -60,3 +64,11 @@ def enumerate_worlds(d):
                     nxt.append(({**assignment, node.name: s}, w * p))
         worlds = nxt
     return [FunctionalWorld(a, w) for a, w in worlds]
+
+
+def barren(d, names):
+    """The uncertain variables outside ``names`` with no descendant in
+    ``names``."""
+    names = set(names)
+    return [x for x in d.uncertain()
+            if x not in names and not d.descendants([x]) & names]

@@ -356,6 +356,19 @@ def test_infer_misspelt_decision_is_exit_3(capsys):
     assert "smok" in doc["error"]
 
 
+def test_repeated_query_variable_is_exit_3(capsys):
+    code, doc = run_json(capsys, "infer", model("m1"), "--query",
+                         "lung_cancer,lung_cancer", "--decisions", "smoke=yes")
+    assert code == 3
+    assert doc == {"error": "query names lung_cancer more than once"}
+    code, doc = run_json(capsys, "counterfactual", model("m1"),
+                         "--factual-decisions", "smoke=yes",
+                         "--counterfactual-decisions", "smoke=no",
+                         "--query", "lung_cancer,lung_cancer")
+    assert code == 3
+    assert doc == {"error": "query names lung_cancer' more than once"}
+
+
 def test_counterfactual(capsys):
     code, doc = run_json(capsys, "counterfactual", model("m1"),
                          "--factual-decisions", "smoke=yes",

@@ -18,7 +18,7 @@ from decid.errors import (CycleIntroduced, NoDecisionOrder, NotHcf,
 from decid.model import TOL, parent_variables
 
 from genmodels import random_diagram, random_policy_diagram
-from reference import enumerate_joint
+from reference import barren, enumerate_joint
 
 
 # ---------------------------------------------------------------------------
@@ -178,6 +178,22 @@ def test_expected_utility_coin(coin_utility):
     assert expected_utility(coin_utility, p) == pytest.approx(0.5, abs=1e-12)
 
 
+def test_expected_utility_checks_the_policy(coin_utility):
+    """A rule that picks no alternative of its decision, or a missing
+    rule, is named as an unknown variable, not a bare lookup error."""
+    with pytest.raises(UnknownVariable,
+                       match="'edge' is not an alternative of d"):
+        expected_utility(coin_utility, _policy(coin_utility, d={(): "edge"}))
+    for rules in ({"d": {}}, {}):
+        with pytest.raises(UnknownVariable,
+                           match=r"policy for d has no rule for \(\)"):
+            expected_utility(coin_utility, Policy({"d": ()}, rules))
+    informed = coin_utility.with_arcs(information=[("c", "d")])
+    with pytest.raises(UnknownVariable, match=r"no rule for \('tails',\)"):
+        expected_utility(informed,
+                         _policy(informed, d={("heads",): "heads"}))
+
+
 def test_expected_utility_requires_utility(coin):
     from decid.errors import NoUtilityNode
     with pytest.raises(NoUtilityNode):
@@ -306,6 +322,59 @@ def test_expected_utility_and_optimal_policy_match_enumeration():
         assert best == policies[i], seed
         assert eu == pytest.approx(want[i], rel=1e-12, abs=1e-12), seed
     assert all(covered.values()), covered
+
+
+def _barren_corpus():
+    """Policy diagrams with five chance nodes and the canonical forms of
+    smaller ones, whose decision descendants are deterministic; a
+    canonical form is skipped when its joint has more than 512 cells."""
+    for seed in range(110):
+        yield random_policy_diagram(seed, n_chance=5)
+        h = to_hcf(random_policy_diagram(seed, n_chance=3),
+                   assume_causal=True).diagram
+        if math.prod(len(h.node(x).states) for x in h.uncertain()) <= 512:
+            yield h
+
+
+def test_policy_answers_with_barren_variables_match_enumeration():
+    """Variables with no path to the utility or to what a decision
+    observes are left out of the utility table; expected utility, the
+    optimal policy and the value of information still equal
+    enumeration's."""
+    covered = dict.fromkeys(["barren", "barren set decision target",
+                             "barren deterministic", "voi"], 0)
+    n = 0
+    for n, d in enumerate(_barren_corpus(), 1):
+        info = {dec: d.info_parents(dec) for dec in d.decisions()}
+        dropped = barren(d, d.decisions() + ["payoff"] +
+                         [p for ps in info.values() for p in ps])
+        covered["barren"] += bool(dropped)
+        covered["barren set decision target"] += any(
+            d.node(s).set_decision_for in dropped for s in d.decisions())
+        covered["barren deterministic"] += any(
+            d.node(x).kind == "deterministic" for x in dropped)
+        policies = list(enumerate_policies(d))
+        want = _reference_eus(d, policies)
+        for i in {0, n % len(policies), len(policies) - 1}:
+            assert expected_utility(d, policies[i]) == pytest.approx(
+                want[i], rel=1e-12, abs=1e-12), n
+        best, eu = optimal_policy(d)
+        i = _first_of_ties(want)
+        assert best == policies[i], n
+        assert eu == pytest.approx(want[i], rel=1e-12, abs=1e-12), n
+        unseen = [(x, dec) for x in ("x0", "x1") if d.has(x)
+                  and not d.parents(x) for dec in ("d0", "d1")
+                  if (x, dec) not in d.information_arcs]
+        if unseen and n % 2 == 0:
+            x, dec = unseen[n // 2 % len(unseen)]
+            informed = d.with_arcs(information=[*d.information_arcs,
+                                                (x, dec)])
+            gain = max(_reference_eus(
+                informed, list(enumerate_policies(informed)))) - max(want)
+            assert value_of_information(d, x, dec) == pytest.approx(
+                gain, rel=1e-12, abs=1e-9), (n, x, dec)
+            covered["voi"] += 1
+    assert n >= 200 and all(covered.values()), (n, covered)
 
 
 def test_optimal_policy_ties_keep_the_first_policy():

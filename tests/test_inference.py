@@ -18,7 +18,7 @@ from decid.model import TOL, parent_variables
 
 from genmodels import (random_diagram, random_functional_diagram,
                        random_policy_diagram)
-from reference import enumerate_joint, enumerate_worlds
+from reference import barren, enumerate_joint, enumerate_worlds
 
 SEEDED = list(range(12))
 
@@ -198,6 +198,125 @@ def test_posterior_matches_enumeration(seed):
         for s in d.node(query[0]).states:
             assert got.value({query[0]: s}) == pytest.approx(
                 want.value({query[0]: s}), abs=1e-10)
+
+
+def _pruning_corpus():
+    """Diagrams with barren variables: plain and policy diagrams (set
+    decisions included) and their canonical forms, whose decision
+    descendants are deterministic.  A canonical form is skipped when
+    its joint has more than 2,048 cells."""
+    for seed in range(60):
+        yield random_diagram(seed, n_chance=5, max_states=3)
+        yield random_policy_diagram(seed, n_chance=5)
+        for d in (random_diagram(seed, n_chance=3, max_states=2),
+                  random_policy_diagram(seed, n_chance=3)):
+            h = to_hcf(d, assume_causal=True).diagram
+            if np.prod([len(h.node(x).states) for x in h.uncertain()]) \
+                    <= 2048:
+                yield h
+
+
+def test_posterior_with_barren_variables_matches_enumeration():
+    """Only the query, the evidence and their ancestors enter the
+    elimination; the answer is the enumerated joint's conditional, and
+    impossible evidence is still reported."""
+    covered = dict.fromkeys(["barren", "barren set decision target",
+                             "barren deterministic", "zero probability",
+                             "two-variable query"], 0)
+    n = 0
+    for n, d in enumerate(_pruning_corpus(), 1):
+        rng = random.Random(n)
+        decisions = {x: rng.choice(d.node(x).states) for x in d.decisions()}
+        full = enumerate_joint(d, decisions)
+        for _ in range(3):
+            chance = d.uncertain()
+            rng.shuffle(chance)
+            query = chance[:rng.randint(1, 2)]
+            evidence = {v: rng.choice(d.node(v).states)
+                        for v in chance[len(query):][:rng.randint(0, 2)]}
+            dropped = barren(d, query + list(evidence))
+            covered["barren"] += bool(dropped)
+            covered["barren set decision target"] += any(
+                d.node(s).set_decision_for in dropped
+                for s in d.decisions())
+            covered["barren deterministic"] += any(
+                d.node(x).kind == "deterministic" for x in dropped)
+            try:
+                want = _conditional_from_joint(full, evidence, query)
+            except ZeroProbabilityEvidence:
+                covered["zero probability"] += 1
+                with pytest.raises(ZeroProbabilityEvidence):
+                    posterior(d, decisions, evidence, query)
+                continue
+            got = posterior(d, decisions, evidence, query)
+            covered["two-variable query"] += len(query) == 2
+            assert got.scope == tuple(query), n
+            order = [want.scope.index(v) for v in query]
+            assert np.max(np.abs(got.values - np.transpose(
+                want.values, order))) <= 1e-12, n
+    assert n >= 200 and all(covered.values()), (n, covered)
+
+
+def test_posterior_rejects_a_repeated_query_variable(m1):
+    with pytest.raises(ValueError,
+                       match="query names lung_cancer more than once"):
+        posterior(m1, {"smoke": "yes"}, {}, ["lung_cancer", "lung_cancer"])
+
+
+# ---------------------------------------------------------------------------
+# One contraction per elimination step
+
+
+def _eliminate_by_products(factors, keep):
+    """The product of ``factors`` by ``Factor.multiply``, every variable
+    outside ``keep`` summed out by ``Factor.marginalize``, as an array
+    over ``keep`` in that order."""
+    prod = Factor((), (), 1.0)
+    for f in factors:
+        prod = prod.multiply(f)
+    for v in prod.scope:
+        if v not in keep:
+            prod = prod.marginalize(v)
+    return np.transpose(prod.values, [prod.scope.index(v) for v in keep])
+
+
+def test_eliminate_matches_multiply_and_marginalize():
+    """Random factor sets, signed values as utilities have: scalar
+    factors, a hub variable read by most factors, and ``keep`` in any
+    order, empty included."""
+    covered = dict.fromkeys(["scalar factor", "hub in five factors",
+                             "keep out of order", "keep empty"], 0)
+    for seed in range(300):
+        rng = random.Random(seed)
+        states = {f"v{i}": tuple(f"s{j}" for j in range(rng.randint(1, 3)))
+                  for i in range(rng.randint(1, 7))}
+        names = list(states)
+        factors = []
+        for _ in range(rng.randint(1, 7)):
+            scope = rng.sample(names, rng.randint(0, min(3, len(names))))
+            if rng.random() < 0.6 and "v0" not in scope:
+                scope.append("v0")
+            rng.shuffle(scope)
+            shape = [len(states[v]) for v in scope]
+            factors.append(Factor(scope, [states[v] for v in scope],
+                                  np.array([rng.uniform(-1.0, 2.0) for _ in
+                                            range(int(np.prod(shape)))]
+                                           ).reshape(shape)))
+        read = list(dict.fromkeys(v for f in factors for v in f.scope))
+        keep = rng.sample(read, rng.randint(0, len(read)))
+        got = inference.eliminate(factors, keep)
+        assert got.scope == tuple(keep), seed
+        assert got.states == tuple(states[v] for v in keep), seed
+        want = _eliminate_by_products(factors, keep)
+        assert got.values.shape == want.shape, seed
+        assert np.max(np.abs(got.values - want), initial=0.0) <= 1e-12, seed
+        covered["scalar factor"] += any(not f.scope for f in factors)
+        covered["hub in five factors"] += sum(
+            "v0" in f.scope for f in factors) >= 5
+        covered["keep out of order"] += keep != sorted(
+            keep, key=read.index)
+        covered["keep empty"] += not keep
+    assert all(covered.values()), covered
 
 
 # ---------------------------------------------------------------------------
