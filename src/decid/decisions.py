@@ -24,12 +24,12 @@ import numpy as np
 
 from .errors import (CycleIntroduced, NoDecisionOrder, NotHcf, NotObservable,
                      NoUtilityNode, PolicySpaceExceeded, UnknownVariable)
-from .inference import (Factor, _requisite_factors, _with_axes, eliminate,
-                        family_factor, posterior, value_label_node)
+from .inference import (_requisite_factors, _with_axes, eliminate, posterior,
+                        value_label_node)
 from .mechanisms import HcfDiagram
 from .model import (CHANCE, DECISION, DETERMINISTIC, TOL, UTILITY,
-                    Assignment, Diagram, chance_node, decision_node,
-                    instance_keys, parent_variables)
+                    Assignment, Diagram, Factor, chance_node, decision_node,
+                    family_factor, instance_keys, parent_variables)
 
 POLICY_SPACE_CAP = 10 ** 6
 GATHER_CELLS = 1 << 16     # utility-table cells one scoring gather reads
@@ -341,6 +341,9 @@ def counterfactual(h: HcfDiagram, q: CounterfactualQuery) -> Factor:
         decisions[dec] = q.factual_decisions[dec]
         decisions[twin.primed[dec]] = q.counterfactual_decisions[dec]
     evidence = dict(q.factual_evidence)   # copy-1 keeps original names
+    for x in q.query:
+        if q.query.count(x) > 1:
+            raise ValueError(f"query names {x} more than once")
     query = [twin.primed.get(x, x) for x in q.query]
     for x in query:
         twin.diagram.node(x)

@@ -50,10 +50,6 @@ class ReassessmentRequired(QueryError):
     pass
 
 
-class DependentMechanismsUnassessed(QueryError):
-    pass
-
-
 class NoUtilityNode(QueryError):
     pass
 

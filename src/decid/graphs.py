@@ -17,9 +17,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import NodeBudgetExceeded, UnknownVariable
-from .model import (CHANCE, DECISION, DETERMINISTIC, DO_NOTHING, SET_PREFIX,
-                    TOL, UTILITY, Diagram, instance_keys, parent_variables)
+from .model import (DECISION, DO_NOTHING, SET_PREFIX, TOL, Diagram,
+                    table_factor)
 
 MINIMAL_SET_NODE_BUDGET = 20
 
@@ -198,31 +200,20 @@ def graphical_causes(d: Diagram, target: str,
 def removable_arcs(d: Diagram) -> list[tuple[str, str]]:
     """Relevance arcs whose removal changes no conditional table.
 
-    Arc a->x is removable iff x's rows are identical (within tolerance)
-    across the states of a, holding the other parents fixed.  Arcs from
-    set decisions are never removable: the forced alternative always
-    matters.  A diagram is minimal iff this list is empty.
+    Arc a->x is removable iff x's table (a utility's values included) is
+    constant within tolerance along a's axis.  Arcs from set decisions
+    are never removable: the forced alternative always matters.  A
+    diagram is minimal iff this list is empty.
     """
-    removable = []
+    removable, tables = [], {}
     for a, x in d.relevance_arcs:
-        xn = d.node(x)
-        src = d.node(a)
-        if src.kind == DECISION and src.set_decision_for == x:
+        if d.node(x).kind == DECISION or d.node(a).set_decision_for == x:
             continue
-        if xn.kind in (CHANCE, DETERMINISTIC):
-            order, rows = xn.table.parent_order, xn.table.rows
-        elif xn.kind == UTILITY:
-            order = xn.utility.parent_order
-            rows = {k: (v,) for k, v in xn.utility.rows.items()}
-        else:
-            continue
-        i = order.index(a)
-        rest = parent_variables(d, [p for p in order if p != a])
-        base, *others = src.states
-        if not any(abs(u - v) > TOL
-                   for key in instance_keys(rest) for s in others
-                   for u, v in zip(rows[key[:i] + (base,) + key[i:]],
-                                   rows[key[:i] + (s,) + key[i:]])):
+        if x not in tables:
+            tables[x] = table_factor(d, d.node(x))
+        f = tables[x]
+        v = np.moveaxis(f.values, f.scope.index(a), 0)
+        if not np.any(np.abs(v[1:] - v[0]) > TOL):
             removable.append((a, x))
     return removable
 

@@ -10,7 +10,8 @@ The default mechanism prior is the product completion: the response at
 each Y-instance is drawn independently from x's original conditional
 row.  It is the unique independent-response prior reproducing the
 original table; callers may supply their own prior, which
-``check_marginal_reproduction`` audits against the same marginals.
+``check_marginal_reproduction`` audits against the same marginals.  Both
+read x's table through ``model.table_factor``.
 
 Mechanism states are ordered lexicographically (by the mapping's values
 over lexicographically ordered Y-instances).  Comparisons against any
@@ -20,13 +21,16 @@ externally listed ordering should be content-based.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
-from .errors import (DependentMechanismsUnassessed, NotCausal,
-                     ReassessmentRequired, StateSpaceExceeded)
+import numpy as np
+
+from .errors import (NotCausal, ReassessmentRequired, StateSpaceExceeded,
+                     UnknownVariable)
 from .model import (CHANCE, DETERMINISTIC, TOL, ConditionalTable, Diagram,
                     Node, Variable, chance_node, instance_keys,
-                    parent_variables, validate_diagram)
+                    parent_variables, table_factor, validate_diagram)
 
 MECHANISM_STATE_CAP = 10 ** 6
 
@@ -112,26 +116,28 @@ def canonical_mechanism_prior(d: Diagram, target: str,
     return _build_spec(d, node, domain, z_parents, cap)
 
 
+def _responses(d: Diagram, node: Node, domain, z_parents) -> np.ndarray:
+    """P(x | y, z) as an array indexed by z-instance, y-instance and
+    state of x, instances in lexicographic order."""
+    f = table_factor(d, node)
+    v = np.transpose(f.values, [f.scope.index(p)
+                                for p in (*z_parents, *domain, node.name)])
+    return v.reshape(math.prod(v.shape[:len(z_parents)]), -1, v.shape[-1])
+
+
 def _build_spec(d: Diagram, node: Node, domain, z_parents, cap) -> MechanismSpec:
-    y_vars = parent_variables(d, domain)
-    mappings = _mappings(node.variable, y_vars, cap)
-    y_keys = instance_keys(y_vars)
-    order = node.table.parent_order
-    rows = {}
-    for z_key in instance_keys(parent_variables(d, z_parents)):
-        bound = dict(zip(z_parents, z_key))
-        dist = []
-        for mapping in mappings:
-            p = 1.0
-            for y_key, value in zip(y_keys, mapping):
-                bound.update(zip(domain, y_key))
-                row = node.table.rows[tuple(bound[a] for a in order)]
-                p *= row[node.states.index(value)]
-            dist.append(p)
-        rows[z_key] = tuple(dist)
-    prior = ConditionalTable(tuple(z_parents), rows)
+    mappings = _mappings(node.variable, parent_variables(d, domain), cap)
+    resp = _responses(d, node, domain, z_parents)
+    # One Y-instance at a time, in Y order, so each mapping's product is
+    # taken left to right; later Y-instances vary fastest, as in
+    # ``mappings``.
+    prior = resp[:, 0]
+    for k in range(1, resp.shape[1]):
+        prior = (prior[:, :, None] * resp[:, None, k]).reshape(len(resp), -1)
+    z_keys = instance_keys(parent_variables(d, z_parents))
+    rows = dict(zip(z_keys, map(tuple, prior.tolist())))
     return MechanismSpec(node.name, tuple(domain), tuple(z_parents),
-                         tuple(mappings), prior)
+                         tuple(mappings), ConditionalTable(tuple(z_parents), rows))
 
 
 # ---------------------------------------------------------------------------
@@ -140,34 +146,34 @@ def _build_spec(d: Diagram, node: Node, domain, z_parents, cap) -> MechanismSpec
 
 def to_hcf(d: Diagram, assume_causal: bool = False,
            priors: dict | None = None,
-           mechanism_arcs=(), mechanism_priors: dict | None = None,
            cap: int = MECHANISM_STATE_CAP) -> HcfDiagram:
     """Transform a causal diagram so every decision descendant is
     deterministic, extracting one mechanism per affected chance node.
 
-    ``priors`` may override the product prior per target node.
-    Dependencies among mechanisms (the marginalized-common-cause case)
-    must come with explicit tables via ``mechanism_arcs`` and
-    ``mechanism_priors``; the transformation cannot invent them.
+    ``priors`` may override the product prior per target node with a
+    ``MechanismSpec`` for that target and its domain.  Mechanisms that
+    depend on one another (the marginalized-common-cause case) are
+    assessed here too: a spec's ``fixed_parents`` may name another
+    mechanism, and its prior table conditions on it.  The transformation
+    cannot invent such a dependency.
     """
     if not (d.causal or assume_causal):
         raise NotCausal("diagram is not annotated causal; "
                         "pass assume_causal to proceed on your own assertion")
     priors = priors or {}
-    mechanism_priors = mechanism_priors or {}
     fixed = d.fixed_nodes()
     for a, b in d.relevance_arcs:
         if b in fixed and a not in fixed:
             raise ReassessmentRequired(
                 f"arc {a}->{b} runs from a non-fixed node into a fixed one; "
                 "reassess with the fixed variables ordered first")
-    for a, b in mechanism_arcs:
-        if a not in mechanism_priors and b not in mechanism_priors:
-            raise DependentMechanismsUnassessed(
-                f"declared mechanism dependency {a}->{b} has no joint table")
 
     targets = [x for x in d.topological_order()
                if d.node(x).kind == CHANCE and x not in fixed]
+    unknown = sorted(set(priors) - set(targets))
+    if unknown:
+        raise UnknownVariable(f"priors name {unknown[0]!r}, which has no "
+                              "mechanism to extract")
 
     nodes = list(d.nodes)
     relevance = list(d.relevance_arcs)
@@ -180,6 +186,9 @@ def to_hcf(d: Diagram, assume_causal: bool = False,
         z_parents = tuple(p for p in order if p in fixed)
         spec = priors.get(x) or _build_spec(d, node, domain, z_parents, cap)
         mech = spec.name
+        if (spec.target, spec.domain) != (x, domain):
+            raise UnknownVariable(f"the prior given for {x} is for {mech}, "
+                                  f"not {mechanism_name(x, domain)}")
         if d.has(mech) or any(n.name == mech for n in nodes):
             raise ValueError(f"mechanism name {mech!r} collides with a variable")
         labels = [mechanism_state_label(m) for m in spec.states]
@@ -190,10 +199,9 @@ def to_hcf(d: Diagram, assume_causal: bool = False,
         y_keys = instance_keys(parent_variables(d, domain))
         det_rows = {}
         for i, y_key in enumerate(y_keys):
-            for mapping in spec.states:
-                value = mapping[i]
-                dist = [1.0 if s == value else 0.0 for s in node.states]
-                det_rows[y_key + (mechanism_state_label(mapping),)] = dist
+            for mapping, label in zip(spec.states, labels):
+                det_rows[y_key + (label,)] = [float(s == mapping[i])
+                                              for s in node.states]
         new_order = domain + (mech,)
         xi = next(i for i, n in enumerate(nodes) if n.name == x)
         nodes[xi] = chance_node(
@@ -204,19 +212,6 @@ def to_hcf(d: Diagram, assume_causal: bool = False,
         relevance.append((mech, x))
         mechanisms.append(spec)
         provenance[mech] = x
-
-    for a, b in mechanism_arcs:
-        relevance.append((a, b))
-        spec_idx = {m.name: i for i, m in enumerate(mechanisms)}
-        if b in mechanism_priors and b in spec_idx:
-            new_prior = mechanism_priors[b]
-            i = spec_idx[b]
-            mechanisms[i] = MechanismSpec(
-                mechanisms[i].target, mechanisms[i].domain,
-                tuple(new_prior.parent_order), mechanisms[i].states, new_prior)
-            j = next(k for k, n in enumerate(nodes) if n.name == b)
-            nodes[j] = chance_node(b, nodes[j].states, new_prior.parent_order,
-                                   {k: list(v) for k, v in new_prior.rows.items()})
 
     out = Diagram(tuple(nodes), tuple(relevance), d.information_arcs,
                   d.decision_order, causal=True,
@@ -253,31 +248,48 @@ def validate_hcf(h: HcfDiagram) -> list[str]:
 def check_marginal_reproduction(orig: Diagram, hcf: HcfDiagram) -> list[str]:
     """Verify each mechanism prior reproduces the original conditional
     table: summing P(f | z) over mappings with f(y) = k must give
-    P(x = k | y, z).  Returns all violations; empty means pass."""
+    P(x = k | y, z).  A mechanism whose target the original lacks, or
+    has with parents other than its domain and fixed parents (a prior
+    conditioned on another mechanism, say), is one violation.  Returns
+    all violations; empty means pass."""
     violations = []
     for spec in hcf.mechanisms:
-        node = orig.node(spec.target)
-        order = node.table.parent_order
+        x, parents = spec.target, set(spec.domain) | set(spec.fixed_parents)
+        node = orig.node(x) if orig.has(x) else None
+        if node is None or node.kind not in (CHANCE, DETERMINISTIC):
+            violations.append(f"{spec.name}: the original has no chance "
+                              f"node {x}")
+            continue
+        if set(node.table.parent_order) != parents:
+            violations.append(
+                f"{spec.name}: {x} has parents "
+                f"{sorted(node.table.parent_order)} in the original, not "
+                f"{sorted(parents)}")
+            continue
+        resp = _responses(orig, node, spec.domain, spec.fixed_parents)
         y_keys = instance_keys(parent_variables(orig, spec.domain))
+        index = {s: k for k, s in enumerate(node.states)}
+        states = np.reshape([index.get(s, -1) for m in spec.states for s in m],
+                            (len(spec.states), len(y_keys)))
+        hits = states[:, :, None] == np.arange(len(node.states))
         z_keys = instance_keys(parent_variables(orig, spec.fixed_parents))
-        for z_key in z_keys:
-            # User-supplied priors may condition on extra variables; audit
-            # only rows keyed by the declared fixed parents.
+        for z, z_key in enumerate(z_keys):
+            # A prior table keyed in another order than the declared
+            # fixed parents has no such row.
             prior_row = spec.prior.rows.get(z_key)
             if prior_row is None:
                 violations.append(
-                    f"{spec.target}: prior has no row for fixed parents {z_key}")
+                    f"{x}: prior has no row for fixed parents {z_key}")
                 continue
-            bound = dict(zip(spec.fixed_parents, z_key))
+            p = np.array(prior_row)[:, None]
             for i, y_key in enumerate(y_keys):
-                bound.update(zip(spec.domain, y_key))
-                orig_row = node.table.rows[tuple(bound[a] for a in order)]
+                # np.sum would add pairwise; cumsum adds in mapping order,
+                # as a running total does, to the last digit.
+                totals = np.cumsum(np.where(hits[:, i], p, 0.0), axis=0)[-1]
                 for k, state in enumerate(node.states):
-                    total = sum(p for mapping, p in zip(spec.states, prior_row)
-                                if mapping[i] == state)
-                    if abs(total - orig_row[k]) > TOL:
+                    total, want = float(totals[k]), float(resp[z, i, k])
+                    if abs(total - want) > TOL:
                         violations.append(
-                            f"{spec.target}: P({spec.target}={state} | "
-                            f"y={y_key}, z={z_key}) is {orig_row[k]!r} "
-                            f"originally but {total!r} under the prior")
+                            f"{x}: P({x}={state} | y={y_key}, z={z_key}) is "
+                            f"{want!r} originally but {total!r} under the prior")
     return violations

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from dataclasses import replace
 
 from decid import (Diagram, chance_node, decision_node, set_decision_node,
                    utility_node)
@@ -53,6 +54,34 @@ def random_diagram(seed, n_chance=4, max_states=3, n_decisions=2,
         arcs.extend((p, "payoff") for p in parents)
     return Diagram(tuple(nodes), tuple(arcs), (),
                    tuple(decisions), causal=causal)
+
+
+def random_table_diagram(seed):
+    """``random_diagram`` with a utility, a set decision on one chance
+    node half the time, and about half the tables made constant along
+    one parent: the rows at its first state copied to its others."""
+    rng = random.Random(seed)
+    k = rng.choice([2, 3])
+    d = random_diagram(seed, n_chance=rng.randint(2, 5), max_states=k,
+                       max_parents=2 if k == 2 else 1, with_utility=True)
+    nodes = []
+    for n in d.nodes:
+        field = "utility" if n.utility else "table"
+        table = getattr(n, field)
+        if table is not None and table.parent_order and rng.random() < 0.5:
+            i = rng.randrange(len(table.parent_order))
+            first = d.node(table.parent_order[i]).states[0]
+            rows = {k: table.rows[k[:i] + (first,) + k[i + 1:]]
+                    for k in table.rows}
+            n = replace(n, **{field: replace(table, rows=rows)})
+        nodes.append(n)
+    relevance, order = list(d.relevance_arcs), d.decision_order
+    if rng.random() < 0.5:
+        x = d.node(rng.choice(d.uncertain()))
+        nodes.append(set_decision_node("s", x.states, x.name))
+        relevance.append(("s", x.name))
+        order += ("s",)
+    return Diagram(tuple(nodes), tuple(relevance), (), order, causal=True)
 
 
 def random_functional_diagram(seed, n_roots=2, n_det=3, n_decisions=1):

@@ -12,6 +12,14 @@ hold the index-array listing of ``functional_worlds`` against it.
 ``barren`` names the uncertain variables that have no directed path to
 a set of names, by a walk down from each, so the suites can check that
 their corpora exercise the pruning of such variables.
+
+``multiply`` and ``marginalize`` are factor algebra one step at a time:
+the product by broadcasting, and one variable summed out.  The suites
+hold elimination's one-contraction steps against them.
+
+``removable_arcs`` and ``product_prior`` walk a node's row dicts key by
+key, the arc test and the mechanism prior as the definitions state them;
+the suites hold the factor-indexing versions against them.
 """
 
 import itertools
@@ -19,8 +27,10 @@ import math
 
 import numpy as np
 
-from decid import Factor, FunctionalWorld
-from decid.model import DO_NOTHING, SET_PREFIX
+from decid import ConditionalTable, Factor, FunctionalWorld
+from decid.model import (CHANCE, DECISION, DETERMINISTIC, DO_NOTHING,
+                         SET_PREFIX, TOL, UTILITY, instance_keys,
+                         parent_variables)
 
 
 def local_distribution(d, node, assignment):
@@ -72,3 +82,78 @@ def barren(d, names):
     names = set(names)
     return [x for x in d.uncertain()
             if x not in names and not d.descendants([x]) & names]
+
+
+def multiply(f, g):
+    """The product of two factors, over the union of their scopes."""
+    scope, states = list(f.scope), list(f.states)
+    for v, s in zip(g.scope, g.states):
+        if v not in scope:
+            scope.append(v)
+            states.append(s)
+    return Factor(scope, states,
+                  _expand(f, scope, states) * _expand(g, scope, states))
+
+
+def marginalize(f, var):
+    """``f`` with ``var`` summed out."""
+    i = f.scope.index(var)
+    return Factor(f.scope[:i] + f.scope[i + 1:], f.states[:i] + f.states[i + 1:],
+                  f.values.sum(axis=i))
+
+
+def _expand(f, scope, states):
+    perm = [f.scope.index(v) for v in scope if v in f.scope]
+    arr = np.transpose(f.values, perm) if perm else f.values
+    shape = [len(s) if v in f.scope else 1 for v, s in zip(scope, states)]
+    return arr.reshape(shape)
+
+
+def removable_arcs(d):
+    """Arcs a->x along which x's rows (a utility's values) agree within
+    ``TOL`` with the rows at a's first state, other parents held fixed;
+    arcs from x's set decisions excluded."""
+    removable = []
+    for a, x in d.relevance_arcs:
+        xn, src = d.node(x), d.node(a)
+        if src.kind == DECISION and src.set_decision_for == x:
+            continue
+        if xn.kind in (CHANCE, DETERMINISTIC):
+            order, rows = xn.table.parent_order, xn.table.rows
+        elif xn.kind == UTILITY:
+            order = xn.utility.parent_order
+            rows = {k: (v,) for k, v in xn.utility.rows.items()}
+        else:
+            continue
+        i = order.index(a)
+        rest = parent_variables(d, [p for p in order if p != a])
+        base, *others = src.states
+        if not any(abs(u - v) > TOL
+                   for key in instance_keys(rest) for s in others
+                   for u, v in zip(rows[key[:i] + (base,) + key[i:]],
+                                   rows[key[:i] + (s,) + key[i:]])):
+            removable.append((a, x))
+    return removable
+
+
+def product_prior(d, target, domain, z_parents):
+    """The product prior over the mechanism states of ``target``, row by
+    row: P(f | z) multiplies P(x = f(y) | y, z) over the y-instances in
+    order, a running product."""
+    node = d.node(target)
+    y_keys = instance_keys(parent_variables(d, domain))
+    mappings = list(itertools.product(node.states, repeat=len(y_keys)))
+    order = node.table.parent_order
+    rows = {}
+    for z_key in instance_keys(parent_variables(d, z_parents)):
+        bound = dict(zip(z_parents, z_key))
+        dist = []
+        for mapping in mappings:
+            p = 1.0
+            for y_key, value in zip(y_keys, mapping):
+                bound.update(zip(domain, y_key))
+                row = node.table.rows[tuple(bound[a] for a in order)]
+                p *= row[node.states.index(value)]
+            dist.append(p)
+        rows[z_key] = tuple(dist)
+    return ConditionalTable(tuple(z_parents), rows)

@@ -267,6 +267,29 @@ def test_check_hcf_flags_broken_prior(capsys, tmp_path):
     assert report["pass"] is False and report["violations"]
 
 
+@pytest.mark.parametrize("source,original,violations", [
+    ("fig1", "m1", [
+        "cardio(diet): the original has no chance node cardio",
+        "lung_cancer(smoke): lung_cancer has parents ['smoke'] in the "
+        "original, not ['genotype', 'smoke']",
+        "life(lung_cancer,cardio): the original has no chance node life"]),
+    ("m1", None, [
+        "lung_cancer(smoke): lung_cancer has parents "
+        "['lung_cancer(smoke)', 'smoke'] in the original, not ['smoke']"]),
+])
+def test_check_hcf_against_another_original(capsys, tmp_path, source,
+                                             original, violations):
+    """An original that is not the HCF's source, or the HCF itself, is
+    reported mechanism by mechanism, not raised."""
+    out = tmp_path / "hcf.json"
+    run(capsys, "to-hcf", model(source), "-o", str(out))
+    code, doc = run_json(capsys, "check-hcf", str(out), "--original",
+                         model(original) if original else str(out))
+    assert code == 3
+    assert doc["pass"] is False
+    assert doc["violations"] == violations
+
+
 def test_check_hcf_requires_mechanisms(capsys):
     code, doc = run_json(capsys, "check-hcf", model("m1"),
                          "--original", model("m1"))
@@ -366,7 +389,7 @@ def test_repeated_query_variable_is_exit_3(capsys):
                          "--counterfactual-decisions", "smoke=no",
                          "--query", "lung_cancer,lung_cancer")
     assert code == 3
-    assert doc == {"error": "query names lung_cancer' more than once"}
+    assert doc == {"error": "query names lung_cancer more than once"}
 
 
 def test_counterfactual(capsys):

@@ -10,7 +10,9 @@ from decid import (BlockingQuery, Diagram, blocks, certify_causal_network,
                    validate_diagram)
 from decid.errors import NodeBudgetExceeded, UnknownVariable
 
-from genmodels import ladder, random_dag, random_dag_with_information
+from genmodels import (ladder, random_dag, random_dag_with_information,
+                       random_table_diagram)
+from reference import removable_arcs as removable_by_rows
 
 
 def _blocks(d, C, D, x):
@@ -254,6 +256,26 @@ def test_distinct_rows_are_not_removable():
 def test_arcless_diagram_has_no_removable_arcs():
     c = chance_node("c", ["0", "1"], [], {(): [0.5, 0.5]})
     assert removable_arcs(Diagram((c,))) == []
+
+
+def test_removable_arcs_match_the_row_loop():
+    """Seeded diagrams with tables constant along a parent: the factor
+    reading finds the arcs the row-by-row comparison finds, into
+    utilities and set-decision targets too."""
+    covered = dict.fromkeys(["into a utility", "from a decision",
+                             "into a set-decision target", "kept"], 0)
+    for seed in range(1000):
+        d = random_table_diagram(seed)
+        got = removable_arcs(d)
+        assert got == removable_by_rows(d), seed
+        for a, x in got:
+            covered["into a utility"] += x == "payoff"
+            covered["from a decision"] += a.startswith("d")
+            covered["into a set-decision target"] += bool(
+                d.set_decisions_for(x))
+        covered["kept"] += len(got) < len(d.relevance_arcs)
+    assert all(covered.values()), covered
+
 
 
 # ---------------------------------------------------------------------------

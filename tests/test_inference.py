@@ -18,7 +18,8 @@ from decid.model import TOL, parent_variables
 
 from genmodels import (random_diagram, random_functional_diagram,
                        random_policy_diagram)
-from reference import barren, enumerate_joint, enumerate_worlds
+from reference import (barren, enumerate_joint, enumerate_worlds, marginalize,
+                       multiply)
 
 SEEDED = list(range(12))
 
@@ -34,8 +35,8 @@ def _f(scope, states, values):
 def test_factor_multiply_commutes():
     a = _f(["x"], [("0", "1")], [0.3, 0.7])
     b = _f(["y"], [("0", "1")], [0.6, 0.4])
-    ab = a.multiply(b)
-    ba = b.multiply(a)
+    ab = multiply(a, b)
+    ba = multiply(b, a)
     for x in "01":
         for y in "01":
             assert ab.value({"x": x, "y": y}) == pytest.approx(
@@ -44,7 +45,7 @@ def test_factor_multiply_commutes():
 
 def test_factor_marginalize_sums_out():
     f = _f(["x", "y"], [("0", "1"), ("0", "1")], [[0.1, 0.2], [0.3, 0.4]])
-    g = f.marginalize("y")
+    g = marginalize(f, "y")
     assert g.scope == ("x",)
     assert g.value({"x": "0"}) == pytest.approx(0.3)
     assert g.value({"x": "1"}) == pytest.approx(0.7)
@@ -132,9 +133,9 @@ def test_set_decision_composes_at_query_time():
     d = Diagram((s_lc, genotype, lc),
                 (("s_lc", "lc"), ("genotype", "lc")), (), ("s_lc",),
                 causal=True)
-    f = joint(d, {"s_lc": "do_nothing"}).marginalize("genotype")
+    f = marginalize(joint(d, {"s_lc": "do_nothing"}), "genotype")
     assert f.value({"lc": "yes"}) == pytest.approx(0.111, abs=1e-12)
-    f = joint(d, {"s_lc": "set=yes"}).marginalize("genotype")
+    f = marginalize(joint(d, {"s_lc": "set=yes"}), "genotype")
     assert f.value({"lc": "yes"}) == pytest.approx(1.0, abs=1e-12)
     g = posterior(d, {"s_lc": "set=no"}, {}, ["lc"])
     assert g.value({"lc": "no"}) == pytest.approx(1.0, abs=1e-12)
@@ -169,7 +170,7 @@ def _conditional_from_joint(f, evidence, query):
             f = f.reduce(v, s)
     for v in f.scope:
         if v not in query:
-            f = f.marginalize(v)
+            f = marginalize(f, v)
     return f.normalize()
 
 
@@ -268,15 +269,15 @@ def test_posterior_rejects_a_repeated_query_variable(m1):
 
 
 def _eliminate_by_products(factors, keep):
-    """The product of ``factors`` by ``Factor.multiply``, every variable
-    outside ``keep`` summed out by ``Factor.marginalize``, as an array
+    """The product of ``factors`` by the reference ``multiply``, every
+    variable outside ``keep`` summed out by ``marginalize``, as an array
     over ``keep`` in that order."""
     prod = Factor((), (), 1.0)
     for f in factors:
-        prod = prod.multiply(f)
+        prod = multiply(prod, f)
     for v in prod.scope:
         if v not in keep:
-            prod = prod.marginalize(v)
+            prod = marginalize(prod, v)
     return np.transpose(prod.values, [prod.scope.index(v) for v in keep])
 
 

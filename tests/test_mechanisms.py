@@ -7,11 +7,13 @@ from decid import (Diagram, MechanismSpec, Variable, canonical_mechanism_prior,
                    enumerate_mechanism_states, joint, mechanism_name,
                    mechanism_state_label, set_decision_node, to_hcf,
                    validate_diagram, validate_hcf)
-from decid.errors import (DependentMechanismsUnassessed, NotCausal,
-                          ReassessmentRequired, StateSpaceExceeded)
+from decid import WorldTable
+from decid.errors import (NotCausal, ReassessmentRequired, StateSpaceExceeded,
+                          UnknownVariable)
 from decid.model import ConditionalTable
 
-from genmodels import random_diagram
+from genmodels import random_diagram, random_table_diagram
+from reference import marginalize, product_prior
 
 SMOKE = Variable("smoke", ("no", "yes"))
 LC = Variable("lung_cancer", ("no", "yes"))
@@ -159,7 +161,7 @@ def test_to_hcf_preserves_joint(fig6a):
             new = joint(h.diagram, decisions)
             for v in new.scope:
                 if v not in keep:
-                    new = new.marginalize(v)
+                    new = marginalize(new, v)
             for combo in itertools.product(
                     *(fig6a.node(x).states for x in keep)):
                 a = dict(zip(keep, combo))
@@ -187,9 +189,59 @@ def test_to_hcf_rejects_nonfixed_arc_into_declared_fixed():
         to_hcf(d)
 
 
-def test_to_hcf_rejects_undescribed_mechanism_dependency(fig6a):
-    with pytest.raises(DependentMechanismsUnassessed):
-        to_hcf(fig6a, mechanism_arcs=[("lung_cancer(smoke)", "cardio(diet)")])
+def _dependent_spec(fig6a):
+    """A prior for lung_cancer's mechanism conditioned on genotype and on
+    cardio's mechanism: the product prior when cardio responds to diet,
+    all its weight on the "follow smoke" mapping otherwise."""
+    base = canonical_mechanism_prior(fig6a, "lung_cancer")
+    cardio = to_hcf(fig6a).diagram.node("cardio(diet)")
+    follow = tuple(float(m == ("no", "yes")) for m in base.states)
+    rows = {(g, c): base.prior.rows[(g,)] if c in ("good,bad", "bad,good")
+            else follow
+            for g in fig6a.node("genotype").states for c in cardio.states}
+    return MechanismSpec(base.target, base.domain,
+                         ("genotype", "cardio(diet)"), base.states,
+                         ConditionalTable(("genotype", "cardio(diet)"), rows))
+
+
+def test_to_hcf_takes_a_dependent_prior_through_priors(fig6a):
+    h = to_hcf(fig6a, priors={"lung_cancer": _dependent_spec(fig6a)})
+    assert validate_hcf(h) == []
+    d = h.diagram
+    assert d.node("lung_cancer(smoke)").table.parent_order == (
+        "genotype", "cardio(diet)")
+    assert ("cardio(diet)", "lung_cancer(smoke)") in d.relevance_arcs
+    table = WorldTable(d)
+    # Per genotype: 4 lung-cancer mechanisms under each of the 2 cardio
+    # mechanisms that respond to diet, 1 under each of the other 2.
+    assert len(table.worlds) == 2 * (2 * 4 + 2 * 1)
+    # Where cardio's mechanism ignores diet, lung cancer follows smoke.
+    for w in table.worlds:
+        if w.assignment["cardio(diet)"] == "good,good":
+            assert w.assignment["lung_cancer(smoke)"] == "no,yes"
+    # The audit cannot read a prior conditioned on another mechanism off
+    # the original table: one violation names the extra parent.
+    assert check_marginal_reproduction(fig6a, h) == [
+        "lung_cancer(smoke): lung_cancer has parents ['genotype', 'smoke'] "
+        "in the original, not ['cardio(diet)', 'genotype', 'smoke']"]
+
+
+def test_to_hcf_rejects_a_prior_for_no_target(fig6a):
+    spec = canonical_mechanism_prior(fig6a, "lung_cancer")
+    with pytest.raises(UnknownVariable, match="lung_cancr"):
+        to_hcf(fig6a, priors={"lung_cancr": spec})
+    with pytest.raises(UnknownVariable, match="genotype"):
+        to_hcf(fig6a, priors={"genotype": spec})
+
+
+def test_to_hcf_rejects_a_prior_for_another_mechanism(fig6a):
+    spec = canonical_mechanism_prior(fig6a, "lung_cancer")
+    with pytest.raises(UnknownVariable, match="lung_cancer"):
+        to_hcf(fig6a, priors={"cardio": spec})
+    other = MechanismSpec(spec.target, ("diet",), spec.fixed_parents,
+                          spec.states, spec.prior)
+    with pytest.raises(UnknownVariable, match=r"lung_cancer\(diet\)"):
+        to_hcf(fig6a, priors={"lung_cancer": other})
 
 
 def test_to_hcf_cap(fig6a):
@@ -218,7 +270,7 @@ def test_to_hcf_on_set_decision_target():
     f = joint(h.diagram, {"s_lc": "set=yes"})
     for v in f.scope:
         if v != "lc":
-            f = f.marginalize(v)
+            f = marginalize(f, v)
     assert f.value({"lc": "yes"}) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -256,7 +308,25 @@ def test_to_hcf_random_diagrams(seed):
         new = joint(h.diagram, {"d0": alt})
         for v in new.scope:
             if v not in keep:
-                new = new.marginalize(v)
+                new = marginalize(new, v)
         for combo in itertools.product(*(d.node(x).states for x in keep)):
             a = dict(zip(keep, combo))
             assert new.value(a) == pytest.approx(orig.value(a), abs=1e-10)
+
+
+def test_product_priors_match_the_row_loop():
+    """Every product prior of ``to_hcf`` equals the reference running
+    product exactly, set-decision targets with an empty domain and
+    tables constant along a parent included."""
+    covered = dict.fromkeys(["empty domain", "fixed parents",
+                             "two-parent domain"], 0)
+    for seed in range(1000):
+        d = random_table_diagram(seed)
+        for m in to_hcf(d).mechanisms:
+            assert m.prior == product_prior(d, m.target, m.domain,
+                                            m.fixed_parents), seed
+            covered["empty domain"] += not m.domain
+            covered["fixed parents"] += bool(m.fixed_parents)
+            covered["two-parent domain"] += len(m.domain) >= 2
+    assert all(covered.values()), covered
+
