@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import NodeBudgetExceeded, UnknownVariable
 from .model import (DECISION, DO_NOTHING, SET_PREFIX, TOL, Diagram,
-                    table_factor)
+                    _reach_bits, table_factor)
 
 MINIMAL_SET_NODE_BUDGET = 20
 
@@ -58,9 +58,12 @@ def _check_names(d: Diagram, names) -> None:
 def blocks(d: Diagram, q: BlockingQuery) -> bool:
     """True iff every directed path (relevance and information arcs)
     from a decision in ``q.decisions`` to the target hits ``q.candidate_set``."""
-    C, D, x = frozenset(q.candidate_set), frozenset(q.decisions), q.target
-    _check_names(d, C | D | {x})
-    return x in C or x not in d.descendants(D - C, avoid=C)
+    ix = d._bits
+    C, D = ix.mask(q.candidate_set), ix.mask(q.decisions)
+    x = ix.mask([q.target])
+    if (C | D | x) >> ix.nodes:
+        _check_names(d, {*q.candidate_set, *q.decisions, q.target})
+    return bool(x & C) or not x & _reach_bits(ix.children, D & ~C, C)
 
 
 def minimal_sets(pool, holds, node_budget: int = MINIMAL_SET_NODE_BUDGET,
@@ -104,9 +107,10 @@ def minimal_blocking_sets(d: Diagram, decisions, target, exclude=frozenset(),
     on_path = (D | d.descendants(D)) & d.ancestors([target])
     pool = (on_path & (set(d.uncertain()) | set(d.decisions()))
             - {target} - set(exclude))
-    return minimal_sets(
-        pool, lambda C: target not in d.descendants(D - C, avoid=C),
-        node_budget)
+    ix = d._bits
+    dm, x = ix.mask(D), ix.bit[target]
+    return minimal_sets(pool, lambda C: not x & _reach_bits(
+        ix.children, dm & ~ix.mask(C), ix.mask(C)), node_budget)
 
 
 # ---------------------------------------------------------------------------
@@ -174,9 +178,10 @@ def graphical_fixed_set(d: Diagram, C=frozenset()) -> frozenset[str]:
     """
     C = frozenset(C)
     _check_names(d, C)
-    reached = d.descendants(set(d.decisions()) - C, avoid=C)
-    return frozenset(x for x in d.uncertain()
-                     if x not in C and x not in reached)
+    ix = d._bits
+    c = ix.mask(C)
+    unfixed = c | _reach_bits(ix.children, ix.mask(d.decisions()) & ~c, c)
+    return frozenset(x for x in d.uncertain() if not ix.bit[x] & unfixed)
 
 
 def graphical_causes(d: Diagram, target: str,

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -286,16 +287,22 @@ class WorldTable:
     """Every functional world propagated under every decision instance.
     ``values[x]`` holds x's state index (a utility's: its value label's)
     as an int array of shape (worlds, decision instances).  The cap is
-    checked on the world count before any world is listed.  x's
-    difference bitset has a bit per world and pair i < j of decision
-    instances, set where x differs; ``worlds`` is built when read."""
+    checked before any world is listed, on the world count when a bound
+    from the supports exceeds it.  x's difference bitset has a bit per
+    world and pair i < j of decision instances, set where x differs;
+    ``worlds`` is built when read."""
 
     def __init__(self, diagram: Diagram, world_pair_cap: int = WORLD_PAIR_CAP):
         self.diagram = diagram
         self.decision_instances = enumerate_instances(
             parent_variables(diagram, diagram.decisions()))
         tables = _fixed_tables(diagram)
-        n_pairs = _world_count(tables) * len(self.decision_instances) ** 2
+        per_world = len(self.decision_instances) ** 2
+        # A bound: no table gives a world more choices than its widest row.
+        n_pairs = per_world * math.prod(
+            int((f.values > 0.0).sum(-1).max()) for f in tables)
+        if n_pairs > world_pair_cap:
+            n_pairs = _world_count(tables) * per_world
         if n_pairs > world_pair_cap:
             raise WorldCapExceeded(
                 f"{n_pairs} world/decision pairs exceed cap {world_pair_cap}")

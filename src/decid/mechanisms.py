@@ -192,20 +192,21 @@ def to_hcf(d: Diagram, assume_causal: bool = False,
         if d.has(mech) or any(n.name == mech for n in nodes):
             raise ValueError(f"mechanism name {mech!r} collides with a variable")
         labels = [mechanism_state_label(m) for m in spec.states]
-        nodes.append(chance_node(
-            mech, labels, spec.fixed_parents,
-            {k: list(v) for k, v in spec.prior.rows.items()}))
-        # Rewire x: deterministic in (Y, mechanism); Z moves to the mechanism.
+        nodes.append(chance_node(mech, labels, spec.fixed_parents,
+                                 spec.prior.rows))
+        # Rewire x: deterministic in (Y, mechanism); Z moves to the
+        # mechanism.  Rows share one one-hot tuple per state of x; a
+        # given prior's entry that is no state of x gets a zero row.
+        hot = {s: tuple(float(s == t) for t in node.states)
+               for s in node.states}
+        zero = (0.0,) * len(node.states)
         y_keys = instance_keys(parent_variables(d, domain))
-        det_rows = {}
-        for i, y_key in enumerate(y_keys):
-            for mapping, label in zip(spec.states, labels):
-                det_rows[y_key + (label,)] = [float(s == mapping[i])
-                                              for s in node.states]
-        new_order = domain + (mech,)
+        det_rows = {y_key + (label,): hot.get(mapping[i], zero)
+                    for i, y_key in enumerate(y_keys)
+                    for mapping, label in zip(spec.states, labels)}
         xi = next(i for i, n in enumerate(nodes) if n.name == x)
-        nodes[xi] = chance_node(
-            x, node.states, new_order, det_rows, deterministic=True)
+        nodes[xi] = Node(node.variable, DETERMINISTIC, table=ConditionalTable(
+            domain + (mech,), det_rows))
         relevance = [(a, b) for a, b in relevance
                      if not (b == x and a in z_parents)]
         relevance.extend((z, mech) for z in spec.fixed_parents)

@@ -5,10 +5,14 @@ nodes.  Relevance arcs point into chance/deterministic/utility nodes and
 carry the conditional tables; information arcs point into decisions and
 record what is known when the decision is made.  Diagrams are immutable
 after construction and safe to share across workers.  Derived indexes
-(name lookup, children, parents, set decisions by target, topological
-order) are computed once per diagram, on first use; ``replace`` and
-``with_arcs`` build a new diagram, so an index never outlives the arcs
-it was read from.
+(name lookup, children, parents, the bit index, set decisions by
+target, topological order) are computed once per diagram, on first
+use; ``replace`` and ``with_arcs`` build a new diagram, so an index
+never outlives the arcs it was read from.
+
+The bit index gives each name one bit of an int, node names lowest,
+and each bit a child and a parent mask: a set of names is one int, and
+``_reach_bits``, an OR of masks per step, is the one walk along all arcs.
 
 Set decisions ("do nothing" / "set x to k") are stored structurally: the
 target's conditional table ranges only over its ordinary parents, and
@@ -25,7 +29,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -153,6 +157,21 @@ class Diagram:
         return out
 
     @cached_property
+    def _bits(self) -> "BitIndex":
+        # Node names first, so "is a node" is ``bit >> nodes == 0``.
+        arcs = self.all_arcs()
+        bit = dict.fromkeys(itertools.chain(self._by_name, *arcs), 0)
+        for i, x in enumerate(bit):
+            bit[x] = 1 << i
+        children: dict[int, int] = {}
+        parents: dict[int, int] = {}
+        for a, b in arcs:
+            ba, bb = bit[a], bit[b]
+            children[ba] = children.get(ba, 0) | bb
+            parents[bb] = parents.get(bb, 0) | ba
+        return BitIndex(bit, len(self._by_name), children, parents)
+
+    @cached_property
     def _set_decisions(self) -> dict[str, list[str]]:
         out: dict[str, list[str]] = {}
         for n in self.nodes:
@@ -233,11 +252,14 @@ class Diagram:
                     avoid: Iterable[str] = frozenset()) -> set[str]:
         """Strict descendants of ``sources`` following all arcs, along
         paths that enter no node of ``avoid``."""
-        return _reach(self._children, sources, avoid)
+        ix = self._bits
+        return ix.names_of(_reach_bits(ix.children, ix.mask(sources),
+                                       ix.mask(avoid)))
 
     def ancestors(self, sinks: Iterable[str]) -> set[str]:
         """Strict ancestors of ``sinks`` following all arcs backwards."""
-        return _reach(self._parents, sinks, frozenset())
+        ix = self._bits
+        return ix.names_of(_reach_bits(ix.parents, ix.mask(sinks), 0))
 
     def fixed_nodes(self) -> frozenset[str]:
         """Graphical fixed set: uncertain non-descendants of all decisions,
@@ -254,15 +276,38 @@ class Diagram:
         )
 
 
-def _reach(index: Mapping[str, set[str]], sources: Iterable[str],
-           avoid: Iterable[str]) -> set[str]:
-    seen: set[str] = set()
-    frontier = list(sources)
+class BitIndex(NamedTuple):
+    """``bit[x]`` is x's bit, the ``nodes`` node names taking the lowest;
+    ``children[b]`` and ``parents[b]`` mask the neighbours of the name
+    with bit b over all arcs."""
+
+    bit: dict[str, int]
+    nodes: int
+    children: dict[int, int]
+    parents: dict[int, int]
+
+    def mask(self, names: Iterable[str]) -> int:
+        """The bits of ``names``.  A name without one sets the bit past
+        them all, which no arc reaches and no node has."""
+        m, past, get = 0, 1 << len(self.bit), self.bit.get
+        for x in names:
+            m |= get(x, past)
+        return m
+
+    def names_of(self, mask: int) -> set[str]:
+        return {x for x, b in self.bit.items() if mask & b}
+
+
+def _reach_bits(masks: Mapping[int, int], frontier: int, avoid: int) -> int:
+    """The bits reached from ``frontier`` in one or more steps along
+    ``masks``, entering no bit of ``avoid``."""
+    seen = 0
     while frontier:
-        for c in index.get(frontier.pop(), ()):
-            if c not in seen and c not in avoid:
-                seen.add(c)
-                frontier.append(c)
+        low = frontier & -frontier
+        frontier ^= low
+        new = masks.get(low, 0) & ~(avoid | seen)
+        seen |= new
+        frontier |= new
     return seen
 
 

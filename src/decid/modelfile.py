@@ -10,6 +10,7 @@ Serialization is canonical, so parse -> serialize -> parse is identity.
 from __future__ import annotations
 
 import json
+import math
 
 from .errors import ParseError
 from .mechanisms import HcfDiagram, MechanismSpec, _diagram_of
@@ -121,13 +122,36 @@ def parse_document(text: str):
         if not all(map(_is_names, mappings)):
             raise ParseError(f"{mech}: every mapping must be a list of "
                              "state labels")
-        spec = MechanismSpec(source, _get(entry, "domain", _NAMES, mech, ()),
+        domain = _get(entry, "domain", _NAMES, mech, ())
+        _check_mappings(mech, source, domain, mappings, states_of)
+        spec = MechanismSpec(source, domain,
                              _get(entry, "fixed_parents", _NAMES, mech, ()),
                              tuple(map(tuple, mappings)),
                              diagram.node(mech).table)
         mechanisms.append(spec)
         provenance[mech] = source
     return HcfDiagram(diagram, tuple(mechanisms), provenance)
+
+
+def _check_mappings(mech, source, domain, mappings, states_of):
+    """Each mapping gives a state of the source for every domain
+    instance, and there is one mapping per state of the mechanism."""
+    for v in domain:
+        if v not in states_of:
+            raise ParseError(f"mechanism {mech}: unknown domain variable "
+                             f"{v!r}")
+    if len(mappings) != len(states_of[mech]):
+        raise ParseError(f"mechanism {mech}: {len(mappings)} mappings for "
+                         f"{len(states_of[mech])} states")
+    q = math.prod(len(states_of[v]) for v in domain)
+    for k, m in enumerate(mappings):
+        if len(m) != q:
+            raise ParseError(f"mechanism {mech}: mapping {k} has {len(m)} "
+                             f"entries, not one per domain instance ({q})")
+        for s in m:
+            if s not in states_of[source]:
+                raise ParseError(f"mechanism {mech}: mapping {k} names "
+                                 f"{s!r}, not a state of {source}")
 
 
 def parse_model(text: str) -> Diagram:
@@ -189,8 +213,9 @@ def _parse_table(name, spec, states_of) -> ConditionalTable:
     parents = _get(spec, "parent_order", _NAMES, name, ())
     rows = {}
     for key, dist in _get(spec, "rows", dict, name, {}).items():
+        # Exact types: JSON true and false decode to bool, an int subclass.
         if not (isinstance(dist, list)
-                and all(isinstance(p, (int, float)) for p in dist)):
+                and all(type(p) in (int, float) for p in dist)):
             raise ParseError(f"{name}: row {key!r} must be a list of numbers")
         if not all(0 <= p <= 1 for p in dist):
             raise ParseError(f"{name}: row {key!r} has entries outside [0, 1]")
@@ -204,7 +229,7 @@ def _parse_utility(name, spec, states_of) -> UtilityTable:
     parents = _get(spec, "parents", _NAMES, name, ())
     values = {}
     for key, v in _get(spec, "values", dict, name, {}).items():
-        if not isinstance(v, (int, float)):
+        if type(v) not in (int, float):
             raise ParseError(f"{name}: utility value {v!r} at {key!r} "
                              "is not a number")
         row = _split_key(key, parents, states_of, name)

@@ -20,6 +20,10 @@ hold elimination's one-contraction steps against them.
 ``removable_arcs`` and ``product_prior`` walk a node's row dicts key by
 key, the arc test and the mechanism prior as the definitions state them;
 the suites hold the factor-indexing versions against them.
+
+``reach`` is reachability over name sets, a walk from each source that
+enters no node of ``avoid``; the suites hold the bit-mask walk behind
+``Diagram.descendants`` and ``Diagram.ancestors`` against it.
 """
 
 import itertools
@@ -157,3 +161,20 @@ def product_prior(d, target, domain, z_parents):
             dist.append(p)
         rows[z_key] = tuple(dist)
     return ConditionalTable(tuple(z_parents), rows)
+
+
+def reach(arcs, sources, avoid=frozenset()):
+    """The names reached from ``sources`` in one or more steps along
+    ``arcs`` (a list of (from, to) pairs), entering no name of
+    ``avoid``."""
+    index = {}
+    for a, b in arcs:
+        index.setdefault(a, set()).add(b)
+    seen = set()
+    frontier = list(sources)
+    while frontier:
+        for c in index.get(frontier.pop(), ()):
+            if c not in seen and c not in avoid:
+                seen.add(c)
+                frontier.append(c)
+    return seen

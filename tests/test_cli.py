@@ -77,6 +77,22 @@ def test_nan_probabilities_are_exit_2(capsys, tmp_path):
     assert code == 2 and "outside [0, 1]" in out["error"]
 
 
+@pytest.mark.parametrize("fixture,edit,error", [
+    ("m1", lambda doc: doc["cpts"]["lung_cancer"]["rows"].__setitem__(
+        "no", [True, False]),
+     "lung_cancer: row 'no' must be a list of numbers"),
+    ("coin_utility", lambda doc: doc["utility"]["values"].__setitem__(
+        "win", True), "payoff: utility value True at 'win' is not a number"),
+])
+def test_boolean_numbers_are_exit_2(capsys, tmp_path, fixture, edit, error):
+    doc = json.loads((FIXTURES / f"{fixture}.json").read_text())
+    edit(doc)
+    bad = tmp_path / "bool.json"
+    bad.write_text(json.dumps(doc))
+    code, out = run_json(capsys, "validate", str(bad))
+    assert (code, out) == (2, {"error": error})
+
+
 def test_unknown_variable_is_exit_3(capsys):
     code, doc = run_json(capsys, "causes", model("m1"), "--of", "ghost")
     assert code == 3
@@ -288,6 +304,29 @@ def test_check_hcf_against_another_original(capsys, tmp_path, source,
     assert code == 3
     assert doc["pass"] is False
     assert doc["violations"] == violations
+
+
+@pytest.mark.parametrize("edit,error", [
+    (lambda m: m["mappings"].__setitem__(1, ["no"]),
+     "mapping 1 has 1 entries, not one per domain instance (2)"),
+    (lambda m: m["mappings"].__setitem__(2, ["no", "maybe"]),
+     "mapping 2 names 'maybe', not a state of lung_cancer"),
+    (lambda m: m.__setitem__("domain", ["smokes"]),
+     "unknown domain variable 'smokes'"),
+    (lambda m: m["mappings"].pop(), "3 mappings for 4 states"),
+])
+def test_malformed_mechanism_mappings_are_exit_2(capsys, tmp_path, edit,
+                                                 error):
+    out = tmp_path / "m1_hcf.json"
+    run(capsys, "to-hcf", model("m1"), "-o", str(out))
+    doc = json.loads(out.read_text())
+    edit(doc["mechanisms"][0])
+    out.write_text(json.dumps(doc))
+    for argv in (["check-hcf", str(out), "--original", model("m1")],
+                 ["validate", str(out)]):
+        code, report = run_json(capsys, *argv)
+        assert (code, report) == (
+            2, {"error": f"mechanism lung_cancer(smoke): {error}"})
 
 
 def test_check_hcf_requires_mechanisms(capsys):

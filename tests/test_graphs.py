@@ -1,4 +1,5 @@
 import itertools
+import pathlib
 import random
 
 import pytest
@@ -6,8 +7,8 @@ import pytest
 from decid import (BlockingQuery, Diagram, blocks, certify_causal_network,
                    chance_node, d_separated, decision_node, graphical_causes,
                    graphical_fixed_set, is_set_decision, minimal_blocking_sets,
-                   minimal_sets, removable_arcs, set_decision_node,
-                   validate_diagram)
+                   minimal_sets, parse_model, removable_arcs,
+                   set_decision_node, validate_diagram)
 from decid.errors import NodeBudgetExceeded, UnknownVariable
 
 from genmodels import (ladder, random_dag, random_dag_with_information,
@@ -56,6 +57,22 @@ def test_minimal_sets_for_lung_cancer(fig2a):
 
 def test_unreachable_target_blocked_by_empty_set(fig2a):
     assert minimal_blocking_sets(fig2a, {"smoke"}, "genotype") == [frozenset()]
+
+
+@pytest.mark.parametrize("C,D,x,unknown", [
+    ({"ghost"}, {"smoke"}, "payoff", "ghost"),
+    (set(), {"ghost"}, "payoff", "ghost"),
+    (set(), {"smoke"}, "ghost", "ghost"),
+    ({"zz", "ghost"}, {"aa"}, "payoff", "aa"),
+    (set(), {"smoke"}, "nosuch", "nosuch"),
+])
+def test_blocks_names_the_least_unknown_name(fig2a, C, D, x, unknown):
+    """A name that only an arc mentions is not a variable either."""
+    d = fig2a.with_arcs(
+        relevance=fig2a.relevance_arcs + (("ghost", "payoff"),))
+    with pytest.raises(UnknownVariable,
+                       match=f"^unknown variable '{unknown}'$"):
+        _blocks(d, C, D, x)
 
 
 def test_minimal_sets_check_excluded_names(fig2a):
@@ -431,6 +448,28 @@ def test_blocking_matches_path_enumeration(seed):
         fixed = {y for y in d.uncertain() if y not in C and
                  _blocked_by_enumeration(d, C, set(d.decisions()), y)}
         assert graphical_fixed_set(d, C) == fixed
+
+
+@pytest.mark.parametrize("seed", [301, 9001])
+def test_blocking_matches_path_enumeration_on_the_sweep_queries(
+        seed, monkeypatch):
+    """Every blocking query of the traced rounds of the benchmark's
+    oracle_sweep workload, on the canonical forms it builds."""
+    monkeypatch.syspath_prepend(
+        str(pathlib.Path(__file__).parents[1] / "bench"))
+    from tracing import NullTracer
+    from workloads import WORKLOADS
+    sweep = WORKLOADS["oracle_sweep"]
+    queries = 0
+    for i in range(sweep.trace_rounds * len(sweep.slots)):
+        op = sweep.op(seed, i)
+        h, _, results = sweep.run(NullTracer(), op, parse_model(op.doc))
+        D = set(h.diagram.decisions())
+        for x, C, b, _ in results:
+            assert b == _blocked_by_enumeration(h.diagram, set(C), D, x), \
+                (seed, i, x, C)
+        queries += len(results)
+    assert queries > 25_000
 
 
 def test_d_separation_matches_networkx():

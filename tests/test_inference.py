@@ -461,6 +461,35 @@ def test_world_cap_trips_before_the_worlds_are_listed(monkeypatch):
         WorldTable(h.diagram)
 
 
+def _uneven_support():
+    """b is one-hot under a=0 and uniform under a=1: 3 worlds, where the
+    widest support rows bound them by 2 * 2.  Two decision instances."""
+    a = chance_node("a", ["0", "1"], [], {(): [0.5, 0.5]})
+    b = chance_node("b", ["0", "1"], ["a"], {("0",): [1.0, 0.0],
+                                             ("1",): [0.5, 0.5]})
+    x = chance_node("x", ["0", "1"], ["d", "b"], {
+        (i, j): [float(i == j), float(i != j)] for i in "01" for j in "01"},
+        deterministic=True)
+    return Diagram((a, b, decision_node("d", ["0", "1"]), x),
+                   (("a", "b"), ("b", "x"), ("d", "x")))
+
+
+def test_world_cap_between_the_exact_and_the_bounded_pair_counts(
+        monkeypatch):
+    d = _uneven_support()
+    assert count_worlds(d) == 3
+    assert len(WorldTable(d, world_pair_cap=14).worlds) == 3
+    assert len(WorldTable(d, world_pair_cap=12).worlds) == 3
+    with pytest.raises(WorldCapExceeded,
+                       match="^12 world/decision pairs exceed cap 11$"):
+        WorldTable(d, world_pair_cap=11)
+
+    def counted(tables):
+        raise AssertionError("worlds counted under a bound within the cap")
+    monkeypatch.setattr(inference, "_world_count", counted)
+    assert len(WorldTable(d, world_pair_cap=16).worlds) == 3
+
+
 def test_non_fixed_parent_is_reported_before_the_cap(m1):
     declared = replace(m1, declared_fixed=frozenset({"lung_cancer"}))
     with pytest.raises(NotHcf, match="non-fixed parent"):

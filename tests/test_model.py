@@ -1,3 +1,4 @@
+import random
 from dataclasses import replace
 
 import pytest
@@ -7,6 +8,7 @@ from decid import (Diagram, Variable, WorldTable, chance_node, decision_node,
                    serialize_model, validate_diagram)
 
 from genmodels import random_dag_with_information, random_diagram
+from reference import reach
 
 
 def two_node(p_yes_given_yes=0.2, p_yes_given_no=0.05):
@@ -200,6 +202,35 @@ def test_ancestors_and_parents_match_networkx():
         assert d.ancestors(d.decisions()) == set().union(
             *(nx.ancestors(g, x) for x in d.decisions()))
     assert info >= 100
+
+
+def test_descendants_and_ancestors_match_the_set_walk_and_networkx():
+    """Information arcs, arcs that name no node, unknown sources and
+    avoided names, and a node name given twice."""
+    nx = pytest.importorskip("networkx")
+    for seed in range(100):
+        rng = random.Random(seed)
+        d = random_dag_with_information(seed, n_nodes=10, p_arc=0.3)
+        x = rng.choice(d.uncertain())
+        d = replace(d, nodes=d.nodes + (d.node(x),), relevance_arcs=(
+            d.relevance_arcs + (("ghost", x), (x, "ghost2"))))
+        arcs = d.all_arcs()
+        g = nx.DiGraph(arcs)
+        g.add_nodes_from(d.names())
+        names = d.names() + ["ghost", "ghost2", "nosuch"]
+        for _ in range(10):
+            sources = rng.sample(names, rng.randint(1, 3))
+            avoid = set(rng.sample(names, rng.randint(0, 3)))
+            for av in (frozenset(), avoid):
+                got = d.descendants(sources, avoid=av)
+                assert got == reach(arcs, sources, av), (seed, sources, av)
+                assert got == set().union(*(
+                    nx.descendants(g.subgraph(set(g) - (av - {s})), s)
+                    for s in sources if s in g)), (seed, sources, av)
+            got = d.ancestors(sources)
+            assert got == reach([(b, a) for a, b in arcs], sources)
+            assert got == set().union(*(nx.ancestors(g, s)
+                                        for s in sources if s in g))
 
 
 # ---------------------------------------------------------------------------

@@ -102,6 +102,18 @@ def test_non_numeric_utility_value():
     _expect(doc, "high")
 
 
+def test_boolean_probability_is_not_a_number():
+    doc = _doc()
+    doc["cpts"]["lung_cancer"]["rows"]["no"] = [True, False]
+    _expect(doc, "lung_cancer: row 'no' must be a list of numbers")
+
+
+def test_boolean_utility_value_is_not_a_number():
+    doc = _doc("coin_utility")
+    doc["utility"]["values"]["win"] = True
+    _expect(doc, "utility value True at 'win' is not a number")
+
+
 def test_bad_decision_order_type():
     doc = _doc()
     doc["decision_order"] = "smoke"
