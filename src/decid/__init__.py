@@ -5,9 +5,10 @@ Form via mechanism extraction, exact inference, twin-network
 counterfactuals, optimal policies, and value of information.
 """
 
-from .errors import (CapExceeded, CycleIntroduced, DecidError, ModelError,
-                     NoDecisionOrder, NodeBudgetExceeded, NotCausal, NotHcf,
-                     NotObservable, NoUtilityNode, ParseError,
+from .errors import (CapExceeded, CycleIntroduced, DecidError,
+                     MechanismError, ModelError, NoDecisionOrder,
+                     NodeBudgetExceeded, NotCausal, NotHcf, NotObservable,
+                     NoUtilityNode, ParseError,
                      PolicySpaceExceeded, QueryError, ReassessmentRequired,
                      StateSpaceExceeded, UnknownVariable, WorldCapExceeded,
                      ZeroProbabilityEvidence)

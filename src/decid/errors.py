@@ -26,6 +26,10 @@ class UnknownVariable(ModelError):
     pass
 
 
+class MechanismError(ModelError):
+    """A mechanism's mappings or prior do not fit its target and domain."""
+
+
 class QueryError(DecidError):
     """The question cannot be answered as posed."""
 

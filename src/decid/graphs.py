@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import NodeBudgetExceeded, UnknownVariable
 from .model import (DECISION, DO_NOTHING, SET_PREFIX, TOL, Diagram,
-                    _reach_bits, table_factor)
+                    _reach_bits, _union_bits, table_factor)
 
 MINIMAL_SET_NODE_BUDGET = 20
 
@@ -118,51 +118,36 @@ def minimal_blocking_sets(d: Diagram, decisions, target, exclude=frozenset(),
 
 
 def d_separated(d: Diagram, X, Y, Z) -> bool:
-    """Standard d-separation on the relevance-arc subgraph.
+    """Standard d-separation on the relevance subgraph: every arc except
+    those into a decision, so decisions take part as parentless sources.
+    On a valid diagram these are exactly the relevance arcs.
 
-    Uses the active-trail reachability algorithm (Koller & Friedman,
-    "Reachable").  Decisions participate as parentless source nodes.
+    Uses the active-trail walk in its Bayes-Ball form (Shachter 1998) on
+    the bit index, one frontier mask per direction: a trail that reaches
+    Z from a parent bounces back up, so, unlike Koller & Friedman's
+    "Reachable", it needs no ancestor set of Z.
     """
     X, Y, Z = set(X), set(Y), set(Z)
     _check_names(d, X | Y | Z)
     if (X & Y) or (X & Z) or (Y & Z):
         raise ValueError("X, Y, Z must be pairwise disjoint")
-    # Information arcs are dropped: decisions act as parentless sources.
-    pa: dict[str, set[str]] = {n.name: set() for n in d.nodes}
-    ch: dict[str, set[str]] = {n.name: set() for n in d.nodes}
-    for a, b in d.relevance_arcs:
-        pa[b].add(a)
-        ch[a].add(b)
-
-    # Z together with its ancestors: nodes at which colliders are active.
-    anc_z = set()
-    frontier = list(Z)
-    while frontier:
-        n = frontier.pop()
-        if n in anc_z:
-            continue
-        anc_z.add(n)
-        frontier.extend(pa[n])
-
-    # Direction "up" means the trail arrived from a child, "down" from a
-    # parent.
-    visited = set()
-    frontier = [(x, "up") for x in X]
-    while frontier:
-        node, direction = frontier.pop()
-        if (node, direction) in visited:
-            continue
-        visited.add((node, direction))
-        if node not in Z and node in Y:
+    ix = d._bits
+    y, z, dec = ix.mask(Y), ix.mask(Z), ix.mask(d.decisions())
+    # "up" holds the names a trail reached from a child, "down" those it
+    # reached from a parent; each frontier is what the last step added.
+    # Decisions are never stepped into from a parent, nor left upwards.
+    up = front_up = ix.mask(X)
+    down = front_down = 0
+    while front_up | front_down:
+        if (front_up | front_down) & y:
             return False
-        if direction == "up" and node not in Z:
-            frontier.extend((p, "up") for p in pa[node])
-            frontier.extend((c, "down") for c in ch[node])
-        elif direction == "down":
-            if node not in Z:
-                frontier.extend((c, "down") for c in ch[node])
-            if node in anc_z:
-                frontier.extend((p, "up") for p in pa[node])
+        step_down = _union_bits(ix.children, (front_up | front_down) & ~z)
+        step_up = _union_bits(ix.parents,
+                              (front_up & ~z | front_down & z) & ~dec)
+        front_up = step_up & ~up
+        front_down = step_down & ~(dec | down)
+        up |= front_up
+        down |= front_down
     return True
 
 

@@ -29,7 +29,8 @@ import numpy as np
 
 from .errors import (NotHcf, UnknownVariable, WorldCapExceeded,
                      ZeroProbabilityEvidence)
-from .graphs import CauseReport, d_separated, minimal_sets
+from .graphs import (MINIMAL_SET_NODE_BUDGET, CauseReport, d_separated,
+                     minimal_sets)
 from .mechanisms import _diagram_of
 from .model import (CHANCE, DECISION, DETERMINISTIC, TOL, UTILITY,
                     Assignment, Diagram, Factor, Node, chance_node,
@@ -342,7 +343,7 @@ def oracle_fixed_set_member(h, target: str, conditioning=frozenset(),
 
 
 def oracle_causes(h, target: str, world_pair_cap: int = WORLD_PAIR_CAP,
-                  node_budget: int = 20):
+                  node_budget: int = MINIMAL_SET_NODE_BUDGET):
     """All minimal cause sets for the target, by world enumeration.
 
     Empty (with a reason) when the target is already fixed; otherwise

@@ -26,8 +26,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (NotCausal, ReassessmentRequired, StateSpaceExceeded,
-                     UnknownVariable)
+from .errors import (MechanismError, NotCausal, ReassessmentRequired,
+                     StateSpaceExceeded, UnknownVariable)
 from .model import (CHANCE, DETERMINISTIC, TOL, ConditionalTable, Diagram,
                     Node, Variable, chance_node, instance_keys,
                     parent_variables, table_factor, validate_diagram)
@@ -82,6 +82,20 @@ def _mappings(x: Variable, y_vars: list[Variable], cap: int
         raise StateSpaceExceeded(
             f"mechanism for {x.name} needs {count} states, cap is {cap}")
     return list(itertools.product(x.states, repeat=q))
+
+
+def _check_mapping_entries(mech: str, target: Variable, q: int, mappings,
+                           error=MechanismError) -> None:
+    """Each mapping gives a state of the target for each of the ``q``
+    domain instances; the first that does not is raised as ``error``."""
+    for k, m in enumerate(mappings):
+        if len(m) != q:
+            raise error(f"mechanism {mech}: mapping {k} has {len(m)} "
+                        f"entries, not one per domain instance ({q})")
+        for s in m:
+            if s not in target.states:
+                raise error(f"mechanism {mech}: mapping {k} names {s!r}, "
+                            f"not a state of {target.name}")
 
 
 def enumerate_mechanism_states(x: Variable, domain: list[Variable],
@@ -184,24 +198,21 @@ def to_hcf(d: Diagram, assume_causal: bool = False,
         order = node.table.parent_order
         domain = tuple(p for p in order if p not in fixed)
         z_parents = tuple(p for p in order if p in fixed)
+        y_keys = instance_keys(parent_variables(d, domain))
         spec = priors.get(x) or _build_spec(d, node, domain, z_parents, cap)
+        if x in priors:
+            _check_prior(spec, node.variable, domain, len(y_keys))
         mech = spec.name
-        if (spec.target, spec.domain) != (x, domain):
-            raise UnknownVariable(f"the prior given for {x} is for {mech}, "
-                                  f"not {mechanism_name(x, domain)}")
         if d.has(mech) or any(n.name == mech for n in nodes):
             raise ValueError(f"mechanism name {mech!r} collides with a variable")
         labels = [mechanism_state_label(m) for m in spec.states]
         nodes.append(chance_node(mech, labels, spec.fixed_parents,
                                  spec.prior.rows))
         # Rewire x: deterministic in (Y, mechanism); Z moves to the
-        # mechanism.  Rows share one one-hot tuple per state of x; a
-        # given prior's entry that is no state of x gets a zero row.
+        # mechanism.  Rows share one one-hot tuple per state of x.
         hot = {s: tuple(float(s == t) for t in node.states)
                for s in node.states}
-        zero = (0.0,) * len(node.states)
-        y_keys = instance_keys(parent_variables(d, domain))
-        det_rows = {y_key + (label,): hot.get(mapping[i], zero)
+        det_rows = {y_key + (label,): hot[mapping[i]]
                     for i, y_key in enumerate(y_keys)
                     for mapping, label in zip(spec.states, labels)}
         xi = next(i for i, n in enumerate(nodes) if n.name == x)
@@ -218,6 +229,21 @@ def to_hcf(d: Diagram, assume_causal: bool = False,
                   d.decision_order, causal=True,
                   declared_fixed=d.declared_fixed)
     return HcfDiagram(out, tuple(mechanisms), provenance)
+
+
+def _check_prior(spec: MechanismSpec, x: Variable, domain, q: int) -> None:
+    """A given prior is for x over ``domain`` (``q`` instances), its
+    mappings fit them, and each prior row has one entry per mapping."""
+    mech = mechanism_name(x.name, domain)
+    if (spec.target, spec.domain) != (x.name, domain):
+        raise UnknownVariable(f"the prior given for {x.name} is for "
+                              f"{spec.name}, not {mech}")
+    _check_mapping_entries(mech, x, q, spec.states)
+    for key, row in spec.prior.rows.items():
+        if len(row) != len(spec.states):
+            raise MechanismError(
+                f"mechanism {mech}: prior row {key} has {len(row)} "
+                f"entries, not one per mapping ({len(spec.states)})")
 
 
 def validate_hcf(h: HcfDiagram) -> list[str]:

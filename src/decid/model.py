@@ -5,14 +5,16 @@ nodes.  Relevance arcs point into chance/deterministic/utility nodes and
 carry the conditional tables; information arcs point into decisions and
 record what is known when the decision is made.  Diagrams are immutable
 after construction and safe to share across workers.  Derived indexes
-(name lookup, children, parents, the bit index, set decisions by
-target, topological order) are computed once per diagram, on first
-use; ``replace`` and ``with_arcs`` build a new diagram, so an index
-never outlives the arcs it was read from.
+(name lookup, the bit index, set decisions by target, topological
+order) are computed once per diagram, on first use; ``replace`` and
+``with_arcs`` build a new diagram, so an index never outlives the arcs
+it was read from.
 
-The bit index gives each name one bit of an int, node names lowest,
-and each bit a child and a parent mask: a set of names is one int, and
-``_reach_bits``, an OR of masks per step, is the one walk along all arcs.
+The bit index is the one graph index.  It gives each name one bit of an
+int, node names lowest, and each bit a child and a parent mask: a set
+of names is one int, and ``_reach_bits``, an OR of masks per step, is
+the one walk along all arcs.  Children, parents, the topological order,
+descendants, ancestors and d-separation all read it.
 
 Set decisions ("do nothing" / "set x to k") are stored structurally: the
 target's conditional table ranges only over its ordinary parents, and
@@ -142,21 +144,6 @@ class Diagram:
         return {n.name: n for n in reversed(self.nodes)}
 
     @cached_property
-    def _children(self) -> dict[str, set[str]]:
-        out: dict[str, set[str]] = {}
-        for a, b in self.all_arcs():
-            out.setdefault(a, set()).add(b)
-        return out
-
-    @cached_property
-    def _parents(self) -> dict[str, set[str]]:
-        # Over all arcs, the mirror of ``_children``.
-        out: dict[str, set[str]] = {}
-        for a, b in self.all_arcs():
-            out.setdefault(b, set()).add(a)
-        return out
-
-    @cached_property
     def _bits(self) -> "BitIndex":
         # Node names first, so "is a node" is ``bit >> nodes == 0``.
         arcs = self.all_arcs()
@@ -169,7 +156,7 @@ class Diagram:
             ba, bb = bit[a], bit[b]
             children[ba] = children.get(ba, 0) | bb
             parents[bb] = parents.get(bb, 0) | ba
-        return BitIndex(bit, len(self._by_name), children, parents)
+        return BitIndex(bit, tuple(bit), len(self._by_name), children, parents)
 
     @cached_property
     def _set_decisions(self) -> dict[str, list[str]]:
@@ -183,21 +170,20 @@ class Diagram:
     def _topological_order(self) -> tuple[str, ...]:
         # Kahn's algorithm, smallest ready name first; arcs with an
         # unknown endpoint are ignored.
-        indeg = dict.fromkeys(self._by_name, 0)
-        for a, b in set(self.all_arcs()):
-            if a in indeg and b in indeg:
-                indeg[b] += 1
-        ready = [n for n, k in indeg.items() if k == 0]
+        ix = self._bits
+        nodes = (1 << ix.nodes) - 1
+        indeg = {x: (ix.parents.get(ix.bit[x], 0) & nodes).bit_count()
+                 for x in ix.names[:ix.nodes]}
+        ready = [x for x, k in indeg.items() if k == 0]
         heapq.heapify(ready)
         order: list[str] = []
         while ready:
             n = heapq.heappop(ready)
             order.append(n)
-            for c in self._children.get(n, ()):
-                if c in indeg:
-                    indeg[c] -= 1
-                    if indeg[c] == 0:
-                        heapq.heappush(ready, c)
+            for c in ix.names_of(ix.children.get(ix.bit[n], 0) & nodes):
+                indeg[c] -= 1
+                if indeg[c] == 0:
+                    heapq.heappush(ready, c)
         return tuple(order)
 
     # -- lookups ---------------------------------------------------------
@@ -229,14 +215,16 @@ class Diagram:
 
     def parents(self, name: str) -> set[str]:
         """Parents over all arcs, the mirror of ``children``."""
-        return set(self._parents.get(name, ()))
+        ix = self._bits
+        return ix.names_of(ix.parents.get(ix.bit.get(name, 0), 0))
 
     def info_parents(self, name: str) -> list[str]:
         # Canonical (sorted) order; information arcs are an unordered set.
         return sorted(a for a, b in self.information_arcs if b == name)
 
     def children(self, name: str) -> set[str]:
-        return set(self._children.get(name, ()))
+        ix = self._bits
+        return ix.names_of(ix.children.get(ix.bit.get(name, 0), 0))
 
     def set_decisions_for(self, target: str) -> list[str]:
         return list(self._set_decisions.get(target, ()))
@@ -278,10 +266,12 @@ class Diagram:
 
 class BitIndex(NamedTuple):
     """``bit[x]`` is x's bit, the ``nodes`` node names taking the lowest;
-    ``children[b]`` and ``parents[b]`` mask the neighbours of the name
-    with bit b over all arcs."""
+    ``names[i]`` is the name with bit ``1 << i``; ``children[b]`` and
+    ``parents[b]`` mask the neighbours of the name with bit b over all
+    arcs."""
 
     bit: dict[str, int]
+    names: tuple[str, ...]
     nodes: int
     children: dict[int, int]
     parents: dict[int, int]
@@ -295,7 +285,12 @@ class BitIndex(NamedTuple):
         return m
 
     def names_of(self, mask: int) -> set[str]:
-        return {x for x, b in self.bit.items() if mask & b}
+        out = set()
+        while mask:
+            low = mask & -mask
+            out.add(self.names[low.bit_length() - 1])
+            mask ^= low
+        return out
 
 
 def _reach_bits(masks: Mapping[int, int], frontier: int, avoid: int) -> int:
@@ -303,12 +298,20 @@ def _reach_bits(masks: Mapping[int, int], frontier: int, avoid: int) -> int:
     ``masks``, entering no bit of ``avoid``."""
     seen = 0
     while frontier:
-        low = frontier & -frontier
-        frontier ^= low
-        new = masks.get(low, 0) & ~(avoid | seen)
-        seen |= new
-        frontier |= new
+        frontier = _union_bits(masks, frontier) & ~(avoid | seen)
+        seen |= frontier
     return seen
+
+
+def _union_bits(masks: Mapping[int, int], m: int) -> int:
+    """The OR of ``masks[b]`` over the bits b of ``m``: one step from
+    all of them at once."""
+    out = 0
+    while m:
+        low = m & -m
+        out |= masks.get(low, 0)
+        m ^= low
+    return out
 
 
 def enumerate_instances(variables: Sequence[Variable]) -> list[Assignment]:

@@ -13,7 +13,8 @@ import json
 import math
 
 from .errors import ParseError
-from .mechanisms import HcfDiagram, MechanismSpec, _diagram_of
+from .mechanisms import (HcfDiagram, MechanismSpec, _check_mapping_entries,
+                         _diagram_of)
 from .model import (CHANCE, DECISION, DETERMINISTIC, UTILITY,
                     ConditionalTable, Diagram, Node, UtilityTable, Variable)
 
@@ -143,15 +144,9 @@ def _check_mappings(mech, source, domain, mappings, states_of):
     if len(mappings) != len(states_of[mech]):
         raise ParseError(f"mechanism {mech}: {len(mappings)} mappings for "
                          f"{len(states_of[mech])} states")
-    q = math.prod(len(states_of[v]) for v in domain)
-    for k, m in enumerate(mappings):
-        if len(m) != q:
-            raise ParseError(f"mechanism {mech}: mapping {k} has {len(m)} "
-                             f"entries, not one per domain instance ({q})")
-        for s in m:
-            if s not in states_of[source]:
-                raise ParseError(f"mechanism {mech}: mapping {k} names "
-                                 f"{s!r}, not a state of {source}")
+    _check_mapping_entries(mech, Variable(source, states_of[source]),
+                           math.prod(len(states_of[v]) for v in domain),
+                           mappings, ParseError)
 
 
 def parse_model(text: str) -> Diagram:

@@ -24,8 +24,16 @@ the suites hold the factor-indexing versions against them.
 ``reach`` is reachability over name sets, a walk from each source that
 enters no node of ``avoid``; the suites hold the bit-mask walk behind
 ``Diagram.descendants`` and ``Diagram.ancestors`` against it.
+
+``neighbours``, ``kahn_order`` and ``d_separated`` read a list of arcs
+one arc at a time: per-name parent and child sets, Kahn's order over an
+arc list, and the Koller & Friedman active-trail walk over (name,
+direction) pairs.  The suites hold ``Diagram.parents``,
+``Diagram.children``, ``Diagram.topological_order`` and
+``graphs.d_separated``, which read the bit index, against them.
 """
 
+import heapq
 import itertools
 import math
 
@@ -178,3 +186,62 @@ def reach(arcs, sources, avoid=frozenset()):
                 seen.add(c)
                 frontier.append(c)
     return seen
+
+
+def neighbours(arcs):
+    """Per-name parent and child sets over ``arcs``."""
+    parents, children = {}, {}
+    for a, b in arcs:
+        children.setdefault(a, set()).add(b)
+        parents.setdefault(b, set()).add(a)
+    return parents, children
+
+
+def kahn_order(names, arcs):
+    """Kahn's order over the distinct ``names``, smallest ready name
+    first; an arc counts once, and only between two of ``names``."""
+    indeg = dict.fromkeys(names, 0)
+    arcs = {(a, b) for a, b in arcs if a in indeg and b in indeg}
+    for _, b in arcs:
+        indeg[b] += 1
+    _, children = neighbours(arcs)
+    ready = [x for x, k in indeg.items() if k == 0]
+    heapq.heapify(ready)
+    order = []
+    while ready:
+        x = heapq.heappop(ready)
+        order.append(x)
+        for c in children.get(x, ()):
+            indeg[c] -= 1
+            if indeg[c] == 0:
+                heapq.heappush(ready, c)
+    return order
+
+
+def d_separated(arcs, X, Y, Z):
+    """True iff no trail along ``arcs`` from X to Y is active given Z."""
+    pa, ch = neighbours(arcs)
+    anc_z, frontier = set(), list(Z)
+    while frontier:
+        x = frontier.pop()
+        if x not in anc_z:
+            anc_z.add(x)
+            frontier.extend(pa.get(x, ()))
+    # "up": the trail arrived from a child; "down": from a parent.
+    visited, frontier = set(), [(x, "up") for x in X]
+    while frontier:
+        x, direction = frontier.pop()
+        if (x, direction) in visited:
+            continue
+        visited.add((x, direction))
+        if x not in Z and x in Y:
+            return False
+        if direction == "up" and x not in Z:
+            frontier.extend((p, "up") for p in pa.get(x, ()))
+            frontier.extend((c, "down") for c in ch.get(x, ()))
+        elif direction == "down":
+            if x not in Z:
+                frontier.extend((c, "down") for c in ch.get(x, ()))
+            if x in anc_z:
+                frontier.extend((p, "up") for p in pa.get(x, ()))
+    return True

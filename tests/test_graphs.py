@@ -13,6 +13,7 @@ from decid.errors import NodeBudgetExceeded, UnknownVariable
 
 from genmodels import (ladder, random_dag, random_dag_with_information,
                        random_table_diagram)
+from reference import d_separated as d_separated_by_names
 from reference import removable_arcs as removable_by_rows
 
 
@@ -189,6 +190,18 @@ def test_dsep_coin_roots_disconnected(coin):
 def test_dsep_rejects_overlap(fig1):
     with pytest.raises(ValueError):
         d_separated(fig1, {"smoke"}, {"smoke"}, set())
+
+
+def test_dsep_walks_arcs_to_names_that_are_no_node(fig2a):
+    """An unvalidated diagram whose relevance arcs name no node: the
+    trails through such a name count like any other."""
+    d = fig2a.with_arcs(relevance=fig2a.relevance_arcs + (
+        ("ghost", "payoff"), ("ghost", "genotype"), ("ghost", "pleasure")))
+    assert not d_separated(d, {"smoke"}, {"payoff"}, set())
+    assert d_separated(fig2a, {"genotype"}, {"smoke"}, {"pleasure"})
+    assert not d_separated(d, {"genotype"}, {"smoke"}, {"pleasure"})
+    with pytest.raises(UnknownVariable, match="'ghost'"):
+        d_separated(d, {"ghost"}, {"smoke"}, set())
 
 
 @pytest.mark.parametrize("seed", range(40))
@@ -473,21 +486,29 @@ def test_blocking_matches_path_enumeration_on_the_sweep_queries(
 
 
 def test_d_separation_matches_networkx():
+    """On diagrams with and without information arcs, which the
+    d-separation graph leaves out; also against the name-set walk."""
     nx = pytest.importorskip("networkx")
+    info = 0
     for seed in range(200):
-        d = random_dag(seed, n_nodes=8, p_arc=0.3)
-        g = nx.DiGraph()
-        g.add_nodes_from(d.names())
-        g.add_edges_from(d.relevance_arcs)
-        rng = random.Random(seed)
-        for _ in range(5):
-            pool = d.names()
-            rng.shuffle(pool)
-            nx_, ny, nz = rng.randint(1, 2), rng.randint(1, 2), rng.randint(0, 3)
-            X, Y = set(pool[:nx_]), set(pool[nx_:nx_ + ny])
-            Z = set(pool[nx_ + ny:nx_ + ny + nz])
-            assert d_separated(d, X, Y, Z) == nx.is_d_separator(g, X, Y, Z), \
-                (seed, X, Y, Z)
+        for d in (random_dag(seed, n_nodes=8, p_arc=0.3),
+                  random_dag_with_information(seed, n_nodes=8, p_arc=0.3)):
+            info += len(d.information_arcs)
+            g = nx.DiGraph()
+            g.add_nodes_from(d.names())
+            g.add_edges_from(d.relevance_arcs)
+            rng = random.Random(seed)
+            for _ in range(5):
+                pool = d.names()
+                rng.shuffle(pool)
+                nx_, ny = rng.randint(1, 2), rng.randint(1, 2)
+                nz = rng.randint(0, 3)
+                X, Y = set(pool[:nx_]), set(pool[nx_:nx_ + ny])
+                Z = set(pool[nx_ + ny:nx_ + ny + nz])
+                got = d_separated(d, X, Y, Z)
+                assert got == nx.is_d_separator(g, X, Y, Z), (seed, X, Y, Z)
+                assert got == d_separated_by_names(d.relevance_arcs, X, Y, Z)
+    assert info >= 200
 
 
 def _full_pool_blocking_sets(d, D, x, exclude):

@@ -8,7 +8,8 @@ from decid import (Diagram, MechanismSpec, Variable, canonical_mechanism_prior,
                    mechanism_state_label, set_decision_node, to_hcf,
                    validate_diagram, validate_hcf)
 from decid import WorldTable
-from decid.errors import (NotCausal, ReassessmentRequired, StateSpaceExceeded,
+from decid.errors import (MechanismError, ModelError, NotCausal,
+                          ReassessmentRequired, StateSpaceExceeded,
                           UnknownVariable)
 from decid.model import ConditionalTable
 
@@ -242,6 +243,26 @@ def test_to_hcf_rejects_a_prior_for_another_mechanism(fig6a):
                           spec.states, spec.prior)
     with pytest.raises(UnknownVariable, match=r"lung_cancer\(diet\)"):
         to_hcf(fig6a, priors={"lung_cancer": other})
+
+
+def test_to_hcf_checks_a_given_prior_before_building(m1):
+    """An entry that is no state of the target, a mapping too short, and
+    a prior row without one entry per mapping."""
+    base = canonical_mechanism_prior(m1, "lung_cancer")
+    row = base.prior.rows[()]
+    for states, row, message in [
+            ((("no", "maybe"),) + base.states[1:], row,
+             "mapping 0 names 'maybe', not a state of lung_cancer"),
+            (base.states[:1] + (("no",),) + base.states[2:], row,
+             r"mapping 1 has 1 entries, not one per domain instance \(2\)"),
+            (base.states, row[:3],
+             r"prior row \(\) has 3 entries, not one per mapping \(4\)")]:
+        spec = MechanismSpec(base.target, base.domain, base.fixed_parents,
+                             states, ConditionalTable((), {(): row}))
+        with pytest.raises(MechanismError, match=(
+                r"^mechanism lung_cancer\(smoke\): " + message)):
+            to_hcf(m1, priors={"lung_cancer": spec})
+    assert issubclass(MechanismError, ModelError)
 
 
 def test_to_hcf_cap(fig6a):

@@ -8,7 +8,7 @@ from decid import (Diagram, Variable, WorldTable, chance_node, decision_node,
                    serialize_model, validate_diagram)
 
 from genmodels import random_dag_with_information, random_diagram
-from reference import reach
+from reference import kahn_order, neighbours, reach
 
 
 def two_node(p_yes_given_yes=0.2, p_yes_given_no=0.05):
@@ -206,7 +206,9 @@ def test_ancestors_and_parents_match_networkx():
 
 def test_descendants_and_ancestors_match_the_set_walk_and_networkx():
     """Information arcs, arcs that name no node, unknown sources and
-    avoided names, and a node name given twice."""
+    avoided names, and a node name given twice.  Parents, children and
+    the topological order are held against per-arc sets and Kahn's
+    order over the arc list, and the order against networkx too."""
     nx = pytest.importorskip("networkx")
     for seed in range(100):
         rng = random.Random(seed)
@@ -218,6 +220,14 @@ def test_descendants_and_ancestors_match_the_set_walk_and_networkx():
         g = nx.DiGraph(arcs)
         g.add_nodes_from(d.names())
         names = d.names() + ["ghost", "ghost2", "nosuch"]
+        parents, children = neighbours(arcs)
+        for x in names:
+            assert d.parents(x) == parents.get(x, set()), (seed, x)
+            assert d.children(x) == children.get(x, set()), (seed, x)
+        order = d.topological_order()
+        assert order == kahn_order(d.names(), arcs), seed
+        assert order == list(nx.lexicographical_topological_sort(
+            g.subgraph(d.names()))), seed
         for _ in range(10):
             sources = rng.sample(names, rng.randint(1, 3))
             avoid = set(rng.sample(names, rng.randint(0, 3)))
