@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,7 +30,8 @@ from .errors import (MechanismError, NotCausal, ReassessmentRequired,
                      StateSpaceExceeded, UnknownVariable)
 from .model import (CHANCE, DETERMINISTIC, TOL, ConditionalTable, Diagram,
                     Node, Variable, chance_node, instance_keys,
-                    parent_variables, table_factor, validate_diagram)
+                    parent_variables, row_coverage, table_factor,
+                    validate_diagram)
 
 MECHANISM_STATE_CAP = 10 ** 6
 
@@ -56,7 +57,11 @@ class MechanismSpec:
 class HcfDiagram:
     diagram: Diagram
     mechanisms: tuple[MechanismSpec, ...] = ()
-    provenance: dict = field(default_factory=dict)
+
+    @property
+    def provenance(self) -> dict:
+        """Mechanism name -> the node it was extracted from."""
+        return {m.name: m.target for m in self.mechanisms}
 
 
 def _diagram_of(parsed) -> Diagram:
@@ -72,30 +77,51 @@ def mechanism_state_label(mapping: StateMapping) -> str:
     return ",".join(mapping)
 
 
-def _mappings(x: Variable, y_vars: list[Variable], cap: int
-              ) -> list[StateMapping]:
-    q = 1
-    for v in y_vars:
-        q *= len(v.states)
+def _domain_size(x: Variable, y_vars: list[Variable], cap: int) -> int:
+    """q, the number of domain instances, once r^q mappings fit the cap."""
+    q = math.prod(len(v.states) for v in y_vars)
     count = len(x.states) ** q
     if count > cap:
         raise StateSpaceExceeded(
             f"mechanism for {x.name} needs {count} states, cap is {cap}")
-    return list(itertools.product(x.states, repeat=q))
+    return q
 
 
-def _check_mapping_entries(mech: str, target: Variable, q: int, mappings,
-                           error=MechanismError) -> None:
-    """Each mapping gives a state of the target for each of the ``q``
-    domain instances; the first that does not is raised as ``error``."""
-    for k, m in enumerate(mappings):
+def _mechanism_violations(spec: MechanismSpec, states_of, mech=None
+                          ) -> list[str]:
+    """Why ``spec`` is no mechanism over the variables ``states_of``
+    (name -> states), in the order checked; an unknown name is the only
+    one reported.  A ``mech`` given is the name its source and domain
+    must give, and names it in the messages."""
+    at = f"mechanism {mech or spec.name}"
+    for role, names in (("source", [spec.target]), ("domain variable",
+                        spec.domain), ("fixed parent", spec.fixed_parents)):
+        unknown = [v for v in names if v not in states_of]
+        if unknown:
+            return [f"{at}: unknown {role} {unknown[0]!r}"]
+    target, n = states_of[spec.target], len(spec.states)
+    r, q = len(target), math.prod(len(states_of[v]) for v in spec.domain)
+    # A long domain's r ** q would not fit in memory; no list is that long.
+    count = r ** q if q < 64 or r < 2 else f"{r}^{q}"
+    report = [f"{at}: {n} mappings for {count} states"] if n != count else []
+    for k, m in enumerate(spec.states):
         if len(m) != q:
-            raise error(f"mechanism {mech}: mapping {k} has {len(m)} "
-                        f"entries, not one per domain instance ({q})")
-        for s in m:
-            if s not in target.states:
-                raise error(f"mechanism {mech}: mapping {k} names {s!r}, "
-                            f"not a state of {target.name}")
+            report.append(f"{at}: mapping {k} has {len(m)} entries, not one "
+                          f"per domain instance ({q})")
+        report += [f"{at}: mapping {k} names {s!r}, not a state of "
+                   f"{spec.target}" for s in m if s not in target]
+    prior = spec.prior
+    if prior.parent_order != spec.fixed_parents:
+        return report + [f"{at}: prior is keyed by {list(prior.parent_order)}"
+                         f", not the fixed parents {list(spec.fixed_parents)}"]
+    report += row_coverage(at, "prior", itertools.product(
+        *(states_of[z] for z in spec.fixed_parents)), prior.rows)
+    report += [f"{at}: prior row {key} has {len(row)} entries, not one per "
+               f"mapping ({n})"
+               for key, row in prior.rows.items() if len(row) != n]
+    if mech not in (None, spec.name):
+        report.append(f"{at}: its source and domain give the name {spec.name}")
+    return report
 
 
 def enumerate_mechanism_states(x: Variable, domain: list[Variable],
@@ -107,7 +133,8 @@ def enumerate_mechanism_states(x: Variable, domain: list[Variable],
         raise ValueError("mechanism domain must be nonempty")
     if any(v.name == x.name for v in domain):
         raise ValueError(f"{x.name} cannot be in its own mechanism domain")
-    return _mappings(x, list(domain), cap)
+    return list(itertools.product(x.states,
+                                  repeat=_domain_size(x, domain, cap)))
 
 
 def canonical_mechanism_prior(d: Diagram, target: str,
@@ -140,7 +167,8 @@ def _responses(d: Diagram, node: Node, domain, z_parents) -> np.ndarray:
 
 
 def _build_spec(d: Diagram, node: Node, domain, z_parents, cap) -> MechanismSpec:
-    mappings = _mappings(node.variable, parent_variables(d, domain), cap)
+    mappings = itertools.product(node.states, repeat=_domain_size(
+        node.variable, parent_variables(d, domain), cap))
     resp = _responses(d, node, domain, z_parents)
     # One Y-instance at a time, in Y order, so each mapping's product is
     # taken left to right; later Y-instances vary fastest, as in
@@ -189,61 +217,55 @@ def to_hcf(d: Diagram, assume_causal: bool = False,
         raise UnknownVariable(f"priors name {unknown[0]!r}, which has no "
                               "mechanism to extract")
 
-    nodes = list(d.nodes)
-    relevance = list(d.relevance_arcs)
-    mechanisms = []
-    provenance = {}
+    # Every product prior is sized before any is built.
+    plan = []
     for x in targets:
         node = d.node(x)
         order = node.table.parent_order
         domain = tuple(p for p in order if p not in fixed)
-        z_parents = tuple(p for p in order if p in fixed)
-        y_keys = instance_keys(parent_variables(d, domain))
-        spec = priors.get(x) or _build_spec(d, node, domain, z_parents, cap)
-        if x in priors:
-            _check_prior(spec, node.variable, domain, len(y_keys))
+        if x not in priors:
+            _domain_size(node.variable, parent_variables(d, domain), cap)
+        plan.append((x, node, domain, tuple(p for p in order if p in fixed)))
+
+    nodes = {n.name: n for n in d.nodes}
+    relevance = list(d.relevance_arcs)
+    mechanisms = []
+    for x, node, domain, z_parents in plan:
+        spec = priors.get(x)
+        if spec is None:
+            spec = _build_spec(d, node, domain, z_parents, cap)
+        elif (spec.target, spec.domain) != (x, domain):
+            raise UnknownVariable(f"the prior given for {x} is for {spec.name}"
+                                  f", not {mechanism_name(x, domain)}")
+        elif errors := _mechanism_violations(
+                spec, {k: n.states for k, n in nodes.items()}):
+            raise MechanismError(errors[0])
         mech = spec.name
-        if d.has(mech) or any(n.name == mech for n in nodes):
+        if mech in nodes:
             raise ValueError(f"mechanism name {mech!r} collides with a variable")
         labels = [mechanism_state_label(m) for m in spec.states]
-        nodes.append(chance_node(mech, labels, spec.fixed_parents,
-                                 spec.prior.rows))
+        nodes[mech] = chance_node(mech, labels, spec.fixed_parents,
+                                  spec.prior.rows)
         # Rewire x: deterministic in (Y, mechanism); Z moves to the
         # mechanism.  Rows share one one-hot tuple per state of x.
         hot = {s: tuple(float(s == t) for t in node.states)
                for s in node.states}
+        y_keys = instance_keys(parent_variables(d, domain))
         det_rows = {y_key + (label,): hot[mapping[i]]
                     for i, y_key in enumerate(y_keys)
                     for mapping, label in zip(spec.states, labels)}
-        xi = next(i for i, n in enumerate(nodes) if n.name == x)
-        nodes[xi] = Node(node.variable, DETERMINISTIC, table=ConditionalTable(
+        nodes[x] = Node(node.variable, DETERMINISTIC, table=ConditionalTable(
             domain + (mech,), det_rows))
         relevance = [(a, b) for a, b in relevance
                      if not (b == x and a in z_parents)]
         relevance.extend((z, mech) for z in spec.fixed_parents)
         relevance.append((mech, x))
         mechanisms.append(spec)
-        provenance[mech] = x
 
-    out = Diagram(tuple(nodes), tuple(relevance), d.information_arcs,
+    out = Diagram(tuple(nodes.values()), tuple(relevance), d.information_arcs,
                   d.decision_order, causal=True,
                   declared_fixed=d.declared_fixed)
-    return HcfDiagram(out, tuple(mechanisms), provenance)
-
-
-def _check_prior(spec: MechanismSpec, x: Variable, domain, q: int) -> None:
-    """A given prior is for x over ``domain`` (``q`` instances), its
-    mappings fit them, and each prior row has one entry per mapping."""
-    mech = mechanism_name(x.name, domain)
-    if (spec.target, spec.domain) != (x.name, domain):
-        raise UnknownVariable(f"the prior given for {x.name} is for "
-                              f"{spec.name}, not {mech}")
-    _check_mapping_entries(mech, x, q, spec.states)
-    for key, row in spec.prior.rows.items():
-        if len(row) != len(spec.states):
-            raise MechanismError(
-                f"mechanism {mech}: prior row {key} has {len(row)} "
-                f"entries, not one per mapping ({len(spec.states)})")
+    return HcfDiagram(out, tuple(mechanisms))
 
 
 def validate_hcf(h: HcfDiagram) -> list[str]:
@@ -256,15 +278,11 @@ def validate_hcf(h: HcfDiagram) -> list[str]:
     for x in d.uncertain():
         if x in desc and d.node(x).kind != DETERMINISTIC:
             report.append(f"decision descendant {x} is not deterministic")
+    states_of = {n.name: n.states for n in d.nodes}
     for m in h.mechanisms:
         if d.has(m.name) and m.name in desc:
             report.append(f"mechanism {m.name} is a decision descendant")
-        r, q = len(d.node(m.target).states), 1
-        for v in parent_variables(d, m.domain):
-            q *= len(v.states)
-        if len(m.states) != r ** q:
-            report.append(f"mechanism {m.name} has {len(m.states)} states, "
-                          f"expected {r ** q}")
+        report.extend(_mechanism_violations(m, states_of))
     return report
 
 

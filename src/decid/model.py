@@ -484,12 +484,8 @@ def validate_diagram(d: Diagram) -> list[str]:
                     f"{n.name}: utility parents {sorted(n.utility.parent_order)} "
                     f"!= relevance parents {sorted(rel_parents)}")
                 continue
-            keys = set(instance_keys(parent_variables(d, n.utility.parent_order)))
-            got = set(n.utility.rows)
-            for k in sorted(keys - got):
-                report.append(f"{n.name}: missing utility row {k}")
-            for k in sorted(got - keys):
-                report.append(f"{n.name}: unexpected utility row {k}")
+            report += row_coverage(n.name, "utility", instance_keys(
+                parent_variables(d, n.utility.parent_order)), n.utility.rows)
             for k, v in n.utility.rows.items():
                 if not math.isfinite(v):
                     report.append(f"{n.name}: non-finite utility at {k}")
@@ -516,15 +512,18 @@ def validate_diagram(d: Diagram) -> list[str]:
     return report
 
 
+def row_coverage(owner: str, what: str, keys, rows) -> list[str]:
+    """The ``keys`` that ``rows`` lacks, then its rows for no key, sorted."""
+    keys, got = set(keys), set(rows)
+    return ([f"{owner}: missing {what} row {k}" for k in sorted(keys - got)]
+            + [f"{owner}: unexpected {what} row {k}"
+               for k in sorted(got - keys)])
+
+
 def _check_table(d: Diagram, n: Node) -> list[str]:
-    report = []
     keys = set(instance_keys(parent_variables(d, n.table.parent_order)))
-    got = set(n.table.rows)
-    for k in sorted(keys - got):
-        report.append(f"{n.name}: missing CPT row {k}")
-    for k in sorted(got - keys):
-        report.append(f"{n.name}: unexpected CPT row {k}")
-    for k in sorted(got & keys):
+    report = row_coverage(n.name, "CPT", keys, n.table.rows)
+    for k in sorted(keys.intersection(n.table.rows)):
         dist = n.table.rows[k]
         if len(dist) != len(n.states):
             report.append(f"{n.name}: row {k} has {len(dist)} entries, "

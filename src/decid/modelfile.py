@@ -4,17 +4,17 @@ Sections: variables, relevance_arcs, information_arcs, cpts,
 deterministic, utility, decision_order, annotations, and (for diagrams
 carrying extracted mechanisms) mechanisms.  Row keys join parent states
 with "|" in parent order; unknown keys anywhere are rejected.
-Serialization is canonical, so parse -> serialize -> parse is identity.
+Serialization is canonical, so parse -> serialize -> parse is identity,
+mechanisms section included.
 """
 
 from __future__ import annotations
 
 import json
-import math
 
 from .errors import ParseError
-from .mechanisms import (HcfDiagram, MechanismSpec, _check_mapping_entries,
-                         _diagram_of)
+from .mechanisms import (HcfDiagram, MechanismSpec, _diagram_of,
+                         _mechanism_violations)
 from .model import (CHANCE, DECISION, DETERMINISTIC, UTILITY,
                     ConditionalTable, Diagram, Node, UtilityTable, Variable)
 
@@ -110,43 +110,26 @@ def parse_document(text: str):
     entries = _get(doc, "mechanisms", list, "document")
     if entries is None:
         return diagram
-    mechanisms, provenance = [], {}
+    mechanisms = []
     for entry in entries:
         _reject_unknown(entry, _MECHANISM_KEYS, "mechanism entry")
         mech = _get(entry, "node", str, "mechanism entry")
-        source = _get(entry, "source", str, "mechanism entry")
-        if mech not in states_of:
-            raise ParseError(f"mechanism names unknown node {mech!r}")
-        if source not in states_of:
-            raise ParseError(f"mechanism {mech}: unknown source {source!r}")
+        if kinds.get(mech) not in (CHANCE, DETERMINISTIC):
+            raise ParseError(f"mechanism names {mech!r}, which has no table")
         mappings = _get(entry, "mappings", list, mech, [])
         if not all(map(_is_names, mappings)):
             raise ParseError(f"{mech}: every mapping must be a list of "
                              "state labels")
-        domain = _get(entry, "domain", _NAMES, mech, ())
-        _check_mappings(mech, source, domain, mappings, states_of)
-        spec = MechanismSpec(source, domain,
+        spec = MechanismSpec(_get(entry, "source", str, "mechanism entry"),
+                             _get(entry, "domain", _NAMES, mech, ()),
                              _get(entry, "fixed_parents", _NAMES, mech, ()),
                              tuple(map(tuple, mappings)),
                              diagram.node(mech).table)
+        errors = _mechanism_violations(spec, states_of, mech)
+        if errors:
+            raise ParseError(errors[0])
         mechanisms.append(spec)
-        provenance[mech] = source
-    return HcfDiagram(diagram, tuple(mechanisms), provenance)
-
-
-def _check_mappings(mech, source, domain, mappings, states_of):
-    """Each mapping gives a state of the source for every domain
-    instance, and there is one mapping per state of the mechanism."""
-    for v in domain:
-        if v not in states_of:
-            raise ParseError(f"mechanism {mech}: unknown domain variable "
-                             f"{v!r}")
-    if len(mappings) != len(states_of[mech]):
-        raise ParseError(f"mechanism {mech}: {len(mappings)} mappings for "
-                         f"{len(states_of[mech])} states")
-    _check_mapping_entries(mech, Variable(source, states_of[source]),
-                           math.prod(len(states_of[v]) for v in domain),
-                           mappings, ParseError)
+    return HcfDiagram(diagram, tuple(mechanisms))
 
 
 def parse_model(text: str) -> Diagram:

@@ -314,6 +314,14 @@ def test_check_hcf_against_another_original(capsys, tmp_path, source,
     (lambda m: m.__setitem__("domain", ["smokes"]),
      "unknown domain variable 'smokes'"),
     (lambda m: m["mappings"].pop(), "3 mappings for 4 states"),
+    (lambda m: m.__setitem__("fixed_parents", ["nosuch"]),
+     "unknown fixed parent 'nosuch'"),
+    (lambda m: m.__setitem__("fixed_parents", ["smoke"]),
+     "prior is keyed by [], not the fixed parents ['smoke']"),
+    (lambda m: m.__setitem__("source", "smoke"),
+     "its source and domain give the name smoke(smoke)"),
+    (lambda m: m.__setitem__("domain", ["lung_cancer"]),
+     "its source and domain give the name lung_cancer(lung_cancer)"),
 ])
 def test_malformed_mechanism_mappings_are_exit_2(capsys, tmp_path, edit,
                                                  error):

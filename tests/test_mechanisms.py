@@ -1,13 +1,15 @@
 import itertools
+from dataclasses import replace
 
 import pytest
 
-from decid import (Diagram, MechanismSpec, Variable, canonical_mechanism_prior,
-                   chance_node, check_marginal_reproduction, decision_node,
+from decid import (Diagram, HcfDiagram, MechanismSpec, Variable,
+                   canonical_mechanism_prior, chance_node,
+                   check_marginal_reproduction, decision_node,
                    enumerate_mechanism_states, joint, mechanism_name,
                    mechanism_state_label, set_decision_node, to_hcf,
                    validate_diagram, validate_hcf)
-from decid import WorldTable
+from decid import WorldTable, mechanisms
 from decid.errors import (MechanismError, ModelError, NotCausal,
                           ReassessmentRequired, StateSpaceExceeded,
                           UnknownVariable)
@@ -246,28 +248,73 @@ def test_to_hcf_rejects_a_prior_for_another_mechanism(fig6a):
 
 
 def test_to_hcf_checks_a_given_prior_before_building(m1):
-    """An entry that is no state of the target, a mapping too short, and
-    a prior row without one entry per mapping."""
+    """An entry that is no state of the target, a mapping too short, a
+    prior row without one entry per mapping, a fixed parent that is no
+    variable, and a prior without the row of the one fixed-parent
+    instance."""
     base = canonical_mechanism_prior(m1, "lung_cancer")
     row = base.prior.rows[()]
-    for states, row, message in [
-            ((("no", "maybe"),) + base.states[1:], row,
+    for fixed, states, rows, message in [
+            ((), (("no", "maybe"),) + base.states[1:], {(): row},
              "mapping 0 names 'maybe', not a state of lung_cancer"),
-            (base.states[:1] + (("no",),) + base.states[2:], row,
+            ((), base.states[:1] + (("no",),) + base.states[2:], {(): row},
              r"mapping 1 has 1 entries, not one per domain instance \(2\)"),
-            (base.states, row[:3],
-             r"prior row \(\) has 3 entries, not one per mapping \(4\)")]:
-        spec = MechanismSpec(base.target, base.domain, base.fixed_parents,
-                             states, ConditionalTable((), {(): row}))
+            ((), base.states, {(): row[:3]},
+             r"prior row \(\) has 3 entries, not one per mapping \(4\)"),
+            (("nosuch",), base.states, {("a",): row},
+             "unknown fixed parent 'nosuch'"),
+            ((), base.states, {}, r"missing prior row \(\)")]:
+        spec = MechanismSpec(base.target, base.domain, fixed, states,
+                             ConditionalTable(fixed, rows))
         with pytest.raises(MechanismError, match=(
-                r"^mechanism lung_cancer\(smoke\): " + message)):
+                r"^mechanism lung_cancer\(smoke\): " + message + "$")):
             to_hcf(m1, priors={"lung_cancer": spec})
     assert issubclass(MechanismError, ModelError)
+
+
+def test_validate_hcf_reports_every_mechanism_violation(m1):
+    """A spec over an unknown variable is reported, not raised; a spec
+    over known ones has each of its faults reported."""
+    h = to_hcf(m1)
+    spec = h.mechanisms[0]
+    ghost = replace(spec, domain=("ghost",))
+    assert validate_hcf(HcfDiagram(h.diagram, (ghost,))) == [
+        "mechanism lung_cancer(ghost): unknown domain variable 'ghost'"]
+    bad = replace(spec, states=(spec.states[0], ("no",), ("no", "maybe"),
+                                spec.states[3]),
+                  prior=ConditionalTable((), {(): (0.5, 0.5, 0.0)}))
+    assert validate_hcf(HcfDiagram(h.diagram, (bad,))) == [
+        "mechanism lung_cancer(smoke): mapping 1 has 1 entries, not one "
+        "per domain instance (2)",
+        "mechanism lung_cancer(smoke): mapping 2 names 'maybe', not a "
+        "state of lung_cancer",
+        "mechanism lung_cancer(smoke): prior row () has 3 entries, not one "
+        "per mapping (4)"]
 
 
 def test_to_hcf_cap(fig6a):
     with pytest.raises(StateSpaceExceeded):
         to_hcf(fig6a, cap=3)
+
+
+def test_to_hcf_sizes_every_mechanism_before_building_any(monkeypatch):
+    """x1's 2^16 mappings fit the cap and x2's 3^32 do not: the cap
+    trips before x1's mechanism is built."""
+    d = decision_node("d", [f"a{i}" for i in range(16)])
+    x1 = chance_node("x1", ["0", "1"], ["d"],
+                     {(a,): [0.5, 0.5] for a in d.states})
+    x2 = chance_node("x2", ["0", "1", "2"], ["x1", "d"],
+                     {(s, a): [0.2, 0.3, 0.5]
+                      for s in x1.states for a in d.states})
+    diagram = Diagram((d, x1, x2), (("d", "x1"), ("x1", "x2"), ("d", "x2")),
+                      (), ("d",), causal=True)
+    built = []
+    monkeypatch.setattr(mechanisms, "_build_spec",
+                        lambda *args: built.append(args[1].name))
+    with pytest.raises(StateSpaceExceeded, match=(
+            f"^mechanism for x2 needs {3 ** 32} states, cap is 1000000$")):
+        to_hcf(diagram)
+    assert built == []
 
 
 def test_to_hcf_on_set_decision_target():

@@ -1,16 +1,20 @@
 """Seeded fuzzing: any single mutation of a fixture document parses, or
-raises ParseError; whatever parses validates without raising."""
+raises ParseError; whatever parses validates without raising.  An edit
+of an HCF document's mechanisms section is refused, or leaves a valid
+HCF that round-trips."""
 
 import copy
 import json
 import pathlib
+import random
 
 import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
-from decid import HcfDiagram, ParseError, parse_document, validate_diagram
+from decid import (HcfDiagram, ParseError, parse_document, parse_model,
+                   serialize_model, to_hcf, validate_diagram, validate_hcf)
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 _DOCS = [json.loads(p.read_text()) for p in sorted(FIXTURES.glob("*.json"))]
@@ -53,3 +57,50 @@ def test_mutated_fixtures_raise_only_parse_error(data):
         return
     d = parsed.diagram if isinstance(parsed, HcfDiagram) else parsed
     assert isinstance(validate_diagram(d), list)
+
+
+_HCF_DOCS = [json.loads(serialize_model(to_hcf(parse_model(
+    (FIXTURES / f"{name}.json").read_text()))))
+    for name in ("m1", "fig1", "fig6a", "fig2a")]
+
+
+def _edit_mechanism(rng, doc) -> str:
+    """One edit of one mechanism entry, in place; returns its kind."""
+    entries = doc["mechanisms"]
+    entry = rng.choice(entries)
+    names = [v["name"] for v in doc["variables"]] + ["nosuch"]
+    kind = rng.choice(["extra fixed parent", "fixed_parents", "source",
+                       "domain", "node", "swap mappings"])
+    if kind == "extra fixed parent":
+        entry["fixed_parents"] = entry["fixed_parents"] + [rng.choice(names)]
+    elif kind in ("fixed_parents", "domain"):
+        entry[kind] = rng.sample(names, rng.randint(0, 2))
+    elif kind in ("source", "node"):
+        entry[kind] = rng.choice(names)
+    else:
+        other = rng.choice(entries)
+        entry["mappings"], other["mappings"] = (other["mappings"],
+                                                entry["mappings"])
+    return kind
+
+
+def test_edited_mechanisms_are_refused_or_round_trip():
+    rng = random.Random(14)
+    outcomes = {"refused": 0, "accepted": 0}
+    for _ in range(600):
+        doc = copy.deepcopy(rng.choice(_HCF_DOCS))
+        kind = _edit_mechanism(rng, doc)
+        try:
+            h = parse_document(json.dumps(doc))
+        except ParseError:
+            outcomes["refused"] += 1
+            continue
+        # The mechanism's prior is keyed by the fixed parents it had.
+        assert kind != "extra fixed parent", doc["mechanisms"]
+        assert validate_hcf(h) == [], doc["mechanisms"]
+        text = serialize_model(h)
+        again = parse_document(text)
+        assert again.mechanisms == h.mechanisms
+        assert serialize_model(again) == text
+        outcomes["accepted"] += 1
+    assert min(outcomes.values()) >= 50, outcomes
