@@ -23,7 +23,7 @@ from . import (CapExceeded, HcfDiagram, ModelError, QueryError, UnknownVariable,
                optimal_policy, parse_document, posterior, serialize_model,
                to_hcf, validate_diagram, value_of_information)
 from .inference import WORLD_PAIR_CAP
-from .mechanisms import _diagram_of
+from .mechanisms import _diagram_of, _shape_violations
 
 EXIT_OK, EXIT_USAGE, EXIT_INVALID, EXIT_QUERY, EXIT_CAP = 0, 1, 2, 3, 4
 
@@ -49,16 +49,6 @@ def _emit(doc, pretty_lines, args) -> int:
 def _load(path: str):
     with open(path, encoding="utf-8") as f:
         return parse_document(f.read())
-
-
-def _load_valid(path: str):
-    parsed = _load(path)
-    violations = validate_diagram(_diagram_of(parsed))
-    if violations:
-        print(json.dumps({"valid": False, "violations": violations},
-                         indent=2, sort_keys=True))
-        raise SystemExit(EXIT_INVALID)
-    return parsed
 
 
 def _hcf(parsed, assume_causal=False):
@@ -215,18 +205,21 @@ def _world_cap() -> int:
 
 
 def _dispatch(args) -> int:
-    if args.command == "validate":
-        parsed = _load(args.model)
-        violations = validate_diagram(_diagram_of(parsed))
-        doc = {"valid": not violations, "violations": violations}
-        code = EXIT_OK if not violations else EXIT_INVALID
-        _emit(doc, lambda d: (
-            ["model is valid"] if d["valid"]
-            else [f"violation: {v}" for v in d["violations"]]), args)
-        return code
-
-    parsed = _load_valid(args.model)
+    # One validation step: the diagram, then an HCF document's shape.
+    parsed = _load(args.model)
     d = _diagram_of(parsed)
+    violations = validate_diagram(d)
+    if isinstance(parsed, HcfDiagram):
+        violations += _shape_violations(parsed)
+    doc = {"valid": not violations, "violations": violations}
+    if args.command == "validate":
+        _emit(doc, lambda o: (
+            ["model is valid"] if o["valid"]
+            else [f"violation: {v}" for v in o["violations"]]), args)
+        return EXIT_INVALID if violations else EXIT_OK
+    if violations:
+        print(json.dumps(doc, indent=2, sort_keys=True))
+        return EXIT_INVALID
 
     if args.command == "fixed-set":
         members = sorted(graphical_fixed_set(d, set(args.given)))

@@ -22,11 +22,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (CycleIntroduced, NoDecisionOrder, NotHcf, NotObservable,
+from .errors import (CycleIntroduced, NoDecisionOrder, NotObservable,
                      NoUtilityNode, PolicySpaceExceeded, UnknownVariable)
-from .inference import (_requisite_factors, _with_axes, eliminate, posterior,
+from .graphs import _check_names
+from .inference import (_check_query, _require_full_decisions,
+                        _requisite_factors, _with_axes, eliminate, posterior,
                         value_label_node)
-from .mechanisms import HcfDiagram
+from .mechanisms import HcfDiagram, _require_hcf
 from .model import (CHANCE, DECISION, DETERMINISTIC, TOL, UTILITY,
                     Assignment, Diagram, Factor, chance_node, decision_node,
                     family_factor, instance_keys, parent_variables)
@@ -277,12 +279,9 @@ def build_twin(h: HcfDiagram) -> TwinDiagram:
     stay ordinary inference queries.  A constant utility carries no
     information and is dropped from the twin.
     """
+    _require_hcf(h)
     d = h.diagram
     desc = d.descendants(d.decisions())
-    for x in d.uncertain():
-        if x in desc and d.node(x).kind != DETERMINISTIC:
-            raise NotHcf(f"{x} is a non-deterministic decision descendant; "
-                         "transform to Howard Canonical Form first")
     shared = {n.name for n in d.nodes if n.name not in desc
               and n.kind != DECISION}
     affected = [value_label_node(n) for n in d.nodes if n.name not in shared]
@@ -328,23 +327,16 @@ def counterfactual(h: HcfDiagram, q: CounterfactualQuery) -> Factor:
 
     Factual decisions and evidence instantiate the first copy; the
     counterfactual decisions instantiate the primed copy; the result is
-    the normalized posterior over the primed query variables.
+    the normalized posterior over the primed query variables.  A fault
+    names what the caller wrote: the first copy keeps the original names.
     """
     twin = build_twin(h)
     d = h.diagram
-    decisions = {}
-    for dec in d.decisions():
-        if dec not in q.factual_decisions:
-            raise UnknownVariable(f"missing factual decision for {dec}")
-        if dec not in q.counterfactual_decisions:
-            raise UnknownVariable(f"missing counterfactual decision for {dec}")
-        decisions[dec] = q.factual_decisions[dec]
-        decisions[twin.primed[dec]] = q.counterfactual_decisions[dec]
-    evidence = dict(q.factual_evidence)   # copy-1 keeps original names
-    for x in q.query:
-        if q.query.count(x) > 1:
-            raise ValueError(f"query names {x} more than once")
-    query = [twin.primed.get(x, x) for x in q.query]
-    for x in query:
-        twin.diagram.node(x)
-    return posterior(twin.diagram, decisions, evidence, query)
+    _require_full_decisions(d, q.factual_decisions)
+    _require_full_decisions(d, q.counterfactual_decisions)
+    _check_names(d, [*q.factual_evidence, *q.query])
+    _check_query(twin.diagram, q.factual_evidence, list(q.query))
+    decisions = {**q.factual_decisions, **{
+        twin.primed[x]: s for x, s in q.counterfactual_decisions.items()}}
+    return posterior(twin.diagram, decisions, dict(q.factual_evidence),
+                     [twin.primed.get(x, x) for x in q.query])

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NodeBudgetExceeded, UnknownVariable
-from .model import (DECISION, DO_NOTHING, SET_PREFIX, TOL, Diagram,
-                    _reach_bits, _union_bits, table_factor)
+from .model import (DECISION, TOL, Diagram, _check_set_decision, _reach_bits,
+                    _union_bits, table_factor)
 
 MINIMAL_SET_NODE_BUDGET = 20
 
@@ -210,14 +210,11 @@ def removable_arcs(d: Diagram) -> list[tuple[str, str]]:
 
 def is_set_decision(d: Diagram, s: str, x: str) -> bool:
     """True iff s has alternatives "do nothing" plus "set x to k" for each
-    state k of x, and x is s's only child."""
+    state k of the chance node x, and x is s's only child."""
     _check_names(d, [s, x])
-    sn = d.node(s)
-    if sn.kind != DECISION:
+    if d.node(s).kind != DECISION:
         raise ValueError(f"{s} is not a decision node")
-    xn = d.node(x)
-    expected = {DO_NOTHING} | {SET_PREFIX + k for k in xn.states}
-    return set(sn.states) == expected and d.children(s) == {x}
+    return not _check_set_decision(d, d.node(s), x)
 
 
 def certify_causal_network(d: Diagram) -> CertificationReport:

@@ -27,11 +27,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (NotHcf, UnknownVariable, WorldCapExceeded,
-                     ZeroProbabilityEvidence)
-from .graphs import (MINIMAL_SET_NODE_BUDGET, CauseReport, d_separated,
-                     minimal_sets)
-from .mechanisms import _diagram_of
+from .errors import UnknownVariable, WorldCapExceeded, ZeroProbabilityEvidence
+from .graphs import (MINIMAL_SET_NODE_BUDGET, CauseReport, _check_names,
+                     d_separated, minimal_sets)
+from .mechanisms import _diagram_of, _require_hcf
 from .model import (CHANCE, DECISION, DETERMINISTIC, TOL, UTILITY,
                     Assignment, Diagram, Factor, Node, chance_node,
                     enumerate_instances, family_factor, parent_variables,
@@ -99,18 +98,9 @@ def posterior(d: Diagram, decisions: Assignment, evidence: Assignment,
     family factors, reduced at the decisions and the evidence alike."""
     _require_full_decisions(d, decisions)
     query = list(query)
-    for x in list(evidence) + query:
-        if d.node(x).kind not in (CHANCE, DETERMINISTIC):
-            raise UnknownVariable(f"{x} is not an uncertain variable")
+    _check_query(d, evidence, query)
     if set(query) & set(evidence):
         raise ValueError("query and evidence overlap")
-    for v, s in evidence.items():
-        if s not in d.node(v).states:
-            raise UnknownVariable(f"{s!r} is not a state of {v}")
-    for x in query:
-        if query.count(x) > 1:
-            raise ValueError(f"query names {x} more than once")
-
     factors = _requisite_factors(d, {**decisions, **evidence},
                                  query + list(evidence))
     result = eliminate(factors, query)
@@ -118,6 +108,20 @@ def posterior(d: Diagram, decisions: Assignment, evidence: Assignment,
         raise ZeroProbabilityEvidence(
             f"evidence {evidence} has zero probability under {decisions}")
     return result.normalize()
+
+
+def _check_query(d: Diagram, evidence: Assignment, query: list) -> None:
+    """The evidence and the query name uncertain variables of ``d``,
+    the evidence a state of each, the query each variable once."""
+    for x in list(evidence) + query:
+        if d.node(x).kind not in (CHANCE, DETERMINISTIC):
+            raise UnknownVariable(f"{x} is not an uncertain variable")
+    for v, s in evidence.items():
+        if s not in d.node(v).states:
+            raise UnknownVariable(f"{s!r} is not a state of {v}")
+    for x in query:
+        if query.count(x) > 1:
+            raise ValueError(f"query names {x} more than once")
 
 
 def eliminate(factors, keep) -> Factor:
@@ -219,18 +223,12 @@ def _world_count(tables) -> int:
 
 
 def _fixed_tables(diagram: Diagram) -> list[Factor]:
-    """Each fixed node's family factor, in topological order, reduced at
-    "do nothing" (worlds read the plain table); a fixed node may have
-    only fixed parents."""
-    fixed = diagram.fixed_nodes()
-    tables = []
-    for x in diagram.topological_order():
-        if x not in fixed:
-            continue
-        if set(diagram.node(x).table.parent_order) - fixed:
-            raise NotHcf(f"fixed node {x} has a non-fixed parent")
-        tables.append(table_factor(diagram, diagram.node(x)))
-    return tables
+    """Each fixed chance node's family factor, in topological order,
+    reduced at "do nothing", once the diagram is in canonical form."""
+    _require_hcf(diagram)
+    fixed = diagram.fixed_nodes().intersection(diagram.uncertain())
+    return [table_factor(diagram, diagram.node(x))
+            for x in diagram.topological_order() if x in fixed]
 
 
 def value_label_node(node: Node) -> Node:
@@ -248,22 +246,19 @@ def value_label_node(node: Node) -> Node:
 
 def _fill(d: Diagram, given: dict) -> dict:
     """Extend ``given`` (name -> broadcastable array of state indices)
-    to every variable, in topological order, through each node's family
-    factor.  Every row a cell reaches must be one-hot within ``TOL``."""
+    to every variable, in topological order: a deterministic node takes
+    the state its row puts within ``TOL`` of 1; any other must be given."""
     values = dict(given)
     for x in d.topological_order():
         if x in values:
             continue
         node = value_label_node(d.node(x))
-        if node.kind == DECISION:
-            raise UnknownVariable(f"missing decision binding for {x}")
+        if node.kind != DETERMINISTIC:
+            role = "decision" if node.kind == DECISION else "world"
+            raise UnknownVariable(f"missing {role} binding for {x}")
         f = family_factor(d, node)
         rows = f.values[tuple(values[p] for p in f.scope[:-1])]
-        hits = np.abs(rows - 1.0) <= TOL
-        if not np.all(hits.sum(axis=-1) == 1):
-            raise NotHcf(f"non-fixed node {x} is not deterministic; "
-                         "transform the diagram to Howard Canonical Form first")
-        values[x] = hits.argmax(axis=-1)
+        values[x] = (np.abs(rows - 1.0) <= TOL).argmax(axis=-1)
     return values
 
 
@@ -278,6 +273,7 @@ def propagate(diagram: Diagram, world: Assignment, decisions: Assignment
     """Deterministically extend a functional world and a decision
     instance to every variable.  Utility nodes get their value's string
     form so they can participate as oracle targets."""
+    _require_hcf(diagram)
     assignment = {**world, **decisions}
     for x, i in _fill(diagram, _indices(diagram, [assignment], ())).items():
         assignment.setdefault(x, value_label_node(diagram.node(x)).states[i])
@@ -338,7 +334,7 @@ def oracle_fixed_set_member(h, target: str, conditioning=frozenset(),
     decision choices that agree on the conditioning set give the target
     the same value."""
     diagram = _diagram_of(h)
-    _check(diagram, [target], conditioning)
+    _check(diagram, target, conditioning)
     return WorldTable(diagram, world_pair_cap).fixed_given(target, conditioning)
 
 
@@ -355,7 +351,7 @@ def oracle_causes(h, target: str, world_pair_cap: int = WORLD_PAIR_CAP,
     nodes.
     """
     diagram = _diagram_of(h)
-    _check(diagram, [target], ())
+    _check(diagram, target, ())
     table = WorldTable(diagram, world_pair_cap)
     if table.fixed_given(target, ()):
         return CauseReport(target, (), "oracle",
@@ -368,13 +364,11 @@ def oracle_causes(h, target: str, world_pair_cap: int = WORLD_PAIR_CAP,
     return CauseReport(target, tuple(found), "oracle")
 
 
-def _check(diagram: Diagram, targets, conditioning) -> None:
-    for x in targets:
-        if diagram.node(x).kind == DECISION:
-            raise UnknownVariable(f"{x} is a decision; only chance variables "
-                                  "have fixed-set membership")
-    for c in conditioning:
-        diagram.node(c)
+def _check(diagram: Diagram, target, conditioning) -> None:
+    _check_names(diagram, [target, *conditioning])
+    if diagram.node(target).kind == DECISION:
+        raise UnknownVariable(f"{target} is a decision; only chance variables "
+                              "have fixed-set membership")
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (MechanismError, NotCausal, ReassessmentRequired,
+from .errors import (MechanismError, NotCausal, NotHcf, ReassessmentRequired,
                      StateSpaceExceeded, UnknownVariable)
 from .model import (CHANCE, DETERMINISTIC, TOL, ConditionalTable, Diagram,
                     Node, Variable, chance_node, instance_keys,
@@ -90,9 +90,9 @@ def _domain_size(x: Variable, y_vars: list[Variable], cap: int) -> int:
 def _mechanism_violations(spec: MechanismSpec, states_of, mech=None
                           ) -> list[str]:
     """Why ``spec`` is no mechanism over the variables ``states_of``
-    (name -> states), in the order checked; an unknown name is the only
-    one reported.  A ``mech`` given is the name its source and domain
-    must give, and names it in the messages."""
+    (name -> states in order), in the order checked; an unknown name is
+    the only one reported.  A ``mech`` given is the name its source and
+    domain must give, and names it in the messages."""
     at = f"mechanism {mech or spec.name}"
     for role, names in (("source", [spec.target]), ("domain variable",
                         spec.domain), ("fixed parent", spec.fixed_parents)):
@@ -110,6 +110,11 @@ def _mechanism_violations(spec: MechanismSpec, states_of, mech=None
                           f"per domain instance ({q})")
         report += [f"{at}: mapping {k} names {s!r}, not a state of "
                    f"{spec.target}" for s in m if s not in target]
+    if not report:      # the mechanism node's k-th state labels mapping k
+        labels = zip(map(mechanism_state_label, spec.states),
+                     states_of.get(mech or spec.name, ()))
+        report = [f"{at}: mapping {k} is {a!r}, but state {k} of the node is "
+                  f"{b!r}" for k, (a, b) in enumerate(labels) if a != b]
     prior = spec.prior
     if prior.parent_order != spec.fixed_parents:
         return report + [f"{at}: prior is keyed by {list(prior.parent_order)}"
@@ -231,18 +236,18 @@ def to_hcf(d: Diagram, assume_causal: bool = False,
     relevance = list(d.relevance_arcs)
     mechanisms = []
     for x, node, domain, z_parents in plan:
+        mech = mechanism_name(x, domain)
+        if mech in nodes:
+            raise ValueError(f"mechanism name {mech!r} collides with a variable")
         spec = priors.get(x)
         if spec is None:
             spec = _build_spec(d, node, domain, z_parents, cap)
         elif (spec.target, spec.domain) != (x, domain):
             raise UnknownVariable(f"the prior given for {x} is for {spec.name}"
-                                  f", not {mechanism_name(x, domain)}")
+                                  f", not {mech}")
         elif errors := _mechanism_violations(
                 spec, {k: n.states for k, n in nodes.items()}):
             raise MechanismError(errors[0])
-        mech = spec.name
-        if mech in nodes:
-            raise ValueError(f"mechanism name {mech!r} collides with a variable")
         labels = [mechanism_state_label(m) for m in spec.states]
         nodes[mech] = chance_node(mech, labels, spec.fixed_parents,
                                   spec.prior.rows)
@@ -268,22 +273,38 @@ def to_hcf(d: Diagram, assume_causal: bool = False,
     return HcfDiagram(out, tuple(mechanisms))
 
 
+def _shape_violations(h) -> list[str]:
+    """Why ``h`` is not in canonical form: an HcfDiagram is not causal
+    (the world oracles take a bare diagram's functional shape); a fixed
+    node has a non-fixed table parent; a decision descendant is not
+    deterministic; a mechanism is a decision descendant."""
+    d = _diagram_of(h)
+    mechanisms = h.mechanisms if isinstance(h, HcfDiagram) else None
+    report = (["HCF diagram must be annotated causal"]
+              if mechanisms is not None and not d.causal else [])
+    fixed, desc = d.fixed_nodes(), d.descendants(d.decisions())
+    for n in d.nodes:
+        if n.name in fixed and n.table is not None and (
+                set(n.table.parent_order) - fixed):
+            report.append(f"fixed node {n.name} has a non-fixed parent")
+        if n.name in desc and n.kind == CHANCE:
+            report.append(f"decision descendant {n.name} is not deterministic")
+    return report + [f"mechanism {m.name} is a decision descendant"
+                     for m in mechanisms or () if m.name in desc]
+
+
+def _require_hcf(h) -> None:
+    """Raise ``_shape_violations``' first fault as ``NotHcf``."""
+    if errors := _shape_violations(h):
+        raise NotHcf(errors[0])
+
+
 def validate_hcf(h: HcfDiagram) -> list[str]:
-    """HCF-specific invariants, on top of ordinary diagram validity."""
-    report = validate_diagram(h.diagram)
-    d = h.diagram
-    if not d.causal:
-        report.append("HCF diagram must be annotated causal")
-    desc = d.descendants(d.decisions())
-    for x in d.uncertain():
-        if x in desc and d.node(x).kind != DETERMINISTIC:
-            report.append(f"decision descendant {x} is not deterministic")
-    states_of = {n.name: n.states for n in d.nodes}
-    for m in h.mechanisms:
-        if d.has(m.name) and m.name in desc:
-            report.append(f"mechanism {m.name} is a decision descendant")
-        report.extend(_mechanism_violations(m, states_of))
-    return report
+    """HCF invariants, on top of ordinary diagram validity: the
+    canonical-form shape, then each mechanism's own violations."""
+    states_of = {n.name: n.states for n in h.diagram.nodes}
+    return validate_diagram(h.diagram) + _shape_violations(h) + [
+        v for m in h.mechanisms for v in _mechanism_violations(m, states_of)]
 
 
 # ---------------------------------------------------------------------------

@@ -474,7 +474,7 @@ def validate_diagram(d: Diagram) -> list[str]:
             if n.table is not None or n.utility is not None:
                 report.append(f"{n.name}: decision nodes carry no tables")
             if n.set_decision_for is not None:
-                report.extend(_check_set_decision(d, n))
+                report.extend(_check_set_decision(d, n, n.set_decision_for))
         elif n.kind == UTILITY:
             if n.utility is None:
                 report.append(f"{n.name}: missing utility values")
@@ -541,8 +541,10 @@ def _check_table(d: Diagram, n: Node) -> list[str]:
     return report
 
 
-def _check_set_decision(d: Diagram, n: Node) -> list[str]:
-    target = n.set_decision_for
+def _check_set_decision(d: Diagram, n: Node, target: str) -> list[str]:
+    """Why decision ``n`` is no set decision for ``target``: one "do
+    nothing" alternative plus one "set=" per state of the chance node
+    ``target``, its only child."""
     if not d.has(target):
         return [f"{n.name}: set decision targets unknown variable {target!r}"]
     tnode = d.node(target)

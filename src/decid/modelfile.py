@@ -46,7 +46,7 @@ def parse_document(text: str):
     if variables is None:
         raise ParseError("'variables' must be a list")
     nodes = []
-    states_of = {}
+    states_of = {}      # name -> states, as dict keys: O(1) membership
     kinds = {}
     for entry in variables:
         _reject_unknown(entry, _VAR_KEYS, "variable entry")
@@ -61,7 +61,7 @@ def parse_document(text: str):
         states = _get(entry, "states", _NAMES, name, ())
         if kind != UTILITY and not states:
             raise ParseError(f"{name}: states must be a list of labels")
-        states_of[name] = states
+        states_of[name] = dict.fromkeys(states)
         kinds[name] = kind
         nodes.append((name, kind, states,
                       _get(entry, "set_decision_for", str, name)))

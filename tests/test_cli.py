@@ -1,4 +1,5 @@
 import argparse
+import itertools
 import json
 import os
 import pathlib
@@ -210,6 +211,17 @@ def test_dsep_names_a_mechanism(capsys, tmp_path):
     assert doc["given"] == ["life", life] and doc["d_separated"] is False
 
 
+_ORACLE_UNKNOWN = """
+import sys
+from decid import UnknownVariable, oracle_fixed_set_member, parse_model, to_hcf
+h = to_hcf(parse_model(open(sys.argv[1]).read()))
+try:
+    oracle_fixed_set_member(h, "lung_cancer", {"zz", "aa", "mm"})
+except UnknownVariable as e:
+    print(e)
+"""
+
+
 def test_unknown_name_does_not_depend_on_hash_seed():
     env = dict(os.environ,
                PYTHONPATH=str(pathlib.Path(decid.__file__).parents[1]))
@@ -222,6 +234,12 @@ def test_unknown_name_does_not_depend_on_hash_seed():
         assert proc.returncode == 3, seed
         assert json.loads(proc.stdout) == {
             "error": "unknown variable 'nope_a'"}, seed
+        proc = subprocess.run(
+            [sys.executable, "-c", _ORACLE_UNKNOWN, model("m1")],
+            capture_output=True, text=True, timeout=60,
+            env={**env, "PYTHONHASHSEED": seed})
+        assert (proc.returncode, proc.stdout) == (
+            0, "unknown variable 'aa'\n"), seed
 
 
 def test_minimal(capsys):
@@ -257,6 +275,21 @@ def test_minimal_budget_is_exit_4_naming_the_pool(capsys, tmp_path):
     code, doc = run_json(capsys, "minimal", str(path), "--target", "t")
     assert code == 4
     assert doc["error"] == "21 candidate nodes exceed budget 20"
+
+
+def test_to_hcf_writes_to_stdout(capsys):
+    assert run(capsys, "to-hcf", model("m1")) == (
+        0, decid.serialize_model(decid.to_hcf(
+            decid.parse_model((FIXTURES / "m1.json").read_text()))))
+
+
+def test_causes_oracle_reads_an_hcf_document(capsys, tmp_path):
+    hcf = tmp_path / "fig2a_hcf.json"
+    run(capsys, "to-hcf", model("fig2a"), "-o", str(hcf))
+    argv = ["--of", "payoff", "--method", "oracle"]
+    code, out = run(capsys, "causes", str(hcf), *argv)
+    assert code == 0
+    assert (code, out) == run(capsys, "causes", model("fig2a"), *argv)
 
 
 def test_to_hcf_and_check_hcf(capsys, tmp_path):
@@ -322,6 +355,8 @@ def test_check_hcf_against_another_original(capsys, tmp_path, source,
      "its source and domain give the name smoke(smoke)"),
     (lambda m: m.__setitem__("domain", ["lung_cancer"]),
      "its source and domain give the name lung_cancer(lung_cancer)"),
+    (lambda m: m["mappings"].reverse(),
+     "mapping 0 is 'yes,yes', but state 0 of the node is 'no,no'"),
 ])
 def test_malformed_mechanism_mappings_are_exit_2(capsys, tmp_path, edit,
                                                  error):
@@ -337,11 +372,87 @@ def test_malformed_mechanism_mappings_are_exit_2(capsys, tmp_path, edit,
             2, {"error": f"mechanism lung_cancer(smoke): {error}"})
 
 
+def _m1_hcf():
+    """The m1 HCF document, as ``to-hcf`` writes it."""
+    return json.loads(decid.serialize_model(decid.to_hcf(
+        decid.parse_model((FIXTURES / "m1.json").read_text()))))
+
+
+def _not_causal(doc):
+    doc["annotations"]["causal"] = False
+
+
+def _chance_lung_cancer(doc):
+    next(v for v in doc["variables"] if v["name"] == "lung_cancer")[
+        "kind"] = "chance"
+    table = doc["deterministic"].pop("lung_cancer")
+    table["rows"] = dict.fromkeys(table["rows"], [0.5, 0.5])
+    doc["cpts"]["lung_cancer"] = table
+
+
+def _mechanism_below_smoke(doc):
+    doc["mechanisms"][0]["fixed_parents"] = ["smoke"]
+    prior = doc["cpts"]["lung_cancer(smoke)"]
+    prior["parent_order"] = ["smoke"]
+    prior["rows"] = dict.fromkeys(["no", "yes"], prior["rows"][""])
+    doc["relevance_arcs"].append(["smoke", "lung_cancer(smoke)"])
+
+
+_EVERY_QUERY = [
+    ["fixed-set"], ["causes", "--of", "lung_cancer"],
+    ["causes", "--of", "lung_cancer", "--method", "oracle"],
+    ["d-sep", "--x", "smoke", "--y", "lung_cancer"],
+    ["minimal", "--target", "lung_cancer"], ["to-hcf"],
+    ["check-hcf", "--original", model("m1")],
+    ["infer", "--decisions", "smoke=yes"],
+    ["counterfactual", "--factual-decisions", "smoke=yes",
+     "--counterfactual-decisions", "smoke=no", "--query", "lung_cancer"],
+    ["evaluate"], ["voi", "--node", "lung_cancer(smoke)", "--decision", "smoke"],
+    ["certify-causal"], ["is-d-map"]]
+
+
+@pytest.mark.parametrize("edit,violations", [
+    (_not_causal, ["HCF diagram must be annotated causal"]),
+    (_chance_lung_cancer,
+     ["decision descendant lung_cancer is not deterministic"]),
+    (_mechanism_below_smoke,
+     ["decision descendant lung_cancer(smoke) is not deterministic",
+      "mechanism lung_cancer(smoke) is a decision descendant"]),
+])
+def test_broken_hcf_is_exit_2_for_every_subcommand(capsys, tmp_path, edit,
+                                                   violations):
+    doc = _m1_hcf()
+    edit(doc)
+    path = tmp_path / "broken_hcf.json"
+    path.write_text(json.dumps(doc))
+    refused = {"valid": False, "violations": violations}
+    assert run_json(capsys, "validate", str(path)) == (2, refused)
+    for command, *rest in _EVERY_QUERY:
+        assert run_json(capsys, command, str(path), *rest) == (
+            2, refused), command
+
+
 def test_check_hcf_requires_mechanisms(capsys):
     code, doc = run_json(capsys, "check-hcf", model("m1"),
                          "--original", model("m1"))
     assert code == 3
     assert "mechanisms" in doc["error"]
+
+
+def test_evidence_requires_query(capsys):
+    assert run_json(capsys, "infer", model("m1"), "--decisions", "smoke=yes",
+                    "--evidence", "lung_cancer=yes") == (
+        3, {"error": "--evidence requires --query"})
+
+
+def test_pretty_factor(capsys):
+    assert run(capsys, "infer", model("m1"), "--decisions", "smoke=yes",
+               "--pretty") == (0, "P(lung_cancer)\n  no: 0.8\n  yes: 0.2\n")
+    assert run(capsys, "counterfactual", model("m1"), "--factual-decisions",
+               "smoke=yes", "--evidence", "lung_cancer=yes",
+               "--counterfactual-decisions", "smoke=no", "--query",
+               "lung_cancer", "--pretty") == (
+        0, "P(lung_cancer')\n  no: 0.95\n  yes: 0.05\n")
 
 
 def test_infer_joint(capsys):
@@ -450,6 +561,35 @@ def test_counterfactual(capsys):
     assert doc["probabilities"]["yes"] == pytest.approx(0.05)
 
 
+@pytest.mark.parametrize("argv,error", [
+    (["--factual-decisions", "smoke=yes,smok=no"], "unknown variable 'smok'"),
+    (["--factual-decisions", "smoke=yes,lung_cancer=yes"],
+     "lung_cancer is not a decision"),
+    (["--factual-decisions", ""], "missing decision binding for smoke"),
+    (["--counterfactual-decisions", "smoke=no,smok=no"],
+     "unknown variable 'smok'"),
+    (["--counterfactual-decisions", "smoke=no,lung_cancer=yes"],
+     "lung_cancer is not a decision"),
+    (["--counterfactual-decisions", "smoke=maybe"],
+     "'maybe' is not an alternative of smoke"),
+    (["--counterfactual-decisions", ""], "missing decision binding for smoke"),
+    (["--query", "smoke"], "smoke is not an uncertain variable"),
+    (["--query", "lung_canser"], "unknown variable 'lung_canser'"),
+    (["--evidence", "lung_cancer'=yes"],
+     "unknown variable \"lung_cancer'\""),
+    (["--evidence", "lung_cancer=maybe"],
+     "'maybe' is not a state of lung_cancer"),
+])
+def test_counterfactual_refuses_what_the_model_lacks(capsys, argv, error):
+    """Every decision key, evidence and query name is one of the model's,
+    each fault named as the caller wrote it."""
+    args = {"--factual-decisions": "smoke=yes",
+            "--counterfactual-decisions": "smoke=no",
+            "--query": "lung_cancer", **dict([argv])}
+    assert run_json(capsys, "counterfactual", model("m1"),
+                    *itertools.chain(*args.items())) == (3, {"error": error})
+
+
 def test_evaluate(capsys):
     code, doc = run_json(capsys, "evaluate", model("coin_utility"))
     assert code == 0
@@ -510,6 +650,7 @@ def test_pretty_mode_is_human_readable(capsys):
     ("evaluate", "fig2a"),
     ("infer", "fig2a", "--decisions", "smoke=yes", "--query", "genotype"),
     ("is-d-map", "m1"),
+    ("is-d-map", "m1", "--max-cond", "1"),
 ])
 def test_output_is_deterministic(capsys, argv):
     cmd = [argv[0], model(argv[1]), *argv[2:]]

@@ -75,6 +75,11 @@ def test_twin_drops_constant_utility():
         assert oracle_fixed_set_member(h, "payoff")
 
 
+def test_twin_without_decision_order_lists_the_decisions(m1):
+    twin = build_twin(to_hcf(replace(m1, decision_order=None)))
+    assert twin.diagram.decision_order == ("smoke", "smoke'")
+
+
 def test_twin_rejects_non_hcf(m1):
     from decid import HcfDiagram
     with pytest.raises(NotHcf):
@@ -501,6 +506,15 @@ def test_voi_without_decision_order_is_rejected(coin_utility):
     for no_forgetting in (False, True):
         with pytest.raises(NoDecisionOrder):
             value_of_information(bare, "c", "d", no_forgetting=no_forgetting)
+
+
+@pytest.mark.parametrize("observed,decision,error", [
+    ("d", "d", "d is not a chance variable"),
+    ("c", "c", "c is not a decision"),
+])
+def test_voi_checks_what_it_is_given(coin_utility, observed, decision, error):
+    with pytest.raises(UnknownVariable, match=f"^{error}$"):
+        value_of_information(coin_utility, observed, decision)
 
 
 def test_voi_rejects_decision_affected_variable(coin_utility):

@@ -1,6 +1,7 @@
 import itertools
 import pathlib
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -347,6 +348,16 @@ def test_is_set_decision_false_without_do_nothing():
                                "s_lc", "lc")
 
 
+def test_is_set_decision_reads_the_validation_rule():
+    """The rule ``validate_diagram`` applies to a declared set decision
+    decides ``is_set_decision`` too: a target that is no chance node
+    has none."""
+    d = _with_set_decision()
+    assert not is_set_decision(d, "s_lc", "smoke")
+    with pytest.raises(ValueError, match="^lc is not a decision node$"):
+        is_set_decision(d, "lc", "lc")
+
+
 def _certifiable():
     genotype = chance_node("genotype", ["g1", "g2"], [], {(): [0.7, 0.3]})
     lc = chance_node("lc", ["no", "yes"], ["genotype"], {
@@ -364,6 +375,11 @@ def test_certify_minimal_causal_with_set_decisions():
     assert validate_diagram(d) == []
     report = certify_causal_network(d)
     assert report.certified
+
+
+def test_uncausal_diagram_is_not_certifiable():
+    report = certify_causal_network(replace(_certifiable(), causal=False))
+    assert report.reasons == ("diagram is not annotated causal",)
 
 
 def test_fig2b_not_certifiable_without_set_decisions(fig2b):

@@ -109,6 +109,16 @@ def test_posterior_coin_evidence_pins_coin(coin):
     assert f.value({"c": "heads"}) == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("evidence,query,error", [
+    ({"smoke": "yes"}, ["lung_cancer"], "smoke is not an uncertain variable"),
+    ({}, ["smoke"], "smoke is not an uncertain variable"),
+    ({"lung_cancer": "maybe"}, [], "'maybe' is not a state of lung_cancer"),
+])
+def test_posterior_checks_evidence_and_query(m1, evidence, query, error):
+    with pytest.raises(UnknownVariable, match=f"^{error}$"):
+        posterior(m1, {"smoke": "yes"}, evidence, query)
+
+
 def test_posterior_rejects_overlap(coin):
     with pytest.raises(ValueError):
         posterior(coin, {"d": "heads"}, {"c": "heads"}, ["c"])
@@ -344,6 +354,15 @@ def test_propagate_utility_gets_value_label(coin_utility):
 def test_propagate_rejects_non_hcf(m1):
     with pytest.raises(NotHcf):
         propagate(m1, {}, {"smoke": "yes"})
+
+
+@pytest.mark.parametrize("world,decisions,error", [
+    ({"c": "heads"}, {}, "missing decision binding for d"),
+    ({}, {"d": "heads"}, "missing world binding for c"),
+])
+def test_propagate_needs_every_binding(coin, world, decisions, error):
+    with pytest.raises(UnknownVariable, match=f"^{error}$"):
+        propagate(coin, world, decisions)
 
 
 def test_oracle_fixed_set_coin(coin):

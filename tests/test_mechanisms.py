@@ -1,4 +1,5 @@
 import itertools
+import re
 from dataclasses import replace
 
 import pytest
@@ -9,8 +10,8 @@ from decid import (Diagram, HcfDiagram, MechanismSpec, Variable,
                    enumerate_mechanism_states, joint, mechanism_name,
                    mechanism_state_label, set_decision_node, to_hcf,
                    validate_diagram, validate_hcf)
-from decid import WorldTable, mechanisms
-from decid.errors import (MechanismError, ModelError, NotCausal,
+from decid import WorldTable, build_twin, mechanisms
+from decid.errors import (MechanismError, ModelError, NotCausal, NotHcf,
                           ReassessmentRequired, StateSpaceExceeded,
                           UnknownVariable)
 from decid.model import ConditionalTable
@@ -100,6 +101,11 @@ def test_product_prior_fig6a_conditions_on_genotype(fig6a):
     assert g1[("yes", "yes")] == pytest.approx(0.03 * 0.15, abs=1e-12)
     assert g2[("no", "no")] == pytest.approx(0.9 * 0.6, abs=1e-12)
     assert g2[("yes", "yes")] == pytest.approx(0.1 * 0.4, abs=1e-12)
+
+
+def test_prior_requires_a_chance_node(m1):
+    with pytest.raises(ValueError, match="^smoke is not a chance node$"):
+        canonical_mechanism_prior(m1, "smoke")
 
 
 def test_prior_requires_nonfixed_parent(fig6a):
@@ -292,6 +298,70 @@ def test_validate_hcf_reports_every_mechanism_violation(m1):
         "per mapping (4)"]
 
 
+def test_validate_hcf_reports_mapping_order(m1):
+    h = to_hcf(m1)
+    spec = h.mechanisms[0]
+    backwards = replace(spec, states=spec.states[::-1])
+    labels = [mechanism_state_label(m) for m in spec.states]
+    assert validate_hcf(HcfDiagram(h.diagram, (backwards,))) == [
+        f"mechanism lung_cancer(smoke): mapping {k} is {labels[-1 - k]!r}, "
+        f"but state {k} of the node is {labels[k]!r}" for k in range(4)]
+
+
+def _below_smoke(h):
+    """``h`` with its one mechanism's prior conditioned on smoke."""
+    spec = h.mechanisms[0]
+    row = spec.prior.rows[()]
+    prior = ConditionalTable(("smoke",), {("no",): row, ("yes",): row})
+    mech = chance_node(spec.name, h.diagram.node(spec.name).states,
+                       ("smoke",), prior.rows)
+    d = replace(h.diagram, nodes=tuple(
+        mech if n.name == spec.name else n for n in h.diagram.nodes),
+        relevance_arcs=h.diagram.relevance_arcs + (("smoke", spec.name),))
+    return HcfDiagram(d, (replace(spec, fixed_parents=("smoke",),
+                                  prior=prior),))
+
+
+def _chance_target(h):
+    lc = h.diagram.node("lung_cancer")
+    rows = dict.fromkeys(lc.table.rows, (0.5, 0.5))
+    node = chance_node("lung_cancer", lc.states, lc.table.parent_order, rows)
+    return HcfDiagram(replace(h.diagram, nodes=tuple(
+        node if n.name == "lung_cancer" else n for n in h.diagram.nodes)),
+        h.mechanisms)
+
+
+@pytest.mark.parametrize("edit,violations", [
+    (lambda h: HcfDiagram(replace(h.diagram, causal=False), h.mechanisms),
+     ["HCF diagram must be annotated causal"]),
+    (_chance_target, ["decision descendant lung_cancer is not deterministic"]),
+    (_below_smoke,
+     ["decision descendant lung_cancer(smoke) is not deterministic",
+      "mechanism lung_cancer(smoke) is a decision descendant"]),
+    (lambda h: HcfDiagram(replace(
+        h.diagram, declared_fixed=frozenset({"lung_cancer"})), h.mechanisms),
+     ["fixed node lung_cancer has a non-fixed parent"]),
+])
+def test_validate_hcf_reports_the_canonical_form(m1, edit, violations):
+    """The one shape check: ``validate_hcf`` reports every fault, and
+    the twin and the world oracle raise the first."""
+    h = edit(to_hcf(m1))
+    assert validate_hcf(h) == violations
+    first = f"^{re.escape(violations[0])}$"
+    if h.diagram.causal:
+        with pytest.raises(NotHcf, match=first):
+            WorldTable(h.diagram)
+    with pytest.raises(NotHcf, match=first):
+        build_twin(h)
+
+
+def test_to_hcf_refuses_a_mechanism_name_in_use(m1):
+    taken = chance_node("lung_cancer(smoke)", ["a", "b"], [], {(): [0.5, 0.5]})
+    with pytest.raises(ValueError, match=r"^mechanism name "
+                       r"'lung_cancer\(smoke\)' collides with a variable$"):
+        to_hcf(replace(m1, nodes=m1.nodes + (taken,)))
+
+
 def test_to_hcf_cap(fig6a):
     with pytest.raises(StateSpaceExceeded):
         to_hcf(fig6a, cap=3)
@@ -349,6 +419,13 @@ def test_to_hcf_on_set_decision_target():
 def test_product_prior_reproduces_marginals(m1, fig6a):
     for d in (m1, fig6a):
         assert check_marginal_reproduction(d, to_hcf(d)) == []
+
+
+def test_prior_without_a_row_fails_reproduction(m1):
+    h = to_hcf(m1)
+    spec = replace(h.mechanisms[0], prior=ConditionalTable((), {}))
+    assert check_marginal_reproduction(m1, HcfDiagram(h.diagram, (spec,))) \
+        == ["lung_cancer: prior has no row for fixed parents ()"]
 
 
 def test_uniform_prior_fails_reproduction(m1):

@@ -3,9 +3,10 @@ from dataclasses import replace
 
 import pytest
 
-from decid import (Diagram, Variable, WorldTable, chance_node, decision_node,
-                   enumerate_instances, oracle_fixed_set_member, parse_model,
-                   serialize_model, validate_diagram)
+from decid import (ConditionalTable, Diagram, Node, Variable, WorldTable,
+                   chance_node, decision_node, enumerate_instances,
+                   oracle_fixed_set_member, parse_model, serialize_model,
+                   set_decision_node, utility_node, validate_diagram)
 
 from genmodels import random_dag_with_information, random_diagram
 from reference import kahn_order, neighbours, reach
@@ -91,6 +92,63 @@ def test_decision_order_must_follow_the_arcs():
     assert validate_diagram(diagram) == []
     assert validate_diagram(replace(diagram, decision_order=("d1", "d0"))) \
         == ["decision_order lists d1 before d0, but d1 descends from d0"]
+
+
+_FLAT = {(): [0.5, 0.5]}
+
+
+def _with(*nodes, arcs=(), info=(), **kw):
+    """Decision d and its chance child x, plus ``nodes`` and arcs."""
+    x = chance_node("x", ["s0", "s1"], ["d"], dict.fromkeys(
+        [("a0",), ("a1",)], [0.5, 0.5]))
+    return Diagram((decision_node("d", ["a0", "a1"]), x) + nodes,
+                   (("d", "x"),) + arcs, info, **kw)
+
+
+@pytest.mark.parametrize("d,violations", [
+    (_with(Node(Variable("k", ("0", "1")), "weird")),
+     ["k: unknown kind 'weird'"]),
+    (_with(chance_node("", ["0", "1"], [], _FLAT)), ["empty variable name"]),
+    (_with(chance_node("y", ["0"], [], {(): [1.0]})),
+     ["y: needs at least 2 states"]),
+    (_with(chance_node("y", ["0", "0"], [], _FLAT)),
+     ["y: duplicate state labels"]),
+    (_with(chance_node("y", ["0|1", "1"], [], _FLAT)),
+     ["y: state '0|1' contains reserved '|'"]),
+    (_with(utility_node("u", [], {(): 1.0}), utility_node("v", [], {(): 2.0})),
+     ["more than one utility node"]),
+    (_with(info=(("ghost", "d"),)),
+     ["information arc ghost->d: unknown endpoint"]),
+    (_with(chance_node("y", ["0", "1"], [], _FLAT), info=(("y", "x"),)),
+     ["information arc y->x: target is not a decision"]),
+    (_with(Node(Variable("y", ("0", "1")), "chance")),
+     ["y: missing conditional table"]),
+    (_with(Node(Variable("e", ("0", "1")), "decision",
+                table=ConditionalTable((), {(): (0.5, 0.5)}))),
+     ["e: decision nodes carry no tables"]),
+    (_with(Node(Variable("u", ()), "utility")), ["u: missing utility values"]),
+    (_with(utility_node("u", ["x"], {("s0",): float("inf"), ("s1",): 1.0}),
+           arcs=(("x", "u"),)),
+     ["u: non-finite utility at ('s0',)"]),
+    (_with(set_decision_node("s1", ["s0", "s1"], "x"),
+           set_decision_node("s2", ["s0", "s1"], "x"),
+           arcs=(("s1", "x"), ("s2", "x"))),
+     ["x: more than one set decision (['s1', 's2'])"]),
+    (_with(declared_fixed=frozenset({"ghost"})),
+     ["declared_fixed names unknown variable 'ghost'"]),
+    (_with(decision_node("s", ["do_nothing", "set=0"], "ghost")),
+     ["s: set decision targets unknown variable 'ghost'"]),
+    (_with(decision_node("s", ["do_nothing", "set=a0", "set=a1"], "d")),
+     ["s: set decision target d is not a chance node"]),
+    (_with(decision_node("s", ["do_nothing", "set=s0"], "x"),
+           arcs=(("s", "x"),)),
+     ["s: set decision alternatives ['do_nothing', 'set=s0'] != "
+      "['do_nothing', 'set=s0', 'set=s1']"]),
+    (_with(set_decision_node("s", ["s0", "s1"], "x")),
+     ["s: set decision must have x as its only child"]),
+])
+def test_each_violation_is_named(d, violations):
+    assert validate_diagram(d) == violations
 
 
 def test_validate_is_pure_and_idempotent():

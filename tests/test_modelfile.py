@@ -3,8 +3,9 @@ import pathlib
 
 import pytest
 
-from decid import (HcfDiagram, parse_document, parse_model, serialize_model,
-                   to_hcf, validate_diagram)
+from decid import (Diagram, HcfDiagram, chance_node, parse_document,
+                   parse_model, serialize_model, set_decision_node, to_hcf,
+                   validate_diagram)
 from decid.errors import ParseError
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
@@ -102,6 +103,25 @@ def test_non_numeric_utility_value():
     _expect(doc, "high")
 
 
+def test_utility_node_needs_a_utility_section():
+    doc = _doc("coin_utility")
+    del doc["utility"]
+    _expect(doc, "payoff: utility node declared but no 'utility' section")
+
+
+def test_utility_value_too_large_for_a_float():
+    doc = _doc("coin_utility")
+    doc["utility"]["values"]["win"] = 10 ** 400
+    _expect(doc, "payoff: utility value at 'win' is too large")
+
+
+def test_mapping_must_be_a_list_of_labels(m1):
+    doc = json.loads(serialize_model(to_hcf(m1)))
+    doc["mechanisms"][0]["mappings"][0] = "no,no"
+    _expect(doc, "lung_cancer(smoke): every mapping must be a list of "
+            "state labels")
+
+
 def test_boolean_probability_is_not_a_number():
     doc = _doc()
     doc["cpts"]["lung_cancer"]["rows"]["no"] = [True, False]
@@ -166,6 +186,16 @@ def test_corpus_round_trips(name):
     parsed = parse_document(text)
     canonical = serialize_model(parsed)
     assert serialize_model(parse_document(canonical)) == canonical
+
+
+def test_set_decision_round_trips():
+    x = chance_node("x", ["0", "1"], [], {(): [0.5, 0.5]})
+    d = Diagram((set_decision_node("s", ["0", "1"], "x"), x), (("s", "x"),))
+    text = serialize_model(d)
+    assert json.loads(text)["variables"][0] == {
+        "name": "s", "kind": "decision",
+        "states": ["do_nothing", "set=0", "set=1"], "set_decision_for": "x"}
+    assert parse_model(text) == d
 
 
 def test_full_precision_round_trip():
