@@ -6,9 +6,9 @@ counterfactuals, optimal policies, and value of information.
 """
 
 from .errors import (CapExceeded, CycleIntroduced, DecidError,
-                     MechanismError, ModelError, NoDecisionOrder,
-                     NodeBudgetExceeded, NotCausal, NotHcf, NotObservable,
-                     NoUtilityNode, ParseError,
+                     FactorCapExceeded, MechanismError, ModelError,
+                     NoDecisionOrder, NodeBudgetExceeded, NotCausal, NotHcf,
+                     NotObservable, NoUtilityNode, ParseError,
                      PolicySpaceExceeded, QueryError, ReassessmentRequired,
                      StateSpaceExceeded, UnknownVariable, WorldCapExceeded,
                      ZeroProbabilityEvidence)
@@ -28,9 +28,9 @@ from .inference import (FunctionalWorld, WorldTable, count_worlds,
                         functional_worlds, joint, oracle_causes,
                         oracle_fixed_set_member, oracle_is_d_map, posterior,
                         propagate)
-from .decisions import (CounterfactualQuery, Policy, TwinDiagram, build_twin,
-                        counterfactual, enumerate_policies, expected_utility,
-                        optimal_policy, value_of_information)
+from .decisions import (CounterfactualQuery, Policy, counterfactual,
+                        enumerate_policies, expected_utility, optimal_policy,
+                        value_of_information)
 from .modelfile import parse_document, parse_model, serialize_model
 
 __version__ = "0.1.0"

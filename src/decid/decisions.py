@@ -9,9 +9,10 @@ alternatives their rules choose, and a sum per policy score them all.
 A policy search, and both searches of a value of information, run one
 elimination.  Policy search stays exhaustive over the (capped) policy
 space, so it doubles as the oracle for any smarter search added later.
-Counterfactuals run ``posterior`` over a twin diagram: the fixed layer
-(fixed chance nodes and mechanisms) is shared, every decision-affected
-node exists once factually and once primed.
+Counterfactuals eliminate over the family factors of a twin network:
+the fixed layer (fixed chance nodes and mechanisms) is shared, and the
+factors of every decision-affected variable are read once factually
+and once more with their scopes renamed ``x -> x'``.
 """
 
 from __future__ import annotations
@@ -25,13 +26,13 @@ import numpy as np
 from .errors import (CycleIntroduced, NoDecisionOrder, NotObservable,
                      NoUtilityNode, PolicySpaceExceeded, UnknownVariable)
 from .graphs import _check_names
-from .inference import (_check_query, _require_full_decisions,
-                        _requisite_factors, _with_axes, eliminate, posterior,
+from .inference import (_check_query, _conditional, _require_full_decisions,
+                        _requisite_factors, _with_axes, eliminate,
                         value_label_node)
 from .mechanisms import HcfDiagram, _require_hcf
-from .model import (CHANCE, DECISION, DETERMINISTIC, TOL, UTILITY,
-                    Assignment, Diagram, Factor, chance_node, decision_node,
-                    family_factor, instance_keys, parent_variables)
+from .model import (CHANCE, DECISION, DETERMINISTIC, TOL, Assignment,
+                    Diagram, Factor, family_factor, instance_keys,
+                    parent_variables)
 
 POLICY_SPACE_CAP = 10 ** 6
 GATHER_CELLS = 1 << 16     # utility-table cells one scoring gather reads
@@ -50,13 +51,6 @@ class Policy:
     def choose(self, decision: str, assignment: Assignment) -> str:
         key = tuple(assignment[p] for p in self.info_order[decision])
         return self.rules[decision][key]
-
-
-@dataclass(frozen=True)
-class TwinDiagram:
-    diagram: Diagram
-    shared: frozenset[str]
-    primed: dict                # original name -> counterfactual copy name
 
 
 @dataclass(frozen=True)
@@ -100,9 +94,10 @@ def _utility_table(d: Diagram, info_order) -> Factor:
         raise NoUtilityNode("diagram has no utility node")
     observed = [p for parents in info_order.values() for p in parents]
     keep = list(dict.fromkeys(d.decisions() + observed))
-    factors = _requisite_factors(d, {}, keep + [u.name]) + [
-        family_factor(d, u)]
-    return eliminate(_with_axes(d, factors, keep), keep)
+    # The utility's own factor holds its values, not its value labels.
+    factors = _requisite_factors(d, {}, keep + list(u.utility.parent_order))
+    return eliminate(_with_axes(d, [*factors.values(), family_factor(d, u)],
+                                keep), keep)
 
 
 def _scorer(q: Factor, info_order):
@@ -271,72 +266,35 @@ def value_of_information(d: Diagram, observed: str, decision: str,
 # Twin networks
 
 
-def build_twin(h: HcfDiagram) -> TwinDiagram:
-    """Duplicate every decision-affected node; share the fixed layer.
-
-    Utility nodes touched by decisions are carried into both copies as
-    deterministic value-label nodes so counterfactual utility queries
-    stay ordinary inference queries.  A constant utility carries no
-    information and is dropped from the twin.
-    """
-    _require_hcf(h)
-    d = h.diagram
-    desc = d.descendants(d.decisions())
-    shared = {n.name for n in d.nodes if n.name not in desc
-              and n.kind != DECISION}
-    affected = [value_label_node(n) for n in d.nodes if n.name not in shared]
-    primed = {n.name: n.name + PRIME for n in affected}
-    dropped = {n.name for n in affected
-               if d.node(n.name).kind == UTILITY and len(n.states) < 2}
-
-    def mapped(name, copy2):
-        return primed[name] if copy2 and name in primed else name
-
-    nodes = [n for n in d.nodes if n.name in shared]
-    relevance = [(a, b) for a, b in d.relevance_arcs
-                 if a in shared and b in shared]
-    information = []
-    for copy2 in (False, True):
-        for n in affected:
-            name = mapped(n.name, copy2)
-            if n.kind == DECISION:
-                nodes.append(decision_node(
-                    name, n.states, mapped(n.set_decision_for, copy2)))
-            elif n.name not in dropped:
-                parents = tuple(mapped(p, copy2) for p in n.table.parent_order)
-                nodes.append(chance_node(name, n.states, parents, n.table.rows,
-                                         deterministic=n.kind == DETERMINISTIC))
-        relevance.extend((mapped(a, copy2), mapped(b, copy2))
-                         for a, b in d.relevance_arcs
-                         if b not in shared and b not in dropped)
-        information.extend((mapped(a, copy2), mapped(b, copy2))
-                           for a, b in d.information_arcs)
-
-    order = d.decision_order
-    if order is None and d.decisions():
-        order = d.decisions()
-    if order is not None:
-        order = tuple(order) + tuple(primed[x] for x in order)
-    twin = Diagram(tuple(nodes), tuple(relevance), tuple(information),
-                   order, causal=d.causal, declared_fixed=d.declared_fixed)
-    return TwinDiagram(twin, frozenset(shared), primed)
-
-
 def counterfactual(h: HcfDiagram, q: CounterfactualQuery) -> Factor:
-    """Answer "had the decisions been different" queries on the twin.
-
-    Factual decisions and evidence instantiate the first copy; the
-    counterfactual decisions instantiate the primed copy; the result is
-    the normalized posterior over the primed query variables.  A fault
-    names what the caller wrote: the first copy keeps the original names.
-    """
-    twin = build_twin(h)
+    """Answer "had the decisions been different" queries on the twin
+    network.  The factual decisions and evidence reduce the HCF's family
+    factors; the counterfactual decisions and the evidence on the shared
+    layer reduce a copy of the decision-affected ones, renamed ``x ->
+    x'`` (a utility read as its value labels), in which the query is
+    read.  A fault names what the caller wrote."""
+    _require_hcf(h)
     d = h.diagram
     _require_full_decisions(d, q.factual_decisions)
     _require_full_decisions(d, q.counterfactual_decisions)
     _check_names(d, [*q.factual_evidence, *q.query])
-    _check_query(twin.diagram, q.factual_evidence, list(q.query))
+    affected = d.descendants(d.decisions()) | set(d.decisions())
+    _check_query(lambda x: value_label_node(d.node(x)) if x in affected
+                 else d.node(x), q.factual_evidence, list(q.query))
+    rename = {x: x + PRIME if x in affected else x for x in d.names()}
+    evidence = dict(q.factual_evidence)
+    shared = {x: s for x, s in evidence.items() if x not in affected}
+    factual = _requisite_factors(
+        d, {**q.factual_decisions, **evidence}, evidence)
+    primed = _requisite_factors(
+        d, {**q.counterfactual_decisions, **shared}, q.query)
+    # The twin's factor order: shared layer, factual copy, primed copy.
+    layer = {**primed, **factual}
+    factors = ([layer[x] for x in d.names() if x in layer and x not in affected]
+               + [f for x, f in factual.items() if x in affected]
+               + [Factor(map(rename.get, f.scope), f.states, f.values)
+                  for x, f in primed.items() if x in affected])
     decisions = {**q.factual_decisions, **{
-        twin.primed[x]: s for x, s in q.counterfactual_decisions.items()}}
-    return posterior(twin.diagram, decisions, dict(q.factual_evidence),
-                     [twin.primed.get(x, x) for x in q.query])
+        rename[x]: s for x, s in q.counterfactual_decisions.items()}}
+    return _conditional(factors, [rename[x] for x in q.query], evidence,
+                        decisions)

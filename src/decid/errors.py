@@ -84,3 +84,7 @@ class WorldCapExceeded(CapExceeded):
 
 class PolicySpaceExceeded(CapExceeded):
     pass
+
+
+class FactorCapExceeded(CapExceeded):
+    pass

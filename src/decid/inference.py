@@ -27,7 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UnknownVariable, WorldCapExceeded, ZeroProbabilityEvidence
+from .errors import (FactorCapExceeded, UnknownVariable, WorldCapExceeded,
+                     ZeroProbabilityEvidence)
 from .graphs import (MINIMAL_SET_NODE_BUDGET, CauseReport, _check_names,
                      d_separated, minimal_sets)
 from .mechanisms import _diagram_of, _require_hcf
@@ -37,6 +38,7 @@ from .model import (CHANCE, DECISION, DETERMINISTIC, TOL, UTILITY,
                     table_factor)
 
 WORLD_PAIR_CAP = 10 ** 7
+FACTOR_CELL_CAP = 10 ** 7
 
 
 # ---------------------------------------------------------------------------
@@ -47,23 +49,25 @@ def joint(d: Diagram, decisions: Assignment) -> Factor:
     """Joint factor over all uncertain variables given a full decision
     instance: the product of the family factors reduced at it."""
     _require_full_decisions(d, decisions)
-    return eliminate(_requisite_factors(d, decisions, d.uncertain()),
-                     d.uncertain())
+    factors = _requisite_factors(d, decisions, d.uncertain())
+    return eliminate(list(factors.values()), d.uncertain())
 
 
-def _requisite_factors(d: Diagram, bound: Assignment, names) -> list[Factor]:
-    """The family factors of the uncertain variables among ``names`` and
-    their ancestors, each reduced at the variables of ``bound`` in its
-    scope.  Every other uncertain variable is barren: its descendants
-    are too and its rows sum to 1, so summing it out multiplies by 1."""
+def _requisite_factors(d: Diagram, bound: Assignment, names) -> dict:
+    """The family factors, keyed in node order, of the variables among
+    ``names`` and their ancestors (a utility's over its value labels),
+    each reduced at the variables of ``bound`` in its scope.  Any other
+    uncertain variable is barren: its descendants are too and its rows
+    sum to 1, so summing it out multiplies by 1."""
     need = set(names) | d.ancestors(names)
-    factors = []
-    for x in (x for x in d.uncertain() if x in need):
-        f = family_factor(d, d.node(x))
-        for v in f.scope:
-            if v in bound:
-                f = f.reduce(v, bound[v])
-        factors.append(f)
+    factors = {}
+    for n in d.nodes:
+        if n.name in need and n.kind != DECISION:
+            f = family_factor(d, value_label_node(n))
+            for v in f.scope:
+                if v in bound:
+                    f = f.reduce(v, bound[v])
+            factors[n.name] = f
     return factors
 
 
@@ -98,11 +102,32 @@ def posterior(d: Diagram, decisions: Assignment, evidence: Assignment,
     family factors, reduced at the decisions and the evidence alike."""
     _require_full_decisions(d, decisions)
     query = list(query)
-    _check_query(d, evidence, query)
-    if set(query) & set(evidence):
-        raise ValueError("query and evidence overlap")
+    _check_query(d.node, evidence, query)
     factors = _requisite_factors(d, {**decisions, **evidence},
                                  query + list(evidence))
+    return _conditional(list(factors.values()), query, evidence, decisions)
+
+
+def _check_query(node, evidence: Assignment, query: list) -> None:
+    """The evidence and the query name uncertain variables, as ``node``
+    reads them, the evidence a state of each, the query each one once."""
+    for x in list(evidence) + query:
+        if node(x).kind not in (CHANCE, DETERMINISTIC):
+            raise UnknownVariable(f"{x} is not an uncertain variable")
+    for v, s in evidence.items():
+        if s not in node(v).states:
+            raise UnknownVariable(f"{s!r} is not a state of {v}")
+    for x in query:
+        if query.count(x) > 1:
+            raise ValueError(f"query names {x} more than once")
+
+
+def _conditional(factors, query: list, evidence: Assignment,
+                 decisions: Assignment) -> Factor:
+    """P(query | evidence, decisions) from ``factors``, already reduced
+    at the decisions and the evidence."""
+    if set(query) & set(evidence):
+        raise ValueError("query and evidence overlap")
     result = eliminate(factors, query)
     if result.total() <= 0.0:
         raise ZeroProbabilityEvidence(
@@ -110,30 +135,24 @@ def posterior(d: Diagram, decisions: Assignment, evidence: Assignment,
     return result.normalize()
 
 
-def _check_query(d: Diagram, evidence: Assignment, query: list) -> None:
-    """The evidence and the query name uncertain variables of ``d``,
-    the evidence a state of each, the query each variable once."""
-    for x in list(evidence) + query:
-        if d.node(x).kind not in (CHANCE, DETERMINISTIC):
-            raise UnknownVariable(f"{x} is not an uncertain variable")
-    for v, s in evidence.items():
-        if s not in d.node(v).states:
-            raise UnknownVariable(f"{s!r} is not a state of {v}")
-    for x in query:
-        if query.count(x) > 1:
-            raise ValueError(f"query names {x} more than once")
-
-
 def eliminate(factors, keep) -> Factor:
     """Sum every variable outside ``keep`` out of the product of the
     factors, in a greedy min-fill order (name tie-break, so runs are
     reproducible).  Each step is one contraction of the factors that
     read the variable.  The result's scope is ``keep``, in that order;
-    with no factors it is the unit factor."""
+    with no factors it is the unit factor.  Every contraction's output
+    is sized against ``FACTOR_CELL_CAP`` before the first one runs."""
     if not factors:
         return Factor((), (), 1.0)
-    to_eliminate = {v for f in factors for v in f.scope} - set(keep)
-    for var in _min_fill_order(factors, to_eliminate):
+    size = {v: len(s) for f in factors for v, s in zip(f.scope, f.states)}
+    steps = _min_fill_order(factors, size.keys() - set(keep))
+    for var, scope in steps + [(None, keep)]:
+        cells = math.prod(size[v] for v in scope)
+        if cells > FACTOR_CELL_CAP:
+            step = "the result" if var is None else f"eliminating {var}"
+            raise FactorCapExceeded(f"{cells} factor cells for {step} "
+                                    f"exceed cap {FACTOR_CELL_CAP}")
+    for var, _ in steps:
         related = [f for f in factors if var in f.scope]
         factors = [f for f in factors if var not in f.scope]
         scope = dict.fromkeys(v for f in related for v in f.scope)
@@ -152,7 +171,9 @@ def _contract(factors, keep) -> Factor:
                   np.einsum(*args, [ids[v] for v in keep]))
 
 
-def _min_fill_order(factors, to_eliminate) -> list[str]:
+def _min_fill_order(factors, to_eliminate) -> list[tuple[str, set[str]]]:
+    """The elimination order, each variable with the scope its
+    contraction leaves: its neighbours when it is eliminated."""
     neighbors: dict[str, set[str]] = {}
     for f in factors:
         for v in f.scope:
@@ -165,8 +186,8 @@ def _min_fill_order(factors, to_eliminate) -> list[str]:
             return sum(1 for a, b in itertools.combinations(nbrs, 2)
                        if b not in neighbors[a])
         var = min(remaining, key=lambda v: (fill(v), v))
-        order.append(var)
         nbrs = {u for u in neighbors.pop(var, ()) if u in neighbors}
+        order.append((var, nbrs))
         for a in nbrs:
             neighbors[a].discard(var)
             neighbors[a].update(nbrs - {a})
@@ -299,7 +320,12 @@ class WorldTable:
         n_pairs = per_world * math.prod(
             int((f.values > 0.0).sum(-1).max()) for f in tables)
         if n_pairs > world_pair_cap:
-            n_pairs = _world_count(tables) * per_world
+            try:
+                n_pairs = _world_count(tables) * per_world
+            except FactorCapExceeded as e:
+                raise WorldCapExceeded(
+                    f"a bound of {n_pairs} world/decision pairs exceeds cap "
+                    f"{world_pair_cap}, and counting them: {e}") from None
         if n_pairs > world_pair_cap:
             raise WorldCapExceeded(
                 f"{n_pairs} world/decision pairs exceed cap {world_pair_cap}")

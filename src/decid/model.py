@@ -508,6 +508,9 @@ def validate_diagram(d: Diagram) -> list[str]:
     for x in sorted(d.declared_fixed):
         if not d.has(x):
             report.append(f"declared_fixed names unknown variable {x!r}")
+        elif d.node(x).kind not in (CHANCE, DETERMINISTIC):
+            report.append(f"declared_fixed names {x}, which is not a chance "
+                          "variable")
 
     return report
 

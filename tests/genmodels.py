@@ -223,3 +223,40 @@ def ladder(rungs):
     nodes.append(chance_node("t", ["0", "1"], last, pair))
     arcs += [(x, "t") for x in last]
     return Diagram(tuple(nodes), tuple(arcs), (), ("d",))
+
+
+def chain(n, seed=0):
+    """Decision ``d`` into ``x0``, then a binary chain ``x0 -> ... ->
+    x{n-1}`` with seeded tables: its joint has 2^n cells, but any one
+    variable's posterior is small."""
+    rng = random.Random(seed)
+    nodes = [decision_node("d", ["a", "b"])]
+    arcs = []
+    for i in range(n):
+        parent = "d" if i == 0 else f"x{i - 1}"
+        states = ("a", "b") if i == 0 else ("0", "1")
+        nodes.append(chance_node(f"x{i}", ["0", "1"], [parent], {
+            (s,): random_distribution(rng, 2) for s in states}))
+        arcs.append((parent, f"x{i}"))
+    return Diagram(tuple(nodes), tuple(arcs), (), ("d",), causal=True)
+
+
+def grid(rows, cols, seed=0):
+    """Decision ``d`` into the corner ``g0_0`` of a binary grid whose
+    node ``g{i}_{j}`` has the parents ``g{i-1}_{j}`` and ``g{i}_{j-1}``,
+    with seeded tables: elimination factors grow with the narrower side."""
+    rng = random.Random(seed)
+    nodes = [decision_node("d", ["a", "b"])]
+    arcs = []
+    states = {"d": ("a", "b")}
+    for i in range(rows):
+        for j in range(cols):
+            name = f"g{i}_{j}"
+            parents = ([f"g{i - 1}_{j}"] if i else []) + (
+                [f"g{i}_{j - 1}"] if j else []) or ["d"]
+            nodes.append(chance_node(name, ["0", "1"], parents, {
+                key: random_distribution(rng, 2)
+                for key in itertools.product(*(states[p] for p in parents))}))
+            arcs += [(p, name) for p in parents]
+            states[name] = ("0", "1")
+    return Diagram(tuple(nodes), tuple(arcs), (), ("d",), causal=True)

@@ -11,7 +11,7 @@ import pytest
 import decid
 from decid.cli import _pairs, run_command
 
-from genmodels import ladder, random_dag, random_diagram
+from genmodels import chain, ladder, random_dag, random_diagram
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -430,6 +430,39 @@ def test_broken_hcf_is_exit_2_for_every_subcommand(capsys, tmp_path, edit,
     for command, *rest in _EVERY_QUERY:
         assert run_json(capsys, command, str(path), *rest) == (
             2, refused), command
+
+
+def test_declared_fixed_decision_is_exit_2(capsys, tmp_path):
+    """A ``declared_fixed`` entry that is no chance variable is a model
+    fault, so no subcommand reads the diagram past validation."""
+    doc = json.loads((FIXTURES / "fig2a.json").read_text())
+    doc["annotations"]["declared_fixed"] = ["smoke"]
+    path = tmp_path / "fixed_smoke.json"
+    path.write_text(json.dumps(doc))
+    refused = {"valid": False, "violations": [
+        "declared_fixed names smoke, which is not a chance variable"]}
+    assert run_json(capsys, "validate", str(path)) == (2, refused)
+    for argv in (["causes", "--of", "payoff", "--method", "oracle"],
+                 ["to-hcf"], ["infer", "--decisions", "smoke=yes"]):
+        assert run_json(capsys, argv[0], str(path), *argv[1:]) == (
+            2, refused), argv
+
+
+def test_elimination_past_the_factor_cap_is_exit_4(capsys, tmp_path):
+    """A 40-variable chain: its joint would take 2^40 cells, and the
+    cap trips before any is allocated; one variable's posterior is
+    still answered."""
+    path = tmp_path / "chain.json"
+    path.write_text(decid.serialize_model(chain(40)))
+    assert run_json(capsys, "infer", str(path), "--decisions", "d=a") == (
+        4, {"error": "1099511627776 factor cells for the result exceed "
+                     "cap 10000000"})
+    assert run_json(capsys, "is-d-map", str(path)) == (
+        4, {"error": "2199023255552 factor cells for the result exceed "
+                     "cap 10000000"})
+    code, doc = run_json(capsys, "infer", str(path), "--decisions", "d=a",
+                         "--query", "x39", "--evidence", "x0=1")
+    assert code == 0 and doc["scope"] == ["x39"]
 
 
 def test_check_hcf_requires_mechanisms(capsys):

@@ -29,9 +29,9 @@ import decid
 from decid import cli, parse_document, serialize_model, to_hcf
 from decid.mechanisms import _diagram_of
 
-from genmodels import (ladder, random_dag_with_information, random_diagram,
-                       random_functional_diagram, random_policy_diagram,
-                       random_table_diagram)
+from genmodels import (chain, ladder, random_dag_with_information,
+                       random_diagram, random_functional_diagram,
+                       random_policy_diagram, random_table_diagram)
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 SRC = str(pathlib.Path(decid.__file__).parent) + os.sep
@@ -43,7 +43,8 @@ COMMANDS = ["validate", "fixed-set", "causes", "d-sep", "minimal", "to-hcf",
 
 
 def _documents():
-    """(name, text) of every fuzzed model."""
+    """(name, text) of every fuzzed model; the chain's joint is past
+    the factor cap."""
     for path in sorted(FIXTURES.glob("*.json")):
         text = path.read_text()
         yield path.stem, text
@@ -53,7 +54,8 @@ def _documents():
                     ("functional", random_functional_diagram(3)),
                     ("policy", random_policy_diagram(4)),
                     ("ladder", ladder(3)),
-                    ("information", random_dag_with_information(5))]:
+                    ("information", random_dag_with_information(5)),
+                    ("chain", chain(40))]:
         yield name, serialize_model(d)
 
 

@@ -12,12 +12,13 @@ from decid import (Diagram, Factor, WorldTable, chance_node, count_worlds,
                    parse_model, posterior, propagate, serialize_model,
                    set_decision_node, to_hcf, utility_node,
                    validate_diagram)
-from decid.errors import (NodeBudgetExceeded, NotHcf, UnknownVariable,
-                          WorldCapExceeded, ZeroProbabilityEvidence)
+from decid.errors import (FactorCapExceeded, NodeBudgetExceeded, NotHcf,
+                          UnknownVariable, WorldCapExceeded,
+                          ZeroProbabilityEvidence)
 from decid.model import TOL, parent_variables
 
-from genmodels import (random_diagram, random_functional_diagram,
-                       random_policy_diagram)
+from genmodels import (chain, grid, random_diagram,
+                       random_functional_diagram, random_policy_diagram)
 from reference import (barren, enumerate_joint, enumerate_worlds, marginalize,
                        multiply)
 
@@ -513,6 +514,61 @@ def test_non_fixed_parent_is_reported_before_the_cap(m1):
     declared = replace(m1, declared_fixed=frozenset({"lung_cancer"}))
     with pytest.raises(NotHcf, match="non-fixed parent"):
         WorldTable(declared, world_pair_cap=1)
+
+
+def _ask_chain(seed):
+    d = chain(8 + seed, seed)
+    return lambda: posterior(d, {"d": "b"}, {"x1": "0"}, [f"x{7 + seed}"])
+
+
+def _ask_grid(seed):
+    rng = random.Random(seed)
+    d = grid(4, 4 + seed % 3, seed)
+    *above, corner = d.uncertain()
+    given = dict.fromkeys(rng.sample(above, 2), "1")
+    return lambda: posterior(d, {"d": "a"}, given, [corner])
+
+
+def _ask_joint(seed):
+    d = chain(4 + seed, seed)
+    return lambda: joint(d, {"d": "a"})
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("asked", [_ask_chain, _ask_grid, _ask_joint])
+def test_factor_cap_trips_exactly_past_the_largest_contraction(
+        monkeypatch, asked, seed):
+    """Every contraction's output is sized before the first runs: the
+    cap at the largest output answers alike, one cell less trips with
+    that size named and no contraction run."""
+    outputs = []
+    contract = inference._contract
+
+    def recorded(factors, keep):
+        outputs.append(contract(factors, keep))
+        return outputs[-1]
+    monkeypatch.setattr(inference, "_contract", recorded)
+    ask = asked(seed)
+    want = ask().values.tobytes()
+    largest = max(f.values.size for f in outputs)
+    monkeypatch.setattr(inference, "FACTOR_CELL_CAP", largest)
+    assert ask().values.tobytes() == want
+    monkeypatch.setattr(inference, "FACTOR_CELL_CAP", largest - 1)
+    outputs.clear()
+    with pytest.raises(FactorCapExceeded, match=(
+            rf"^{largest} factor cells for (eliminating \S+|the result) "
+            rf"exceed cap {largest - 1}$")):
+        ask()
+    assert outputs == []
+
+
+def test_world_count_past_the_factor_cap_names_both_caps(monkeypatch, m1):
+    monkeypatch.setattr(inference, "FACTOR_CELL_CAP", 0)
+    with pytest.raises(WorldCapExceeded, match=(
+            r"^a bound of 16 world/decision pairs exceeds cap 1, and "
+            r"counting them: 1 factor cells for eliminating "
+            r"lung_cancer\(smoke\) exceed cap 0$")):
+        WorldTable(to_hcf(m1).diagram, world_pair_cap=1)
 
 
 @pytest.mark.parametrize("seed", range(20))

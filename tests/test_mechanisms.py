@@ -10,7 +10,8 @@ from decid import (Diagram, HcfDiagram, MechanismSpec, Variable,
                    enumerate_mechanism_states, joint, mechanism_name,
                    mechanism_state_label, set_decision_node, to_hcf,
                    validate_diagram, validate_hcf)
-from decid import WorldTable, build_twin, mechanisms
+from decid import (CounterfactualQuery, WorldTable, counterfactual,
+                   mechanisms)
 from decid.errors import (MechanismError, ModelError, NotCausal, NotHcf,
                           ReassessmentRequired, StateSpaceExceeded,
                           UnknownVariable)
@@ -344,7 +345,7 @@ def _chance_target(h):
 ])
 def test_validate_hcf_reports_the_canonical_form(m1, edit, violations):
     """The one shape check: ``validate_hcf`` reports every fault, and
-    the twin and the world oracle raise the first."""
+    counterfactuals and the world oracle raise the first."""
     h = edit(to_hcf(m1))
     assert validate_hcf(h) == violations
     first = f"^{re.escape(violations[0])}$"
@@ -352,7 +353,8 @@ def test_validate_hcf_reports_the_canonical_form(m1, edit, violations):
         with pytest.raises(NotHcf, match=first):
             WorldTable(h.diagram)
     with pytest.raises(NotHcf, match=first):
-        build_twin(h)
+        counterfactual(h, CounterfactualQuery(
+            {"smoke": "yes"}, {}, {"smoke": "no"}, ("lung_cancer",)))
 
 
 def test_to_hcf_refuses_a_mechanism_name_in_use(m1):

@@ -136,6 +136,10 @@ def _with(*nodes, arcs=(), info=(), **kw):
      ["x: more than one set decision (['s1', 's2'])"]),
     (_with(declared_fixed=frozenset({"ghost"})),
      ["declared_fixed names unknown variable 'ghost'"]),
+    (_with(utility_node("u", [], {(): 1.0}),
+           declared_fixed=frozenset({"d", "u", "x"})),
+     ["declared_fixed names d, which is not a chance variable",
+      "declared_fixed names u, which is not a chance variable"]),
     (_with(decision_node("s", ["do_nothing", "set=0"], "ghost")),
      ["s: set decision targets unknown variable 'ghost'"]),
     (_with(decision_node("s", ["do_nothing", "set=a0", "set=a1"], "d")),
