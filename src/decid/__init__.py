@@ -29,8 +29,7 @@ from .inference import (FunctionalWorld, WorldTable, count_worlds,
                         oracle_fixed_set_member, oracle_is_d_map, posterior,
                         propagate)
 from .decisions import (CounterfactualQuery, Policy, counterfactual,
-                        enumerate_policies, expected_utility, optimal_policy,
-                        value_of_information)
+                        expected_utility, optimal_policy, value_of_information)
 from .modelfile import parse_document, parse_model, serialize_model
 
 __version__ = "0.1.0"

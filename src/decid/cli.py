@@ -22,7 +22,6 @@ from . import (CapExceeded, HcfDiagram, ModelError, QueryError, UnknownVariable,
                minimal_blocking_sets, oracle_causes, oracle_is_d_map,
                optimal_policy, parse_document, posterior, serialize_model,
                to_hcf, validate_diagram, value_of_information)
-from .inference import WORLD_PAIR_CAP
 from .mechanisms import _diagram_of, _shape_violations
 
 EXIT_OK, EXIT_USAGE, EXIT_INVALID, EXIT_QUERY, EXIT_CAP = 0, 1, 2, 3, 4
@@ -193,10 +192,10 @@ def run_command(argv) -> int:
         return EXIT_USAGE
 
 
-def _world_cap() -> int:
+def _world_cap() -> int | None:
     raw = os.environ.get("CID_CAP_WORLDS")
     if not raw:
-        return WORLD_PAIR_CAP
+        return None
     if raw.strip().isdecimal() and int(raw) > 0:
         return int(raw)
     print(f"decid: CID_CAP_WORLDS must be a positive integer, got {raw!r}",

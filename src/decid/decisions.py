@@ -17,7 +17,6 @@ and once more with their scopes renamed ``x -> x'``.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -30,9 +29,8 @@ from .inference import (_check_query, _conditional, _require_full_decisions,
                         _requisite_factors, _with_axes, eliminate,
                         value_label_node)
 from .mechanisms import HcfDiagram, _require_hcf
-from .model import (CHANCE, DECISION, DETERMINISTIC, TOL, Assignment,
-                    Diagram, Factor, family_factor, instance_keys,
-                    parent_variables)
+from .model import (CHANCE, DECISION, DETERMINISTIC, TOL, Diagram, Factor,
+                    family_factor, instance_keys, parent_variables)
 
 POLICY_SPACE_CAP = 10 ** 6
 GATHER_CELLS = 1 << 16     # utility-table cells one scoring gather reads
@@ -47,10 +45,6 @@ class Policy:
 
     info_order: dict            # decision -> tuple of info parent names
     rules: dict                 # decision -> {info instance tuple: alternative}
-
-    def choose(self, decision: str, assignment: Assignment) -> str:
-        key = tuple(assignment[p] for p in self.info_order[decision])
-        return self.rules[decision][key]
 
 
 @dataclass(frozen=True)
@@ -138,10 +132,12 @@ def _scorer(q: Factor, info_order):
     return value
 
 
-def _space(d: Diagram, cap: int):
+def _space(d: Diagram, cap: int | None = None):
     """``d``'s information order, each decision's information instances
     and the alternative count of each (decision, instance) slot, all in
-    canonical order; raises before listing any when over ``cap``."""
+    canonical order; raises before listing any when over ``cap``, by
+    default ``POLICY_SPACE_CAP``."""
+    cap = POLICY_SPACE_CAP if cap is None else cap
     if d.decision_order is None:
         raise NoDecisionOrder("diagram has no decision order")
     info_order = {dec: tuple(d.info_parents(dec)) for dec in d.decision_order}
@@ -175,14 +171,6 @@ def _digits(radices, index) -> np.ndarray:
     return np.asarray(index)[:, None] // np.array(strides, int) % radices
 
 
-def enumerate_policies(d: Diagram, cap: int = POLICY_SPACE_CAP):
-    """All policies in canonical order: decisions in decision order,
-    information instances lexicographic, alternatives in state order."""
-    space = _space(d, cap)
-    for digits in itertools.product(*map(range, space[2])):
-        yield _policy(d, space, digits)
-
-
 def _search(d: Diagram, space, q: Factor) -> tuple[Policy, float]:
     """The best policy of ``space`` on ``q`` by the tie rule of
     ``optimal_policy``.  A block of policies is decoded and scored at
@@ -208,11 +196,14 @@ def _search(d: Diagram, space, q: Factor) -> tuple[Policy, float]:
     return _policy(d, space, _digits(radices, [best])[0]), eus[best]
 
 
-def optimal_policy(d: Diagram, cap: int = POLICY_SPACE_CAP
+def optimal_policy(d: Diagram, cap: int | None = None
                    ) -> tuple[Policy, float]:
     """Exhaustively maximize expected utility.  A later policy wins only
     by more than ``TOL * max(1, |best|)``, so ties within rounding keep
-    the first policy in canonical order."""
+    the first policy in canonical order: decisions in decision order,
+    information instances lexicographic, alternatives in state order.
+    A ``cap`` given replaces ``POLICY_SPACE_CAP``; the benchmark's
+    self-test passes it."""
     space = _space(d, cap)
     return _search(d, space, _utility_table(d, space[0]))
 
@@ -222,8 +213,7 @@ def optimal_policy(d: Diagram, cap: int = POLICY_SPACE_CAP
 
 
 def value_of_information(d: Diagram, observed: str, decision: str,
-                         no_forgetting: bool = False,
-                         cap: int = POLICY_SPACE_CAP) -> float:
+                         no_forgetting: bool = False) -> float:
     """Gain in optimal expected utility from observing ``observed``
     before ``decision``.
 
@@ -251,13 +241,13 @@ def value_of_information(d: Diagram, observed: str, decision: str,
     if len(d2.topological_order()) != len(d2.nodes):
         raise CycleIntroduced(
             f"information arc {observed}->{decision} creates a cycle")
-    base = _space(d, cap)
+    base = _space(d)
     # One table scores both searches.  Family factors ignore information
     # arcs and d2 observes all that d does, so a base policy scores
     # exactly as the informed policy that ignores ``observed``.
     q = _utility_table(
         d2, {dec: d2.info_parents(dec) for dec in d2.decisions()})
-    _, informed_eu = _search(d2, _space(d2, cap), q)
+    _, informed_eu = _search(d2, _space(d2), q)
     _, base_eu = _search(d, base, q)
     return informed_eu - base_eu
 
@@ -279,8 +269,8 @@ def counterfactual(h: HcfDiagram, q: CounterfactualQuery) -> Factor:
     _require_full_decisions(d, q.counterfactual_decisions)
     _check_names(d, [*q.factual_evidence, *q.query])
     affected = d.descendants(d.decisions()) | set(d.decisions())
-    _check_query(lambda x: value_label_node(d.node(x)) if x in affected
-                 else d.node(x), q.factual_evidence, list(q.query))
+    _check_query(lambda x: value_label_node(d.node(x)), q.factual_evidence,
+                 list(q.query))
     rename = {x: x + PRIME if x in affected else x for x in d.names()}
     evidence = dict(q.factual_evidence)
     shared = {x: s for x, s in evidence.items() if x not in affected}

@@ -67,7 +67,7 @@ class CycleIntroduced(QueryError):
 
 
 class CapExceeded(DecidError):
-    """A configurable enumeration cap was hit."""
+    """An enumeration cap was hit."""
 
 
 class NodeBudgetExceeded(CapExceeded):

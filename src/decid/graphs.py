@@ -66,19 +66,18 @@ def blocks(d: Diagram, q: BlockingQuery) -> bool:
     return bool(x & C) or not x & _reach_bits(ix.children, D & ~C, C)
 
 
-def minimal_sets(pool, holds, node_budget: int = MINIMAL_SET_NODE_BUDGET,
-                 ) -> list[frozenset[str]]:
+def minimal_sets(pool, holds) -> list[frozenset[str]]:
     """All inclusion-minimal subsets C of ``pool`` with ``holds(C)``,
     smallest first then lexicographic.
 
     Exhaustive search by size with superset pruning; complete at desk
-    scale, capped by ``node_budget`` pool members.  ``holds`` must be
-    monotone (a superset of a holding set holds too).
+    scale, capped at ``MINIMAL_SET_NODE_BUDGET`` pool members.  ``holds``
+    must be monotone (a superset of a holding set holds too).
     """
     pool = sorted(pool)
-    if len(pool) > node_budget:
-        raise NodeBudgetExceeded(
-            f"{len(pool)} candidate nodes exceed budget {node_budget}")
+    if len(pool) > MINIMAL_SET_NODE_BUDGET:
+        raise NodeBudgetExceeded(f"{len(pool)} candidate nodes exceed budget "
+                                 f"{MINIMAL_SET_NODE_BUDGET}")
     if holds(frozenset()):
         return [frozenset()]  # every other set is a superset
     found: list[frozenset[str]] = []
@@ -91,16 +90,15 @@ def minimal_sets(pool, holds, node_budget: int = MINIMAL_SET_NODE_BUDGET,
     return found
 
 
-def minimal_blocking_sets(d: Diagram, decisions, target, exclude=frozenset(),
-                          node_budget: int = MINIMAL_SET_NODE_BUDGET,
+def minimal_blocking_sets(d: Diagram, decisions, target, exclude=frozenset()
                           ) -> list[frozenset[str]]:
     """All inclusion-minimal C from (U ∪ D) \\ ({target} ∪ exclude) that
     block the decisions from the target, smallest first then lexicographic.
 
     Only nodes on a directed path from one of ``decisions`` to the
     target are tried: dropping any other node from a blocking set leaves it
-    blocking, so no minimal set holds one.  ``node_budget`` counts these
-    nodes.
+    blocking, so no minimal set holds one.  ``MINIMAL_SET_NODE_BUDGET``
+    counts these nodes.
     """
     D = frozenset(decisions)
     _check_names(d, D | {target} | set(exclude))
@@ -110,7 +108,7 @@ def minimal_blocking_sets(d: Diagram, decisions, target, exclude=frozenset(),
     ix = d._bits
     dm, x = ix.mask(D), ix.bit[target]
     return minimal_sets(pool, lambda C: not x & _reach_bits(
-        ix.children, dm & ~ix.mask(C), ix.mask(C)), node_budget)
+        ix.children, dm & ~ix.mask(C), ix.mask(C)))
 
 
 # ---------------------------------------------------------------------------
@@ -169,8 +167,7 @@ def graphical_fixed_set(d: Diagram, C=frozenset()) -> frozenset[str]:
     return frozenset(x for x in d.uncertain() if not ix.bit[x] & unfixed)
 
 
-def graphical_causes(d: Diagram, target: str,
-                     node_budget: int = MINIMAL_SET_NODE_BUDGET) -> CauseReport:
+def graphical_causes(d: Diagram, target: str) -> CauseReport:
     """Minimal blocking sets read as cause sets (sound on causal D-maps)."""
     _check_names(d, [target])
     D = set(d.decisions())
@@ -178,8 +175,7 @@ def graphical_causes(d: Diagram, target: str,
         return CauseReport(target, (), "graphical",
                            reason=f"{target} is unaffected by the decisions "
                                   "(member of the fixed set)")
-    sets = minimal_blocking_sets(d, D, target, exclude={target},
-                                 node_budget=node_budget)
+    sets = minimal_blocking_sets(d, D, target, exclude={target})
     return CauseReport(target, tuple(sets), "graphical")
 
 

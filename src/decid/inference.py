@@ -29,8 +29,7 @@ import numpy as np
 
 from .errors import (FactorCapExceeded, UnknownVariable, WorldCapExceeded,
                      ZeroProbabilityEvidence)
-from .graphs import (MINIMAL_SET_NODE_BUDGET, CauseReport, _check_names,
-                     d_separated, minimal_sets)
+from .graphs import CauseReport, _check_names, d_separated, minimal_sets
 from .mechanisms import _diagram_of, _require_hcf
 from .model import (CHANCE, DECISION, DETERMINISTIC, TOL, UTILITY,
                     Assignment, Diagram, Factor, Node, chance_node,
@@ -306,11 +305,13 @@ class WorldTable:
     ``values[x]`` holds x's state index (a utility's: its value label's)
     as an int array of shape (worlds, decision instances).  The cap is
     checked before any world is listed, on the world count when a bound
-    from the supports exceeds it.  x's difference bitset has a bit per
-    world and pair i < j of decision instances, set where x differs;
-    ``worlds`` is built when read."""
+    from the supports exceeds it; a ``world_pair_cap`` given replaces
+    ``WORLD_PAIR_CAP``.  x's difference bitset has a bit per world and
+    pair i < j of decision instances, set where x differs; ``worlds`` is
+    built when read."""
 
-    def __init__(self, diagram: Diagram, world_pair_cap: int = WORLD_PAIR_CAP):
+    def __init__(self, diagram: Diagram, world_pair_cap: int | None = None):
+        cap = WORLD_PAIR_CAP if world_pair_cap is None else world_pair_cap
         self.diagram = diagram
         self.decision_instances = enumerate_instances(
             parent_variables(diagram, diagram.decisions()))
@@ -319,16 +320,16 @@ class WorldTable:
         # A bound: no table gives a world more choices than its widest row.
         n_pairs = per_world * math.prod(
             int((f.values > 0.0).sum(-1).max()) for f in tables)
-        if n_pairs > world_pair_cap:
+        if n_pairs > cap:
             try:
                 n_pairs = _world_count(tables) * per_world
             except FactorCapExceeded as e:
                 raise WorldCapExceeded(
                     f"a bound of {n_pairs} world/decision pairs exceeds cap "
-                    f"{world_pair_cap}, and counting them: {e}") from None
-        if n_pairs > world_pair_cap:
+                    f"{cap}, and counting them: {e}") from None
+        if n_pairs > cap:
             raise WorldCapExceeded(
-                f"{n_pairs} world/decision pairs exceed cap {world_pair_cap}")
+                f"{n_pairs} world/decision pairs exceed cap {cap}")
         self._index, self._weight = _world_arrays(tables)
         given = {x: a[:, None] for x, a in self._index.items()}
         given.update(_indices(diagram, self.decision_instances, (1, -1)))
@@ -354,18 +355,16 @@ class WorldTable:
         return not t
 
 
-def oracle_fixed_set_member(h, target: str, conditioning=frozenset(),
-                            world_pair_cap: int = WORLD_PAIR_CAP) -> bool:
+def oracle_fixed_set_member(h, target: str, conditioning=frozenset()) -> bool:
     """Definition-level check: in every positive-weight functional world,
     decision choices that agree on the conditioning set give the target
     the same value."""
     diagram = _diagram_of(h)
     _check(diagram, target, conditioning)
-    return WorldTable(diagram, world_pair_cap).fixed_given(target, conditioning)
+    return WorldTable(diagram).fixed_given(target, conditioning)
 
 
-def oracle_causes(h, target: str, world_pair_cap: int = WORLD_PAIR_CAP,
-                  node_budget: int = MINIMAL_SET_NODE_BUDGET):
+def oracle_causes(h, target: str, world_pair_cap: int | None = None):
     """All minimal cause sets for the target, by world enumeration.
 
     Empty (with a reason) when the target is already fixed; otherwise
@@ -373,8 +372,9 @@ def oracle_causes(h, target: str, world_pair_cap: int = WORLD_PAIR_CAP,
     whose observation pins the target down.  Only decisions and their
     descendants are tried: any other node takes one value per world, so
     observing it never tells two decision choices apart.  The graph
-    decides this, not ``declared_fixed``; ``node_budget`` counts these
-    nodes.
+    decides this, not ``declared_fixed``; ``graphs.MINIMAL_SET_NODE_BUDGET``
+    counts these nodes.  A ``world_pair_cap`` given replaces
+    ``WORLD_PAIR_CAP``.
     """
     diagram = _diagram_of(h)
     _check(diagram, target, ())
@@ -385,8 +385,8 @@ def oracle_causes(h, target: str, world_pair_cap: int = WORLD_PAIR_CAP,
                                   "(member of the fixed set)")
     D = set(diagram.decisions())
     pool = D | (diagram.descendants(D) & set(diagram.uncertain()) - {target})
-    found = minimal_sets(
-        pool, lambda C: table.fixed_given(target, sorted(C)), node_budget)
+    found = minimal_sets(pool,
+                         lambda C: table.fixed_given(target, sorted(C)))
     return CauseReport(target, tuple(found), "oracle")
 
 

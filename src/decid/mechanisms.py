@@ -77,13 +77,14 @@ def mechanism_state_label(mapping: StateMapping) -> str:
     return ",".join(mapping)
 
 
-def _domain_size(x: Variable, y_vars: list[Variable], cap: int) -> int:
-    """q, the number of domain instances, once r^q mappings fit the cap."""
+def _domain_size(x: Variable, y_vars: list[Variable]) -> int:
+    """q, the number of domain instances, once r^q mappings fit
+    ``MECHANISM_STATE_CAP``."""
     q = math.prod(len(v.states) for v in y_vars)
     count = len(x.states) ** q
-    if count > cap:
-        raise StateSpaceExceeded(
-            f"mechanism for {x.name} needs {count} states, cap is {cap}")
+    if count > MECHANISM_STATE_CAP:
+        raise StateSpaceExceeded(f"mechanism for {x.name} needs {count} "
+                                 f"states, cap is {MECHANISM_STATE_CAP}")
     return q
 
 
@@ -129,8 +130,7 @@ def _mechanism_violations(spec: MechanismSpec, states_of, mech=None
     return report
 
 
-def enumerate_mechanism_states(x: Variable, domain: list[Variable],
-                               cap: int = MECHANISM_STATE_CAP
+def enumerate_mechanism_states(x: Variable, domain: list[Variable]
                                ) -> list[StateMapping]:
     """All r^q mappings from domain instances to states of x, in
     canonical lexicographic order."""
@@ -139,11 +139,10 @@ def enumerate_mechanism_states(x: Variable, domain: list[Variable],
     if any(v.name == x.name for v in domain):
         raise ValueError(f"{x.name} cannot be in its own mechanism domain")
     return list(itertools.product(x.states,
-                                  repeat=_domain_size(x, domain, cap)))
+                                  repeat=_domain_size(x, domain)))
 
 
-def canonical_mechanism_prior(d: Diagram, target: str,
-                              cap: int = MECHANISM_STATE_CAP) -> MechanismSpec:
+def canonical_mechanism_prior(d: Diagram, target: str) -> MechanismSpec:
     """Product-completion prior over the mechanism states of ``target``.
 
     For each fixed-parent instance z: P(f | z) = prod over Y-instances y
@@ -159,7 +158,7 @@ def canonical_mechanism_prior(d: Diagram, target: str,
     if not domain:
         raise ValueError(f"{target} has no non-fixed parents; "
                          "nothing to extract")
-    return _build_spec(d, node, domain, z_parents, cap)
+    return _build_spec(d, node, domain, z_parents)
 
 
 def _responses(d: Diagram, node: Node, domain, z_parents) -> np.ndarray:
@@ -171,9 +170,9 @@ def _responses(d: Diagram, node: Node, domain, z_parents) -> np.ndarray:
     return v.reshape(math.prod(v.shape[:len(z_parents)]), -1, v.shape[-1])
 
 
-def _build_spec(d: Diagram, node: Node, domain, z_parents, cap) -> MechanismSpec:
+def _build_spec(d: Diagram, node: Node, domain, z_parents) -> MechanismSpec:
     mappings = itertools.product(node.states, repeat=_domain_size(
-        node.variable, parent_variables(d, domain), cap))
+        node.variable, parent_variables(d, domain)))
     resp = _responses(d, node, domain, z_parents)
     # One Y-instance at a time, in Y order, so each mapping's product is
     # taken left to right; later Y-instances vary fastest, as in
@@ -192,8 +191,7 @@ def _build_spec(d: Diagram, node: Node, domain, z_parents, cap) -> MechanismSpec
 
 
 def to_hcf(d: Diagram, assume_causal: bool = False,
-           priors: dict | None = None,
-           cap: int = MECHANISM_STATE_CAP) -> HcfDiagram:
+           priors: dict | None = None) -> HcfDiagram:
     """Transform a causal diagram so every decision descendant is
     deterministic, extracting one mechanism per affected chance node.
 
@@ -229,7 +227,7 @@ def to_hcf(d: Diagram, assume_causal: bool = False,
         order = node.table.parent_order
         domain = tuple(p for p in order if p not in fixed)
         if x not in priors:
-            _domain_size(node.variable, parent_variables(d, domain), cap)
+            _domain_size(node.variable, parent_variables(d, domain))
         plan.append((x, node, domain, tuple(p for p in order if p in fixed)))
 
     nodes = {n.name: n for n in d.nodes}
@@ -241,7 +239,7 @@ def to_hcf(d: Diagram, assume_causal: bool = False,
             raise ValueError(f"mechanism name {mech!r} collides with a variable")
         spec = priors.get(x)
         if spec is None:
-            spec = _build_spec(d, node, domain, z_parents, cap)
+            spec = _build_spec(d, node, domain, z_parents)
         elif (spec.target, spec.domain) != (x, domain):
             raise UnknownVariable(f"the prior given for {x} is for {spec.name}"
                                   f", not {mech}")

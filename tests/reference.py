@@ -31,6 +31,12 @@ arc list, and the Koller & Friedman active-trail walk over (name,
 direction) pairs.  The suites hold ``Diagram.parents``,
 ``Diagram.children``, ``Diagram.topological_order`` and
 ``graphs.d_separated``, which read the bit index, against them.
+
+``enumerate_policies`` lists every policy in canonical order from the
+decision order, the information parents and their instances alone, one
+``Policy`` at a time, with no cap; ``choose`` reads a policy's rule at
+an assignment.  The suites hold the block search of ``optimal_policy``
+and ``value_of_information`` against them.
 """
 
 import heapq
@@ -39,7 +45,7 @@ import math
 
 import numpy as np
 
-from decid import ConditionalTable, Factor, FunctionalWorld
+from decid import ConditionalTable, Factor, FunctionalWorld, Policy
 from decid.model import (CHANCE, DECISION, DETERMINISTIC, DO_NOTHING,
                          SET_PREFIX, TOL, UTILITY, instance_keys,
                          parent_variables)
@@ -245,3 +251,24 @@ def d_separated(arcs, X, Y, Z):
             if x in anc_z:
                 frontier.extend((p, "up") for p in pa.get(x, ()))
     return True
+
+
+def enumerate_policies(d):
+    """All policies of ``d``: decisions in decision order, information
+    instances lexicographic, alternatives in state order, the last
+    (decision, instance) slot varying fastest."""
+    info = {dec: tuple(d.info_parents(dec)) for dec in d.decision_order}
+    slots = [(dec, key) for dec, parents in info.items()
+             for key in instance_keys(parent_variables(d, parents))]
+    for alts in itertools.product(*(d.node(dec).states for dec, _ in slots)):
+        rules = {dec: {} for dec in info}
+        for (dec, key), alt in zip(slots, alts):
+            rules[dec][key] = alt
+        yield Policy(info, rules)
+
+
+def choose(policy, decision, assignment):
+    """The alternative ``policy`` picks for ``decision`` when its
+    information parents take their values in ``assignment``."""
+    key = tuple(assignment[p] for p in policy.info_order[decision])
+    return policy.rules[decision][key]

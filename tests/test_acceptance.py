@@ -18,9 +18,9 @@ from decid import (BlockingQuery, CounterfactualQuery, Variable,
                    WorldTable, blocks, canonical_mechanism_prior,
                    chance_node, check_marginal_reproduction, counterfactual,
                    decision_node, Diagram, enumerate_mechanism_states,
-                   functional_worlds, graphical_causes, joint, oracle_causes,
-                   oracle_is_d_map, parse_model, posterior, propagate, to_hcf,
-                   validate_diagram, value_of_information)
+                   functional_worlds, graphical_causes, joint, mechanisms,
+                   oracle_causes, oracle_is_d_map, parse_model, posterior,
+                   propagate, to_hcf, validate_diagram, value_of_information)
 from decid.errors import NotObservable, StateSpaceExceeded
 
 from genmodels import random_dag, random_diagram, random_functional_diagram
@@ -76,7 +76,8 @@ def _timed(fn):
     return time.perf_counter() - t0
 
 
-def test_criterion_02_hcf_preserves_joints(report):
+def test_criterion_02_hcf_preserves_joints(report, monkeypatch):
+    monkeypatch.setattr(mechanisms, "MECHANISM_STATE_CAP", 300)
     t0 = time.perf_counter()
     max_err = 0.0
     accepted = 0
@@ -85,7 +86,7 @@ def test_criterion_02_hcf_preserves_joints(report):
         d = random_diagram(seed, n_chance=5, max_states=3, n_decisions=2)
         seed += 1
         try:
-            h = to_hcf(d, cap=300)
+            h = to_hcf(d)
         except StateSpaceExceeded:
             continue
         accepted += 1

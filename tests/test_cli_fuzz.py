@@ -6,12 +6,16 @@ Each call returns an exit code in 0-4 and lets no exception escape
 ``raise`` statement in decid's own code, so no library text leaks; and
 a name or state on the command line that the model lacks never ends in
 exit 0.  A few calls run as subprocesses, whose stderr must hold no
-traceback.
+traceback.  Every model is also fuzzed with structural edits that still
+parse: a relevance arc added, dropped or reversed, or an information arc
+into a chance node; every subcommand then exits 2 and prints what
+``validate_diagram`` finds.
 """
 
 import contextlib
 import functools
 import io
+import json
 import linecache
 import os
 import pathlib
@@ -26,7 +30,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 import decid
-from decid import cli, parse_document, serialize_model, to_hcf
+from decid import (cli, parse_document, serialize_model, to_hcf,
+                   validate_diagram)
 from decid.mechanisms import _diagram_of
 
 from genmodels import (chain, ladder, random_dag_with_information,
@@ -73,10 +78,10 @@ def _diagram(path):
     return _diagram_of(parse_document(pathlib.Path(path).read_text()))
 
 
-def _argv(choose, models):
+def _argv(choose, models, command=None):
     """A drawn command line over one of the ``models`` paths, and the
     names and states it gives that its model lacks.  ``choose`` picks
-    one element of a sequence."""
+    one element of a sequence; the subcommand is drawn unless given."""
     path = choose(models)
     d = _diagram(path)
     lacking = []
@@ -111,7 +116,7 @@ def _argv(choose, models):
     def maybe():
         return choose([False, True])
 
-    command = choose(COMMANDS)
+    command = command or choose(COMMANDS)
     argv = [command, path]
     if command == "fixed-set":
         argv += ["--given", names(0, 2)]
@@ -195,3 +200,56 @@ def test_no_traceback_in_a_subprocess_sample(models):
                               timeout=60)
         assert proc.returncode in range(5), argv
         assert "Traceback" not in proc.stderr, (argv, proc.stderr)
+
+
+EDITS = ["add", "drop", "reverse", "inform"]
+
+
+def _edited(text, edit, rng):
+    """``text`` with one structural edit drawn by ``rng``: a relevance
+    arc added, dropped or reversed, or an information arc into a chance
+    node.  Each leaves a document that parses and a graph that its
+    tables, or the arc rules, refuse."""
+    doc = json.loads(text)
+    rel, info = doc["relevance_arcs"], doc["information_arcs"]
+    kind = {v["name"]: v["kind"] for v in doc["variables"]}
+    if edit == "add":
+        rel.append(rng.choice([[a, b] for a in kind for b in kind
+                               if a != b and [a, b] not in rel]))
+    elif edit == "inform":
+        info.append(rng.choice([[a, b] for a in kind for b, k in kind.items()
+                                if a != b and k in ("chance", "deterministic")]))
+    else:
+        arc = rel.pop(rng.randrange(len(rel)))
+        if edit == "reverse":
+            rel.append(arc[::-1])
+    return json.dumps(doc)
+
+
+@pytest.fixture(scope="module")
+def edited_models(tmp_path_factory):
+    """Edit -> the path of every fuzzed model under that edit."""
+    root = tmp_path_factory.mktemp("edited")
+    rng = random.Random(17)
+    paths = {edit: [] for edit in EDITS}
+    for name, text in _documents():
+        for edit in EDITS:
+            path = root / f"{name}_{edit}.json"
+            path.write_text(_edited(text, edit, rng))
+            paths[edit].append(str(path))
+    return paths
+
+
+@pytest.mark.parametrize("edit", EDITS)
+def test_structural_edits_exit_2_on_every_subcommand(edited_models, edit):
+    rng = random.Random(EDITS.index(edit))
+    for command in COMMANDS:
+        argv, _ = _argv(rng.choice, edited_models[edit], command)
+        violations = validate_diagram(_diagram(argv[1]))
+        assert violations, argv
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.run_command(argv)
+        assert code == 2, (argv, code, out.getvalue())
+        assert violations[0] in out.getvalue(), (argv, out.getvalue())
+        assert "Traceback" not in err.getvalue(), argv

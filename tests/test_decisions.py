@@ -8,9 +8,9 @@ import pytest
 import decid.decisions as decisions
 from decid import (CounterfactualQuery, Diagram, HcfDiagram, Policy,
                    WorldTable, chance_node, count_worlds, counterfactual,
-                   decision_node, enumerate_instances, enumerate_policies,
-                   expected_utility, functional_worlds, optimal_policy,
-                   oracle_fixed_set_member, propagate, to_hcf, utility_node,
+                   decision_node, enumerate_instances, expected_utility,
+                   functional_worlds, optimal_policy, oracle_fixed_set_member,
+                   posterior, propagate, to_hcf, utility_node,
                    validate_diagram, value_of_information)
 from decid.errors import (CycleIntroduced, NoDecisionOrder, NotHcf,
                           NotObservable, PolicySpaceExceeded, UnknownVariable,
@@ -20,7 +20,7 @@ from decid.model import TOL, parent_variables
 
 from genmodels import (random_diagram, random_policy_diagram,
                        random_table_diagram)
-from reference import barren, enumerate_joint
+from reference import barren, choose, enumerate_joint, enumerate_policies
 
 
 # ---------------------------------------------------------------------------
@@ -151,6 +151,35 @@ def test_counterfactual_matches_world_oracle(seed):
     for s in d.node(target).states:
         assert got.value({resolved: s}) == pytest.approx(
             want.get(s, 0.0), abs=1e-10)
+
+
+def test_counterfactual_on_an_unaffected_utility():
+    """A utility that no decision affects is read as its value labels,
+    as an affected one is: as the query, and as evidence for a query on
+    an affected variable.  ``posterior`` still asks for an uncertain
+    variable."""
+    h = to_hcf(random_diagram(2, with_utility=True))
+    d = h.diagram
+    assert "payoff" not in d.descendants(d.decisions())
+    labels = value_label_node(d.node("payoff")).states
+    world = functional_worlds(d)[0].assignment
+    factual, cf = {"d0": "a0", "d1": "a0"}, {"d0": "a1", "d1": "a1"}
+    seen = propagate(d, world, factual)["payoff"]
+    for evidence, target in (({}, "payoff"), ({"payoff": seen}, "x3")):
+        q = CounterfactualQuery(factual, evidence, cf, (target,))
+        want, support = _cf_oracle(h, q, target)
+        assert support > 0.0
+        got = counterfactual(h, q)
+        resolved = got.scope[0]
+        assert resolved == (target if target == "payoff" else target + "'")
+        if target == "payoff":
+            assert got.states == (labels,)
+        for s in got.states[0]:
+            assert got.value({resolved: s}) == pytest.approx(
+                want.get(s, 0.0), abs=1e-12)
+    with pytest.raises(UnknownVariable,
+                       match="payoff is not an uncertain variable"):
+        posterior(d, factual, {}, ["payoff"])
 
 
 def test_counterfactual_impossible_evidence(coin):
@@ -312,45 +341,68 @@ def test_optimal_policy_fig2a(fig2a):
     assert expected_utility(fig2a, no) == pytest.approx(61.0675, abs=1e-12)
 
 
-def test_enumerate_policies_canonical_order(coin_utility):
+def test_enumerate_policies_canonical_order(monkeypatch, coin_utility):
+    """The search scores policies in the reference's canonical order,
+    and a tie keeps the first of them."""
     informed = coin_utility.with_arcs(information=[("c", "d")])
     policies = list(enumerate_policies(informed))
     assert len(policies) == 4
     first = policies[0]
     assert first.rules["d"] == {("heads",): "heads", ("tails",): "heads"}
+    blocks = _recorded_blocks(monkeypatch)
+    optimal_policy(informed)
+    assert np.concatenate(blocks).tolist() == [
+        expected_utility(informed, p) for p in policies]
+    flat = utility_node("payoff", [], {(): 1.0})
+    tie = replace(informed, nodes=tuple(
+        flat if n.name == "payoff" else n for n in informed.nodes),
+        relevance_arcs=tuple(a for a in informed.relevance_arcs
+                             if a[1] != "payoff"))
+    assert optimal_policy(tie)[0] == first
 
 
-def test_policy_space_cap(coin_utility):
+def test_policy_space_cap(monkeypatch, coin_utility):
     informed = coin_utility.with_arcs(information=[("c", "d")])
+    best = optimal_policy(informed)
+    monkeypatch.setattr(decisions, "POLICY_SPACE_CAP", 2)
     with pytest.raises(PolicySpaceExceeded):
-        list(enumerate_policies(informed, cap=2))
+        optimal_policy(informed)
+    # A cap passed positionally, as the benchmark's self-test passes
+    # one, replaces the constant for that call.
+    assert optimal_policy(informed, 4) == best
+    with pytest.raises(PolicySpaceExceeded,
+                       match="policy space of 4 policies exceeds cap 3"):
+        optimal_policy(informed, 3)
 
 
-def test_policy_space_cap_names_the_size():
+def test_policy_space_cap_names_the_size(monkeypatch):
     d = random_diagram(5, n_chance=8, max_states=2, with_utility=True)
     d = d.with_arcs(information=[(x, dec) for x in ("x0", "x1")
                                  for dec in ("d0", "d1")])
-    for search in (lambda: optimal_policy(d, cap=100),
-                   lambda: value_of_information(d, "x3", "d0", cap=100)):
+    monkeypatch.setattr(decisions, "POLICY_SPACE_CAP", 100)
+    for search in (lambda: optimal_policy(d),
+                   lambda: value_of_information(d, "x3", "d0")):
         with pytest.raises(PolicySpaceExceeded, match="policy space of 256 "
                            "policies exceeds cap 100"):
             search()
-    assert len(list(enumerate_policies(d, cap=256))) == 256
+    monkeypatch.setattr(decisions, "POLICY_SPACE_CAP", 256)
+    optimal_policy(d)
+    assert len(list(enumerate_policies(d))) == 256
     roots = [chance_node(f"r{i}", ["s0", "s1"], [], {(): [0.5, 0.5]})
              for i in range(11)]
     wide = Diagram((*roots, decision_node("d", ["a0", "a1"])), (),
                    tuple((r.name, "d") for r in roots), ("d",))
-    for search in (lambda: list(enumerate_policies(wide, cap=100)),
-                   lambda: optimal_policy(wide, cap=100)):
-        with pytest.raises(PolicySpaceExceeded,
-                           match="policy space of about 2\\^2048 policies"):
-            search()
+    monkeypatch.setattr(decisions, "POLICY_SPACE_CAP", 100)
+    with pytest.raises(PolicySpaceExceeded,
+                       match="policy space of about 2\\^2048 policies "
+                       "exceeds cap 100"):
+        optimal_policy(wide)
 
 
 def test_no_decision_order_rejected(coin_utility, coin):
     bare = replace(coin_utility, decision_order=None)
     with pytest.raises(NoDecisionOrder):
-        list(enumerate_policies(bare))
+        optimal_policy(bare)
     # Without an order and without a utility node, the order is reported.
     with pytest.raises(NoDecisionOrder):
         optimal_policy(replace(coin, decision_order=None))
@@ -388,7 +440,7 @@ def _reference_eus(d, policies, joints=None):
                          for dec in info)
             weight[need] = weight.get(need, 0.0) + w[idx]
     return [sum(w for need, w in weight.items()
-                if all(p.choose(dec, dict(zip(info[dec], key))) == alt
+                if all(choose(p, dec, dict(zip(info[dec], key))) == alt
                        for dec, key, alt in need))
             for p in policies]
 
@@ -503,7 +555,7 @@ def test_policy_index_decodes_to_the_enumerated_policy():
             d.node(x).set_decision_for for x in d.decisions())
         covered["decision observes decision"] += any(
             a in d.decisions() for a, _ in d.information_arcs)
-        space = decisions._space(d, decisions.POLICY_SPACE_CAP)
+        space = decisions._space(d)
         policies = list(enumerate_policies(d))
         radices = space[2]
         assert len(policies) == math.prod(radices), seed

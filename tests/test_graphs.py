@@ -7,9 +7,9 @@ import pytest
 
 from decid import (BlockingQuery, Diagram, blocks, certify_causal_network,
                    chance_node, d_separated, decision_node, graphical_causes,
-                   graphical_fixed_set, is_set_decision, minimal_blocking_sets,
-                   minimal_sets, parse_model, removable_arcs,
-                   set_decision_node, validate_diagram)
+                   graphical_fixed_set, graphs, is_set_decision,
+                   minimal_blocking_sets, minimal_sets, parse_model,
+                   removable_arcs, set_decision_node, validate_diagram)
 from decid.errors import NodeBudgetExceeded, UnknownVariable
 
 from genmodels import (ladder, random_dag, random_dag_with_information,
@@ -528,11 +528,9 @@ def test_d_separation_matches_networkx():
 
 
 def _full_pool_blocking_sets(d, D, x, exclude):
-    """The same predicate over every uncertain variable and decision,
-    with the budget raised to fit."""
+    """The same predicate over every uncertain variable and decision."""
     pool = (set(d.uncertain()) | set(d.decisions())) - {x} - set(exclude)
-    return minimal_sets(pool, lambda C: x not in d.descendants(D - C, avoid=C),
-                        node_budget=len(pool))
+    return minimal_sets(pool, lambda C: x not in d.descendants(D - C, avoid=C))
 
 
 def test_pruned_pool_gives_the_full_pool_answer():
@@ -567,8 +565,9 @@ def test_minimal_sets_smallest_first_then_lexicographic():
     assert minimal_sets({"a"}, lambda C: False) == []
 
 
-def test_minimal_sets_checks_the_budget_before_searching():
+def test_minimal_sets_checks_the_budget_before_searching(monkeypatch):
     def holds(C):
         raise AssertionError("searched past the budget")
+    monkeypatch.setattr(graphs, "MINIMAL_SET_NODE_BUDGET", 2)
     with pytest.raises(NodeBudgetExceeded):
-        minimal_sets({"a", "b", "c"}, holds, node_budget=2)
+        minimal_sets({"a", "b", "c"}, holds)

@@ -7,7 +7,7 @@ import pytest
 
 from decid import (Diagram, Factor, WorldTable, chance_node, count_worlds,
                    decision_node, enumerate_instances, functional_worlds,
-                   graphical_fixed_set, inference, joint, minimal_sets,
+                   graphical_fixed_set, graphs, inference, joint, minimal_sets,
                    oracle_causes, oracle_fixed_set_member, oracle_is_d_map,
                    parse_model, posterior, propagate, serialize_model,
                    set_decision_node, to_hcf, utility_node,
@@ -400,13 +400,15 @@ def test_oracle_causes_fixed_target(coin):
     assert "fixed set" in report.reason
 
 
-def test_oracle_causes_checks_fixed_target_before_budget(coin):
-    assert oracle_causes(coin, "c", node_budget=0).cause_sets == ()
+def test_oracle_causes_checks_fixed_target_before_budget(monkeypatch, coin):
+    monkeypatch.setattr(graphs, "MINIMAL_SET_NODE_BUDGET", 0)
+    assert oracle_causes(coin, "c").cause_sets == ()
     with pytest.raises(NodeBudgetExceeded):
-        oracle_causes(coin, "w", node_budget=0)
+        oracle_causes(coin, "w")
 
 
-def test_oracle_causes_budget_counts_decisions_and_their_descendants(fig1):
+def test_oracle_causes_budget_counts_decisions_and_their_descendants(
+        monkeypatch, fig1):
     nx = pytest.importorskip("networkx")
     h = to_hcf(fig1)
     d = h.diagram
@@ -415,11 +417,13 @@ def test_oracle_causes_budget_counts_decisions_and_their_descendants(fig1):
     reached = D.union(*(nx.descendants(g, x) for x in D))
     pool = reached & (set(d.uncertain()) | D) - {"life"}
     assert len(pool) == 4 < len(set(d.uncertain()) | D) - 1
-    report = oracle_causes(h, "life", node_budget=len(pool))
-    assert report.cause_sets == oracle_causes(h, "life").cause_sets
+    want = oracle_causes(h, "life").cause_sets
+    monkeypatch.setattr(graphs, "MINIMAL_SET_NODE_BUDGET", len(pool))
+    assert oracle_causes(h, "life").cause_sets == want
+    monkeypatch.setattr(graphs, "MINIMAL_SET_NODE_BUDGET", len(pool) - 1)
     with pytest.raises(NodeBudgetExceeded,
                        match=f"^{len(pool)} candidate nodes exceed budget"):
-        oracle_causes(h, "life", node_budget=len(pool) - 1)
+        oracle_causes(h, "life")
 
 
 def _oracle_corpus():
@@ -447,8 +451,7 @@ def test_oracle_causes_pruned_pool_gives_the_full_pool_answer():
                 continue
             pool = (set(d.uncertain()) | set(d.decisions())) - {x}
             full = minimal_sets(
-                pool, lambda C: table.fixed_given(x, sorted(C)),
-                node_budget=len(pool))
+                pool, lambda C: table.fixed_given(x, sorted(C)))
             assert list(oracle_causes(h, x).cause_sets) == full
             queries += 1
     assert queries >= 2000
@@ -465,9 +468,17 @@ def test_oracle_causes_utility_target(fig2a):
                                       frozenset({"lung_cancer", "pleasure"})}
 
 
-def test_world_pair_cap(coin):
+def test_world_pair_cap(monkeypatch, coin):
     with pytest.raises(WorldCapExceeded):
         WorldTable(coin, world_pair_cap=1)
+    monkeypatch.setattr(inference, "WORLD_PAIR_CAP", 1)
+    for ask in (lambda: WorldTable(coin),
+                lambda: oracle_fixed_set_member(coin, "w"),
+                lambda: oracle_causes(coin, "w")):
+        with pytest.raises(WorldCapExceeded,
+                           match="^8 world/decision pairs exceed cap 1$"):
+            ask()
+    assert oracle_causes(coin, "w", world_pair_cap=8).cause_sets
 
 
 def test_world_cap_trips_before_the_worlds_are_listed(monkeypatch):

@@ -52,11 +52,12 @@ def test_mapping_count_is_r_to_the_q():
     assert len(enumerate_mechanism_states(LC, [SMOKE, d2])) == 16
 
 
-def test_mapping_cap_enforced():
+def test_mapping_cap_enforced(monkeypatch):
     big = Variable("big", tuple(f"s{i}" for i in range(10)))
     big2 = Variable("big2", big.states)
+    monkeypatch.setattr(mechanisms, "MECHANISM_STATE_CAP", 1000)
     with pytest.raises(StateSpaceExceeded):
-        enumerate_mechanism_states(LC, [big, big2], cap=1000)
+        enumerate_mechanism_states(LC, [big, big2])
 
 
 def test_empty_domain_rejected():
@@ -364,9 +365,10 @@ def test_to_hcf_refuses_a_mechanism_name_in_use(m1):
         to_hcf(replace(m1, nodes=m1.nodes + (taken,)))
 
 
-def test_to_hcf_cap(fig6a):
+def test_to_hcf_cap(monkeypatch, fig6a):
+    monkeypatch.setattr(mechanisms, "MECHANISM_STATE_CAP", 3)
     with pytest.raises(StateSpaceExceeded):
-        to_hcf(fig6a, cap=3)
+        to_hcf(fig6a)
 
 
 def test_to_hcf_sizes_every_mechanism_before_building_any(monkeypatch):
