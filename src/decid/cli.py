@@ -21,8 +21,8 @@ from . import (CapExceeded, HcfDiagram, ModelError, QueryError, UnknownVariable,
                graphical_causes, graphical_fixed_set, joint,
                minimal_blocking_sets, oracle_causes, oracle_is_d_map,
                optimal_policy, parse_document, posterior, serialize_model,
-               to_hcf, validate_diagram, value_of_information)
-from .mechanisms import _diagram_of, _shape_violations
+               to_hcf, validate_diagram, validate_hcf, value_of_information)
+from .mechanisms import _diagram_of
 
 EXIT_OK, EXIT_USAGE, EXIT_INVALID, EXIT_QUERY, EXIT_CAP = 0, 1, 2, 3, 4
 
@@ -45,9 +45,19 @@ def _emit(doc, pretty_lines, args) -> int:
     return EXIT_OK
 
 
-def _load(path: str):
+def _validated(path: str):
+    """The document at ``path``, parsed, and its violations: the one
+    validation step every model document goes through."""
     with open(path, encoding="utf-8") as f:
-        return parse_document(f.read())
+        parsed = parse_document(f.read())
+    check = validate_hcf if isinstance(parsed, HcfDiagram) else validate_diagram
+    return parsed, check(parsed)
+
+
+def _refuse(violations) -> int:
+    print(json.dumps({"valid": False, "violations": violations}, indent=2,
+                     sort_keys=True))
+    return EXIT_INVALID
 
 
 def _hcf(parsed, assume_causal=False):
@@ -204,21 +214,16 @@ def _world_cap() -> int | None:
 
 
 def _dispatch(args) -> int:
-    # One validation step: the diagram, then an HCF document's shape.
-    parsed = _load(args.model)
+    parsed, violations = _validated(args.model)
     d = _diagram_of(parsed)
-    violations = validate_diagram(d)
-    if isinstance(parsed, HcfDiagram):
-        violations += _shape_violations(parsed)
-    doc = {"valid": not violations, "violations": violations}
     if args.command == "validate":
+        doc = {"valid": not violations, "violations": violations}
         _emit(doc, lambda o: (
             ["model is valid"] if o["valid"]
             else [f"violation: {v}" for v in o["violations"]]), args)
         return EXIT_INVALID if violations else EXIT_OK
     if violations:
-        print(json.dumps(doc, indent=2, sort_keys=True))
-        return EXIT_INVALID
+        return _refuse(violations)
 
     if args.command == "fixed-set":
         members = sorted(graphical_fixed_set(d, set(args.given)))
@@ -280,8 +285,10 @@ def _dispatch(args) -> int:
         if not isinstance(parsed, HcfDiagram):
             raise QueryError("model has no mechanisms section; "
                              "run to-hcf first")
-        orig = _diagram_of(_load(args.original))
-        violations = check_marginal_reproduction(orig, parsed)
+        orig, violations = _validated(args.original)
+        if violations:
+            return _refuse(violations)
+        violations = check_marginal_reproduction(_diagram_of(orig), parsed)
         doc = {"pass": not violations, "violations": violations,
                "priors": {m.name: {
                    "|".join(k): [sig12(p) for p in row]

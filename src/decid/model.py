@@ -432,6 +432,9 @@ def validate_diagram(d: Diagram) -> list[str]:
             if len(set(n.states)) != len(n.states):
                 report.append(f"{n.name}: duplicate state labels")
             for s in n.states:
+                # "" is the file format's key for the empty instance.
+                if not s:
+                    report.append(f"{n.name}: empty state label")
                 if "|" in s:
                     report.append(f"{n.name}: state {s!r} contains reserved '|'")
 

@@ -3,9 +3,12 @@
 Sections: variables, relevance_arcs, information_arcs, cpts,
 deterministic, utility, decision_order, annotations, and (for diagrams
 carrying extracted mechanisms) mechanisms.  Row keys join parent states
-with "|" in parent order; unknown keys anywhere are rejected.
-Serialization is canonical, so parse -> serialize -> parse is identity,
-mechanisms section included.
+with "|" in parent order.  Serialization is canonical, so parse ->
+serialize -> parse is identity, mechanisms section included.
+
+The parser decodes and ``validate_diagram`` judges: ParseError is for
+what cannot become a Diagram, such as bad JSON, an unknown key or kind,
+or a mechanism that does not bind; a missing or malformed table parses.
 """
 
 from __future__ import annotations
@@ -33,8 +36,8 @@ _TYPE_NAMES = {dict: "an object", list: "a list", str: "a string",
 
 def parse_document(text: str):
     """Parse a model document into a Diagram, or an HcfDiagram when a
-    mechanisms section is present.  Every malformed document raises
-    ParseError."""
+    mechanisms section is present.  A document that does not decode
+    raises ParseError; the result is not validated."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
@@ -59,8 +62,6 @@ def parse_document(text: str):
         if kind not in (CHANCE, DETERMINISTIC, DECISION, UTILITY):
             raise ParseError(f"{name}: unknown kind {kind!r}")
         states = _get(entry, "states", _NAMES, name, ())
-        if kind != UTILITY and not states:
-            raise ParseError(f"{name}: states must be a list of labels")
         states_of[name] = dict.fromkeys(states)
         kinds[name] = kind
         nodes.append((name, kind, states,
@@ -74,19 +75,14 @@ def parse_document(text: str):
     for name, kind, states, sdf in nodes:
         if kind in (CHANCE, DETERMINISTIC):
             section = cpts if kind == CHANCE else dets
-            if name not in section:
-                raise ParseError(f"{name}: missing CPT "
-                                 f"({'cpts' if kind == CHANCE else 'deterministic'} section)")
-            table = _parse_table(name, section[name], states_of)
+            table = (_parse_table(name, section[name]) if name in section
+                     else None)
             built.append(Node(Variable(name, states), kind, table=table))
         elif kind == DECISION:
             built.append(Node(Variable(name, states), DECISION,
                               set_decision_for=sdf))
         else:
-            if utility is None:
-                raise ParseError(f"{name}: utility node declared but no "
-                                 "'utility' section")
-            table = _parse_utility(name, utility, states_of)
+            table = None if utility is None else _parse_utility(name, utility)
             built.append(Node(Variable(name, ()), UTILITY, utility=table))
     for section, label, kind in ((cpts, "cpts", CHANCE),
                                  (dets, "deterministic", DETERMINISTIC)):
@@ -114,7 +110,7 @@ def parse_document(text: str):
     for entry in entries:
         _reject_unknown(entry, _MECHANISM_KEYS, "mechanism entry")
         mech = _get(entry, "node", str, "mechanism entry")
-        if kinds.get(mech) not in (CHANCE, DETERMINISTIC):
+        if not diagram.has(mech) or diagram.node(mech).table is None:
             raise ParseError(f"mechanism names {mech!r}, which has no table")
         mappings = _get(entry, "mappings", list, mech, [])
         if not all(map(_is_names, mappings)):
@@ -174,19 +170,12 @@ def _parse_arcs(raw, label):
     return tuple(arcs)
 
 
-def _split_key(key, parents, states_of, owner):
-    parts = tuple(key.split("|")) if key else ()
-    if len(parts) != len(parents):
-        raise ParseError(f"{owner}: row key {key!r} does not match parents "
-                         f"{list(parents)}")
-    for p, s in zip(parents, parts):
-        if p in states_of and s not in states_of[p]:
-            raise ParseError(f"{owner}: row key {key!r} uses unknown state "
-                             f"{s!r} of {p}")
-    return parts
+def _row_key(key: str) -> tuple[str, ...]:
+    """The parent instance a row key names; "" is the empty instance."""
+    return tuple(key.split("|")) if key else ()
 
 
-def _parse_table(name, spec, states_of) -> ConditionalTable:
+def _parse_table(name, spec) -> ConditionalTable:
     _reject_unknown(spec, _TABLE_KEYS, f"table for {name}")
     parents = _get(spec, "parent_order", _NAMES, name, ())
     rows = {}
@@ -195,14 +184,15 @@ def _parse_table(name, spec, states_of) -> ConditionalTable:
         if not (isinstance(dist, list)
                 and all(type(p) in (int, float) for p in dist)):
             raise ParseError(f"{name}: row {key!r} must be a list of numbers")
-        if not all(0 <= p <= 1 for p in dist):
-            raise ParseError(f"{name}: row {key!r} has entries outside [0, 1]")
-        rows[_split_key(key, parents, states_of, name)] = tuple(
-            float(p) for p in dist)
+        try:
+            rows[_row_key(key)] = tuple(float(p) for p in dist)
+        except OverflowError:
+            raise ParseError(f"{name}: row {key!r} has a number too large "
+                             "for a float") from None
     return ConditionalTable(parents, rows)
 
 
-def _parse_utility(name, spec, states_of) -> UtilityTable:
+def _parse_utility(name, spec) -> UtilityTable:
     _reject_unknown(spec, _UTILITY_KEYS, "utility section")
     parents = _get(spec, "parents", _NAMES, name, ())
     values = {}
@@ -210,9 +200,8 @@ def _parse_utility(name, spec, states_of) -> UtilityTable:
         if type(v) not in (int, float):
             raise ParseError(f"{name}: utility value {v!r} at {key!r} "
                              "is not a number")
-        row = _split_key(key, parents, states_of, name)
         try:
-            values[row] = float(v)
+            values[_row_key(key)] = float(v)
         except OverflowError:
             raise ParseError(f"{name}: utility value at {key!r} is too "
                              "large") from None

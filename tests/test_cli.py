@@ -72,10 +72,10 @@ def test_nan_probabilities_are_exit_2(capsys, tmp_path):
     bad = tmp_path / "nan.json"
     bad.write_text(json.dumps(doc))
     assert "NaN" in bad.read_text()     # Python's json reads NaN back
-    code, out = run_json(capsys, "validate", str(bad))
-    assert code == 2 and "outside [0, 1]" in out["error"]
-    code, out = run_json(capsys, "infer", str(bad), "--decisions", "smoke=no")
-    assert code == 2 and "outside [0, 1]" in out["error"]
+    for argv in (["validate"], ["infer", "--decisions", "smoke=no"]):
+        code, out = run_json(capsys, argv[0], str(bad), *argv[1:])
+        assert code == 2 and any(
+            "outside [0, 1]" in v for v in out["violations"]), argv
 
 
 @pytest.mark.parametrize("fixture,edit,error", [
@@ -430,6 +430,79 @@ def test_broken_hcf_is_exit_2_for_every_subcommand(capsys, tmp_path, edit,
     for command, *rest in _EVERY_QUERY:
         assert run_json(capsys, command, str(path), *rest) == (
             2, refused), command
+
+
+def _lung_cancer_rows(doc):
+    return doc["cpts"]["lung_cancer"]["rows"]
+
+
+# Fault -> (fixture, edit, the one violation).  Each edit parses.
+_TABLE_FAULTS = {
+    "table": ("m1", lambda doc: doc["cpts"].pop("lung_cancer"),
+              "lung_cancer: missing conditional table"),
+    "arity": ("m1", lambda doc: _lung_cancer_rows(doc).__setitem__(
+        "no|extra", [0.5, 0.5]),
+        "lung_cancer: unexpected CPT row ('no', 'extra')"),
+    "state": ("m1", lambda doc: _lung_cancer_rows(doc).__setitem__(
+        "sometimes", [0.5, 0.5]),
+        "lung_cancer: unexpected CPT row ('sometimes',)"),
+    "range": ("m1", lambda doc: _lung_cancer_rows(doc).__setitem__(
+        "no", [1.5, -0.5]),
+        "lung_cancer: row ('no',) has entries outside [0, 1]"),
+    "states": ("m1", lambda doc: doc["variables"][1].__setitem__(
+        "states", []), "lung_cancer: needs at least 2 states"),
+    "utility": ("coin_utility", lambda doc: doc.pop("utility"),
+                "payoff: missing utility values"),
+}
+
+
+@pytest.mark.parametrize("fault", _TABLE_FAULTS)
+def test_table_faults_parse_and_are_exit_2(capsys, tmp_path, fault):
+    """A fault in a table or a state list parses; ``validate_diagram``
+    names it, and every subcommand refuses the model with exit 2."""
+    fixture, edit, violation = _TABLE_FAULTS[fault]
+    doc = json.loads((FIXTURES / f"{fixture}.json").read_text())
+    edit(doc)
+    path = tmp_path / "fault.json"
+    path.write_text(json.dumps(doc))
+    refused = {"valid": False, "violations": [violation]}
+    assert decid.validate_diagram(decid.parse_model(path.read_text())) == [
+        violation]
+    assert run_json(capsys, "validate", str(path)) == (2, refused)
+    for command, *rest in _EVERY_QUERY:
+        assert run_json(capsys, command, str(path), *rest) == (
+            2, refused), command
+
+
+# Fault -> (edit of m1, the violations).
+_BAD_ORIGINALS = {
+    "missing row": (lambda doc: _lung_cancer_rows(doc).pop("no"),
+                    ["lung_cancer: missing CPT row ('no',)"]),
+    "cycle": (lambda doc: doc["relevance_arcs"].append(
+        ["lung_cancer", "smoke"]),
+        ["relevance arc lung_cancer->smoke: arcs into decisions must be "
+         "information arcs", "cycle in combined arc graph"]),
+    "short row": (lambda doc: _lung_cancer_rows(doc).__setitem__(
+        "no", [1.0]), ["lung_cancer: row ('no',) has 1 entries, expected 2"]),
+    **{fault: (edit, [violation]) for fault, (fixture, edit, violation)
+       in _TABLE_FAULTS.items() if fixture == "m1"},
+}
+
+
+@pytest.mark.parametrize("fault", _BAD_ORIGINALS)
+def test_invalid_original_is_exit_2(capsys, tmp_path, fault):
+    """``check-hcf`` puts its original through the same validation step
+    as its model."""
+    edit, violations = _BAD_ORIGINALS[fault]
+    hcf = tmp_path / "m1_hcf.json"
+    hcf.write_text(json.dumps(_m1_hcf()))
+    doc = json.loads((FIXTURES / "m1.json").read_text())
+    edit(doc)
+    original = tmp_path / "original.json"
+    original.write_text(json.dumps(doc))
+    assert run_json(capsys, "check-hcf", str(hcf), "--original",
+                    str(original)) == (
+        2, {"valid": False, "violations": violations})
 
 
 def test_declared_fixed_decision_is_exit_2(capsys, tmp_path):

@@ -6,10 +6,11 @@ Each call returns an exit code in 0-4 and lets no exception escape
 ``raise`` statement in decid's own code, so no library text leaks; and
 a name or state on the command line that the model lacks never ends in
 exit 0.  A few calls run as subprocesses, whose stderr must hold no
-traceback.  Every model is also fuzzed with structural edits that still
-parse: a relevance arc added, dropped or reversed, or an information arc
-into a chance node; every subcommand then exits 2 and prints what
-``validate_diagram`` finds.
+traceback.  Every model is also fuzzed with edits that still parse: a
+relevance arc added, dropped or reversed, an information arc into a
+chance node, a state dropped, a row removed, a junk row key, an entry
+outside [0, 1], or a table removed; every subcommand then exits 2 and
+prints what ``validate_diagram`` finds.
 """
 
 import contextlib
@@ -30,7 +31,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 import decid
-from decid import (cli, parse_document, serialize_model, to_hcf,
+from decid import (ParseError, cli, parse_document, serialize_model, to_hcf,
                    validate_diagram)
 from decid.mechanisms import _diagram_of
 
@@ -202,50 +203,86 @@ def test_no_traceback_in_a_subprocess_sample(models):
         assert "Traceback" not in proc.stderr, (argv, proc.stderr)
 
 
-EDITS = ["add", "drop", "reverse", "inform"]
+EDITS = ["add", "drop", "reverse", "inform", "state", "row", "junk", "range",
+         "table"]
 
 
 def _edited(text, edit, rng):
-    """``text`` with one structural edit drawn by ``rng``: a relevance
-    arc added, dropped or reversed, or an information arc into a chance
-    node.  Each leaves a document that parses and a graph that its
-    tables, or the arc rules, refuse."""
+    """``text`` with one edit drawn by ``rng``: a relevance arc added,
+    dropped or reversed, an information arc into a chance node, a
+    state of a chance variable dropped, a table row removed, a row keyed
+    by a junk state, an entry outside [0, 1], or a table removed.  Each
+    leaves a document that parses, unless it hits an HCF document's
+    mechanism, and that ``validate_diagram`` refuses."""
     doc = json.loads(text)
     rel, info = doc["relevance_arcs"], doc["information_arcs"]
     kind = {v["name"]: v["kind"] for v in doc["variables"]}
+    tables = {**doc["cpts"], **doc["deterministic"]}
+    rows = tables[rng.choice(sorted(tables))]["rows"]
+    key = rng.choice(sorted(rows))
     if edit == "add":
         rel.append(rng.choice([[a, b] for a in kind for b in kind
                                if a != b and [a, b] not in rel]))
     elif edit == "inform":
         info.append(rng.choice([[a, b] for a in kind for b, k in kind.items()
                                 if a != b and k in ("chance", "deterministic")]))
-    else:
+    elif edit in ("drop", "reverse"):
         arc = rel.pop(rng.randrange(len(rel)))
         if edit == "reverse":
             rel.append(arc[::-1])
+    elif edit == "state":
+        states = rng.choice([v for v in doc["variables"]
+                             if v["name"] in tables])["states"]
+        states.pop(rng.randrange(len(states)))
+    elif edit == "row":
+        del rows[key]
+    elif edit == "junk":
+        parts = key.split("|")
+        parts[rng.randrange(len(parts))] = "nosuch"
+        rows["|".join(parts)] = rows[key]
+    elif edit == "range":
+        rows[key][rng.randrange(len(rows[key]))] = rng.choice([1.5, -0.5])
+    else:
+        name = rng.choice(sorted(tables))
+        del doc["cpts" if name in doc["cpts"] else "deterministic"][name]
     return json.dumps(doc)
 
 
 @pytest.fixture(scope="module")
 def edited_models(tmp_path_factory):
-    """Edit -> the path of every fuzzed model under that edit."""
+    """A directory per edit, holding every fuzzed model under that edit
+    by the model's own file name."""
     root = tmp_path_factory.mktemp("edited")
     rng = random.Random(17)
-    paths = {edit: [] for edit in EDITS}
+    for edit in EDITS:
+        (root / edit).mkdir()
     for name, text in _documents():
         for edit in EDITS:
-            path = root / f"{name}_{edit}.json"
-            path.write_text(_edited(text, edit, rng))
-            paths[edit].append(str(path))
-    return paths
+            (root / edit / f"{name}.json").write_text(_edited(text, edit, rng))
+    return root
 
 
 @pytest.mark.parametrize("edit", EDITS)
-def test_structural_edits_exit_2_on_every_subcommand(edited_models, edit):
+def test_structural_edits_exit_2_on_every_subcommand(models, edited_models,
+                                                     edit):
+    """Every subcommand, on an edited model, exits 2 and prints the
+    first violation; ``check-hcf`` reads a valid HCF and an edited
+    original.  The parser may refuse an edit of an HCF document's
+    mechanism instead."""
     rng = random.Random(EDITS.index(edit))
+    hcfs = [path for path in models if path.endswith("_hcf.json")]
     for command in COMMANDS:
-        argv, _ = _argv(rng.choice, edited_models[edit], command)
-        violations = validate_diagram(_diagram(argv[1]))
+        argv, _ = _argv(rng.choice, models, command)
+        edited = str(edited_models / edit / pathlib.Path(argv[1]).name)
+        if command == "check-hcf":
+            argv[1:4] = [rng.choice(hcfs), "--original", edited]
+        else:
+            argv[1] = edited
+        try:
+            violations = validate_diagram(_diagram(edited))
+        except ParseError as e:
+            assert edited.endswith("_hcf.json"), (argv, e)
+            violations = [str(e)]
         assert violations, argv
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

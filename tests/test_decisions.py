@@ -221,12 +221,14 @@ def _world_table_answer(table, q, states):
 def test_counterfactual_matches_the_world_table():
     """Over a thousand seeded counterfactuals, each within 1e-12 of the
     world table, a route that shares no code with elimination: evidence
-    on mechanisms, affected variables and affected utilities, queries on
-    the shared layer and on affected variables, one or two at a time."""
+    on mechanisms, affected variables and utilities, queries on the
+    shared layer, on affected variables and on utilities that no
+    decision affects, one or two at a time."""
     rng = np.random.default_rng(7)
     seen = dict.fromkeys(["set decision", "evidence on a mechanism",
                           "evidence on an affected variable",
-                          "evidence on an affected utility", "shared query",
+                          "evidence on an affected utility",
+                          "unaffected utility", "shared query",
                           "affected query", "two-variable query",
                           "zero evidence"], 0)
     asked = 0
@@ -235,8 +237,8 @@ def test_counterfactual_matches_the_world_table():
         table = WorldTable(d)
         affected = d.descendants(d.decisions())
         states = {x: value_label_node(d.node(x)).states for x in d.names()}
-        names = [x for x in d.names() if x in d.uncertain()
-                 or x in affected and d.node(x).kind == "utility"]
+        names = [x for x in d.names() if d.node(x).kind != "decision"]
+        utilities = {x for x in names if d.node(x).kind == "utility"}
         mechanisms = {m.name for m in h.mechanisms}
         seen["set decision"] += any(
             d.node(x).set_decision_for for x in d.decisions())
@@ -261,8 +263,10 @@ def test_counterfactual_matches_the_world_table():
             seen["evidence on a mechanism"] += bool(mechanisms & {*evidence})
             seen["evidence on an affected variable"] += any(
                 x in affected and d.node(x).kind != "utility" for x in evidence)
-            seen["evidence on an affected utility"] += any(
-                d.node(x).kind == "utility" for x in evidence)
+            seen["evidence on an affected utility"] += bool(
+                utilities & affected & {*evidence})
+            seen["unaffected utility"] += bool(
+                (utilities - affected) & {*evidence, *query})
             seen["shared query"] += any(x not in affected for x in query)
             seen["affected query"] += any(x in affected for x in query)
             seen["two-variable query"] += len(query) == 2

@@ -115,6 +115,7 @@ def _with(*nodes, arcs=(), info=(), **kw):
      ["y: duplicate state labels"]),
     (_with(chance_node("y", ["0|1", "1"], [], _FLAT)),
      ["y: state '0|1' contains reserved '|'"]),
+    (_with(chance_node("y", ["", "1"], [], _FLAT)), ["y: empty state label"]),
     (_with(utility_node("u", [], {(): 1.0}), utility_node("v", [], {(): 2.0})),
      ["more than one utility node"]),
     (_with(info=(("ghost", "d"),)),

@@ -22,6 +22,11 @@ def _expect(doc, fragment):
     assert fragment in str(err.value)
 
 
+def _judged(doc, violation):
+    """The document parses, and ``validate_diagram`` names its fault."""
+    assert violation in validate_diagram(parse_model(json.dumps(doc)))
+
+
 # ---------------------------------------------------------------------------
 # Parse errors name the offending content
 
@@ -64,31 +69,31 @@ def test_duplicate_variable():
 def test_missing_cpt_section_entry():
     doc = _doc()
     del doc["cpts"]["lung_cancer"]
-    _expect(doc, "lung_cancer")
+    _judged(doc, "lung_cancer: missing conditional table")
 
 
 def test_row_key_arity_mismatch():
     doc = _doc()
     doc["cpts"]["lung_cancer"]["rows"]["no|extra"] = [0.5, 0.5]
-    _expect(doc, "no|extra")
+    _judged(doc, "lung_cancer: unexpected CPT row ('no', 'extra')")
 
 
 def test_row_key_unknown_state():
     doc = _doc()
     doc["cpts"]["lung_cancer"]["rows"]["sometimes"] = [0.5, 0.5]
-    _expect(doc, "sometimes")
+    _judged(doc, "lung_cancer: unexpected CPT row ('sometimes',)")
 
 
 def test_probability_out_of_range():
     doc = _doc()
     doc["cpts"]["lung_cancer"]["rows"]["no"] = [1.5, -0.5]
-    _expect(doc, "outside [0, 1]")
+    _judged(doc, "lung_cancer: row ('no',) has entries outside [0, 1]")
 
 
 def test_nan_probability_is_out_of_range():
     doc = _doc()
     doc["cpts"]["lung_cancer"]["rows"]["no"] = [float("nan"), 0.5]
-    _expect(doc, "outside [0, 1]")
+    _judged(doc, "lung_cancer: row ('no',) has entries outside [0, 1]")
 
 
 def test_cpt_for_non_chance_variable():
@@ -106,13 +111,19 @@ def test_non_numeric_utility_value():
 def test_utility_node_needs_a_utility_section():
     doc = _doc("coin_utility")
     del doc["utility"]
-    _expect(doc, "payoff: utility node declared but no 'utility' section")
+    _judged(doc, "payoff: missing utility values")
 
 
 def test_utility_value_too_large_for_a_float():
     doc = _doc("coin_utility")
     doc["utility"]["values"]["win"] = 10 ** 400
     _expect(doc, "payoff: utility value at 'win' is too large")
+
+
+def test_probability_too_large_for_a_float():
+    doc = _doc()
+    doc["cpts"]["lung_cancer"]["rows"]["no"] = [10 ** 400, 0]
+    _expect(doc, "lung_cancer: row 'no' has a number too large for a float")
 
 
 def test_mapping_must_be_a_list_of_labels(m1):
@@ -150,6 +161,12 @@ def test_unknown_annotation_key():
     doc = _doc()
     doc["annotations"]["verified_by"] = "me"
     _expect(doc, "verified_by")
+
+
+def test_mechanism_node_without_a_table(m1):
+    doc = json.loads(serialize_model(to_hcf(m1)))
+    del doc["cpts"]["lung_cancer(smoke)"]
+    _expect(doc, "mechanism names 'lung_cancer(smoke)', which has no table")
 
 
 def test_mechanism_naming_unknown_node():

@@ -1,7 +1,7 @@
-"""Seeded fuzzing: any single mutation of a fixture document parses, or
-raises ParseError; whatever parses validates without raising.  An edit
-of an HCF document's mechanisms section is refused, or leaves a valid
-HCF that round-trips."""
+"""Seeded fuzzing: any single mutation of a fixture document, or of the
+HCF of one, parses or raises ParseError; whatever parses validates
+without raising.  An edit of an HCF document's mechanisms section is
+refused, or leaves a valid HCF that round-trips."""
 
 import copy
 import json
@@ -18,6 +18,9 @@ from decid import (HcfDiagram, ParseError, parse_document, parse_model,
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 _DOCS = [json.loads(p.read_text()) for p in sorted(FIXTURES.glob("*.json"))]
+_HCF_DOCS = [json.loads(serialize_model(to_hcf(parse_model(
+    (FIXTURES / f"{name}.json").read_text()))))
+    for name in ("m1", "fig1", "fig6a", "fig2a")]
 
 _JSON = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats()
@@ -39,29 +42,62 @@ def _locations(obj, path=()):
         yield from _locations(value, path + (key,))
 
 
+def _parent(doc, path):
+    """The object or list that holds the entry at ``path``."""
+    for key in path[:-1]:
+        doc = doc[key]
+    return doc
+
+
+def _parse_and_check(text):
+    """Parse ``text`` and validate what it gives as what it is; only
+    the parse may raise, and only ParseError."""
+    parsed = parse_document(text)
+    check = validate_hcf if isinstance(parsed, HcfDiagram) else validate_diagram
+    assert isinstance(check(parsed), list)
+
+
 @settings(max_examples=400, derandomize=True, database=None, deadline=None)
 @given(st.data())
 def test_mutated_fixtures_raise_only_parse_error(data):
-    doc = copy.deepcopy(data.draw(st.sampled_from(_DOCS)))
+    doc = copy.deepcopy(data.draw(st.sampled_from(_DOCS + _HCF_DOCS)))
     path = data.draw(st.sampled_from(list(_locations(doc))))
-    parent = doc
-    for key in path[:-1]:
-        parent = parent[key]
+    parent = _parent(doc, path)
     if isinstance(parent, dict) and data.draw(st.booleans()):
         del parent[path[-1]]
     else:
         parent[path[-1]] = data.draw(_JSON)
     try:
-        parsed = parse_document(json.dumps(doc))
+        _parse_and_check(json.dumps(doc))
     except ParseError:
-        return
-    d = parsed.diagram if isinstance(parsed, HcfDiagram) else parsed
-    assert isinstance(validate_diagram(d), list)
+        pass
 
 
-_HCF_DOCS = [json.loads(serialize_model(to_hcf(parse_model(
-    (FIXTURES / f"{name}.json").read_text()))))
-    for name in ("m1", "fig1", "fig6a", "fig2a")]
+_VALUES = [None, True, 0, 1, -1, 1.5, float("nan"), "", "no", "nosuch", [],
+           ["no"], [0.5, 0.5], {}, {"": [1.0]}]
+
+
+def test_mutated_hcf_documents_raise_only_parse_error():
+    """Two thousand seeded mutations of HCF documents, any location
+    deleted or replaced by a value of ``_VALUES``: each is refused with
+    ParseError or validates without raising.  At least ten leave a
+    mechanism node without a table, which the parser refuses."""
+    rng = random.Random(18)
+    pool = [(json.dumps(doc), list(_locations(doc))) for doc in _HCF_DOCS]
+    tableless = 0
+    for _ in range(2000):
+        text, locations = rng.choice(pool)
+        doc, path = json.loads(text), rng.choice(locations)
+        parent = _parent(doc, path)
+        if isinstance(parent, dict) and rng.random() < 0.5:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = rng.choice(_VALUES)
+        try:
+            _parse_and_check(json.dumps(doc))
+        except ParseError as e:
+            tableless += "which has no table" in str(e)
+    assert tableless >= 10, tableless
 
 
 def _edit_mechanism(rng, doc) -> str:
