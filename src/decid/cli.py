@@ -15,14 +15,13 @@ import os
 import re
 import sys
 
+# Numeric names are read as decid.X when called, so graph work loads no numpy.
+import decid
 from . import (CapExceeded, HcfDiagram, ModelError, QueryError, UnknownVariable,
-               CounterfactualQuery, certify_causal_network,
-               check_marginal_reproduction, counterfactual, d_separated,
-               graphical_causes, graphical_fixed_set, joint,
-               minimal_blocking_sets, oracle_causes, oracle_is_d_map,
-               optimal_policy, parse_document, posterior, serialize_model,
-               to_hcf, validate_diagram, validate_hcf, value_of_information)
-from .mechanisms import _diagram_of
+               d_separated, graphical_causes, graphical_fixed_set,
+               minimal_blocking_sets, parse_document, serialize_model,
+               validate_diagram, validate_hcf)
+from .model import _diagram_of
 
 EXIT_OK, EXIT_USAGE, EXIT_INVALID, EXIT_QUERY, EXIT_CAP = 0, 1, 2, 3, 4
 
@@ -63,7 +62,7 @@ def _refuse(violations) -> int:
 def _hcf(parsed, assume_causal=False):
     if isinstance(parsed, HcfDiagram):
         return parsed
-    return to_hcf(parsed, assume_causal=assume_causal)
+    return decid.to_hcf(parsed, assume_causal=assume_causal)
 
 
 def _pairs(text: str) -> dict:
@@ -239,8 +238,8 @@ def _dispatch(args) -> int:
             report = graphical_causes(d, args.target)
         else:
             cap = _world_cap()
-            report = oracle_causes(_hcf(parsed), args.target,
-                                   world_pair_cap=cap)
+            report = decid.oracle_causes(_hcf(parsed), args.target,
+                                         world_pair_cap=cap)
         doc = {"target": report.target, "method": report.method,
                "cause_sets": [sorted(s) for s in report.cause_sets],
                "reason": report.reason}
@@ -268,7 +267,7 @@ def _dispatch(args) -> int:
                      or ["(none)"], args)
 
     if args.command == "to-hcf":
-        hcf = to_hcf(d, assume_causal=args.assume_causal)
+        hcf = decid.to_hcf(d, assume_causal=args.assume_causal)
         text = serialize_model(hcf)
         if args.output:
             with open(args.output, "w", encoding="utf-8") as f:
@@ -288,7 +287,8 @@ def _dispatch(args) -> int:
         orig, violations = _validated(args.original)
         if violations:
             return _refuse(violations)
-        violations = check_marginal_reproduction(_diagram_of(orig), parsed)
+        violations = decid.check_marginal_reproduction(_diagram_of(orig),
+                                                       parsed)
         doc = {"pass": not violations, "violations": violations,
                "priors": {m.name: {
                    "|".join(k): [sig12(p) for p in row]
@@ -302,24 +302,24 @@ def _dispatch(args) -> int:
 
     if args.command == "infer":
         if args.query:
-            f = posterior(d, args.decisions, args.evidence, args.query)
+            f = decid.posterior(d, args.decisions, args.evidence, args.query)
         else:
             if args.evidence:
                 raise QueryError("--evidence requires --query")
-            f = joint(d, args.decisions)
+            f = decid.joint(d, args.decisions)
         doc = _factor_doc(f)
         return _emit(doc, _pretty_factor, args)
 
     if args.command == "counterfactual":
         hcf = _hcf(parsed, assume_causal=args.assume_causal)
-        q = CounterfactualQuery(args.factual_decisions, args.evidence,
-                                args.counterfactual_decisions,
-                                tuple(args.query))
-        doc = _factor_doc(counterfactual(hcf, q))
+        q = decid.CounterfactualQuery(args.factual_decisions, args.evidence,
+                                      args.counterfactual_decisions,
+                                      tuple(args.query))
+        doc = _factor_doc(decid.counterfactual(hcf, q))
         return _emit(doc, _pretty_factor, args)
 
     if args.command == "evaluate":
-        policy, eu = optimal_policy(d)
+        policy, eu = decid.optimal_policy(d)
         doc = {"expected_utility": sig12(eu),
                "policy": {dec: {"|".join(k): v for k, v in rules.items()}
                           for dec, rules in policy.rules.items()},
@@ -331,15 +331,15 @@ def _dispatch(args) -> int:
                         for dec, rules in o["policy"].items()], args)
 
     if args.command == "voi":
-        v = value_of_information(d, args.node, args.decision,
-                                 no_forgetting=args.no_forgetting)
+        v = decid.value_of_information(d, args.node, args.decision,
+                                       no_forgetting=args.no_forgetting)
         doc = {"node": args.node, "decision": args.decision,
                "value_of_information": sig12(v)}
         return _emit(doc, lambda o: [f"VOI({o['node']} -> {o['decision']}) = "
                                      f"{o['value_of_information']}"], args)
 
     if args.command == "certify-causal":
-        report = certify_causal_network(d)
+        report = decid.certify_causal_network(d)
         doc = {"certified": report.certified, "reasons": list(report.reasons)}
         return _emit(doc, lambda o: (["certified causal network"]
                                      if o["certified"] else
@@ -347,7 +347,8 @@ def _dispatch(args) -> int:
                                       for r in o["reasons"]]), args)
 
     if args.command == "is-d-map":
-        verdict, counterexample = oracle_is_d_map(d, max_cond=args.max_cond)
+        verdict, counterexample = decid.oracle_is_d_map(
+            d, max_cond=args.max_cond)
         doc = {"is_d_map": verdict, "counterexample": counterexample}
         return _emit(doc, lambda o: [
             "D-map" if o["is_d_map"]

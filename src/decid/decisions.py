@@ -25,12 +25,12 @@ import numpy as np
 from .errors import (CycleIntroduced, NoDecisionOrder, NotObservable,
                      NoUtilityNode, PolicySpaceExceeded, UnknownVariable)
 from .graphs import _check_names
-from .inference import (_check_query, _conditional, _require_full_decisions,
-                        _requisite_factors, _with_axes, eliminate,
+from .inference import (Factor, _check_query, _conditional,
+                        _require_full_decisions, _requisite_factors,
+                        _with_axes, eliminate, family_factor,
                         value_label_node)
-from .mechanisms import HcfDiagram, _require_hcf
-from .model import (CHANCE, DECISION, DETERMINISTIC, TOL, Diagram, Factor,
-                    family_factor, instance_keys, parent_variables)
+from .model import (CHANCE, DECISION, DETERMINISTIC, TOL, Diagram, HcfDiagram,
+                    _require_hcf, instance_keys, parent_variables)
 
 POLICY_SPACE_CAP = 10 ** 6
 GATHER_CELLS = 1 << 16     # utility-table cells one scoring gather reads

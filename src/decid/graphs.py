@@ -1,9 +1,10 @@
 """Purely structural queries on influence diagrams.
 
-Blocking, minimal blocking sets, d-separation, arc removability, set
-decision recognition, graphical fixed sets and causes, and causal
-network certification.  Everything here is a pure function of an
-immutable diagram.
+Blocking, minimal blocking sets, d-separation, set decision
+recognition, and graphical fixed sets and causes.  Everything here is a
+pure function of an immutable diagram's graph and reads no table, so
+it needs no numpy; arc removability and causal network certification,
+which read tables, are in ``mechanisms``.
 
 Blocking is generalized so that the candidate set C may contain decision
 nodes: a directed path counts as blocked when any of its nodes,
@@ -17,11 +18,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import NodeBudgetExceeded, UnknownVariable
-from .model import (DECISION, TOL, Diagram, _check_set_decision, _reach_bits,
-                    _union_bits, table_factor)
+from .model import (DECISION, Diagram, _check_set_decision, _reach_bits,
+                    _union_bits)
 
 MINIMAL_SET_NODE_BUDGET = 20
 
@@ -39,12 +38,6 @@ class CauseReport:
     cause_sets: tuple[frozenset[str], ...]
     method: str
     reason: str | None = None
-
-
-@dataclass(frozen=True)
-class CertificationReport:
-    certified: bool
-    reasons: tuple[str, ...] = ()
 
 
 def _check_names(d: Diagram, names) -> None:
@@ -179,31 +172,6 @@ def graphical_causes(d: Diagram, target: str) -> CauseReport:
     return CauseReport(target, tuple(sets), "graphical")
 
 
-# ---------------------------------------------------------------------------
-# Minimality
-
-
-def removable_arcs(d: Diagram) -> list[tuple[str, str]]:
-    """Relevance arcs whose removal changes no conditional table.
-
-    Arc a->x is removable iff x's table (a utility's values included) is
-    constant within tolerance along a's axis.  Arcs from set decisions
-    are never removable: the forced alternative always matters.  A
-    diagram is minimal iff this list is empty.
-    """
-    removable, tables = [], {}
-    for a, x in d.relevance_arcs:
-        if d.node(x).kind == DECISION or d.node(a).set_decision_for == x:
-            continue
-        if x not in tables:
-            tables[x] = table_factor(d, d.node(x))
-        f = tables[x]
-        v = np.moveaxis(f.values, f.scope.index(a), 0)
-        if not np.any(np.abs(v[1:] - v[0]) > TOL):
-            removable.append((a, x))
-    return removable
-
-
 def is_set_decision(d: Diagram, s: str, x: str) -> bool:
     """True iff s has alternatives "do nothing" plus "set x to k" for each
     state k of the chance node x, and x is s's only child."""
@@ -211,24 +179,3 @@ def is_set_decision(d: Diagram, s: str, x: str) -> bool:
     if d.node(s).kind != DECISION:
         raise ValueError(f"{s} is not a decision node")
     return not _check_set_decision(d, d.node(s), x)
-
-
-def certify_causal_network(d: Diagram) -> CertificationReport:
-    """Certify that every chance node's parents are its causes.
-
-    The sufficient condition: the diagram is causal, minimal, and every
-    nonleaf uncertain variable has a set decision.  A diagram that fails
-    here may still be a causal network by user assertion.
-    """
-    reasons = []
-    if not d.causal:
-        reasons.append("diagram is not annotated causal")
-    for a, x in removable_arcs(d):
-        reasons.append(f"removable arc {a}->{x}")
-    for x in d.uncertain():
-        if not d.children(x):
-            continue  # leaf
-        setdecs = [s for s in d.set_decisions_for(x) if is_set_decision(d, s, x)]
-        if not setdecs:
-            reasons.append(f"missing set decision for nonleaf variable {x}")
-    return CertificationReport(not reasons, tuple(reasons))

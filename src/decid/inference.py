@@ -1,7 +1,9 @@
 """Exact inference and the semantic fixed-set / cause oracles.
 
-One core serves every query: ``model.family_factor`` reads a node's
-table, decision parents and set decisions included, as one factor.
+One core serves every query: ``family_factor`` reads a node's table,
+decision parents and set decisions included, as one ``Factor``;
+``table_factor``, the same read at "do nothing", is the table reader
+of the audits in ``mechanisms``.
 ``eliminate`` sums variables out of a factor product for ``posterior``,
 ``joint`` and ``oracle_is_d_map`` and for expected utility and policy
 search in ``decisions``, one ``np.einsum`` contraction per variable;
@@ -30,14 +32,88 @@ import numpy as np
 from .errors import (FactorCapExceeded, UnknownVariable, WorldCapExceeded,
                      ZeroProbabilityEvidence)
 from .graphs import CauseReport, _check_names, d_separated, minimal_sets
-from .mechanisms import _diagram_of, _require_hcf
-from .model import (CHANCE, DECISION, DETERMINISTIC, TOL, UTILITY,
-                    Assignment, Diagram, Factor, Node, chance_node,
-                    enumerate_instances, family_factor, parent_variables,
-                    table_factor)
+from .model import (CHANCE, DECISION, DETERMINISTIC, DO_NOTHING, SET_PREFIX,
+                    TOL, UTILITY, Assignment, Diagram, Node, _diagram_of,
+                    _require_hcf, chance_node, enumerate_instances,
+                    parent_variables)
 
 WORLD_PAIR_CAP = 10 ** 7
 FACTOR_CELL_CAP = 10 ** 7
+
+
+# ---------------------------------------------------------------------------
+# Factors
+
+
+class Factor:
+    """Real table over an ordered variable scope; utilities may be negative."""
+
+    __slots__ = ("scope", "states", "values")
+
+    def __init__(self, scope, states, values):
+        self.scope = tuple(scope)
+        self.states = tuple(map(tuple, states))
+        self.values = np.asarray(values, dtype=float)
+        assert self.values.shape == tuple(map(len, self.states))
+
+    def __repr__(self):
+        return f"Factor(scope={self.scope})"
+
+    def reduce(self, var: str, state: str) -> "Factor":
+        i = self.scope.index(var)
+        j = self.states[i].index(state)
+        return Factor(self.scope[:i] + self.scope[i + 1:],
+                      self.states[:i] + self.states[i + 1:],
+                      np.take(self.values, j, axis=i))
+
+    def normalize(self) -> "Factor":
+        z = self.values.sum()
+        if z <= 0.0:
+            raise ZeroProbabilityEvidence("factor normalizes to zero")
+        return Factor(self.scope, self.states, self.values / z)
+
+    def value(self, assignment: Assignment) -> float:
+        idx = tuple(self.states[i].index(assignment[v])
+                    for i, v in enumerate(self.scope))
+        return float(self.values[idx])
+
+    def total(self) -> float:
+        return float(self.values.sum())
+
+
+def family_factor(d: Diagram, node: Node) -> Factor:
+    """The node's table as one factor over its relevance parents,
+    decisions included, and the node itself.  A set decision is an axis
+    of its own: "do nothing" keeps the table, "set x to k" is one-hot.
+    A utility factor holds the utility values and has no axis of its own."""
+    table = node.utility if node.kind == UTILITY else node.table
+    scope = list(table.parent_order)
+    states = [d.node(p).states for p in scope]
+    values = np.array([table.rows[key] for key in itertools.product(*states)])
+    values = values.reshape([len(s) for s in states] + list(values.shape[1:]))
+    k = len(scope)
+    # Inserted last-first, so the first set decision that sets x wins.
+    for s in reversed(d.set_decisions_for(node.name)):
+        alts = d.node(s).states
+        values = np.stack(
+            [values if a == DO_NOTHING else np.broadcast_to(
+                np.array(node.states) == a[len(SET_PREFIX):], values.shape)
+             for a in alts], axis=k)
+        scope.insert(k, s)
+        states.insert(k, alts)
+    if node.kind != UTILITY:
+        scope.append(node.name)
+        states.append(node.states)
+    return Factor(scope, states, values)
+
+
+def table_factor(d: Diagram, node: Node) -> Factor:
+    """``family_factor`` read at "do nothing" for every set decision on
+    the node: its own table, over its table parents and itself."""
+    f = family_factor(d, node)
+    for s in d.set_decisions_for(node.name):
+        f = f.reduce(s, DO_NOTHING)
+    return f
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,6 @@
-"""Mechanism extraction and the Howard Canonical Form transformation.
+"""Mechanism extraction, the Howard Canonical Form transformation, and
+the audits that read tables: marginal reproduction, arc removability
+and causal network certification.
 
 A mechanism for a decision-affected chance node x ranges over every
 deterministic mapping from the instances of x's non-fixed parents Y to
@@ -10,8 +12,8 @@ The default mechanism prior is the product completion: the response at
 each Y-instance is drawn independently from x's original conditional
 row.  It is the unique independent-response prior reproducing the
 original table; callers may supply their own prior, which
-``check_marginal_reproduction`` audits against the same marginals.  Both
-read x's table through ``model.table_factor``.
+``check_marginal_reproduction`` audits against the same marginals.  Both,
+and ``removable_arcs``, read x's table through ``inference.table_factor``.
 
 Mechanism states are ordered lexicographically (by the mapping's values
 over lexicographically ordered Y-instances).  Comparisons against any
@@ -26,56 +28,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (MechanismError, NotCausal, NotHcf, ReassessmentRequired,
+from .errors import (MechanismError, NotCausal, ReassessmentRequired,
                      StateSpaceExceeded, UnknownVariable)
-from .model import (CHANCE, DETERMINISTIC, TOL, ConditionalTable, Diagram,
-                    Node, Variable, chance_node, instance_keys,
-                    parent_variables, row_coverage, table_factor,
-                    validate_diagram)
+from .graphs import is_set_decision
+from .inference import table_factor
+from .model import (CHANCE, DECISION, DETERMINISTIC, TOL, ConditionalTable,
+                    Diagram, HcfDiagram, MechanismSpec, Node, StateMapping,
+                    Variable, _mechanism_violations, chance_node,
+                    instance_keys, mechanism_name, mechanism_state_label,
+                    parent_variables)
 
 MECHANISM_STATE_CAP = 10 ** 6
-
-# A mechanism state is a tuple of target states, one per Y-instance,
-# aligned with the lexicographic Y-instance order.
-StateMapping = tuple
-
-
-@dataclass(frozen=True)
-class MechanismSpec:
-    target: str
-    domain: tuple[str, ...]            # non-fixed parents Y, in table order
-    fixed_parents: tuple[str, ...]     # parents Z that stay upstream
-    states: tuple[StateMapping, ...]
-    prior: ConditionalTable
-
-    @property
-    def name(self) -> str:
-        return mechanism_name(self.target, self.domain)
-
-
-@dataclass(frozen=True)
-class HcfDiagram:
-    diagram: Diagram
-    mechanisms: tuple[MechanismSpec, ...] = ()
-
-    @property
-    def provenance(self) -> dict:
-        """Mechanism name -> the node it was extracted from."""
-        return {m.name: m.target for m in self.mechanisms}
-
-
-def _diagram_of(parsed) -> Diagram:
-    """The diagram itself, or the one inside an HcfDiagram."""
-    return parsed.diagram if isinstance(parsed, HcfDiagram) else parsed
-
-
-def mechanism_name(target: str, domain) -> str:
-    return f"{target}({','.join(domain)})"
-
-
-def mechanism_state_label(mapping: StateMapping) -> str:
-    return ",".join(mapping)
-
 
 def _domain_size(x: Variable, y_vars: list[Variable]) -> int:
     """q, the number of domain instances, once r^q mappings fit
@@ -86,48 +49,6 @@ def _domain_size(x: Variable, y_vars: list[Variable]) -> int:
         raise StateSpaceExceeded(f"mechanism for {x.name} needs {count} "
                                  f"states, cap is {MECHANISM_STATE_CAP}")
     return q
-
-
-def _mechanism_violations(spec: MechanismSpec, states_of, mech=None
-                          ) -> list[str]:
-    """Why ``spec`` is no mechanism over the variables ``states_of``
-    (name -> states in order), in the order checked; an unknown name is
-    the only one reported.  A ``mech`` given is the name its source and
-    domain must give, and names it in the messages."""
-    at = f"mechanism {mech or spec.name}"
-    for role, names in (("source", [spec.target]), ("domain variable",
-                        spec.domain), ("fixed parent", spec.fixed_parents)):
-        unknown = [v for v in names if v not in states_of]
-        if unknown:
-            return [f"{at}: unknown {role} {unknown[0]!r}"]
-    target, n = states_of[spec.target], len(spec.states)
-    r, q = len(target), math.prod(len(states_of[v]) for v in spec.domain)
-    # A long domain's r ** q would not fit in memory; no list is that long.
-    count = r ** q if q < 64 or r < 2 else f"{r}^{q}"
-    report = [f"{at}: {n} mappings for {count} states"] if n != count else []
-    for k, m in enumerate(spec.states):
-        if len(m) != q:
-            report.append(f"{at}: mapping {k} has {len(m)} entries, not one "
-                          f"per domain instance ({q})")
-        report += [f"{at}: mapping {k} names {s!r}, not a state of "
-                   f"{spec.target}" for s in m if s not in target]
-    if not report:      # the mechanism node's k-th state labels mapping k
-        labels = zip(map(mechanism_state_label, spec.states),
-                     states_of.get(mech or spec.name, ()))
-        report = [f"{at}: mapping {k} is {a!r}, but state {k} of the node is "
-                  f"{b!r}" for k, (a, b) in enumerate(labels) if a != b]
-    prior = spec.prior
-    if prior.parent_order != spec.fixed_parents:
-        return report + [f"{at}: prior is keyed by {list(prior.parent_order)}"
-                         f", not the fixed parents {list(spec.fixed_parents)}"]
-    report += row_coverage(at, "prior", itertools.product(
-        *(states_of[z] for z in spec.fixed_parents)), prior.rows)
-    report += [f"{at}: prior row {key} has {len(row)} entries, not one per "
-               f"mapping ({n})"
-               for key, row in prior.rows.items() if len(row) != n]
-    if mech not in (None, spec.name):
-        report.append(f"{at}: its source and domain give the name {spec.name}")
-    return report
 
 
 def enumerate_mechanism_states(x: Variable, domain: list[Variable]
@@ -271,40 +192,6 @@ def to_hcf(d: Diagram, assume_causal: bool = False,
     return HcfDiagram(out, tuple(mechanisms))
 
 
-def _shape_violations(h) -> list[str]:
-    """Why ``h`` is not in canonical form: an HcfDiagram is not causal
-    (the world oracles take a bare diagram's functional shape); a fixed
-    node has a non-fixed table parent; a decision descendant is not
-    deterministic; a mechanism is a decision descendant."""
-    d = _diagram_of(h)
-    mechanisms = h.mechanisms if isinstance(h, HcfDiagram) else None
-    report = (["HCF diagram must be annotated causal"]
-              if mechanisms is not None and not d.causal else [])
-    fixed, desc = d.fixed_nodes(), d.descendants(d.decisions())
-    for n in d.nodes:
-        if n.name in fixed and n.table is not None and (
-                set(n.table.parent_order) - fixed):
-            report.append(f"fixed node {n.name} has a non-fixed parent")
-        if n.name in desc and n.kind == CHANCE:
-            report.append(f"decision descendant {n.name} is not deterministic")
-    return report + [f"mechanism {m.name} is a decision descendant"
-                     for m in mechanisms or () if m.name in desc]
-
-
-def _require_hcf(h) -> None:
-    """Raise ``_shape_violations``' first fault as ``NotHcf``."""
-    if errors := _shape_violations(h):
-        raise NotHcf(errors[0])
-
-
-def validate_hcf(h: HcfDiagram) -> list[str]:
-    """HCF invariants, on top of ordinary diagram validity: the
-    canonical-form shape, then each mechanism's own violations."""
-    states_of = {n.name: n.states for n in h.diagram.nodes}
-    return validate_diagram(h.diagram) + _shape_violations(h) + [
-        v for m in h.mechanisms for v in _mechanism_violations(m, states_of)]
-
-
 # ---------------------------------------------------------------------------
 # Audit
 
@@ -357,3 +244,55 @@ def check_marginal_reproduction(orig: Diagram, hcf: HcfDiagram) -> list[str]:
                             f"{x}: P({x}={state} | y={y_key}, z={z_key}) is "
                             f"{want!r} originally but {total!r} under the prior")
     return violations
+
+
+# ---------------------------------------------------------------------------
+# Minimality and certification
+
+
+@dataclass(frozen=True)
+class CertificationReport:
+    certified: bool
+    reasons: tuple[str, ...] = ()
+
+
+def removable_arcs(d: Diagram) -> list[tuple[str, str]]:
+    """Relevance arcs whose removal changes no conditional table.
+
+    Arc a->x is removable iff x's table (a utility's values included) is
+    constant within tolerance along a's axis.  Arcs from set decisions
+    are never removable: the forced alternative always matters.  A
+    diagram is minimal iff this list is empty.
+    """
+    removable, tables = [], {}
+    for a, x in d.relevance_arcs:
+        if d.node(x).kind == DECISION or d.node(a).set_decision_for == x:
+            continue
+        if x not in tables:
+            tables[x] = table_factor(d, d.node(x))
+        f = tables[x]
+        v = np.moveaxis(f.values, f.scope.index(a), 0)
+        if not np.any(np.abs(v[1:] - v[0]) > TOL):
+            removable.append((a, x))
+    return removable
+
+
+def certify_causal_network(d: Diagram) -> CertificationReport:
+    """Certify that every chance node's parents are its causes.
+
+    The sufficient condition: the diagram is causal, minimal, and every
+    nonleaf uncertain variable has a set decision.  A diagram that fails
+    here may still be a causal network by user assertion.
+    """
+    reasons = []
+    if not d.causal:
+        reasons.append("diagram is not annotated causal")
+    for a, x in removable_arcs(d):
+        reasons.append(f"removable arc {a}->{x}")
+    for x in d.uncertain():
+        if not d.children(x):
+            continue  # leaf
+        setdecs = [s for s in d.set_decisions_for(x) if is_set_decision(d, s, x)]
+        if not setdecs:
+            reasons.append(f"missing set decision for nonleaf variable {x}")
+    return CertificationReport(not reasons, tuple(reasons))

@@ -18,9 +18,10 @@ descendants, ancestors and d-separation all read it.
 
 Set decisions ("do nothing" / "set x to k") are stored structurally: the
 target's conditional table ranges only over its ordinary parents, and
-``family_factor`` composes the intervention in as an axis of its own.
-Inference, arc removability, mechanism extraction and the marginal audit
-all index the array ``family_factor`` reads from a node's table rows.
+``inference.family_factor`` composes the intervention in as an axis.
+
+The Howard Canonical Form (HCF) types and checks are here too, so this
+module, like the parser and ``graphs``, needs no numpy.
 """
 
 from __future__ import annotations
@@ -33,9 +34,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-import numpy as np
-
-from .errors import UnknownVariable, ZeroProbabilityEvidence
+from .errors import NotHcf, UnknownVariable
 
 # One tolerance for every probability comparison: row sums, one-hot
 # rows, propagation, arc removability, marginal and independence audits.
@@ -335,81 +334,6 @@ def parent_variables(d: Diagram, parent_order: Sequence[str]) -> list[Variable]:
 
 
 # ---------------------------------------------------------------------------
-# Factors
-
-
-class Factor:
-    """Real table over an ordered variable scope; utilities may be negative."""
-
-    __slots__ = ("scope", "states", "values")
-
-    def __init__(self, scope, states, values):
-        self.scope = tuple(scope)
-        self.states = tuple(map(tuple, states))
-        self.values = np.asarray(values, dtype=float)
-        assert self.values.shape == tuple(map(len, self.states))
-
-    def __repr__(self):
-        return f"Factor(scope={self.scope})"
-
-    def reduce(self, var: str, state: str) -> "Factor":
-        i = self.scope.index(var)
-        j = self.states[i].index(state)
-        return Factor(self.scope[:i] + self.scope[i + 1:],
-                      self.states[:i] + self.states[i + 1:],
-                      np.take(self.values, j, axis=i))
-
-    def normalize(self) -> "Factor":
-        z = self.values.sum()
-        if z <= 0.0:
-            raise ZeroProbabilityEvidence("factor normalizes to zero")
-        return Factor(self.scope, self.states, self.values / z)
-
-    def value(self, assignment: Assignment) -> float:
-        idx = tuple(self.states[i].index(assignment[v])
-                    for i, v in enumerate(self.scope))
-        return float(self.values[idx])
-
-    def total(self) -> float:
-        return float(self.values.sum())
-
-
-def family_factor(d: Diagram, node: Node) -> Factor:
-    """The node's table as one factor over its relevance parents,
-    decisions included, and the node itself.  A set decision is an axis
-    of its own: "do nothing" keeps the table, "set x to k" is one-hot.
-    A utility factor holds the utility values and has no axis of its own."""
-    table = node.utility if node.kind == UTILITY else node.table
-    scope = list(table.parent_order)
-    states = [d.node(p).states for p in scope]
-    values = np.array([table.rows[key] for key in itertools.product(*states)])
-    values = values.reshape([len(s) for s in states] + list(values.shape[1:]))
-    k = len(scope)
-    # Inserted last-first, so the first set decision that sets x wins.
-    for s in reversed(d.set_decisions_for(node.name)):
-        alts = d.node(s).states
-        values = np.stack(
-            [values if a == DO_NOTHING else np.broadcast_to(
-                np.array(node.states) == a[len(SET_PREFIX):], values.shape)
-             for a in alts], axis=k)
-        scope.insert(k, s)
-        states.insert(k, alts)
-    if node.kind != UTILITY:
-        scope.append(node.name)
-        states.append(node.states)
-    return Factor(scope, states, values)
-
-
-def table_factor(d: Diagram, node: Node) -> Factor:
-    """``family_factor`` read at "do nothing" for every set decision on
-    the node: its own table, over its table parents and itself."""
-    f = family_factor(d, node)
-    for s in d.set_decisions_for(node.name):
-        f = f.reduce(s, DO_NOTHING)
-    return f
-
-
-# ---------------------------------------------------------------------------
 # Validation
 
 
@@ -467,7 +391,7 @@ def validate_diagram(d: Diagram) -> list[str]:
                 report.append(f"{n.name}: missing conditional table")
                 continue
             expected = rel_parents - setdecs
-            if set(n.table.parent_order) != expected:
+            if sorted(n.table.parent_order) != sorted(expected):
                 report.append(
                     f"{n.name}: table parents {sorted(n.table.parent_order)} "
                     f"!= relevance parents {sorted(expected)}")
@@ -482,7 +406,7 @@ def validate_diagram(d: Diagram) -> list[str]:
             if n.utility is None:
                 report.append(f"{n.name}: missing utility values")
                 continue
-            if set(n.utility.parent_order) != rel_parents:
+            if sorted(n.utility.parent_order) != sorted(rel_parents):
                 report.append(
                     f"{n.name}: utility parents {sorted(n.utility.parent_order)} "
                     f"!= relevance parents {sorted(rel_parents)}")
@@ -564,3 +488,125 @@ def _check_set_decision(d: Diagram, n: Node, target: str) -> list[str]:
     if d.children(n.name) != {target}:
         report.append(f"{n.name}: set decision must have {target} as its only child")
     return report
+
+
+# ---------------------------------------------------------------------------
+# Howard Canonical Form
+
+
+# A mechanism state is a tuple of target states, one per Y-instance,
+# aligned with the lexicographic Y-instance order.
+StateMapping = tuple
+
+
+@dataclass(frozen=True)
+class MechanismSpec:
+    target: str
+    domain: tuple[str, ...]            # non-fixed parents Y, in table order
+    fixed_parents: tuple[str, ...]     # parents Z that stay upstream
+    states: tuple[StateMapping, ...]
+    prior: ConditionalTable
+
+    @property
+    def name(self) -> str:
+        return mechanism_name(self.target, self.domain)
+
+
+@dataclass(frozen=True)
+class HcfDiagram:
+    diagram: Diagram
+    mechanisms: tuple[MechanismSpec, ...] = ()
+
+    @property
+    def provenance(self) -> dict:
+        """Mechanism name -> the node it was extracted from."""
+        return {m.name: m.target for m in self.mechanisms}
+
+
+def _diagram_of(parsed) -> Diagram:
+    """The diagram itself, or the one inside an HcfDiagram."""
+    return parsed.diagram if isinstance(parsed, HcfDiagram) else parsed
+
+
+def mechanism_name(target: str, domain) -> str:
+    return f"{target}({','.join(domain)})"
+
+
+def mechanism_state_label(mapping: StateMapping) -> str:
+    return ",".join(mapping)
+
+
+def _mechanism_violations(spec: MechanismSpec, states_of, mech=None
+                          ) -> list[str]:
+    """Why ``spec`` is no mechanism over the variables ``states_of``
+    (name -> states in order), in the order checked; an unknown name is
+    the only one reported.  A ``mech`` given is the name its source and
+    domain must give, and names it in the messages."""
+    at = f"mechanism {mech or spec.name}"
+    for role, names in (("source", [spec.target]), ("domain variable",
+                        spec.domain), ("fixed parent", spec.fixed_parents)):
+        unknown = [v for v in names if v not in states_of]
+        if unknown:
+            return [f"{at}: unknown {role} {unknown[0]!r}"]
+    target, n = states_of[spec.target], len(spec.states)
+    r, q = len(target), math.prod(len(states_of[v]) for v in spec.domain)
+    # A long domain's r ** q would not fit in memory; no list is that long.
+    count = r ** q if q < 64 or r < 2 else f"{r}^{q}"
+    report = [f"{at}: {n} mappings for {count} states"] if n != count else []
+    for k, m in enumerate(spec.states):
+        if len(m) != q:
+            report.append(f"{at}: mapping {k} has {len(m)} entries, not one "
+                          f"per domain instance ({q})")
+        report += [f"{at}: mapping {k} names {s!r}, not a state of "
+                   f"{spec.target}" for s in m if s not in target]
+    if not report:      # the mechanism node's k-th state labels mapping k
+        labels = zip(map(mechanism_state_label, spec.states),
+                     states_of.get(mech or spec.name, ()))
+        report = [f"{at}: mapping {k} is {a!r}, but state {k} of the node is "
+                  f"{b!r}" for k, (a, b) in enumerate(labels) if a != b]
+    prior = spec.prior
+    if prior.parent_order != spec.fixed_parents:
+        return report + [f"{at}: prior is keyed by {list(prior.parent_order)}"
+                         f", not the fixed parents {list(spec.fixed_parents)}"]
+    report += row_coverage(at, "prior", itertools.product(
+        *(states_of[z] for z in spec.fixed_parents)), prior.rows)
+    report += [f"{at}: prior row {key} has {len(row)} entries, not one per "
+               f"mapping ({n})"
+               for key, row in prior.rows.items() if len(row) != n]
+    if mech not in (None, spec.name):
+        report.append(f"{at}: its source and domain give the name {spec.name}")
+    return report
+
+
+def _shape_violations(h) -> list[str]:
+    """Why ``h`` is not in canonical form: an HcfDiagram is not causal
+    (the world oracles take a bare diagram's functional shape); a fixed
+    node has a non-fixed table parent; a decision descendant is not
+    deterministic; a mechanism is a decision descendant."""
+    d = _diagram_of(h)
+    mechanisms = h.mechanisms if isinstance(h, HcfDiagram) else None
+    report = (["HCF diagram must be annotated causal"]
+              if mechanisms is not None and not d.causal else [])
+    fixed, desc = d.fixed_nodes(), d.descendants(d.decisions())
+    for n in d.nodes:
+        if n.name in fixed and n.table is not None and (
+                set(n.table.parent_order) - fixed):
+            report.append(f"fixed node {n.name} has a non-fixed parent")
+        if n.name in desc and n.kind == CHANCE:
+            report.append(f"decision descendant {n.name} is not deterministic")
+    return report + [f"mechanism {m.name} is a decision descendant"
+                     for m in mechanisms or () if m.name in desc]
+
+
+def _require_hcf(h) -> None:
+    """Raise ``_shape_violations``' first fault as ``NotHcf``."""
+    if errors := _shape_violations(h):
+        raise NotHcf(errors[0])
+
+
+def validate_hcf(h: HcfDiagram) -> list[str]:
+    """HCF invariants, on top of ordinary diagram validity: the
+    canonical-form shape, then each mechanism's own violations."""
+    states_of = {n.name: n.states for n in h.diagram.nodes}
+    return validate_diagram(h.diagram) + _shape_violations(h) + [
+        v for m in h.mechanisms for v in _mechanism_violations(m, states_of)]

@@ -16,10 +16,9 @@ from __future__ import annotations
 import json
 
 from .errors import ParseError
-from .mechanisms import (HcfDiagram, MechanismSpec, _diagram_of,
-                         _mechanism_violations)
 from .model import (CHANCE, DECISION, DETERMINISTIC, UTILITY,
-                    ConditionalTable, Diagram, Node, UtilityTable, Variable)
+                    ConditionalTable, Diagram, HcfDiagram, MechanismSpec, Node,
+                    UtilityTable, Variable, _diagram_of, _mechanism_violations)
 
 _TOP_KEYS = {"variables", "relevance_arcs", "information_arcs", "cpts",
              "deterministic", "utility", "decision_order", "annotations",

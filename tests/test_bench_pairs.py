@@ -1,11 +1,22 @@
 import importlib.util
 import pathlib
 import subprocess
+import sys
 
-TOOL = pathlib.Path(__file__).parents[1] / "tools" / "bench_pairs.py"
-spec = importlib.util.spec_from_file_location("bench_pairs", TOOL)
-bench_pairs = importlib.util.module_from_spec(spec)
-spec.loader.exec_module(bench_pairs)
+from decid.cli import build_parser
+
+TOOLS = pathlib.Path(__file__).parents[1] / "tools"
+
+
+def _tool(name):
+    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
+    module = sys.modules[name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+bench_pairs = _tool("bench_pairs")
+cli_times = _tool("cli_times")      # imports bench_pairs by name
 
 
 PARENT = [800, 810, 820, 830, 840, 850, 860, 870, 880, 890]
@@ -52,6 +63,24 @@ def test_held_out_verdict_needs_every_pair():
     assert won["ops_per_s"] and not won["setup_s"]     # a tie is no win
     lost = bench_pairs.wins_every_pair(_pairs([850] * 3, [1700, 1700, 840]))
     assert not lost["ops_per_s"]
+
+
+def test_summarize_takes_any_metric_and_direction():
+    pairs = [{"parent": {"wall_s": 0.30, "failed": 0},
+              "change": {"wall_s": 0.15, "failed": 0}}] * 10
+    s = bench_pairs.summarize(pairs, {"wall_s": "lower"})
+    assert list(s["metrics"]) == ["wall_s"]
+    assert s["metrics"]["wall_s"]["change_wins"] == 10
+    assert s["metrics"]["wall_s"]["claim_holds"]
+
+
+def test_cli_times_runs_every_subcommand():
+    fixtures = pathlib.Path(__file__).parent / "fixtures"
+    calls = cli_times.calls(fixtures / "fig1.json", None)
+    commands = build_parser()._subparsers._group_actions[0].choices
+    assert sorted({argv[0] for argv in calls.values()}) == sorted(commands)
+    assert calls["causes graphical"][1:] == [str(fixtures / "fig1.json"),
+                                             "--of", "life"]
 
 
 def test_seed_lists():

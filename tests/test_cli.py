@@ -453,6 +453,12 @@ _TABLE_FAULTS = {
         "states", []), "lung_cancer: needs at least 2 states"),
     "utility": ("coin_utility", lambda doc: doc.pop("utility"),
                 "payoff: missing utility values"),
+    "repeated parent": ("m1", lambda doc: doc["cpts"].__setitem__(
+        "lung_cancer", {"parent_order": ["smoke", "smoke"], "rows": {
+            "no|no": [0.95, 0.05], "no|yes": [0.9, 0.1],
+            "yes|no": [0.85, 0.15], "yes|yes": [0.8, 0.2]}}),
+        "lung_cancer: table parents ['smoke', 'smoke'] != relevance "
+        "parents ['smoke']"),
 }
 
 

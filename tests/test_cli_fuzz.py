@@ -33,7 +33,7 @@ from hypothesis import given, settings, strategies as st
 import decid
 from decid import (ParseError, cli, parse_document, serialize_model, to_hcf,
                    validate_diagram)
-from decid.mechanisms import _diagram_of
+from decid.model import _diagram_of
 
 from genmodels import (chain, ladder, random_dag_with_information,
                        random_diagram, random_functional_diagram,

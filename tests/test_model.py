@@ -151,6 +151,14 @@ def _with(*nodes, arcs=(), info=(), **kw):
       "['do_nothing', 'set=s0', 'set=s1']"]),
     (_with(set_decision_node("s", ["s0", "s1"], "x")),
      ["s: set decision must have x as its only child"]),
+    (_with(chance_node("y", ["0", "1"], ["d", "d"], dict.fromkeys(
+        [("a0", "a0"), ("a0", "a1"), ("a1", "a0"), ("a1", "a1")],
+        [0.5, 0.5])), arcs=(("d", "y"),)),
+     ["y: table parents ['d', 'd'] != relevance parents ['d']"]),
+    (_with(utility_node("u", ["x", "x"], dict.fromkeys(
+        [("s0", "s0"), ("s0", "s1"), ("s1", "s0"), ("s1", "s1")], 1.0)),
+           arcs=(("x", "u"),)),
+     ["u: utility parents ['x', 'x'] != relevance parents ['x']"]),
 ])
 def test_each_violation_is_named(d, violations):
     assert validate_diagram(d) == violations

@@ -1,7 +1,35 @@
 import inspect
+import json
+import os
+import pathlib
+import subprocess
+import sys
+
+import pytest
 
 import decid
 from decid import errors
+
+FIXTURES = pathlib.Path(__file__).parent / "fixtures"
+
+# The public names of ``decid``, those of the numeric modules included.
+EXPORTS = """Assignment BlockingQuery CapExceeded CauseReport CertificationReport
+    ConditionalTable CounterfactualQuery CycleIntroduced DecidError Diagram
+    Factor FactorCapExceeded FunctionalWorld HcfDiagram MechanismError
+    MechanismSpec ModelError NoDecisionOrder NoUtilityNode Node
+    NodeBudgetExceeded NotCausal NotHcf NotObservable ParseError Policy
+    PolicySpaceExceeded QueryError ReassessmentRequired StateSpaceExceeded
+    UnknownVariable UtilityTable Variable WorldCapExceeded WorldTable
+    ZeroProbabilityEvidence blocks canonical_mechanism_prior chance_node
+    certify_causal_network check_marginal_reproduction count_worlds
+    counterfactual d_separated decision_node enumerate_instances
+    enumerate_mechanism_states expected_utility functional_worlds
+    graphical_causes graphical_fixed_set is_set_decision joint
+    mechanism_name mechanism_state_label minimal_blocking_sets minimal_sets
+    optimal_policy oracle_causes oracle_fixed_set_member oracle_is_d_map
+    parse_document parse_model posterior propagate removable_arcs
+    serialize_model set_decision_node to_hcf utility_node validate_diagram
+    validate_hcf value_of_information""".split()
 
 
 def test_every_error_class_is_exported():
@@ -18,7 +46,8 @@ def test_caps_are_module_constants_not_parameters():
     world cap, which ``CID_CAP_WORLDS`` sets, and the policy cap, which
     the benchmark's self-test passes, are also parameters."""
     takes = {}
-    for name, obj in vars(decid).items():
+    for name in dir(decid):
+        obj = getattr(decid, name)
         if callable(obj) and not name.startswith("_"):
             try:
                 params = inspect.signature(obj).parameters
@@ -26,6 +55,78 @@ def test_caps_are_module_constants_not_parameters():
                 continue
             for knob in {"cap", "node_budget", "world_pair_cap"} & {*params}:
                 takes.setdefault(knob, []).append(name)
-    assert len(vars(decid)) > 50
+    assert len(dir(decid)) > 50
     assert takes == {"world_pair_cap": ["WorldTable", "oracle_causes"],
                      "cap": ["optimal_policy"]}
+
+
+def test_every_name_is_listed_and_loads():
+    assert set(EXPORTS) <= set(dir(decid)) & set(decid.__all__)
+    assert all(getattr(decid, name) is not None for name in EXPORTS)
+    from decid import Factor, WorldTable, removable_arcs, to_hcf
+    from decid import inference, mechanisms
+    assert (Factor, WorldTable) == (inference.Factor, inference.WorldTable)
+    assert (removable_arcs, to_hcf) == (mechanisms.removable_arcs,
+                                        mechanisms.to_hcf)
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        decid.no_such_name
+
+
+def _fresh(code: str, *args) -> list:
+    """The last stdout line of ``code`` run with ``args`` in a new
+    interpreter, read as JSON."""
+    env = dict(os.environ,
+               PYTHONPATH=str(pathlib.Path(decid.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+_PARSE = """import json, sys
+import decid
+parsed = decid.parse_document(open(sys.argv[1]).read())
+check = (decid.validate_hcf if isinstance(parsed, decid.HcfDiagram)
+         else decid.validate_diagram)
+print(json.dumps([check(parsed), "numpy" in sys.modules]))
+"""
+
+_RUN = """import json, sys
+from decid.cli import run_command
+code = run_command(sys.argv[1:])
+print(json.dumps([code, "numpy" in sys.modules]))
+"""
+
+
+@pytest.fixture(scope="module")
+def m1_hcf(tmp_path_factory):
+    path = tmp_path_factory.mktemp("hcf") / "m1_hcf.json"
+    path.write_text(decid.serialize_model(decid.to_hcf(
+        decid.parse_model((FIXTURES / "m1.json").read_text()))))
+    return str(path)
+
+
+def test_import_parse_and_validate_load_no_numpy(m1_hcf):
+    assert _fresh("import decid, json, sys; "
+                  "print(json.dumps('numpy' in sys.modules))") is False
+    assert _fresh(_PARSE, str(FIXTURES / "m1.json")) == [[], False]
+    assert _fresh(_PARSE, m1_hcf) == [[], False]
+
+
+_GRAPH_ONLY = [["validate"], ["fixed-set"],
+               ["causes", "--of", "lung_cancer", "--method", "graphical"],
+               ["d-sep", "--x", "smoke", "--y", "lung_cancer"],
+               ["minimal", "--target", "lung_cancer"]]
+
+
+@pytest.mark.parametrize("hcf", [False, True], ids=["m1", "m1_hcf"])
+@pytest.mark.parametrize("argv", _GRAPH_ONLY, ids=lambda a: a[0])
+def test_graph_only_subcommands_load_no_numpy(argv, hcf, m1_hcf):
+    path = m1_hcf if hcf else str(FIXTURES / "m1.json")
+    command, *rest = argv
+    assert _fresh(_RUN, command, path, *rest) == [0, False]
+
+
+def test_infer_loads_numpy():
+    assert _fresh(_RUN, "infer", str(FIXTURES / "m1.json"), "--decisions",
+                  "smoke=no") == [0, True]

@@ -98,18 +98,20 @@ def quartiles(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def gain(metric: str, parent: float, change: float) -> float:
-    """Positive when the change is better on ``metric``."""
-    return change - parent if BETTER[metric] == "higher" else parent - change
+def gain(better: str, parent: float, change: float) -> float:
+    """Positive when the change is better, ``better`` being "higher" or
+    "lower"."""
+    return change - parent if better == "higher" else parent - change
 
 
-def summarize(pairs: list[dict]) -> dict:
-    """Failed operations per side, and per end-to-end metric the
+def summarize(pairs: list[dict], directions: dict = BETTER) -> dict:
+    """Failed operations per side, and per metric of ``directions``
+    (name -> "higher" or "lower"; the end-to-end metrics by default) the
     quartiles, the pairs won and lost, and the claim verdict."""
     failed = failed_ops(pairs)
     metrics = {}
-    for name, better in BETTER.items():
-        gains = [gain(name, p["parent"][name], p["change"][name])
+    for name, better in directions.items():
+        gains = [gain(better, p["parent"][name], p["change"][name])
                  for p in pairs]
         s = {"better": better,
              "parent": quartiles([p["parent"][name] for p in pairs]),
@@ -117,7 +119,7 @@ def summarize(pairs: list[dict]) -> dict:
              "change_wins": sum(g > 0 for g in gains),
              "change_losses": sum(g < 0 for g in gains),
              "pairs": len(pairs)}
-        metrics[name] = s | {"claim_holds": claim_holds(name, s, failed)}
+        metrics[name] = s | {"claim_holds": claim_holds(s, failed)}
     return {"failed": failed, "metrics": metrics}
 
 
@@ -126,19 +128,19 @@ def failed_ops(pairs: list[dict]) -> dict:
             for side in ("parent", "change")}
 
 
-def claim_holds(metric: str, s: dict, failed: dict) -> bool:
+def claim_holds(s: dict, failed: dict) -> bool:
     spread = s["parent"]["q3"] - s["parent"]["q1"]
     return (failed["change"] <= failed["parent"] and
             s["change_wins"] >= CLAIM_SHARE * s["pairs"] and
-            gain(metric, s["parent"]["median"], s["change"]["median"])
+            gain(s["better"], s["parent"]["median"], s["change"]["median"])
             > spread)
 
 
 def wins_every_pair(held: list[dict]) -> dict:
     """Per end-to-end metric, whether the change won every held-out pair."""
-    return {name: all(gain(name, h["parent"][name], h["change"][name]) > 0
+    return {name: all(gain(better, h["parent"][name], h["change"][name]) > 0
                       for h in held)
-            for name in BETTER}
+            for name, better in BETTER.items()}
 
 
 def collect(trees: dict, workload: str, seeds: list[int]) -> list[dict]:
