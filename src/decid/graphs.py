@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import NodeBudgetExceeded, UnknownVariable
 from .model import (DECISION, Diagram, _check_set_decision, _reach_bits,
@@ -25,8 +26,12 @@ from .model import (DECISION, Diagram, _check_set_decision, _reach_bits,
 MINIMAL_SET_NODE_BUDGET = 20
 
 
-@dataclass(frozen=True)
-class BlockingQuery:
+class BlockingQuery(NamedTuple):
+    """Does ``candidate_set`` block every directed path from
+    ``decisions`` to ``target``?  A named tuple: immutable and hashable,
+    built positionally or by keyword, and equal to the plain tuple of
+    its fields, which it unpacks to."""
+
     candidate_set: frozenset[str]
     decisions: frozenset[str]
     target: str
@@ -52,8 +57,14 @@ def blocks(d: Diagram, q: BlockingQuery) -> bool:
     """True iff every directed path (relevance and information arcs)
     from a decision in ``q.decisions`` to the target hits ``q.candidate_set``."""
     ix = d._bits
-    C, D = ix.mask(q.candidate_set), ix.mask(q.decisions)
-    x = ix.mask([q.target])
+    # ``BitIndex.mask`` inlined: an audit calls this once per candidate set.
+    get, past = ix.bit.get, 1 << len(ix.bit)
+    C = D = 0
+    for c in q.candidate_set:
+        C |= get(c, past)
+    for c in q.decisions:
+        D |= get(c, past)
+    x = get(q.target, past)
     if (C | D | x) >> ix.nodes:
         _check_names(d, {*q.candidate_set, *q.decisions, q.target})
     return bool(x & C) or not x & _reach_bits(ix.children, D & ~C, C)

@@ -7,17 +7,20 @@ of the audits in ``mechanisms``.
 ``eliminate`` sums variables out of a factor product for ``posterior``,
 ``joint`` and ``oracle_is_d_map`` and for expected utility and policy
 search in ``decisions``, one ``np.einsum`` contraction per variable;
-the oracles' ``propagate`` and ``WorldTable`` index the same factors to
-carry worlds forward.  ``posterior`` and the expected-utility table
-drop barren nodes first: only the variables asked about and their
-ancestors enter the elimination.
+the oracles' ``propagate`` and ``WorldTable`` carry worlds forward by
+reading each deterministic node's factor once, as a lookup from its
+rows to the state each picks, and indexing that lookup.  ``posterior``
+and the expected-utility table drop barren nodes first: only the
+variables asked about and their ancestors enter the elimination.
 
 The oracles realize fixed-set membership literally: every functional
 world of positive weight (joint instance of the fixed nodes, mechanisms
 included) is propagated under every decision instance, and the target
 may not vary across decision choices that agree on the conditioning set.
 Worlds are listed as state-index arrays; each variable's differences
-between decision instances are kept as one bitset per table.
+between decision instances are kept as one bitset per table, and its
+values are broadcast to the full (worlds, decision instances) shape
+only when read.
 """
 
 from __future__ import annotations
@@ -55,9 +58,6 @@ class Factor:
         self.states = tuple(map(tuple, states))
         self.values = np.asarray(values, dtype=float)
         assert self.values.shape == tuple(map(len, self.states))
-
-    def __repr__(self):
-        return f"Factor(scope={self.scope})"
 
     def reduce(self, var: str, state: str) -> "Factor":
         i = self.scope.index(var)
@@ -174,7 +174,9 @@ def _require_full_decisions(d: Diagram, decisions: Assignment) -> None:
 def posterior(d: Diagram, decisions: Assignment, evidence: Assignment,
               query) -> Factor:
     """P(query | evidence, decisions) by variable elimination over the
-    family factors, reduced at the decisions and the evidence alike."""
+    family factors, reduced at the decisions and the evidence alike.
+    ``d`` may be an ``HcfDiagram``."""
+    d = _diagram_of(d)
     _require_full_decisions(d, decisions)
     query = list(query)
     _check_query(d.node, evidence, query)
@@ -343,7 +345,9 @@ def value_label_node(node: Node) -> Node:
 def _fill(d: Diagram, given: dict) -> dict:
     """Extend ``given`` (name -> broadcastable array of state indices)
     to every variable, in topological order: a deterministic node takes
-    the state its row puts within ``TOL`` of 1; any other must be given."""
+    the state its row puts within ``TOL`` of 1; any other must be given.
+    Each table is read once, as a lookup from its rows to that state,
+    which is then indexed at the parents' arrays."""
     values = dict(given)
     for x in d.topological_order():
         if x in values:
@@ -353,8 +357,8 @@ def _fill(d: Diagram, given: dict) -> dict:
             role = "decision" if node.kind == DECISION else "world"
             raise UnknownVariable(f"missing {role} binding for {x}")
         f = family_factor(d, node)
-        rows = f.values[tuple(values[p] for p in f.scope[:-1])]
-        values[x] = (np.abs(rows - 1.0) <= TOL).argmax(axis=-1)
+        lookup = (np.abs(f.values - 1.0) <= TOL).argmax(axis=-1)
+        values[x] = lookup[tuple(values[p] for p in f.scope[:-1])]
     return values
 
 
@@ -382,17 +386,19 @@ class WorldTable:
     as an int array of shape (worlds, decision instances).  The cap is
     checked before any world is listed, on the world count when a bound
     from the supports exceeds it; a ``world_pair_cap`` given replaces
-    ``WORLD_PAIR_CAP``.  x's difference bitset has a bit per world and
-    pair i < j of decision instances, set where x differs; ``worlds`` is
-    built when read."""
+    ``WORLD_PAIR_CAP``.  ``diagram`` may be an ``HcfDiagram``.  x's
+    difference bitset has a bit per world and pair i < j of decision
+    instances, set where x differs; it is 0 without packing when x has
+    no decision axis.  ``values`` and ``worlds`` are built when read."""
 
     def __init__(self, diagram: Diagram, world_pair_cap: int | None = None):
         cap = WORLD_PAIR_CAP if world_pair_cap is None else world_pair_cap
-        self.diagram = diagram
+        self.diagram = diagram = _diagram_of(diagram)
         self.decision_instances = enumerate_instances(
             parent_variables(diagram, diagram.decisions()))
         tables = _fixed_tables(diagram)
-        per_world = len(self.decision_instances) ** 2
+        n = len(self.decision_instances)
+        per_world = n ** 2
         # A bound: no table gives a world more choices than its widest row.
         n_pairs = per_world * math.prod(
             int((f.values > 0.0).sum(-1).max()) for f in tables)
@@ -409,13 +415,20 @@ class WorldTable:
         self._index, self._weight = _world_arrays(tables)
         given = {x: a[:, None] for x, a in self._index.items()}
         given.update(_indices(diagram, self.decision_instances, (1, -1)))
-        shape = (len(self._weight), len(self.decision_instances))
-        self.values = {x: np.broadcast_to(v, shape)
-                       for x, v in _fill(diagram, given).items()}
-        i, j = np.triu_indices(shape[1], k=1)
+        self._filled = _fill(diagram, given)
+        i, j = np.array(list(itertools.combinations(range(n), 2)),
+                        dtype=np.intp).reshape(-1, 2).T
+        shape = (len(self._weight), len(i))
         self._differs = {
-            x: int.from_bytes(np.packbits(v[:, i] != v[:, j]), "big")
-            for x, v in self.values.items()}
+            x: int.from_bytes(np.packbits(np.broadcast_to(
+                v[:, i] != v[:, j], shape)), "big")
+            if v.ndim and v.shape[1] > 1 else 0
+            for x, v in self._filled.items()}
+
+    @functools.cached_property
+    def values(self) -> dict:
+        shape = (len(self._weight), len(self.decision_instances))
+        return {x: np.broadcast_to(v, shape) for x, v in self._filled.items()}
 
     @functools.cached_property
     def worlds(self) -> list[FunctionalWorld]:

@@ -391,9 +391,11 @@ def validate_diagram(d: Diagram) -> list[str]:
                 report.append(f"{n.name}: missing conditional table")
                 continue
             expected = rel_parents - setdecs
-            if sorted(n.table.parent_order) != sorted(expected):
+            order = n.table.parent_order
+            # Sets, with the length so that a repeated parent differs.
+            if len(order) != len(expected) or set(order) != expected:
                 report.append(
-                    f"{n.name}: table parents {sorted(n.table.parent_order)} "
+                    f"{n.name}: table parents {sorted(order)} "
                     f"!= relevance parents {sorted(expected)}")
                 continue
             report.extend(_check_table(d, n))
@@ -406,9 +408,10 @@ def validate_diagram(d: Diagram) -> list[str]:
             if n.utility is None:
                 report.append(f"{n.name}: missing utility values")
                 continue
-            if sorted(n.utility.parent_order) != sorted(rel_parents):
+            order = n.utility.parent_order
+            if len(order) != len(rel_parents) or set(order) != rel_parents:
                 report.append(
-                    f"{n.name}: utility parents {sorted(n.utility.parent_order)} "
+                    f"{n.name}: utility parents {sorted(order)} "
                     f"!= relevance parents {sorted(rel_parents)}")
                 continue
             report += row_coverage(n.name, "utility", instance_keys(

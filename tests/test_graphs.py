@@ -26,6 +26,19 @@ def _blocks(d, C, D, x):
 # Blocking
 
 
+def test_blocking_query_is_an_immutable_hashable_record(fig2a):
+    q = BlockingQuery(candidate_set=frozenset({"pleasure", "lung_cancer"}),
+                      decisions=frozenset({"smoke"}), target="payoff")
+    assert q == BlockingQuery(frozenset({"lung_cancer", "pleasure"}),
+                              frozenset({"smoke"}), "payoff")
+    C, D, x = q
+    assert q == (C, D, x) and x == "payoff" and D == frozenset({"smoke"})
+    assert {q: 1}[BlockingQuery(q.candidate_set, q.decisions, q.target)] == 1
+    assert repr(q).startswith("BlockingQuery(candidate_set=frozenset(")
+    with pytest.raises(AttributeError):
+        q.target = "pleasure"
+    assert q.target == "payoff" and blocks(fig2a, q)
+
 def test_blocking_pleasure_and_cancer_block_utility(fig2a):
     assert _blocks(fig2a, {"pleasure", "lung_cancer"}, {"smoke"}, "payoff")
 

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 from dataclasses import replace
@@ -15,6 +16,7 @@ from decid import (Diagram, Factor, WorldTable, chance_node, count_worlds,
 from decid.errors import (FactorCapExceeded, NodeBudgetExceeded, NotHcf,
                           UnknownVariable, WorldCapExceeded,
                           ZeroProbabilityEvidence)
+from decid.inference import value_label_node
 from decid.model import TOL, parent_variables
 
 from genmodels import (chain, grid, random_diagram,
@@ -109,6 +111,23 @@ def test_posterior_coin_evidence_pins_coin(coin):
     f = posterior(coin, {"d": "heads"}, {"w": "win"}, ["c"])
     assert f.value({"c": "heads"}) == pytest.approx(1.0, abs=1e-12)
 
+
+def _world_table_answer(d):
+    table = WorldTable(d)
+    return ([(w.assignment, w.weight) for w in table.worlds],
+            {x: v.tolist() for x, v in table.values.items()},
+            [table.fixed_given(x, ()) for x in table.values])
+
+
+def _posterior_answer(d):
+    return posterior(d, {"smoke": "yes"}, {"lung_cancer": "yes"},
+                     ["genotype"]).values.tolist()
+
+
+@pytest.mark.parametrize("answer", [_world_table_answer, _posterior_answer])
+def test_hcf_diagram_argument_gives_the_diagrams_answer(fig2a, answer):
+    h = to_hcf(fig2a)
+    assert answer(h) == answer(h.diagram)
 
 @pytest.mark.parametrize("evidence,query,error", [
     ({"smoke": "yes"}, ["lung_cancer"], "smoke is not an uncertain variable"),
@@ -776,6 +795,62 @@ def test_bitset_oracle_conditioning_on_decisions_and_fixed_nodes():
         _check_against_grouping(d, pool)
         checked += 1
     assert checked >= 15
+
+
+def _first_split_world(table, x, C):
+    """A world in which two decision instances agree on C and differ on
+    x, by the table's values, or None."""
+    v = table.values
+    for i, j in itertools.combinations(range(len(table.decision_instances)), 2):
+        split = v[x][:, i] != v[x][:, j]
+        for c in C:
+            split &= v[c][:, i] == v[c][:, j]
+        if split.any():
+            return int(split.argmax())
+    return None
+
+
+@pytest.mark.parametrize("seed,n_chance,max_states",
+                         [(0, 4, 2), (4, 3, 3)])
+def test_big_world_table_matches_propagate(seed, n_chance, max_states):
+    """Tables the size of the sweep's heaviest, at least 1024 worlds
+    under 4 decision instances, against ``propagate`` on 200 seeded
+    worlds: every value there, and every ``fixed_given`` verdict, which
+    must group the sample when it holds and is witnessed by a world that
+    ``propagate`` splits when it fails."""
+    d = to_hcf(random_diagram(seed, n_chance=n_chance, max_states=max_states,
+                              n_decisions=2, with_utility=True)).diagram
+    table = WorldTable(d)
+    assert len(table.worlds) >= 1024 and len(table.decision_instances) == 4
+
+    @functools.cache
+    def rows(k):
+        return [propagate(d, table.worlds[k].assignment, di)
+                for di in table.decision_instances]
+
+    sample = {k: rows(k) for k in
+              random.Random(seed).sample(range(len(table.worlds)), 200)}
+    names = d.uncertain() + [d.utility().name]
+    for k, row in sample.items():
+        for x in names:
+            states = value_label_node(d.node(x)).states
+            assert [states[i] for i in table.values[x][k]] == \
+                [cell[x] for cell in row], (k, x)
+    pool = sorted(set(d.uncertain()) | set(d.decisions()))
+    verdicts = set()
+    for x in names:
+        others = [p for p in pool if p != x]
+        for C in itertools.chain.from_iterable(
+                itertools.combinations(others, k) for k in range(3)):
+            fixed = table.fixed_given(x, C)
+            verdicts.add(fixed)
+            witness = _first_split_world(table, x, C)
+            assert fixed == (witness is None), (x, C)
+            if fixed:
+                assert _grouped_fixed_given(sample.values(), x, C), (x, C)
+            else:
+                assert not _grouped_fixed_given([rows(witness)], x, C), (x, C)
+    assert verdicts == {True, False}
 
 
 # ---------------------------------------------------------------------------
