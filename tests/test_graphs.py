@@ -39,6 +39,7 @@ def test_blocking_query_is_an_immutable_hashable_record(fig2a):
         q.target = "pleasure"
     assert q.target == "payoff" and blocks(fig2a, q)
 
+
 def test_blocking_pleasure_and_cancer_block_utility(fig2a):
     assert _blocks(fig2a, {"pleasure", "lung_cancer"}, {"smoke"}, "payoff")
 

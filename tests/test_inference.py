@@ -129,6 +129,7 @@ def test_hcf_diagram_argument_gives_the_diagrams_answer(fig2a, answer):
     h = to_hcf(fig2a)
     assert answer(h) == answer(h.diagram)
 
+
 @pytest.mark.parametrize("evidence,query,error", [
     ({"smoke": "yes"}, ["lung_cancer"], "smoke is not an uncertain variable"),
     ({}, ["smoke"], "smoke is not an uncertain variable"),
@@ -800,8 +801,8 @@ def test_bitset_oracle_conditioning_on_decisions_and_fixed_nodes():
 def _first_split_world(table, x, C):
     """A world in which two decision instances agree on C and differ on
     x, by the table's values, or None."""
-    v = table.values
-    for i, j in itertools.combinations(range(len(table.decision_instances)), 2):
+    v, n = table.values, len(table.decision_instances)
+    for i, j in itertools.combinations(range(n), 2):
         split = v[x][:, i] != v[x][:, j]
         for c in C:
             split &= v[c][:, i] == v[c][:, j]
@@ -813,7 +814,7 @@ def _first_split_world(table, x, C):
 @pytest.mark.parametrize("seed,n_chance,max_states",
                          [(0, 4, 2), (4, 3, 3)])
 def test_big_world_table_matches_propagate(seed, n_chance, max_states):
-    """Tables the size of the sweep's heaviest, at least 1024 worlds
+    """Tables the size of oracle_sweep's heaviest, at least 1024 worlds
     under 4 decision instances, against ``propagate`` on 200 seeded
     worlds: every value there, and every ``fixed_given`` verdict, which
     must group the sample when it holds and is witnessed by a world that
