@@ -1,11 +1,13 @@
 """Policy evaluation, value of information, and twin-network
 counterfactual queries.
 
-Expected utility is linear in the policy.  One variable elimination
-over the same family factors as ``posterior`` sums every variable but
-the decisions and what they observe out of the chance and utility
-factors, barren chance nodes left out; one gather from that table per block of policies, at the
-alternatives their rules choose, and a sum per policy score them all.
+Expected utility is linear in the policy.  One ``eliminate`` over the
+same family factors as ``posterior`` sums every variable but the
+decisions and what they observe out of the chance and utility factors,
+barren chance nodes left out; at desk scale the product is within
+``inference.FUSED_CELLS``, and that is one contraction.  One gather
+from that table per block of policies, at the alternatives their rules
+choose, and a sum per policy score them all.
 A policy search, and both searches of a value of information, run one
 elimination.  Policy search stays exhaustive over the (capped) policy
 space, so it doubles as the oracle for any smarter search added later.
@@ -17,6 +19,7 @@ and once more with their scopes renamed ``x -> x'``.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -30,7 +33,8 @@ from .inference import (Factor, _check_query, _conditional,
                         _with_axes, eliminate, family_factor,
                         value_label_node)
 from .model import (CHANCE, DECISION, DETERMINISTIC, TOL, Diagram, HcfDiagram,
-                    _require_hcf, instance_keys, parent_variables)
+                    _diagram_of, _require_hcf, instance_keys,
+                    parent_variables)
 
 POLICY_SPACE_CAP = 10 ** 6
 GATHER_CELLS = 1 << 16     # utility-table cells one scoring gather reads
@@ -60,7 +64,9 @@ class CounterfactualQuery:
 
 
 def expected_utility(d: Diagram, policy: Policy) -> float:
-    """Sum over joint outcomes of P(outcome | policy) * utility."""
+    """Sum over joint outcomes of P(outcome | policy) * utility.  ``d``
+    may be an ``HcfDiagram``."""
+    d = _diagram_of(d)
     info_order = {dec: policy.info_order[dec] for dec in d.decisions()}
     choices = {dec: [[_choice(d, dec, policy.rules.get(dec, {}), k) for k in
                       instance_keys(parent_variables(d, parents))]]
@@ -178,21 +184,23 @@ def _search(d: Diagram, space, q: Factor) -> tuple[Policy, float]:
     is built as a ``Policy``."""
     info_order, keys, radices = space
     score = _scorer(q, info_order)
-    splits = np.cumsum([len(keys[dec]) for dec in info_order])[:-1]
+    ends = itertools.accumulate(len(keys[dec]) for dec in info_order)
+    columns = {dec: slice(end - len(keys[dec]), end)
+               for dec, end in zip(info_order, ends)}
     cells = math.prod(len(s) for x, s in zip(q.scope, q.states)
                       if x not in info_order)
     block = max(1, GATHER_CELLS // (cells + len(radices)))
     total, eus = math.prod(radices), []
     for lo in range(0, total, block):
         digits = _digits(radices, np.arange(lo, min(lo + block, total)))
-        eus += score(dict(zip(info_order, np.split(digits, splits, axis=1)))
+        eus += score({dec: digits[:, cols] for dec, cols in columns.items()}
                      ).tolist()
     if not eus:
         raise NoDecisionOrder("no policies to evaluate")
-    best = 0
+    best, bar = 0, eus[0] + TOL * max(1.0, abs(eus[0]))
     for i, eu in enumerate(eus):
-        if eu > eus[best] + TOL * max(1.0, abs(eus[best])):
-            best = i
+        if eu > bar:
+            best, bar = i, eu + TOL * max(1.0, abs(eu))
     return _policy(d, space, _digits(radices, [best])[0]), eus[best]
 
 
@@ -203,7 +211,8 @@ def optimal_policy(d: Diagram, cap: int | None = None
     the first policy in canonical order: decisions in decision order,
     information instances lexicographic, alternatives in state order.
     A ``cap`` given replaces ``POLICY_SPACE_CAP``; the benchmark's
-    self-test passes it."""
+    self-test passes it.  ``d`` may be an ``HcfDiagram``."""
+    d = _diagram_of(d)
     space = _space(d, cap)
     return _search(d, space, _utility_table(d, space[0]))
 
@@ -219,8 +228,10 @@ def value_of_information(d: Diagram, observed: str, decision: str,
 
     Only fixed-set variables are observable: a variable the decisions
     can still affect cannot be seen before those decisions are made, so
-    asking for its value of information is rejected.
+    asking for its value of information is rejected.  ``d`` may be an
+    ``HcfDiagram``.
     """
+    d = _diagram_of(d)
     node = d.node(observed)
     if node.kind not in (CHANCE, DETERMINISTIC):
         raise UnknownVariable(f"{observed} is not a chance variable")

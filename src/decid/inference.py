@@ -6,10 +6,12 @@ decision parents and set decisions included, as one ``Factor``;
 of the audits in ``mechanisms``.
 ``eliminate`` sums variables out of a factor product for ``posterior``,
 ``joint`` and ``oracle_is_d_map`` and for expected utility and policy
-search in ``decisions``, one ``np.einsum`` contraction per variable;
-the oracles' ``propagate`` and ``WorldTable`` carry worlds forward by
-reading each deterministic node's factor once, as a lookup from its
-rows to the state each picks, and indexing that lookup.  ``posterior``
+search in ``decisions``.  A product of at most ``FUSED_CELLS`` cells
+times its factor count is one ``np.einsum`` contraction, a larger one
+one contraction per variable in min-fill order.  The oracles'
+``propagate`` and ``WorldTable`` carry worlds forward by reading each
+deterministic node's factor once, as a lookup from its rows to the
+state each picks, and indexing that lookup.  ``posterior``
 and the expected-utility table drop barren nodes first: only the
 variables asked about and their ancestors enter the elimination.
 
@@ -42,6 +44,7 @@ from .model import (CHANCE, DECISION, DETERMINISTIC, DO_NOTHING, SET_PREFIX,
 
 WORLD_PAIR_CAP = 10 ** 7
 FACTOR_CELL_CAP = 10 ** 7
+FUSED_CELLS = 1 << 16      # a speed threshold of ``eliminate``, not a cap
 
 
 # ---------------------------------------------------------------------------
@@ -122,7 +125,9 @@ def table_factor(d: Diagram, node: Node) -> Factor:
 
 def joint(d: Diagram, decisions: Assignment) -> Factor:
     """Joint factor over all uncertain variables given a full decision
-    instance: the product of the family factors reduced at it."""
+    instance: the product of the family factors reduced at it.  ``d``
+    may be an ``HcfDiagram``."""
+    d = _diagram_of(d)
     _require_full_decisions(d, decisions)
     factors = _requisite_factors(d, decisions, d.uncertain())
     return eliminate(list(factors.values()), d.uncertain())
@@ -214,16 +219,31 @@ def _conditional(factors, query: list, evidence: Assignment,
 
 def eliminate(factors, keep) -> Factor:
     """Sum every variable outside ``keep`` out of the product of the
-    factors, in a greedy min-fill order (name tie-break, so runs are
-    reproducible).  Each step is one contraction of the factors that
-    read the variable.  The result's scope is ``keep``, in that order;
-    with no factors it is the unit factor.  Every contraction's output
-    is sized against ``FACTOR_CELL_CAP`` before the first one runs."""
+    factors.  A small product, at most ``FUSED_CELLS`` cells times the
+    factor count over at most 63 factors, is one contraction straight to
+    ``keep``.  Any other sums the variables out in a greedy min-fill
+    order (name tie-break, so runs are reproducible), each step one
+    contraction of the factors that read the variable.  The result's
+    scope is ``keep``, in that order; with no factors it is the unit
+    factor.  Every factor a contraction materialises, a partial product
+    of a long operand list included, is sized against
+    ``FACTOR_CELL_CAP`` before the first one runs."""
     if not factors:
         return Factor((), (), 1.0)
     size = {v: len(s) for f in factors for v, s in zip(f.scope, f.states)}
-    steps = _min_fill_order(factors, size.keys() - set(keep))
-    for var, scope in steps + [(None, keep)]:
+    fused = (len(factors) <= 63 and
+             math.prod(size.values()) * len(factors) <= FUSED_CELLS)
+    steps = [] if fused else _min_fill_order(factors, size.keys() - set(keep))
+    # The scopes each step leaves, to size every factor it makes.
+    scopes, made = [f.scope for f in factors], []
+    for var, _ in steps:
+        related = [s for s in scopes if var in s]
+        scopes = [s for s in scopes if var not in s]
+        out = tuple(dict.fromkeys(v for s in related for v in s if v != var))
+        made += [(var, s) for s in [*_folds(related, out), out]]
+        scopes.append(out)
+    made += [(None, s) for s in [*_folds(scopes, keep), keep]]
+    for var, scope in made:
         cells = math.prod(size[v] for v in scope)
         if cells > FACTOR_CELL_CAP:
             step = "the result" if var is None else f"eliminating {var}"
@@ -240,12 +260,29 @@ def eliminate(factors, keep) -> Factor:
 def _contract(factors, keep) -> Factor:
     """The product of ``factors`` summed over every variable outside
     ``keep``, with scope ``keep``: one ``np.einsum``, each variable an
-    integer subscript."""
+    integer subscript, after the ``_folds`` a long operand list needs."""
+    for scope in _folds([f.scope for f in factors], keep):
+        factors = [_contract(factors[:62], scope), *factors[62:]]
     states = {v: s for f in factors for v, s in zip(f.scope, f.states)}
     ids = {v: i for i, v in enumerate(states)}
     args = [a for f in factors for a in (f.values, [ids[v] for v in f.scope])]
     return Factor(keep, [states[v] for v in keep],
                   np.einsum(*args, [ids[v] for v in keep]))
+
+
+def _folds(scopes, keep) -> list[tuple]:
+    """The scopes of the partial products a contraction of factors over
+    ``scopes`` to ``keep`` makes first, since ``np.einsum`` takes at most
+    63 operands: while there are more, the first 62 are contracted to
+    the variables that the rest or ``keep`` still read, and that product
+    leads the rest."""
+    folds = []
+    while len(scopes) > 63:
+        later = {v for s in scopes[62:] for v in s}.union(keep)
+        folds.append(tuple(dict.fromkeys(
+            v for s in scopes[:62] for v in s if v in later)))
+        scopes = [folds[-1], *scopes[62:]]
+    return folds
 
 
 def _min_fill_order(factors, to_eliminate) -> list[tuple[str, set[str]]]:

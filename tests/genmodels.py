@@ -260,3 +260,21 @@ def grid(rows, cols, seed=0):
             arcs += [(p, name) for p in parents]
             states[name] = ("0", "1")
     return Diagram(tuple(nodes), tuple(arcs), (), ("d",), causal=True)
+
+
+def star(n, seed=0):
+    """Decision ``d`` into ``r``, then ``r -> h`` and ``h -> c0 ...
+    c{n-1}``, binary, with seeded tables: with the children observed, a
+    posterior multiplies one factor per child."""
+    rng = random.Random(seed)
+    nodes = [decision_node("d", ["a", "b"]),
+             chance_node("r", ["0", "1"], ["d"], {
+                 (s,): random_distribution(rng, 2) for s in "ab"}),
+             chance_node("h", ["0", "1"], ["r"], {
+                 (s,): random_distribution(rng, 2) for s in "01"})]
+    arcs = [("d", "r"), ("r", "h")]
+    for i in range(n):
+        nodes.append(chance_node(f"c{i}", ["0", "1"], ["h"], {
+            (s,): random_distribution(rng, 2) for s in "01"}))
+        arcs.append(("h", f"c{i}"))
+    return Diagram(tuple(nodes), tuple(arcs), (), ("d",), causal=True)

@@ -11,7 +11,7 @@ import pytest
 import decid
 from decid.cli import _pairs, run_command
 
-from genmodels import chain, ladder, random_dag, random_diagram
+from genmodels import chain, ladder, random_dag, random_diagram, star
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -267,6 +267,17 @@ def test_minimal_answers_where_only_the_pruned_pool_fits(capsys, tmp_path):
     assert doc["minimal_blocking_sets"][0] == ["d0", "d1"]
     code, doc = run_json(capsys, "causes", str(path), "--of", "x14")
     assert code == 0 and len(doc["cause_sets"]) == 6
+
+
+@pytest.mark.parametrize("n", [63, 70])
+def test_infer_past_the_einsum_operand_limit(capsys, tmp_path, n):
+    path = tmp_path / "star.json"
+    path.write_text(decid.serialize_model(star(n)))
+    evidence = ",".join(f"c{i}=1" for i in range(n))
+    code, doc = run_json(capsys, "infer", str(path), "--decisions", "d=b",
+                         "--evidence", evidence, "--query", "h")
+    assert code == 0, doc
+    assert doc["scope"] == ["h"]
 
 
 def test_minimal_budget_is_exit_4_naming_the_pool(capsys, tmp_path):

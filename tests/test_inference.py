@@ -1,26 +1,28 @@
 import functools
 import itertools
+import math
 import random
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from decid import (Diagram, Factor, WorldTable, chance_node, count_worlds,
-                   decision_node, enumerate_instances, functional_worlds,
-                   graphical_fixed_set, graphs, inference, joint, minimal_sets,
+from decid import (Diagram, Factor, Policy, WorldTable, chance_node,
+                   count_worlds, decision_node, enumerate_instances,
+                   expected_utility, functional_worlds, graphical_fixed_set,
+                   graphs, inference, joint, minimal_sets, optimal_policy,
                    oracle_causes, oracle_fixed_set_member, oracle_is_d_map,
                    parse_model, posterior, propagate, serialize_model,
                    set_decision_node, to_hcf, utility_node,
-                   validate_diagram)
+                   validate_diagram, value_of_information)
 from decid.errors import (FactorCapExceeded, NodeBudgetExceeded, NotHcf,
                           UnknownVariable, WorldCapExceeded,
                           ZeroProbabilityEvidence)
 from decid.inference import value_label_node
-from decid.model import TOL, parent_variables
+from decid.model import TOL, _diagram_of, parent_variables
 
 from genmodels import (chain, grid, random_diagram,
-                       random_functional_diagram, random_policy_diagram)
+                       random_functional_diagram, random_policy_diagram, star)
 from reference import (barren, enumerate_joint, enumerate_worlds, marginalize,
                        multiply)
 
@@ -127,6 +129,39 @@ def _posterior_answer(d):
 @pytest.mark.parametrize("answer", [_world_table_answer, _posterior_answer])
 def test_hcf_diagram_argument_gives_the_diagrams_answer(fig2a, answer):
     h = to_hcf(fig2a)
+    assert answer(h) == answer(h.diagram)
+
+
+def _joint_answer(d):
+    b = _diagram_of(d)
+    return joint(d, {x: b.node(x).states[-1] for x in b.decisions()}
+                 ).values.tolist()
+
+
+def _expected_utility_answer(d):
+    b = _diagram_of(d)
+    policy = Policy({x: () for x in b.decisions()},
+                    {x: {(): b.node(x).states[-1]} for x in b.decisions()})
+    return expected_utility(d, policy)
+
+
+def _optimal_policy_answer(d):
+    return optimal_policy(d)
+
+
+def _value_of_information_answer(d):
+    b = _diagram_of(d)
+    observed = next(x for x in b.uncertain() if x in b.fixed_nodes())
+    return value_of_information(d, observed, b.decision_order[-1])
+
+
+@pytest.mark.parametrize("name", ["fig2a", "coin_utility", "fig1"])
+@pytest.mark.parametrize("answer", [
+    _joint_answer, _expected_utility_answer, _optimal_policy_answer,
+    _value_of_information_answer])
+def test_hcf_diagram_argument_gives_the_diagrams_utility_answer(
+        request, name, answer):
+    h = to_hcf(request.getfixturevalue(name))
     assert answer(h) == answer(h.diagram)
 
 
@@ -312,7 +347,28 @@ def _eliminate_by_products(factors, keep):
     return np.transpose(prod.values, [prod.scope.index(v) for v in keep])
 
 
-def test_eliminate_matches_multiply_and_marginalize():
+@pytest.fixture
+def by_elimination(monkeypatch):
+    """Every ``eliminate`` sums variables out one by one."""
+    monkeypatch.setattr(inference, "FUSED_CELLS", 0)
+
+
+@pytest.fixture
+def in_one_contraction(monkeypatch):
+    """Every ``eliminate`` of up to 63 factors over at most 2^24 cells
+    is one contraction."""
+    monkeypatch.setattr(inference, "FUSED_CELLS", 1 << 24)
+
+
+def test_eliminate_matches_multiply_and_marginalize(by_elimination):
+    _check_eliminate_against_products()
+
+
+def test_one_contraction_matches_multiply_and_marginalize(in_one_contraction):
+    _check_eliminate_against_products()
+
+
+def _check_eliminate_against_products():
     """Random factor sets, signed values as utilities have: scalar
     factors, a hub variable read by most factors, and ``keep`` in any
     order, empty included."""
@@ -349,6 +405,82 @@ def test_eliminate_matches_multiply_and_marginalize():
             keep, key=read.index)
         covered["keep empty"] += not keep
     assert all(covered.values()), covered
+
+
+def test_one_contraction_is_taken_exactly_within_fused_cells(monkeypatch):
+    """The plan is skipped for a product of at most ``FUSED_CELLS``
+    cells times the factor count over at most 63 factors, and made for
+    any other."""
+    planned = []
+    plan = inference._min_fill_order
+
+    def recorded(factors, to_eliminate):
+        planned.append(len(factors))
+        return plan(factors, to_eliminate)
+    monkeypatch.setattr(inference, "_min_fill_order", recorded)
+    for seed in range(8):
+        d = random_policy_diagram(seed)
+        value_of_information(d, "x0", d.decision_order[-1])
+    # The joint of chain(12): 2^12 cells times 12 factors.
+    joint(chain(12), {"d": "a"})
+    # star(61) with its children observed: 63 factors over r and h.
+    evidence = {f"c{i}": "0" for i in range(62)}
+    posterior(star(61), {"d": "a"}, dict(list(evidence.items())[:61]), ["h"])
+    assert planned == []
+    joint(chain(13), {"d": "a"})
+    posterior(star(62), {"d": "a"}, evidence, ["h"])
+    monkeypatch.setattr(inference, "FUSED_CELLS", 2 ** 12 * 12 - 1)
+    joint(chain(12), {"d": "a"})
+    assert planned == [13, 64, 12]
+
+
+def _star_posteriors(d, evidence):
+    """P(r | d=a, evidence) and P(h | d=a, evidence) summed by hand."""
+    def p(x, key, state):
+        return d.node(x).table.rows[key][int(state)]
+    weight = {(r, h): p("r", ("a",), r) * p("h", (r,), h) * math.prod(
+        p(c, (h,), s) for c, s in evidence.items())
+        for r in "01" for h in "01"}
+    z = sum(weight.values())
+    return ([sum(w for (r, _), w in weight.items() if r == x) / z
+             for x in "01"],
+            [sum(w for (_, h), w in weight.items() if h == x) / z
+             for x in "01"])
+
+
+@pytest.mark.parametrize("n", [63, 70, 130])
+def test_posterior_past_the_einsum_operand_limit(n):
+    """More factors than ``np.einsum`` takes: the query ``h`` contracts
+    them all at the end, the query ``r`` when ``h`` is summed out."""
+    d = star(n, n)
+    evidence = {f"c{i}": "01"[i % 3 == 0] for i in range(n)}
+    want = _star_posteriors(d, evidence)
+    for x, w in zip("rh", want):
+        got = posterior(d, {"d": "a"}, evidence, [x]).values
+        assert np.max(np.abs(got - w)) <= 1e-12, (x, got, w)
+
+
+def test_long_operand_lists_are_folded_and_sized_first(monkeypatch):
+    """Seventy factors over ``x`` and ``y``: eliminating ``x`` first
+    contracts 62 of them to a factor over both, sized before any
+    contraction runs."""
+    rng = np.random.default_rng(7)
+    states = [("0", "1"), ("0", "1", "2")]
+    factors = [Factor(["x", "y"], states, rng.uniform(0.8, 1.2, (2, 3)))
+               for _ in range(70)]
+    for keep in ([], ["y"], ["y", "x"]):
+        want = _eliminate_by_products(factors, keep)
+        got = inference.eliminate(factors, keep).values
+        assert np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want)),
+                      initial=0.0) <= 1e-12, keep
+    outputs = []
+    monkeypatch.setattr(inference, "_contract",
+                        lambda fs, keep: outputs.append(keep))
+    monkeypatch.setattr(inference, "FACTOR_CELL_CAP", 5)
+    with pytest.raises(FactorCapExceeded, match=(
+            r"^6 factor cells for eliminating x exceed cap 5$")):
+        inference.eliminate(factors, [])
+    assert outputs == []
 
 
 # ---------------------------------------------------------------------------
@@ -568,10 +700,23 @@ def _ask_joint(seed):
 @pytest.mark.parametrize("seed", range(4))
 @pytest.mark.parametrize("asked", [_ask_chain, _ask_grid, _ask_joint])
 def test_factor_cap_trips_exactly_past_the_largest_contraction(
-        monkeypatch, asked, seed):
+        monkeypatch, by_elimination, asked, seed):
     """Every contraction's output is sized before the first runs: the
     cap at the largest output answers alike, one cell less trips with
     that size named and no contraction run."""
+    _check_cap_at_the_largest_contraction(monkeypatch, asked(seed))
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("asked", [_ask_chain, _ask_grid, _ask_joint])
+def test_factor_cap_trips_exactly_past_the_one_contraction(
+        monkeypatch, in_one_contraction, asked, seed):
+    """The same rule where a product within ``FUSED_CELLS`` is one
+    contraction: the 24-variable grid (seed 2) stays on elimination."""
+    _check_cap_at_the_largest_contraction(monkeypatch, asked(seed))
+
+
+def _check_cap_at_the_largest_contraction(monkeypatch, ask):
     outputs = []
     contract = inference._contract
 
@@ -579,7 +724,6 @@ def test_factor_cap_trips_exactly_past_the_largest_contraction(
         outputs.append(contract(factors, keep))
         return outputs[-1]
     monkeypatch.setattr(inference, "_contract", recorded)
-    ask = asked(seed)
     want = ask().values.tobytes()
     largest = max(f.values.size for f in outputs)
     monkeypatch.setattr(inference, "FACTOR_CELL_CAP", largest)
@@ -593,12 +737,21 @@ def test_factor_cap_trips_exactly_past_the_largest_contraction(
     assert outputs == []
 
 
-def test_world_count_past_the_factor_cap_names_both_caps(monkeypatch, m1):
+def test_world_count_past_the_factor_cap_names_both_caps(
+        monkeypatch, by_elimination, m1):
     monkeypatch.setattr(inference, "FACTOR_CELL_CAP", 0)
     with pytest.raises(WorldCapExceeded, match=(
             r"^a bound of 16 world/decision pairs exceeds cap 1, and "
             r"counting them: 1 factor cells for eliminating "
             r"lung_cancer\(smoke\) exceed cap 0$")):
+        WorldTable(to_hcf(m1).diagram, world_pair_cap=1)
+
+
+def test_world_count_in_one_contraction_names_the_result(monkeypatch, m1):
+    monkeypatch.setattr(inference, "FACTOR_CELL_CAP", 0)
+    with pytest.raises(WorldCapExceeded, match=(
+            r"^a bound of 16 world/decision pairs exceeds cap 1, and "
+            r"counting them: 1 factor cells for the result exceed cap 0$")):
         WorldTable(to_hcf(m1).diagram, world_pair_cap=1)
 
 
