@@ -6,9 +6,8 @@ decision parents and set decisions included, as one ``Factor``;
 of the audits in ``mechanisms``.
 ``eliminate`` sums variables out of a factor product for ``posterior``,
 ``joint`` and ``oracle_is_d_map`` and for expected utility and policy
-search in ``decisions``.  A product of at most ``FUSED_CELLS`` cells
-times its factor count is one ``np.einsum`` contraction, a larger one
-one contraction per variable in min-fill order.  The oracles'
+search in ``decisions``; it sizes every ``np.einsum`` contraction
+that ``_plan`` lists before it runs the first.  The oracles'
 ``propagate`` and ``WorldTable`` carry worlds forward by reading each
 deterministic node's factor once, as a lookup from its rows to the
 state each picks, and indexing that lookup.  ``posterior``
@@ -219,94 +218,73 @@ def _conditional(factors, query: list, evidence: Assignment,
 
 def eliminate(factors, keep) -> Factor:
     """Sum every variable outside ``keep`` out of the product of the
-    factors.  A small product, at most ``FUSED_CELLS`` cells times the
-    factor count over at most 63 factors, is one contraction straight to
-    ``keep``.  Any other sums the variables out in a greedy min-fill
-    order (name tie-break, so runs are reproducible), each step one
-    contraction of the factors that read the variable.  The result's
-    scope is ``keep``, in that order; with no factors it is the unit
-    factor.  Every factor a contraction materialises, a partial product
-    of a long operand list included, is sized against
-    ``FACTOR_CELL_CAP`` before the first one runs."""
+    factors: size each contraction of the ``_plan`` against
+    ``FACTOR_CELL_CAP``, then ``_contract`` them in order.  The result's
+    scope is ``keep``; with no factors it is the unit factor."""
     if not factors:
         return Factor((), (), 1.0)
     size = {v: len(s) for f in factors for v, s in zip(f.scope, f.states)}
-    fused = (len(factors) <= 63 and
-             math.prod(size.values()) * len(factors) <= FUSED_CELLS)
-    steps = [] if fused else _min_fill_order(factors, size.keys() - set(keep))
-    # The scopes each step leaves, to size every factor it makes.
-    scopes, made = [f.scope for f in factors], []
-    for var, _ in steps:
-        related = [s for s in scopes if var in s]
-        scopes = [s for s in scopes if var not in s]
-        out = tuple(dict.fromkeys(v for s in related for v in s if v != var))
-        made += [(var, s) for s in [*_folds(related, out), out]]
-        scopes.append(out)
-    made += [(None, s) for s in [*_folds(scopes, keep), keep]]
-    for var, scope in made:
+    plan = _plan([f.scope for f in factors], size, keep)
+    for var, _, scope in plan:
         cells = math.prod(size[v] for v in scope)
         if cells > FACTOR_CELL_CAP:
             step = "the result" if var is None else f"eliminating {var}"
             raise FactorCapExceeded(f"{cells} factor cells for {step} "
                                     f"exceed cap {FACTOR_CELL_CAP}")
-    for var, _ in steps:
-        related = [f for f in factors if var in f.scope]
-        factors = [f for f in factors if var not in f.scope]
-        scope = dict.fromkeys(v for f in related for v in f.scope)
-        factors.append(_contract(related, [v for v in scope if v != var]))
-    return _contract(factors, keep)
+    live = dict(enumerate(factors))
+    for k, (_, operands, scope) in enumerate(plan, len(live)):
+        live[k] = _contract([live.pop(i) for i in operands], scope)
+    return live[k]
+
+
+def _plan(scopes, size, keep) -> list[tuple]:
+    """The contractions that sum every variable outside ``keep`` out of
+    factors over ``scopes`` (``size``: each variable's state count), in
+    order: (variable summed out, None for the result; operand positions,
+    counting the factors, then the products made before; output scope).
+    A product of at most ``FUSED_CELLS`` cells times the factor count,
+    over at most 63 factors, is one contraction; any other takes one per
+    variable in greedy min-fill order on the live scopes, name
+    tie-break.  Past 63 operands, ``np.einsum``'s limit, the first 62
+    fold into a product over what the rest or the output still read."""
+    scopes, live, plan = list(scopes), list(range(len(scopes))), []
+
+    def add(var, operands, out):
+        while len(operands) > 63:
+            later = {v for i in operands[62:] for v in scopes[i]}.union(out)
+            fold = dict.fromkeys(v for i in operands[:62] for v in scopes[i]
+                                 if v in later)
+            operands = [add(var, operands[:62], tuple(fold)), *operands[62:]]
+        plan.append((var, tuple(operands), out))
+        scopes.append(out)
+        return len(scopes) - 1
+
+    fused = len(live) <= 63 and (
+        math.prod(size.values()) * len(live) <= FUSED_CELLS)
+    todo = set() if fused else set(size).difference(keep)
+    while todo:
+        graph = {v: set().union(*(scopes[i] for i in live if v in scopes[i]))
+                 for v in size}
+        var = min(todo, key=lambda v: (sum(
+            b not in graph[a]
+            for a, b in itertools.combinations(graph[v] - {v}, 2)), v))
+        todo.remove(var)
+        related = [i for i in live if var in scopes[i]]
+        live = [i for i in live if var not in scopes[i]]
+        live.append(add(var, related, tuple(dict.fromkeys(
+            v for i in related for v in scopes[i] if v != var))))
+    add(None, live, tuple(keep))
+    return plan
 
 
 def _contract(factors, keep) -> Factor:
-    """The product of ``factors`` summed over every variable outside
-    ``keep``, with scope ``keep``: one ``np.einsum``, each variable an
-    integer subscript, after the ``_folds`` a long operand list needs."""
-    for scope in _folds([f.scope for f in factors], keep):
-        factors = [_contract(factors[:62], scope), *factors[62:]]
+    """The product of at most 63 ``factors`` summed to the scope ``keep``:
+    one ``np.einsum``, each variable an integer subscript."""
     states = {v: s for f in factors for v, s in zip(f.scope, f.states)}
     ids = {v: i for i, v in enumerate(states)}
     args = [a for f in factors for a in (f.values, [ids[v] for v in f.scope])]
     return Factor(keep, [states[v] for v in keep],
                   np.einsum(*args, [ids[v] for v in keep]))
-
-
-def _folds(scopes, keep) -> list[tuple]:
-    """The scopes of the partial products a contraction of factors over
-    ``scopes`` to ``keep`` makes first, since ``np.einsum`` takes at most
-    63 operands: while there are more, the first 62 are contracted to
-    the variables that the rest or ``keep`` still read, and that product
-    leads the rest."""
-    folds = []
-    while len(scopes) > 63:
-        later = {v for s in scopes[62:] for v in s}.union(keep)
-        folds.append(tuple(dict.fromkeys(
-            v for s in scopes[:62] for v in s if v in later)))
-        scopes = [folds[-1], *scopes[62:]]
-    return folds
-
-
-def _min_fill_order(factors, to_eliminate) -> list[tuple[str, set[str]]]:
-    """The elimination order, each variable with the scope its
-    contraction leaves: its neighbours when it is eliminated."""
-    neighbors: dict[str, set[str]] = {}
-    for f in factors:
-        for v in f.scope:
-            neighbors.setdefault(v, set()).update(set(f.scope) - {v})
-    remaining = set(to_eliminate)
-    order = []
-    while remaining:
-        def fill(v):
-            nbrs = [u for u in neighbors.get(v, ()) if u in neighbors]
-            return sum(1 for a, b in itertools.combinations(nbrs, 2)
-                       if b not in neighbors[a])
-        var = min(remaining, key=lambda v: (fill(v), v))
-        nbrs = {u for u in neighbors.pop(var, ()) if u in neighbors}
-        order.append((var, nbrs))
-        for a in nbrs:
-            neighbors[a].discard(var)
-            neighbors[a].update(nbrs - {a})
-        remaining.discard(var)
-    return order
 
 
 # ---------------------------------------------------------------------------
@@ -321,8 +299,30 @@ class FunctionalWorld:
 
 def functional_worlds(diagram: Diagram) -> list[FunctionalWorld]:
     """Joint instances of the fixed nodes with their prior weights;
-    zero-weight worlds are dropped."""
-    return _as_worlds(diagram, *_world_arrays(_fixed_tables(diagram)))
+    zero-weight worlds are dropped.  More worlds than ``WORLD_PAIR_CAP``
+    raise before any is listed.  ``diagram`` may be an ``HcfDiagram``."""
+    diagram = _diagram_of(diagram)
+    tables = _fixed_tables(diagram)
+    _check_world_cap(tables, 1, WORLD_PAIR_CAP)
+    return _as_worlds(diagram, *_world_arrays(tables))
+
+
+def _check_world_cap(tables, per_world: int, cap: int) -> None:
+    """Raise ``WorldCapExceeded`` when the worlds of the ``_fixed_tables``
+    times ``per_world`` exceed ``cap``, counting them only when a bound,
+    each table's widest support row per world, exceeds it."""
+    n_pairs = per_world * math.prod(
+        int((f.values > 0.0).sum(-1).max()) for f in tables)
+    if n_pairs > cap:
+        try:
+            n_pairs = _world_count(tables) * per_world
+        except FactorCapExceeded as e:
+            raise WorldCapExceeded(
+                f"a bound of {n_pairs} world/decision pairs exceeds cap "
+                f"{cap}, and counting them: {e}") from None
+    if n_pairs > cap:
+        raise WorldCapExceeded(
+            f"{n_pairs} world/decision pairs exceed cap {cap}")
 
 
 def _world_arrays(tables) -> tuple[dict, np.ndarray]:
@@ -346,8 +346,9 @@ def _as_worlds(diagram: Diagram, index: dict, weight) -> list[FunctionalWorld]:
 
 
 def count_worlds(diagram: Diagram) -> int:
-    """``len(functional_worlds(diagram))`` without listing the worlds."""
-    return _world_count(_fixed_tables(diagram))
+    """``len(functional_worlds(diagram))`` without listing the worlds or
+    a cap.  ``diagram`` may be an ``HcfDiagram``."""
+    return _world_count(_fixed_tables(_diagram_of(diagram)))
 
 
 def _world_count(tables) -> int:
@@ -408,8 +409,9 @@ def _indices(d: Diagram, cells, shape) -> dict:
 def propagate(diagram: Diagram, world: Assignment, decisions: Assignment
               ) -> dict:
     """Deterministically extend a functional world and a decision
-    instance to every variable.  Utility nodes get their value's string
-    form so they can participate as oracle targets."""
+    instance to every variable of ``diagram``, or of an ``HcfDiagram``'s.
+    Utility nodes get their value's string form, to be oracle targets."""
+    diagram = _diagram_of(diagram)
     _require_hcf(diagram)
     assignment = {**world, **decisions}
     for x, i in _fill(diagram, _indices(diagram, [assignment], ())).items():
@@ -420,11 +422,10 @@ def propagate(diagram: Diagram, world: Assignment, decisions: Assignment
 class WorldTable:
     """Every functional world propagated under every decision instance.
     ``values[x]`` holds x's state index (a utility's: its value label's)
-    as an int array of shape (worlds, decision instances).  The cap is
-    checked before any world is listed, on the world count when a bound
-    from the supports exceeds it; a ``world_pair_cap`` given replaces
-    ``WORLD_PAIR_CAP``.  ``diagram`` may be an ``HcfDiagram``.  x's
-    difference bitset has a bit per world and pair i < j of decision
+    as an int array of shape (worlds, decision instances).  The cap,
+    ``world_pair_cap`` if given, else ``WORLD_PAIR_CAP``, is checked
+    before any world is listed.  ``diagram`` may be an ``HcfDiagram``.
+    x's difference bitset has a bit per world and pair i < j of decision
     instances, set where x differs; it is 0 without packing when x has
     no decision axis.  ``values`` and ``worlds`` are built when read."""
 
@@ -435,20 +436,7 @@ class WorldTable:
             parent_variables(diagram, diagram.decisions()))
         tables = _fixed_tables(diagram)
         n = len(self.decision_instances)
-        per_world = n ** 2
-        # A bound: no table gives a world more choices than its widest row.
-        n_pairs = per_world * math.prod(
-            int((f.values > 0.0).sum(-1).max()) for f in tables)
-        if n_pairs > cap:
-            try:
-                n_pairs = _world_count(tables) * per_world
-            except FactorCapExceeded as e:
-                raise WorldCapExceeded(
-                    f"a bound of {n_pairs} world/decision pairs exceeds cap "
-                    f"{cap}, and counting them: {e}") from None
-        if n_pairs > cap:
-            raise WorldCapExceeded(
-                f"{n_pairs} world/decision pairs exceed cap {cap}")
+        _check_world_cap(tables, n ** 2, cap)
         self._index, self._weight = _world_arrays(tables)
         given = {x: a[:, None] for x, a in self._index.items()}
         given.update(_indices(diagram, self.decision_instances, (1, -1)))

@@ -9,7 +9,7 @@ import sys
 import pytest
 
 import decid
-from decid.cli import _pairs, run_command
+from decid.cli import _pairs, main, run_command
 
 from genmodels import chain, ladder, random_dag, random_diagram, star
 
@@ -39,6 +39,21 @@ def test_usage_error_is_exit_1(capsys):
     assert run(capsys, )[0] == 1
     assert run(capsys, "fixed-set")[0] == 1
     assert run(capsys, "no-such-command", model("m1"))[0] == 1
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["fixed-set", model("m1")], 0),
+    (["validate", __file__], 2),
+])
+def test_main_exits_with_the_commands_code(monkeypatch, capsys, argv, code):
+    """``main`` reads ``sys.argv`` and exits with ``run_command``'s code
+    and output."""
+    want = run(capsys, *argv)
+    assert want[0] == code
+    monkeypatch.setattr(sys, "argv", ["decid", *argv])
+    with pytest.raises(SystemExit) as exit_:
+        main()
+    assert (exit_.value.code, capsys.readouterr().out) == want
 
 
 def test_missing_file_is_exit_1(capsys):

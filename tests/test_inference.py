@@ -132,6 +132,30 @@ def test_hcf_diagram_argument_gives_the_diagrams_answer(fig2a, answer):
     assert answer(h) == answer(h.diagram)
 
 
+def _functional_worlds_answer(d):
+    return [(w.assignment, w.weight) for w in functional_worlds(d)]
+
+
+def _count_worlds_answer(d):
+    return count_worlds(d)
+
+
+def _propagate_answer(d):
+    b = _diagram_of(d)
+    instances = WorldTable(b).decision_instances
+    return [propagate(d, w.assignment, di)
+            for w in functional_worlds(b)[:16] for di in instances]
+
+
+@pytest.mark.parametrize("name", ["fig2a", "coin_utility", "fig1"])
+@pytest.mark.parametrize("answer", [
+    _functional_worlds_answer, _count_worlds_answer, _propagate_answer])
+def test_hcf_diagram_argument_gives_the_diagrams_world_answer(
+        request, name, answer):
+    h = to_hcf(request.getfixturevalue(name))
+    assert answer(h) == answer(h.diagram)
+
+
 def _joint_answer(d):
     b = _diagram_of(d)
     return joint(d, {x: b.node(x).states[-1] for x in b.decisions()}
@@ -375,29 +399,14 @@ def _check_eliminate_against_products():
     covered = dict.fromkeys(["scalar factor", "hub in five factors",
                              "keep out of order", "keep empty"], 0)
     for seed in range(300):
-        rng = random.Random(seed)
-        states = {f"v{i}": tuple(f"s{j}" for j in range(rng.randint(1, 3)))
-                  for i in range(rng.randint(1, 7))}
-        names = list(states)
-        factors = []
-        for _ in range(rng.randint(1, 7)):
-            scope = rng.sample(names, rng.randint(0, min(3, len(names))))
-            if rng.random() < 0.6 and "v0" not in scope:
-                scope.append("v0")
-            rng.shuffle(scope)
-            shape = [len(states[v]) for v in scope]
-            factors.append(Factor(scope, [states[v] for v in scope],
-                                  np.array([rng.uniform(-1.0, 2.0) for _ in
-                                            range(int(np.prod(shape)))]
-                                           ).reshape(shape)))
-        read = list(dict.fromkeys(v for f in factors for v in f.scope))
-        keep = rng.sample(read, rng.randint(0, len(read)))
+        states, factors, keep = _seeded_factor_set(seed)
         got = inference.eliminate(factors, keep)
         assert got.scope == tuple(keep), seed
         assert got.states == tuple(states[v] for v in keep), seed
         want = _eliminate_by_products(factors, keep)
         assert got.values.shape == want.shape, seed
         assert np.max(np.abs(got.values - want), initial=0.0) <= 1e-12, seed
+        read = list(dict.fromkeys(v for f in factors for v in f.scope))
         covered["scalar factor"] += any(not f.scope for f in factors)
         covered["hub in five factors"] += sum(
             "v0" in f.scope for f in factors) >= 5
@@ -407,31 +416,93 @@ def _check_eliminate_against_products():
     assert all(covered.values()), covered
 
 
-def test_one_contraction_is_taken_exactly_within_fused_cells(monkeypatch):
-    """The plan is skipped for a product of at most ``FUSED_CELLS``
-    cells times the factor count over at most 63 factors, and made for
-    any other."""
-    planned = []
-    plan = inference._min_fill_order
+def _seeded_factor_set(seed):
+    """The states of each variable, the factors over them and ``keep``,
+    drawn from ``seed``."""
+    rng = random.Random(seed)
+    states = {f"v{i}": tuple(f"s{j}" for j in range(rng.randint(1, 3)))
+              for i in range(rng.randint(1, 7))}
+    names = list(states)
+    factors = []
+    for _ in range(rng.randint(1, 7)):
+        scope = rng.sample(names, rng.randint(0, min(3, len(names))))
+        if rng.random() < 0.6 and "v0" not in scope:
+            scope.append("v0")
+        rng.shuffle(scope)
+        shape = [len(states[v]) for v in scope]
+        factors.append(Factor(scope, [states[v] for v in scope],
+                              np.array([rng.uniform(-1.0, 2.0) for _ in
+                                        range(int(np.prod(shape)))]
+                                       ).reshape(shape)))
+    read = list(dict.fromkeys(v for f in factors for v in f.scope))
+    return states, factors, rng.sample(read, rng.randint(0, len(read)))
 
-    def recorded(factors, to_eliminate):
-        planned.append(len(factors))
-        return plan(factors, to_eliminate)
-    monkeypatch.setattr(inference, "_min_fill_order", recorded)
+
+def test_one_contraction_is_taken_exactly_within_fused_cells(monkeypatch):
+    """A product of at most ``FUSED_CELLS`` cells times the factor count
+    over at most 63 factors is planned as one contraction that reads
+    every factor, and any other that sums a variable out in steps.  A
+    joint sums nothing out, so both plans of it are one contraction: the
+    chains ask for their last variable, a product of the same size."""
+    stepped = []
+    plan = inference._plan
+
+    def recorded(scopes, size, keep):
+        made = plan(scopes, size, keep)
+        if len(made) > 1:
+            stepped.append(len(scopes))
+        else:
+            assert made == [(None, tuple(range(len(scopes))), tuple(keep))]
+        return made
+    monkeypatch.setattr(inference, "_plan", recorded)
     for seed in range(8):
         d = random_policy_diagram(seed)
         value_of_information(d, "x0", d.decision_order[-1])
-    # The joint of chain(12): 2^12 cells times 12 factors.
-    joint(chain(12), {"d": "a"})
+    # chain(12): 2^12 cells times 12 factors.
+    posterior(chain(12), {"d": "a"}, {}, ["x11"])
     # star(n) with its children observed: n + 2 factors over r and h.
     for n in (61, 62):
         posterior(star(n), {"d": "a"}, {f"c{i}": "0" for i in range(n)},
                   ["h"])
-        assert planned == ([] if n == 61 else [64])
-    joint(chain(13), {"d": "a"})
+        assert stepped == ([] if n == 61 else [64])
+    posterior(chain(13), {"d": "a"}, {}, ["x12"])
     monkeypatch.setattr(inference, "FUSED_CELLS", 2 ** 12 * 12 - 1)
-    joint(chain(12), {"d": "a"})
-    assert planned == [64, 13, 12]
+    posterior(chain(12), {"d": "a"}, {}, ["x11"])
+    assert stepped == [64, 13, 12]
+
+
+@pytest.mark.parametrize("fused_cells", [0, inference.FUSED_CELLS])
+def test_eliminate_runs_the_plan_in_order(monkeypatch, fused_cells):
+    """Each ``_contract`` call takes the operands and the output scope
+    of the next ``_plan`` entry, over the seeded factor sets and the
+    posterior of ``h`` on ``star(130)``, whose last contraction takes
+    two folds of 62 factors first."""
+    monkeypatch.setattr(inference, "FUSED_CELLS", fused_cells)
+    planned, contracted = [], []
+    plan, contract = inference._plan, inference._contract
+
+    def recorded_plan(scopes, size, keep):
+        made = plan(scopes, size, keep)
+        known = [*scopes, *(out for _, _, out in made)]
+        planned.extend(([known[i] for i in operands], out)
+                       for _, operands, out in made)
+        return made
+
+    def recorded_contract(factors, keep):
+        contracted.append(([f.scope for f in factors], tuple(keep)))
+        return contract(factors, keep)
+    monkeypatch.setattr(inference, "_plan", recorded_plan)
+    monkeypatch.setattr(inference, "_contract", recorded_contract)
+    for seed in range(300):
+        _, factors, keep = _seeded_factor_set(seed)
+        inference.eliminate(factors, keep)
+    assert contracted == planned
+    planned.clear()
+    contracted.clear()
+    posterior(star(130), {"d": "a"}, {f"c{i}": "0" for i in range(130)},
+              ["h"])
+    assert contracted == planned
+    assert [len(operands) for operands, _ in planned] == [2, 62, 62, 9]
 
 
 def _star_posteriors(d, evidence):
@@ -642,6 +713,27 @@ def test_world_cap_trips_before_the_worlds_are_listed(monkeypatch):
     monkeypatch.setattr(inference, "_world_arrays", listed)
     with pytest.raises(WorldCapExceeded, match="241864704 world/decision"):
         WorldTable(h.diagram)
+
+
+def test_functional_worlds_trip_the_world_cap_before_listing(
+        monkeypatch, m1):
+    """The cap counts worlds, one pair each, before any is listed."""
+    h = to_hcf(random_diagram(55, n_chance=4, max_states=3, n_decisions=2))
+
+    def listed(tables):
+        raise AssertionError("functional worlds listed before the cap check")
+    with monkeypatch.context() as patched:
+        patched.setattr(inference, "_world_arrays", listed)
+        with pytest.raises(WorldCapExceeded, match=(
+                "^15116544 world/decision pairs exceed cap 10000000$")):
+            functional_worlds(h.diagram)
+    d = to_hcf(m1).diagram
+    monkeypatch.setattr(inference, "WORLD_PAIR_CAP", 4)
+    assert len(functional_worlds(d)) == 4
+    monkeypatch.setattr(inference, "WORLD_PAIR_CAP", 3)
+    with pytest.raises(WorldCapExceeded,
+                       match="^4 world/decision pairs exceed cap 3$"):
+        functional_worlds(d)
 
 
 def _uneven_support():
