@@ -247,7 +247,10 @@ def _plan(scopes, size, keep) -> list[tuple]:
     variable in greedy min-fill order on the live scopes, name
     tie-break.  Past 63 operands, ``np.einsum``'s limit, the first 62
     fold into a product over what the rest or the output still read."""
-    scopes, live, plan = list(scopes), list(range(len(scopes))), []
+    n = len(scopes)
+    if n <= 63 and math.prod(size.values()) * n <= FUSED_CELLS:
+        return [(None, tuple(range(n)), tuple(keep))]
+    scopes, live, plan = list(scopes), list(range(n)), []
 
     def add(var, operands, out):
         while len(operands) > 63:
@@ -259,9 +262,7 @@ def _plan(scopes, size, keep) -> list[tuple]:
         scopes.append(out)
         return len(scopes) - 1
 
-    fused = len(live) <= 63 and (
-        math.prod(size.values()) * len(live) <= FUSED_CELLS)
-    todo = set() if fused else set(size).difference(keep)
+    todo = set(size).difference(keep)
     while todo:
         graph = {v: set().union(*(scopes[i] for i in live if v in scopes[i]))
                  for v in size}
@@ -346,8 +347,7 @@ def _as_worlds(diagram: Diagram, index: dict, weight) -> list[FunctionalWorld]:
 
 
 def count_worlds(diagram: Diagram) -> int:
-    """``len(functional_worlds(diagram))`` without listing the worlds or
-    a cap.  ``diagram`` may be an ``HcfDiagram``."""
+    """``len(functional_worlds(diagram))``, uncapped and listing no world."""
     return _world_count(_fixed_tables(_diagram_of(diagram)))
 
 
