@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,8 +42,7 @@ GATHER_CELLS = 1 << 16     # utility-table cells one scoring gather reads
 PRIME = "'"
 
 
-@dataclass(frozen=True)
-class Policy:
+class Policy(NamedTuple):
     """For each decision, a total mapping from information-parent
     instances (keyed in sorted parent order) to an alternative."""
 
@@ -51,8 +50,7 @@ class Policy:
     rules: dict                 # decision -> {info instance tuple: alternative}
 
 
-@dataclass(frozen=True)
-class CounterfactualQuery:
+class CounterfactualQuery(NamedTuple):
     factual_decisions: dict
     factual_evidence: dict
     counterfactual_decisions: dict

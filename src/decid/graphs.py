@@ -16,7 +16,6 @@ expressible.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import NodeBudgetExceeded, UnknownVariable
@@ -28,17 +27,15 @@ MINIMAL_SET_NODE_BUDGET = 20
 
 class BlockingQuery(NamedTuple):
     """Does ``candidate_set`` block every directed path from
-    ``decisions`` to ``target``?  A named tuple: immutable and hashable,
-    built positionally or by keyword, and equal to the plain tuple of
-    its fields, which it unpacks to."""
+    ``decisions`` to ``target``?  A hashable named tuple, like the
+    ``model`` records."""
 
     candidate_set: frozenset[str]
     decisions: frozenset[str]
     target: str
 
 
-@dataclass(frozen=True)
-class CauseReport:
+class CauseReport(NamedTuple):
     target: str
     cause_sets: tuple[frozenset[str], ...]
     method: str

@@ -29,7 +29,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -292,8 +292,7 @@ def _contract(factors, keep) -> Factor:
 # Functional worlds and the semantic oracles
 
 
-@dataclass(frozen=True)
-class FunctionalWorld:
+class FunctionalWorld(NamedTuple):
     assignment: dict
     weight: float
 

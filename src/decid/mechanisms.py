@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -250,8 +250,7 @@ def check_marginal_reproduction(orig: Diagram, hcf: HcfDiagram) -> list[str]:
 # Minimality and certification
 
 
-@dataclass(frozen=True)
-class CertificationReport:
+class CertificationReport(NamedTuple):
     certified: bool
     reasons: tuple[str, ...] = ()
 

@@ -6,9 +6,13 @@ carry the conditional tables; information arcs point into decisions and
 record what is known when the decision is made.  Diagrams are immutable
 after construction and safe to share across workers.  Derived indexes
 (name lookup, the bit index, set decisions by target, topological
-order) are computed once per diagram, on first use; ``replace`` and
+order) are computed once per diagram, on first use; ``_replace`` and
 ``with_arcs`` build a new diagram, so an index never outlives the arcs
 it was read from.
+
+Every record here is a named tuple: immutable, built positionally or by
+keyword, copied with a change by ``_replace``, and equal to the plain
+tuple of its fields, which it unpacks to.
 
 The bit index is the one graph index.  It gives each name one bit of an
 int, node names lowest, and each bit a child and a parent mask: a set
@@ -30,7 +34,6 @@ import heapq
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -54,16 +57,14 @@ SET_PREFIX = "set="
 Assignment = dict
 
 
-@dataclass(frozen=True)
-class Variable:
+class Variable(NamedTuple):
     """A named variable with an ordered, significant state list."""
 
     name: str
     states: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class ConditionalTable:
+class ConditionalTable(NamedTuple):
     """P(child | parents): one distribution row per parent instance.
 
     Row keys are tuples of parent states aligned with ``parent_order``;
@@ -74,16 +75,14 @@ class ConditionalTable:
     rows: Mapping[tuple[str, ...], tuple[float, ...]]
 
 
-@dataclass(frozen=True)
-class UtilityTable:
+class UtilityTable(NamedTuple):
     """Real-valued utility for each instance of the utility node's parents."""
 
     parent_order: tuple[str, ...]
     rows: Mapping[tuple[str, ...], float]
 
 
-@dataclass(frozen=True)
-class Node:
+class Node(NamedTuple):
     variable: Variable
     kind: str
     table: ConditionalTable | None = None
@@ -126,14 +125,25 @@ def _freeze_rows(rows) -> dict:
     return {tuple(k): tuple(float(v) for v in dist) for k, dist in rows.items()}
 
 
-@dataclass(frozen=True)
-class Diagram:
+class _DiagramFields(NamedTuple):
     nodes: tuple[Node, ...]
     relevance_arcs: tuple[tuple[str, str], ...] = ()
     information_arcs: tuple[tuple[str, str], ...] = ()
     decision_order: tuple[str, ...] | None = None
     causal: bool = False
     declared_fixed: frozenset[str] = frozenset()
+
+
+class Diagram(_DiagramFields):
+    """An influence diagram: its ``nodes``, ``relevance_arcs`` and
+    ``information_arcs`` (name pairs), the ``decision_order`` (None when
+    undeclared), whether it is ``causal``, and the ``declared_fixed``
+    chance variables.  A named tuple of these fields; its indexes are
+    per instance, each computed on first use, so the diagrams
+    ``_replace`` and ``with_arcs`` build start with none."""
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot set {name!r}: a Diagram is immutable")
 
     # -- indexes, computed once per diagram -------------------------------
 
@@ -256,8 +266,7 @@ class Diagram:
         return frozenset(fixed | set(self.declared_fixed))
 
     def with_arcs(self, relevance=None, information=None) -> "Diagram":
-        return replace(
-            self,
+        return self._replace(
             relevance_arcs=tuple(relevance) if relevance is not None else self.relevance_arcs,
             information_arcs=tuple(information) if information is not None else self.information_arcs,
         )
@@ -502,8 +511,7 @@ def _check_set_decision(d: Diagram, n: Node, target: str) -> list[str]:
 StateMapping = tuple
 
 
-@dataclass(frozen=True)
-class MechanismSpec:
+class MechanismSpec(NamedTuple):
     target: str
     domain: tuple[str, ...]            # non-fixed parents Y, in table order
     fixed_parents: tuple[str, ...]     # parents Z that stay upstream
@@ -515,8 +523,7 @@ class MechanismSpec:
         return mechanism_name(self.target, self.domain)
 
 
-@dataclass(frozen=True)
-class HcfDiagram:
+class HcfDiagram(NamedTuple):
     diagram: Diagram
     mechanisms: tuple[MechanismSpec, ...] = ()
 

@@ -2,7 +2,6 @@
 
 import itertools
 import random
-from dataclasses import replace
 
 from decid import (Diagram, chance_node, decision_node, set_decision_node,
                    utility_node)
@@ -73,7 +72,7 @@ def random_table_diagram(seed):
             first = d.node(table.parent_order[i]).states[0]
             rows = {k: table.rows[k[:i] + (first,) + k[i + 1:]]
                     for k in table.rows}
-            n = replace(n, **{field: replace(table, rows=rows)})
+            n = n._replace(**{field: table._replace(rows=rows)})
         nodes.append(n)
     relevance, order = list(d.relevance_arcs), d.decision_order
     if rng.random() < 0.5:

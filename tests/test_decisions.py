@@ -1,6 +1,5 @@
 import itertools
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -103,7 +102,7 @@ def test_counterfactual_without_decision_order(m1):
     q = CounterfactualQuery({"smoke": "yes"}, {"lung_cancer": "yes"},
                             {"smoke": "no"}, ("lung_cancer",))
     want = counterfactual(to_hcf(m1), q)
-    got = counterfactual(to_hcf(replace(m1, decision_order=None)), q)
+    got = counterfactual(to_hcf(m1._replace(decision_order=None)), q)
     assert got.scope == want.scope
     assert got.values.tobytes() == want.values.tobytes()
 
@@ -358,7 +357,7 @@ def test_enumerate_policies_canonical_order(monkeypatch, coin_utility):
     assert np.concatenate(blocks).tolist() == [
         expected_utility(informed, p) for p in policies]
     flat = utility_node("payoff", [], {(): 1.0})
-    tie = replace(informed, nodes=tuple(
+    tie = informed._replace(nodes=tuple(
         flat if n.name == "payoff" else n for n in informed.nodes),
         relevance_arcs=tuple(a for a in informed.relevance_arcs
                              if a[1] != "payoff"))
@@ -404,12 +403,12 @@ def test_policy_space_cap_names_the_size(monkeypatch):
 
 
 def test_no_decision_order_rejected(coin_utility, coin):
-    bare = replace(coin_utility, decision_order=None)
+    bare = coin_utility._replace(decision_order=None)
     with pytest.raises(NoDecisionOrder):
         optimal_policy(bare)
     # Without an order and without a utility node, the order is reported.
     with pytest.raises(NoDecisionOrder):
-        optimal_policy(replace(coin, decision_order=None))
+        optimal_policy(coin._replace(decision_order=None))
 
 
 def _reference_eus(d, policies, joints=None):
@@ -642,7 +641,7 @@ def test_voi_coin(coin_utility):
 
 
 def test_voi_without_decision_order_is_rejected(coin_utility):
-    bare = replace(coin_utility, decision_order=None)
+    bare = coin_utility._replace(decision_order=None)
     for no_forgetting in (False, True):
         with pytest.raises(NoDecisionOrder):
             value_of_information(bare, "c", "d", no_forgetting=no_forgetting)
@@ -798,7 +797,7 @@ def test_expected_utility_reads_the_policy_information():
                                   for dec in d.decisions()]
         info = set(d.information_arcs) ^ {flips[seed % len(flips)]}
         other = d.with_arcs(information=sorted(info))
-        other = replace(other, decision_order=tuple(
+        other = other._replace(decision_order=tuple(
             x for x in other.topological_order() if x in d.decisions()))
         assert validate_diagram(other) == []
         policies = list(enumerate_policies(other))

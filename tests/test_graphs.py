@@ -1,7 +1,6 @@
 import itertools
 import pathlib
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -392,7 +391,7 @@ def test_certify_minimal_causal_with_set_decisions():
 
 
 def test_uncausal_diagram_is_not_certifiable():
-    report = certify_causal_network(replace(_certifiable(), causal=False))
+    report = certify_causal_network(_certifiable()._replace(causal=False))
     assert report.reasons == ("diagram is not annotated causal",)
 
 

@@ -2,7 +2,6 @@ import functools
 import itertools
 import math
 import random
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -766,7 +765,7 @@ def test_world_cap_between_the_exact_and_the_bounded_pair_counts(
 
 
 def test_non_fixed_parent_is_reported_before_the_cap(m1):
-    declared = replace(m1, declared_fixed=frozenset({"lung_cancer"}))
+    declared = m1._replace(declared_fixed=frozenset({"lung_cancer"}))
     with pytest.raises(NotHcf, match="non-fixed parent"):
         WorldTable(declared, world_pair_cap=1)
 
@@ -873,7 +872,7 @@ def _listing_corpus():
             continue
         yield d
         if set(d.node(target).table.parent_order) <= d.fixed_nodes():
-            yield replace(d, declared_fixed=frozenset({target}))
+            yield d._replace(declared_fixed=frozenset({target}))
 
 
 def _set_target(d):

@@ -1,6 +1,5 @@
 import itertools
 import re
-from dataclasses import replace
 
 import pytest
 
@@ -285,10 +284,10 @@ def test_validate_hcf_reports_every_mechanism_violation(m1):
     over known ones has each of its faults reported."""
     h = to_hcf(m1)
     spec = h.mechanisms[0]
-    ghost = replace(spec, domain=("ghost",))
+    ghost = spec._replace(domain=("ghost",))
     assert validate_hcf(HcfDiagram(h.diagram, (ghost,))) == [
         "mechanism lung_cancer(ghost): unknown domain variable 'ghost'"]
-    bad = replace(spec, states=(spec.states[0], ("no",), ("no", "maybe"),
+    bad = spec._replace(states=(spec.states[0], ("no",), ("no", "maybe"),
                                 spec.states[3]),
                   prior=ConditionalTable((), {(): (0.5, 0.5, 0.0)}))
     assert validate_hcf(HcfDiagram(h.diagram, (bad,))) == [
@@ -303,7 +302,7 @@ def test_validate_hcf_reports_every_mechanism_violation(m1):
 def test_validate_hcf_reports_mapping_order(m1):
     h = to_hcf(m1)
     spec = h.mechanisms[0]
-    backwards = replace(spec, states=spec.states[::-1])
+    backwards = spec._replace(states=spec.states[::-1])
     labels = [mechanism_state_label(m) for m in spec.states]
     assert validate_hcf(HcfDiagram(h.diagram, (backwards,))) == [
         f"mechanism lung_cancer(smoke): mapping {k} is {labels[-1 - k]!r}, "
@@ -317,10 +316,10 @@ def _below_smoke(h):
     prior = ConditionalTable(("smoke",), {("no",): row, ("yes",): row})
     mech = chance_node(spec.name, h.diagram.node(spec.name).states,
                        ("smoke",), prior.rows)
-    d = replace(h.diagram, nodes=tuple(
+    d = h.diagram._replace(nodes=tuple(
         mech if n.name == spec.name else n for n in h.diagram.nodes),
         relevance_arcs=h.diagram.relevance_arcs + (("smoke", spec.name),))
-    return HcfDiagram(d, (replace(spec, fixed_parents=("smoke",),
+    return HcfDiagram(d, (spec._replace(fixed_parents=("smoke",),
                                   prior=prior),))
 
 
@@ -328,20 +327,20 @@ def _chance_target(h):
     lc = h.diagram.node("lung_cancer")
     rows = dict.fromkeys(lc.table.rows, (0.5, 0.5))
     node = chance_node("lung_cancer", lc.states, lc.table.parent_order, rows)
-    return HcfDiagram(replace(h.diagram, nodes=tuple(
+    return HcfDiagram(h.diagram._replace(nodes=tuple(
         node if n.name == "lung_cancer" else n for n in h.diagram.nodes)),
         h.mechanisms)
 
 
 @pytest.mark.parametrize("edit,violations", [
-    (lambda h: HcfDiagram(replace(h.diagram, causal=False), h.mechanisms),
+    (lambda h: HcfDiagram(h.diagram._replace(causal=False), h.mechanisms),
      ["HCF diagram must be annotated causal"]),
     (_chance_target, ["decision descendant lung_cancer is not deterministic"]),
     (_below_smoke,
      ["decision descendant lung_cancer(smoke) is not deterministic",
       "mechanism lung_cancer(smoke) is a decision descendant"]),
-    (lambda h: HcfDiagram(replace(
-        h.diagram, declared_fixed=frozenset({"lung_cancer"})), h.mechanisms),
+    (lambda h: HcfDiagram(h.diagram._replace(
+        declared_fixed=frozenset({"lung_cancer"})), h.mechanisms),
      ["fixed node lung_cancer has a non-fixed parent"]),
 ])
 def test_validate_hcf_reports_the_canonical_form(m1, edit, violations):
@@ -362,7 +361,7 @@ def test_to_hcf_refuses_a_mechanism_name_in_use(m1):
     taken = chance_node("lung_cancer(smoke)", ["a", "b"], [], {(): [0.5, 0.5]})
     with pytest.raises(ValueError, match=r"^mechanism name "
                        r"'lung_cancer\(smoke\)' collides with a variable$"):
-        to_hcf(replace(m1, nodes=m1.nodes + (taken,)))
+        to_hcf(m1._replace(nodes=m1.nodes + (taken,)))
 
 
 def test_to_hcf_cap(monkeypatch, fig6a):
@@ -427,7 +426,7 @@ def test_product_prior_reproduces_marginals(m1, fig6a):
 
 def test_prior_without_a_row_fails_reproduction(m1):
     h = to_hcf(m1)
-    spec = replace(h.mechanisms[0], prior=ConditionalTable((), {}))
+    spec = h.mechanisms[0]._replace(prior=ConditionalTable((), {}))
     assert check_marginal_reproduction(m1, HcfDiagram(h.diagram, (spec,))) \
         == ["lung_cancer: prior has no row for fixed parents ()"]
 

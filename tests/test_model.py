@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -90,7 +89,7 @@ def test_decision_order_must_follow_the_arcs():
     diagram = Diagram((d0, d1, x), (("d0", "x"),), (("x", "d1"),),
                       ("d0", "d1"))
     assert validate_diagram(diagram) == []
-    assert validate_diagram(replace(diagram, decision_order=("d1", "d0"))) \
+    assert validate_diagram(diagram._replace(decision_order=("d1", "d0"))) \
         == ["decision_order lists d1 before d0, but d1 descends from d0"]
 
 
@@ -285,7 +284,7 @@ def test_descendants_and_ancestors_match_the_set_walk_and_networkx():
         rng = random.Random(seed)
         d = random_dag_with_information(seed, n_nodes=10, p_arc=0.3)
         x = rng.choice(d.uncertain())
-        d = replace(d, nodes=d.nodes + (d.node(x),), relevance_arcs=(
+        d = d._replace(nodes=d.nodes + (d.node(x),), relevance_arcs=(
             d.relevance_arcs + (("ghost", x), (x, "ghost2"))))
         arcs = d.all_arcs()
         g = nx.DiGraph(arcs)
@@ -324,7 +323,7 @@ def test_near_one_hot_row_that_validates_also_propagates(coin):
     rows[("heads", "heads")] = (1 - 5e-10, 5e-10)
     near = chance_node("w", w.states, w.table.parent_order, rows,
                        deterministic=True)
-    d = replace(coin, nodes=tuple(near if n.name == "w" else n
+    d = coin._replace(nodes=tuple(near if n.name == "w" else n
                                   for n in coin.nodes))
     assert validate_diagram(d) == []
     assert len(WorldTable(d).worlds) == 2

@@ -83,18 +83,21 @@ def _fresh(code: str, *args) -> list:
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-_PARSE = """import json, sys
+# Which of numpy, dataclasses and inspect the interpreter has loaded.
+_LOADED = '[m in sys.modules for m in ("numpy", "dataclasses", "inspect")]'
+
+_PARSE = f"""import json, sys
 import decid
 parsed = decid.parse_document(open(sys.argv[1]).read())
 check = (decid.validate_hcf if isinstance(parsed, decid.HcfDiagram)
          else decid.validate_diagram)
-print(json.dumps([check(parsed), "numpy" in sys.modules]))
+print(json.dumps([check(parsed), *{_LOADED}]))
 """
 
-_RUN = """import json, sys
+_RUN = f"""import json, sys
 from decid.cli import run_command
 code = run_command(sys.argv[1:])
-print(json.dumps([code, "numpy" in sys.modules]))
+print(json.dumps([code, *{_LOADED}]))
 """
 
 
@@ -107,10 +110,11 @@ def m1_hcf(tmp_path_factory):
 
 
 def test_import_parse_and_validate_load_no_numpy(m1_hcf):
-    assert _fresh("import decid, json, sys; "
-                  "print(json.dumps('numpy' in sys.modules))") is False
-    assert _fresh(_PARSE, str(FIXTURES / "m1.json")) == [[], False]
-    assert _fresh(_PARSE, m1_hcf) == [[], False]
+    assert _fresh(f"import decid, json, sys; print(json.dumps({_LOADED}))") \
+        == [False, False, False]
+    assert _fresh(_PARSE, str(FIXTURES / "m1.json")) == [[], False, False,
+                                                         False]
+    assert _fresh(_PARSE, m1_hcf) == [[], False, False, False]
 
 
 _GRAPH_ONLY = [["validate"], ["fixed-set"],
@@ -124,9 +128,67 @@ _GRAPH_ONLY = [["validate"], ["fixed-set"],
 def test_graph_only_subcommands_load_no_numpy(argv, hcf, m1_hcf):
     path = m1_hcf if hcf else str(FIXTURES / "m1.json")
     command, *rest = argv
-    assert _fresh(_RUN, command, path, *rest) == [0, False]
+    assert _fresh(_RUN, command, path, *rest) == [0, False, False, False]
 
 
 def test_infer_loads_numpy():
-    assert _fresh(_RUN, "infer", str(FIXTURES / "m1.json"), "--decisions",
-                  "smoke=no") == [0, True]
+    # numpy loads inspect itself, so only dataclasses is asserted on.
+    code, numpy, dataclasses, _ = _fresh(
+        _RUN, "infer", str(FIXTURES / "m1.json"), "--decisions", "smoke=no")
+    assert (code, numpy, dataclasses) == (0, True, False)
+
+
+_V = decid.Variable("x", ("a", "b"))
+_T = decid.ConditionalTable((), {(): (0.5, 0.5)})
+_N = decid.Node(_V, "chance", _T)
+_D = decid.Diagram((_N,))
+
+# Each record, its required fields by keyword, and the defaults of the rest.
+_RECORDS = [
+    (decid.Variable, dict(name="x", states=("a", "b")), ()),
+    (decid.ConditionalTable, dict(parent_order=(), rows={(): (1.0,)}), ()),
+    (decid.UtilityTable, dict(parent_order=(), rows={(): 1.0}), ()),
+    (decid.Node, dict(variable=_V, kind="chance"), (None, None, None)),
+    (decid.Diagram, dict(nodes=(_N,)), ((), (), None, False, frozenset())),
+    (decid.MechanismSpec, dict(target="x", domain=(), fixed_parents=(),
+                               states=(("a",), ("b",)), prior=_T), ()),
+    (decid.HcfDiagram, dict(diagram=_D), ((),)),
+    (decid.CauseReport, dict(target="x", cause_sets=(frozenset(),),
+                             method="graphical"), (None,)),
+    (decid.FunctionalWorld, dict(assignment={"x": "a"}, weight=1.0), ()),
+    (decid.Policy, dict(info_order={"d": ()}, rules={"d": {(): "a"}}), ()),
+    (decid.CounterfactualQuery, dict(
+        factual_decisions={"d": "a"}, factual_evidence={},
+        counterfactual_decisions={"d": "b"}, query=("x",)), ()),
+    (decid.CertificationReport, dict(certified=True), ((),)),
+]
+
+
+@pytest.mark.parametrize("cls,required,defaults", _RECORDS,
+                         ids=[cls.__name__ for cls, *_ in _RECORDS])
+def test_records_are_frozen_named_tuples(cls, required, defaults):
+    record = cls(**required)
+    assert record == cls(*required.values(), *defaults)
+    assert tuple(record) == (*required.values(), *defaults)
+    assert repr(record) == f"{cls.__name__}(" + ", ".join(
+        f"{f}={getattr(record, f)!r}" for f in cls._fields) + ")"
+    for field in cls._fields:
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+    first = cls._fields[0]
+    assert type(record._replace(**{first: required[first]})) is cls
+
+
+def test_diagram_indexes_are_per_instance():
+    nodes = tuple(decid.chance_node(x, ["0", "1"], [], {(): [0.5, 0.5]})
+                  for x in "abc")
+    d = decid.Diagram(nodes, (("a", "b"), ("b", "c")))
+    with pytest.raises(AttributeError):
+        d.extra = 1
+    assert (d.children("a"), d.topological_order(), d.ancestors(["c"])) \
+        == ({"b"}, ["a", "b", "c"], {"a", "b"})
+    arcs = (("c", "b"), ("b", "a"))
+    for other in (d.with_arcs(relevance=arcs), d._replace(relevance_arcs=arcs)):
+        assert (other.children("a"), other.topological_order(),
+                other.ancestors(["c"])) == (set(), ["c", "b", "a"], set())
+    assert d.children("a") == {"b"}
