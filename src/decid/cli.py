@@ -184,18 +184,11 @@ def run_command(argv) -> int:
         return _dispatch(args)
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else EXIT_QUERY
-    except UnknownVariable as e:
+    except (ModelError, QueryError, CapExceeded, ValueError) as e:
         print(json.dumps({"error": str(e)}, indent=2))
-        return EXIT_QUERY
-    except ModelError as e:
-        print(json.dumps({"error": str(e)}, indent=2))
-        return EXIT_INVALID
-    except CapExceeded as e:
-        print(json.dumps({"error": str(e)}, indent=2))
-        return EXIT_CAP
-    except (QueryError, ValueError) as e:
-        print(json.dumps({"error": str(e)}, indent=2))
-        return EXIT_QUERY
+        if isinstance(e, ModelError) and not isinstance(e, UnknownVariable):
+            return EXIT_INVALID
+        return EXIT_CAP if isinstance(e, CapExceeded) else EXIT_QUERY
     except OSError as e:
         print(f"decid: {e}", file=sys.stderr)
         return EXIT_USAGE

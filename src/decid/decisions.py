@@ -65,6 +65,9 @@ def expected_utility(d: Diagram, policy: Policy) -> float:
     """Sum over joint outcomes of P(outcome | policy) * utility.  ``d``
     may be an ``HcfDiagram``."""
     d = _diagram_of(d)
+    for dec in d.decisions():
+        if dec not in policy.info_order:
+            raise UnknownVariable(f"policy has no rules for {dec}")
     info_order = {dec: policy.info_order[dec] for dec in d.decisions()}
     choices = {dec: [[_choice(d, dec, policy.rules.get(dec, {}), k) for k in
                       instance_keys(parent_variables(d, parents))]]

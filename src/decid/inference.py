@@ -1,9 +1,9 @@
 """Exact inference and the semantic fixed-set / cause oracles.
 
-One core serves every query: ``family_factor`` reads a node's table,
-decision parents and set decisions included, as one ``Factor``;
-``table_factor``, the same read at "do nothing", is the table reader
-of the audits in ``mechanisms``.
+One core serves every query: ``table_factor`` reads a node's table,
+over its table parents, as one ``Factor``, the table reader of the
+audits in ``mechanisms``; ``family_factor`` builds on that read, adding
+an axis per set decision.
 ``eliminate`` sums variables out of a factor product for ``posterior``,
 ``joint`` and ``oracle_is_d_map`` and for expected utility and policy
 search in ``decisions``; it sizes every ``np.einsum`` contraction
@@ -83,19 +83,33 @@ class Factor:
         return float(self.values.sum())
 
 
-def family_factor(d: Diagram, node: Node) -> Factor:
-    """The node's table as one factor over its relevance parents,
-    decisions included, and the node itself.  A set decision is an axis
-    of its own: "do nothing" keeps the table, "set x to k" is one-hot.
-    A utility factor holds the utility values and has no axis of its own."""
+def table_factor(d: Diagram, node: Node) -> Factor:
+    """The node's own table as one factor over its table parents and
+    the node itself.  A utility factor holds the utility values and has
+    no axis of its own."""
     table = node.utility if node.kind == UTILITY else node.table
     scope = list(table.parent_order)
     states = [d.node(p).states for p in scope]
     values = np.array([table.rows[key] for key in itertools.product(*states)])
     values = values.reshape([len(s) for s in states] + list(values.shape[1:]))
-    k = len(scope)
+    if node.kind != UTILITY:
+        scope.append(node.name)
+        states.append(node.states)
+    return Factor(scope, states, values)
+
+
+def family_factor(d: Diagram, node: Node) -> Factor:
+    """``table_factor`` with an axis per set decision on the node, after
+    the table parents: "do nothing" keeps the table, "set x to k" is
+    one-hot.  A node with no set decision gets ``table_factor`` itself."""
+    f = table_factor(d, node)
+    setters = d.set_decisions_for(node.name)
+    if not setters:
+        return f
+    scope, states, values = list(f.scope), list(f.states), f.values
+    k = len(scope) - (node.kind != UTILITY)
     # Inserted last-first, so the first set decision that sets x wins.
-    for s in reversed(d.set_decisions_for(node.name)):
+    for s in reversed(setters):
         alts = d.node(s).states
         values = np.stack(
             [values if a == DO_NOTHING else np.broadcast_to(
@@ -103,19 +117,7 @@ def family_factor(d: Diagram, node: Node) -> Factor:
              for a in alts], axis=k)
         scope.insert(k, s)
         states.insert(k, alts)
-    if node.kind != UTILITY:
-        scope.append(node.name)
-        states.append(node.states)
     return Factor(scope, states, values)
-
-
-def table_factor(d: Diagram, node: Node) -> Factor:
-    """``family_factor`` read at "do nothing" for every set decision on
-    the node: its own table, over its table parents and itself."""
-    f = family_factor(d, node)
-    for s in d.set_decisions_for(node.name):
-        f = f.reduce(s, DO_NOTHING)
-    return f
 
 
 # ---------------------------------------------------------------------------
@@ -302,27 +304,29 @@ def functional_worlds(diagram: Diagram) -> list[FunctionalWorld]:
     zero-weight worlds are dropped.  More worlds than ``WORLD_PAIR_CAP``
     raise before any is listed.  ``diagram`` may be an ``HcfDiagram``."""
     diagram = _diagram_of(diagram)
+    return _as_worlds(diagram, *_listed_worlds(diagram, 1, WORLD_PAIR_CAP,
+                                               "worlds"))
+
+
+def _listed_worlds(diagram: Diagram, per_world: int, cap: int, noun: str):
+    """The ``_world_arrays`` of the ``_fixed_tables``, once their worlds
+    times ``per_world``, counted as ``noun``, are within ``cap``: else
+    ``WorldCapExceeded`` before any world is listed.  The worlds are
+    counted only when a bound, each table's widest support row per
+    world, exceeds the cap."""
     tables = _fixed_tables(diagram)
-    _check_world_cap(tables, 1, WORLD_PAIR_CAP)
-    return _as_worlds(diagram, *_world_arrays(tables))
-
-
-def _check_world_cap(tables, per_world: int, cap: int) -> None:
-    """Raise ``WorldCapExceeded`` when the worlds of the ``_fixed_tables``
-    times ``per_world`` exceed ``cap``, counting them only when a bound,
-    each table's widest support row per world, exceeds it."""
-    n_pairs = per_world * math.prod(
+    n = per_world * math.prod(
         int((f.values > 0.0).sum(-1).max()) for f in tables)
-    if n_pairs > cap:
+    if n > cap:
         try:
-            n_pairs = _world_count(tables) * per_world
+            n = _world_count(tables) * per_world
         except FactorCapExceeded as e:
             raise WorldCapExceeded(
-                f"a bound of {n_pairs} world/decision pairs exceeds cap "
-                f"{cap}, and counting them: {e}") from None
-    if n_pairs > cap:
-        raise WorldCapExceeded(
-            f"{n_pairs} world/decision pairs exceed cap {cap}")
+                f"a bound of {n} {noun} exceeds cap {cap}, and counting "
+                f"them: {e}") from None
+    if n > cap:
+        raise WorldCapExceeded(f"{n} {noun} exceed cap {cap}")
+    return _world_arrays(tables)
 
 
 def _world_arrays(tables) -> tuple[dict, np.ndarray]:
@@ -358,8 +362,8 @@ def _world_count(tables) -> int:
 
 
 def _fixed_tables(diagram: Diagram) -> list[Factor]:
-    """Each fixed chance node's family factor, in topological order,
-    reduced at "do nothing", once the diagram is in canonical form."""
+    """Each fixed chance node's ``table_factor``, in topological order,
+    once the diagram is in canonical form."""
     _require_hcf(diagram)
     fixed = diagram.fixed_nodes().intersection(diagram.uncertain())
     return [table_factor(diagram, diagram.node(x))
@@ -433,15 +437,13 @@ class WorldTable:
         self.diagram = diagram = _diagram_of(diagram)
         self.decision_instances = enumerate_instances(
             parent_variables(diagram, diagram.decisions()))
-        tables = _fixed_tables(diagram)
         n = len(self.decision_instances)
-        _check_world_cap(tables, n ** 2, cap)
-        self._index, self._weight = _world_arrays(tables)
+        self._index, self._weight = _listed_worlds(
+            diagram, n ** 2, cap, "world/decision pairs")
         given = {x: a[:, None] for x, a in self._index.items()}
         given.update(_indices(diagram, self.decision_instances, (1, -1)))
         self._filled = _fill(diagram, given)
-        i, j = np.array(list(itertools.combinations(range(n), 2)),
-                        dtype=np.intp).reshape(-1, 2).T
+        i, j = np.triu_indices(n, 1)
         shape = (len(self._weight), len(i))
         self._differs = {
             x: int.from_bytes(np.packbits(np.broadcast_to(
@@ -544,26 +546,20 @@ def oracle_is_d_map(d: Diagram, max_cond: int = 2):
         drop = tuple(i for i, v in enumerate(chance) if v not in names)
         return p.sum(axis=drop), scope
 
-    for x, y in itertools.combinations(chance, 2):
+    for x, y in itertools.chain(itertools.combinations(chance, 2),
+                                itertools.product(chance, decisions)):
         others = [v for v in chance if v not in (x, y)]
         for k in range(min(max_cond, len(others)) + 1):
             for Z in itertools.combinations(others, k):
-                g, scope = marginal(frozenset((x, y, *Z)))
-                if _ci_chance(g, scope.index(x), scope.index(y)):
-                    if not d_separated(d, {x}, {y}, set(Z) | set(decisions)):
-                        return False, {"x": x, "y": y, "given": list(Z)}
-
-    for x in chance:
-        for dec in decisions:
-            others = [v for v in chance if v != x]
-            for k in range(min(max_cond, len(others)) + 1):
-                for Z in itertools.combinations(others, k):
-                    g, scope = marginal(frozenset((x, *Z)))
-                    if _ci_decision(g, scope.index(x),
-                                    len(scope) + decisions.index(dec)):
-                        rest = set(decisions) - {dec}
-                        if not d_separated(d, {x}, {dec}, set(Z) | rest):
-                            return False, {"x": x, "y": dec, "given": list(Z)}
+                g, scope = marginal(frozenset((x, y, *Z)).intersection(chance))
+                if y in decisions:
+                    independent = _ci_decision(
+                        g, scope.index(x), len(scope) + decisions.index(y))
+                else:
+                    independent = _ci_chance(g, scope.index(x), scope.index(y))
+                if independent and not d_separated(
+                        d, {x}, {y}, set(Z) | set(decisions) - {y}):
+                    return False, {"x": x, "y": y, "given": list(Z)}
     return True, None
 
 

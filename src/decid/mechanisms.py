@@ -232,17 +232,15 @@ def check_marginal_reproduction(orig: Diagram, hcf: HcfDiagram) -> list[str]:
                 violations.append(
                     f"{x}: prior has no row for fixed parents {z_key}")
                 continue
-            p = np.array(prior_row)[:, None]
-            for i, y_key in enumerate(y_keys):
-                # np.sum would add pairwise; cumsum adds in mapping order,
-                # as a running total does, to the last digit.
-                totals = np.cumsum(np.where(hits[:, i], p, 0.0), axis=0)[-1]
-                for k, state in enumerate(node.states):
-                    total, want = float(totals[k]), float(resp[z, i, k])
-                    if abs(total - want) > TOL:
-                        violations.append(
-                            f"{x}: P({x}={state} | y={y_key}, z={z_key}) is "
-                            f"{want!r} originally but {total!r} under the prior")
+            p = np.array(prior_row)[:, None, None]
+            # np.sum would add pairwise; cumsum adds in mapping order, as
+            # a running total does, to the last digit.
+            totals = np.cumsum(np.where(hits, p, 0.0), axis=0)[-1]
+            for i, k in zip(*np.nonzero(np.abs(totals - resp[z]) > TOL)):
+                total, want = float(totals[i, k]), float(resp[z, i, k])
+                violations.append(
+                    f"{x}: P({x}={node.states[k]} | y={y_keys[i]}, z={z_key}) "
+                    f"is {want!r} originally but {total!r} under the prior")
     return violations
 
 

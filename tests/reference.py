@@ -8,6 +8,10 @@ decision composed in at the cell.  The suites hold ``joint``,
 ``enumerate_worlds`` lists the functional worlds one fixed node at a
 time, a dict per world, reading each node's plain table row; the suites
 hold the index-array listing of ``functional_worlds`` against it.
+``propagate`` carries a world forward under a decision instance, a row
+dict at a time; with ``enumerate_worlds`` it answers counterfactuals
+without reading a factor, for the suites to hold ``counterfactual``
+and the world table against.
 
 ``barren`` names the uncertain variables that have no directed path to
 a set of names, by a walk down from each, so the suites can check that
@@ -92,6 +96,27 @@ def enumerate_worlds(d):
                     nxt.append(({**assignment, node.name: s}, w * p))
         worlds = nxt
     return [FunctionalWorld(a, w) for a, w in worlds]
+
+
+def propagate(d, world, decisions):
+    """Extend a functional world and a decision instance to every
+    variable of the canonical form ``d``, in topological order, one row
+    dict at a time: each other chance node's row is one-hot within
+    ``TOL``, and a utility takes its value's ``f"{v:.12g}"`` label."""
+    assignment = {**world, **decisions}
+    for x in d.topological_order():
+        if x in assignment:
+            continue
+        node = d.node(x)
+        if node.kind == UTILITY:
+            u = node.utility
+            v = u.rows[tuple(assignment[p] for p in u.parent_order)]
+            assignment[x] = f"{v:.12g}"
+        else:
+            row = local_distribution(d, node, assignment)
+            (assignment[x],) = [s for s, p in zip(node.states, row)
+                                if abs(p - 1.0) <= TOL]
+    return assignment
 
 
 def barren(d, names):

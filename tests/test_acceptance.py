@@ -24,6 +24,7 @@ from decid import (BlockingQuery, CounterfactualQuery, Variable,
 from decid.errors import NotObservable, StateSpaceExceeded
 
 from genmodels import random_dag, random_diagram, random_functional_diagram
+import reference
 from reference import enumerate_joint, marginalize
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
@@ -212,12 +213,14 @@ def test_criterion_06_figure_shapes(report):
 def _cf_world_oracle(h, q, target):
     d = h.diagram
     dist, total = {}, 0.0
-    for world in functional_worlds(d):
-        factual = propagate(d, world.assignment, q.factual_decisions)
+    for world in reference.enumerate_worlds(d):
+        factual = reference.propagate(d, world.assignment,
+                                      q.factual_decisions)
         if any(factual[k] != v for k, v in q.factual_evidence.items()):
             continue
         total += world.weight
-        alt = propagate(d, world.assignment, q.counterfactual_decisions)
+        alt = reference.propagate(d, world.assignment,
+                                  q.counterfactual_decisions)
         dist[alt[target]] = dist.get(alt[target], 0.0) + world.weight
     return {k: v / total for k, v in dist.items()}
 

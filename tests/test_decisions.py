@@ -19,6 +19,7 @@ from decid.model import TOL, parent_variables
 
 from genmodels import (random_diagram, random_policy_diagram,
                        random_table_diagram)
+import reference
 from reference import barren, choose, enumerate_joint, enumerate_policies
 
 
@@ -203,6 +204,21 @@ def _cf_corpus():
                 yield h
 
 
+def _reference_answer(worlds, runs, q, states):
+    """The counterfactual from the reference worlds: the weights of the
+    worlds whose factual run meets the evidence, spread over the
+    query's values under the counterfactual decisions.  ``runs`` holds
+    each world's ``reference.propagate`` under each decision instance,
+    keyed by the instance's items."""
+    out = np.zeros([len(states[x]) for x in q.query])
+    for w, cf, world in zip(runs[tuple(q.factual_decisions.items())],
+                            runs[tuple(q.counterfactual_decisions.items())],
+                            worlds):
+        if all(w[x] == s for x, s in q.factual_evidence.items()):
+            out[tuple(states[x].index(cf[x]) for x in q.query)] += world.weight
+    return out
+
+
 def _world_table_answer(table, q, states):
     """The counterfactual from ``WorldTable`` alone: the weights of the
     worlds whose factual run meets the evidence, spread over the
@@ -219,10 +235,11 @@ def _world_table_answer(table, q, states):
 
 def test_counterfactual_matches_the_world_table():
     """Over a thousand seeded counterfactuals, each within 1e-12 of the
-    world table, a route that shares no code with elimination: evidence
-    on mechanisms, affected variables and utilities, queries on the
-    shared layer, on affected variables and on utilities that no
-    decision affects, one or two at a time."""
+    reference worlds and their row-dict runs, a route that shares no
+    code with elimination or the world table, and the world table within
+    1e-12 of them too: evidence on mechanisms, affected variables and
+    utilities, queries on the shared layer, on affected variables and on
+    utilities that no decision affects, one or two at a time."""
     rng = np.random.default_rng(7)
     seen = dict.fromkeys(["set decision", "evidence on a mechanism",
                           "evidence on an affected variable",
@@ -234,6 +251,10 @@ def test_counterfactual_matches_the_world_table():
     for h in _cf_corpus():
         d = h.diagram
         table = WorldTable(d)
+        worlds = reference.enumerate_worlds(d)
+        runs = {tuple(dec.items()): [reference.propagate(d, w.assignment, dec)
+                                     for w in worlds]
+                for dec in table.decision_instances}
         affected = d.descendants(d.decisions())
         states = {x: value_label_node(d.node(x)).states for x in d.names()}
         names = [x for x in d.names() if d.node(x).kind != "decision"]
@@ -257,7 +278,9 @@ def test_counterfactual_matches_the_world_table():
             query = tuple(map(str, rng.choice(
                 pool, min(len(pool), rng.integers(1, 3)), replace=False)))
             q = CounterfactualQuery(factual, evidence, cf, query)
-            want = _world_table_answer(table, q, states)
+            want = _reference_answer(worlds, runs, q, states)
+            np.testing.assert_allclose(_world_table_answer(table, q, states),
+                                       want, rtol=0, atol=1e-12)
             asked += 1
             seen["evidence on a mechanism"] += bool(mechanisms & {*evidence})
             seen["evidence on an affected variable"] += any(
@@ -309,6 +332,8 @@ def test_expected_utility_checks_the_policy(coin_utility):
         with pytest.raises(UnknownVariable,
                            match=r"policy for d has no rule for \(\)"):
             expected_utility(coin_utility, Policy({"d": ()}, rules))
+    with pytest.raises(UnknownVariable, match="^policy has no rules for d$"):
+        expected_utility(coin_utility, Policy({}, {}))
     informed = coin_utility.with_arcs(information=[("c", "d")])
     with pytest.raises(UnknownVariable, match=r"no rule for \('tails',\)"):
         expected_utility(informed,

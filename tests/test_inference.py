@@ -724,14 +724,14 @@ def test_functional_worlds_trip_the_world_cap_before_listing(
     with monkeypatch.context() as patched:
         patched.setattr(inference, "_world_arrays", listed)
         with pytest.raises(WorldCapExceeded, match=(
-                "^15116544 world/decision pairs exceed cap 10000000$")):
+                "^15116544 worlds exceed cap 10000000$")):
             functional_worlds(h.diagram)
     d = to_hcf(m1).diagram
     monkeypatch.setattr(inference, "WORLD_PAIR_CAP", 4)
     assert len(functional_worlds(d)) == 4
     monkeypatch.setattr(inference, "WORLD_PAIR_CAP", 3)
     with pytest.raises(WorldCapExceeded,
-                       match="^4 world/decision pairs exceed cap 3$"):
+                       match="^4 worlds exceed cap 3$"):
         functional_worlds(d)
 
 

@@ -146,7 +146,7 @@ def _calls(work: Path) -> tuple[dict, list]:
 
 
 def main() -> int:
-    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tools"), str(ROOT / "tests")]
+    sys.path[:0] = [str(ROOT / d) for d in ("src", "tools", "tests")]
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         documents, calls = _calls(work)
