@@ -13,7 +13,8 @@ each Y-instance is drawn independently from x's original conditional
 row.  It is the unique independent-response prior reproducing the
 original table; callers may supply their own prior, which
 ``check_marginal_reproduction`` audits against the same marginals.  Both,
-and ``removable_arcs``, read x's table through ``inference.table_factor``.
+and ``removable_arcs``, read x's table through ``inference.table_factor``,
+the read that elimination's ``family_factor`` builds on.
 
 Mechanism states are ordered lexicographically (by the mapping's values
 over lexicographically ordered Y-instances).  Comparisons against any
@@ -232,10 +233,10 @@ def check_marginal_reproduction(orig: Diagram, hcf: HcfDiagram) -> list[str]:
                 violations.append(
                     f"{x}: prior has no row for fixed parents {z_key}")
                 continue
-            p = np.array(prior_row)[:, None, None]
             # np.sum would add pairwise; cumsum adds in mapping order, as
             # a running total does, to the last digit.
-            totals = np.cumsum(np.where(hits, p, 0.0), axis=0)[-1]
+            mass = np.where(hits, np.array(prior_row)[:, None, None], 0.0)
+            totals = np.cumsum(mass, axis=0, out=mass)[-1]
             for i, k in zip(*np.nonzero(np.abs(totals - resp[z]) > TOL)):
                 total, want = float(totals[i, k]), float(resp[z, i, k])
                 violations.append(

@@ -83,6 +83,23 @@ def test_cli_times_runs_every_subcommand():
                                              "--of", "life"]
 
 
+def test_cli_times_claims_on_per_model_ratios():
+    """Every pair won by 10%, on two models ten times apart: the pooled
+    times spread across the models and cannot claim, the ratios to each
+    model's parent median can."""
+    pairs = [{"model": m, "parent": {"wall_s": base * (1 + e), "failed": 0},
+              "change": {"wall_s": base * 0.9 * (1 + e), "failed": 0}}
+             for m, base in (("a.json", 0.1), ("b.json", 1.0))
+             for e in (0.0, 0.01, 0.02, 0.03, 0.04)]
+    metrics = bench_pairs.summarize(cli_times.per_model_ratios(pairs), {
+        "wall_s": "lower", "wall_ratio": "lower"})["metrics"]
+    assert metrics["wall_s"]["change_wins"] == 10
+    assert not metrics["wall_s"]["claim_holds"]
+    assert metrics["wall_ratio"]["change_wins"] == 10
+    assert metrics["wall_ratio"]["claim_holds"]
+    assert abs(metrics["wall_ratio"]["parent"]["median"] - 1.0) < 1e-12
+
+
 def test_seed_lists():
     assert bench_pairs.seed_list("301-304") == [301, 302, 303, 304]
     assert bench_pairs.seed_list("9001,9001") == [9001, 9001]

@@ -9,9 +9,13 @@ Every subcommand runs once per round on each of the fixtures in
 change's ``decid to-hcf --assume-causal``), as a fresh
 ``python -m decid.cli`` process with the side's ``src`` on
 ``PYTHONPATH``.  The side that runs first alternates from call to call.
-One pair is one call on both sides; per subcommand the record holds the
-quartiles of its pairs' times, the pairs the change won, and the claim
-verdict of ``bench_pairs.summarize``.  A call whose exit code is not a
+One pair is one call on both sides.  Per subcommand the record holds,
+for its pairs' times (``wall_s``) and for each time over the parent's
+median on the same model (``wall_ratio``), the quartiles, the pairs the
+change won, and the claim verdict of ``bench_pairs.summarize``.  The
+pairs of a subcommand span every model, so their times spread as far
+as the models differ; the ratios spread only as far as runs of one
+model do, and a claim rests on them.  A call whose exit code is not a
 documented one (0, 2, 3 or 4) counts as failed.  Whether Python writes
 ``.pyc`` files changes what an import costs, so the record states the
 ``PYTHONDONTWRITEBYTECODE`` setting the processes inherited.
@@ -22,6 +26,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -91,6 +96,18 @@ def models(change: Path, work: Path) -> list[tuple[Path, Path | None]]:
     return out
 
 
+def per_model_ratios(pairs: list[dict]) -> list[dict]:
+    """``pairs`` with each side's ``wall_ratio``: its ``wall_s`` over the
+    median of the parent's on the pair's model."""
+    times = {}
+    for p in pairs:
+        times.setdefault(p["model"], []).append(p["parent"]["wall_s"])
+    median = {m: statistics.median(t) for m, t in times.items()}
+    return [p | {side: p[side] | {"wall_ratio": p[side]["wall_s"]
+                                  / median[p["model"]]}
+                 for side in ("parent", "change")} for p in pairs]
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--parent", required=True)
@@ -111,7 +128,7 @@ def main(argv=None) -> int:
             for i, (sub, argv) in enumerate(table):
                 order = (("parent", "change") if (r + i) % 2 == 0
                          else ("change", "parent"))
-                pair = {}
+                pair = {"model": Path(argv[1]).name}
                 for side in order:
                     seconds, code = run(trees[side], argv)
                     pair[side] = {"wall_s": seconds, "exit": code,
@@ -120,7 +137,8 @@ def main(argv=None) -> int:
             print(f"round {r + 1} of {args.rounds} done", file=sys.stderr,
                   flush=True)
 
-    subcommands = {sub: summarize(ps, {"wall_s": "lower"})
+    subcommands = {sub: summarize(per_model_ratios(ps),
+                                  {"wall_s": "lower", "wall_ratio": "lower"})
                    | {"exit_mismatches": sum(p["parent"]["exit"]
                                              != p["change"]["exit"]
                                              for p in ps)}
@@ -132,10 +150,12 @@ def main(argv=None) -> int:
            "subcommands": subcommands}
     Path(args.out).write_text(json.dumps(doc, indent=1) + "\n")
     for sub, s in subcommands.items():
-        w = s["metrics"]["wall_s"]
+        w, r = s["metrics"]["wall_s"], s["metrics"]["wall_ratio"]
         print(f"{sub:17} {w['parent']['median']:.3f} -> "
-              f"{w['change']['median']:.3f} s  won {w['change_wins']}/"
-              f"{w['pairs']}  claim {w['claim_holds']}")
+              f"{w['change']['median']:.3f} s  ratio "
+              f"{r['change']['median']:.3f} [parent {r['parent']['q1']:.3f}-"
+              f"{r['parent']['q3']:.3f}]  won {r['change_wins']}/"
+              f"{r['pairs']}  claim {r['claim_holds']}")
     return 0
 
 
