@@ -30,6 +30,7 @@ it and lists each changed call as a CLI contract change.
 from __future__ import annotations
 
 import contextlib
+import functools
 import hashlib
 import io
 import json
@@ -83,10 +84,13 @@ def output(stdout: str) -> dict:
 def replay(corpus: dict, work: Path) -> list[tuple]:
     """Run every call of ``corpus`` with its documents written to
     ``work``: each call with its exit code and stored output."""
+    from decid import cli
     for name, text in corpus["documents"].items():
         (work / name).write_text(text)
     done = []
-    with mock.patch.dict(os.environ):
+    # The parser is the same for every call, so it is built once.
+    with mock.patch.dict(os.environ), mock.patch.object(
+            cli, "build_parser", functools.cache(cli.build_parser)):
         for call in corpus["calls"]:
             os.environ.update({"CID_CAP_WORLDS": "", **call.get("env", {})})
             code, stdout = run([_real(a, work) for a in call["argv"]])
