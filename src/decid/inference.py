@@ -308,7 +308,8 @@ def functional_worlds(diagram: Diagram) -> list[FunctionalWorld]:
                                                "worlds"))
 
 
-def _listed_worlds(diagram: Diagram, per_world: int, cap: int, noun: str):
+def _listed_worlds(diagram: Diagram, per_world: int, cap: int, noun: str
+                   ) -> tuple[dict, np.ndarray]:
     """The ``_world_arrays`` of the ``_fixed_tables``, once their worlds
     times ``per_world``, counted as ``noun``, are within ``cap``: else
     ``WorldCapExceeded`` before any world is listed.  The worlds are
