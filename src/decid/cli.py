@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import os
 import re
 import sys
@@ -24,6 +25,7 @@ from . import (CapExceeded, HcfDiagram, ModelError, QueryError, UnknownVariable,
 from .model import _diagram_of
 
 EXIT_OK, EXIT_USAGE, EXIT_INVALID, EXIT_QUERY, EXIT_CAP = 0, 1, 2, 3, 4
+JOINT_OUTPUT_CELL_CAP = 10 ** 5
 
 
 class _Parser(argparse.ArgumentParser):
@@ -299,6 +301,10 @@ def _dispatch(args) -> int:
         else:
             if args.evidence:
                 raise QueryError("--evidence requires --query")
+            cells = math.prod(len(d.node(x).states) for x in d.uncertain())
+            if cells > JOINT_OUTPUT_CELL_CAP:
+                raise CapExceeded(f"{cells} joint cells exceed output cap "
+                                  f"{JOINT_OUTPUT_CELL_CAP}; use --query")
             f = decid.joint(d, args.decisions)
         doc = _factor_doc(f)
         return _emit(doc, _pretty_factor, args)
@@ -339,15 +345,12 @@ def _dispatch(args) -> int:
                                      [f"not certifiable: {r}"
                                       for r in o["reasons"]]), args)
 
-    if args.command == "is-d-map":
-        verdict, counterexample = decid.oracle_is_d_map(
-            d, max_cond=args.max_cond)
-        doc = {"is_d_map": verdict, "counterexample": counterexample}
-        return _emit(doc, lambda o: [
-            "D-map" if o["is_d_map"]
-            else f"not a D-map: {o['counterexample']}"], args)
-
-    raise AssertionError(f"unhandled command {args.command}")
+    # is-d-map: argparse refuses every command not handled above.
+    verdict, counterexample = decid.oracle_is_d_map(d, max_cond=args.max_cond)
+    doc = {"is_d_map": verdict, "counterexample": counterexample}
+    return _emit(doc, lambda o: [
+        "D-map" if o["is_d_map"]
+        else f"not a D-map: {o['counterexample']}"], args)
 
 
 def _pretty_factor(doc):

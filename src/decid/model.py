@@ -20,6 +20,9 @@ of names is one int, and ``_reach_bits``, an OR of masks per step, is
 the one walk along all arcs.  Children, parents, the topological order,
 descendants, ancestors and d-separation all read it.
 
+``validate_diagram`` judges a conditional table whole, by builtins over
+its keys and rows, and walks it entry by entry only to word a fault.
+
 Set decisions ("do nothing" / "set x to k") are stored structurally: the
 target's conditional table ranges only over its ordinary parents, and
 ``inference.family_factor`` composes the intervention in as an axis.
@@ -394,7 +397,7 @@ def validate_diagram(d: Diagram) -> list[str]:
 
     for n in d.nodes:
         rel_parents = d.parents(n.name)
-        setdecs = rel_parents & set(d.set_decisions_for(n.name))
+        setdecs = rel_parents.intersection(d._set_decisions.get(n.name, ()))
         if n.kind in (CHANCE, DETERMINISTIC):
             if n.table is None:
                 report.append(f"{n.name}: missing conditional table")
@@ -425,13 +428,11 @@ def validate_diagram(d: Diagram) -> list[str]:
                 continue
             report += row_coverage(n.name, "utility", instance_keys(
                 parent_variables(d, n.utility.parent_order)), n.utility.rows)
-            for k, v in n.utility.rows.items():
-                if not math.isfinite(v):
-                    report.append(f"{n.name}: non-finite utility at {k}")
+            report += [f"{n.name}: non-finite utility at {k}" for k, v in
+                       n.utility.rows.items() if not math.isfinite(v)]
 
     for x in d.uncertain():
-        setdecs = d.set_decisions_for(x)
-        if len(setdecs) > 1:
+        if len(setdecs := d._set_decisions.get(x, ())) > 1:
             report.append(f"{x}: more than one set decision ({sorted(setdecs)})")
 
     if d.decision_order is not None:
@@ -464,12 +465,21 @@ def row_coverage(owner: str, what: str, keys, rows) -> list[str]:
 
 def _check_table(d: Diagram, n: Node) -> list[str]:
     keys = set(instance_keys(parent_variables(d, n.table.parent_order)))
-    report = row_coverage(n.name, "CPT", keys, n.table.rows)
-    for k in sorted(keys.intersection(n.table.rows)):
-        dist = n.table.rows[k]
-        if len(dist) != len(n.states):
+    rows, r = n.table.rows, len(n.states)
+    # A finite sum within TOL rules out NaN and +-inf, so min and max bound
+    # every entry; an exactly one-hot row is one-hot within TOL.
+    if keys == rows.keys() and all(
+            len(p) == r and abs(sum(p) - 1.0) <= TOL and min(p) >= 0.0
+            and max(p) <= 1.0 and (n.kind != DETERMINISTIC or (
+                p.count(1.0) == 1 and p.count(0.0) == r - 1))
+            for p in rows.values()):
+        return []
+    report = row_coverage(n.name, "CPT", keys, rows)
+    for k in sorted(keys.intersection(rows)):
+        dist = rows[k]
+        if len(dist) != r:
             report.append(f"{n.name}: row {k} has {len(dist)} entries, "
-                          f"expected {len(n.states)}")
+                          f"expected {r}")
             continue
         if not all(0 <= p <= 1 for p in dist):
             report.append(f"{n.name}: row {k} has entries outside [0, 1]")

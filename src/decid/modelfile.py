@@ -9,6 +9,7 @@ serialize -> parse is identity, mechanisms section included.
 The parser decodes and ``validate_diagram`` judges: ParseError is for
 what cannot become a Diagram, such as bad JSON, an unknown key or kind,
 or a mechanism that does not bind; a missing or malformed table parses.
+A table row is type-checked and converted whole, by builtins.
 """
 
 from __future__ import annotations
@@ -31,6 +32,8 @@ _MECHANISM_KEYS = {"node", "source", "domain", "fixed_parents", "mappings"}
 _NAMES = "names"     # _get's type tag for a list of strings
 _TYPE_NAMES = {dict: "an object", list: "a list", str: "a string",
                bool: "true or false", _NAMES: "a list of strings"}
+# Exact types: JSON true and false decode to bool, an int subclass.
+_IS_NUMBER = frozenset((int, float)).__contains__
 
 
 def parse_document(text: str):
@@ -140,7 +143,7 @@ def _reject_unknown(obj, allowed, where):
 
 
 def _is_names(value) -> bool:
-    return isinstance(value, list) and all(isinstance(x, str) for x in value)
+    return isinstance(value, list) and all(map(str.__instancecheck__, value))
 
 
 def _get(obj: dict, key, kind, where, default=None):
@@ -179,12 +182,11 @@ def _parse_table(name, spec) -> ConditionalTable:
     parents = _get(spec, "parent_order", _NAMES, name, ())
     rows = {}
     for key, dist in _get(spec, "rows", dict, name, {}).items():
-        # Exact types: JSON true and false decode to bool, an int subclass.
         if not (isinstance(dist, list)
-                and all(type(p) in (int, float) for p in dist)):
+                and all(map(_IS_NUMBER, map(type, dist)))):
             raise ParseError(f"{name}: row {key!r} must be a list of numbers")
         try:
-            rows[_row_key(key)] = tuple(float(p) for p in dist)
+            rows[_row_key(key)] = tuple(map(float, dist))
         except OverflowError:
             raise ParseError(f"{name}: row {key!r} has a number too large "
                              "for a float") from None
@@ -196,7 +198,7 @@ def _parse_utility(name, spec) -> UtilityTable:
     parents = _get(spec, "parents", _NAMES, name, ())
     values = {}
     for key, v in _get(spec, "values", dict, name, {}).items():
-        if type(v) not in (int, float):
+        if not _IS_NUMBER(type(v)):
             raise ParseError(f"{name}: utility value {v!r} at {key!r} "
                              "is not a number")
         try:

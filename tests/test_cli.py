@@ -3,6 +3,7 @@ import itertools
 import json
 import os
 import pathlib
+import runpy
 import subprocess
 import sys
 
@@ -53,6 +54,18 @@ def test_main_exits_with_the_commands_code(monkeypatch, capsys, argv, code):
     monkeypatch.setattr(sys, "argv", ["decid", *argv])
     with pytest.raises(SystemExit) as exit_:
         main()
+    assert (exit_.value.code, capsys.readouterr().out) == want
+
+
+def test_module_run_as_main_exits_with_the_commands_code(monkeypatch,
+                                                         capsys):
+    """``python -m decid.cli`` runs ``main`` through the module's
+    ``__main__`` guard."""
+    want = run(capsys, "fixed-set", model("m1"))
+    monkeypatch.setattr(sys, "argv", ["decid", "fixed-set", model("m1")])
+    with pytest.warns(RuntimeWarning, match="found in sys.modules"), \
+            pytest.raises(SystemExit) as exit_:
+        runpy.run_module("decid.cli", run_name="__main__")
     assert (exit_.value.code, capsys.readouterr().out) == want
 
 
@@ -555,19 +568,49 @@ def test_declared_fixed_decision_is_exit_2(capsys, tmp_path):
 
 def test_elimination_past_the_factor_cap_is_exit_4(capsys, tmp_path):
     """A 40-variable chain: its joint would take 2^40 cells, and the
-    cap trips before any is allocated; one variable's posterior is
-    still answered."""
+    cap trips before any is allocated, asked for as a posterior over
+    every variable; one variable's posterior is still answered.  Asked
+    for without --query, the joint trips the output cap first."""
     path = tmp_path / "chain.json"
     path.write_text(decid.serialize_model(chain(40)))
-    assert run_json(capsys, "infer", str(path), "--decisions", "d=a") == (
+    every = ",".join(f"x{i}" for i in range(40))
+    assert run_json(capsys, "infer", str(path), "--decisions", "d=a",
+                    "--query", every) == (
         4, {"error": "1099511627776 factor cells for the result exceed "
                      "cap 10000000"})
+    assert run_json(capsys, "infer", str(path), "--decisions", "d=a") == (
+        4, {"error": "1099511627776 joint cells exceed output cap 100000; "
+                     "use --query"})
     assert run_json(capsys, "is-d-map", str(path)) == (
         4, {"error": "2199023255552 factor cells for the result exceed "
                      "cap 10000000"})
     code, doc = run_json(capsys, "infer", str(path), "--decisions", "d=a",
                          "--query", "x39", "--evidence", "x0=1")
     assert code == 0 and doc["scope"] == ["x39"]
+
+
+def test_joint_output_past_the_cell_cap_is_exit_4(capsys, monkeypatch,
+                                                  tmp_path):
+    """``infer`` without --query prints the whole joint only up to
+    ``JOINT_OUTPUT_CELL_CAP`` cells, counted from the state counts before
+    any factor is built: ``chain(22)``'s 2^22 cells are refused with a
+    pointer to --query, and a cap of exactly a joint's cells lets it
+    print."""
+    path = tmp_path / "chain.json"
+    path.write_text(decid.serialize_model(chain(22)))
+    assert run_json(capsys, "infer", str(path), "--decisions", "d=a") == (
+        4, {"error": "4194304 joint cells exceed output cap 100000; "
+                     "use --query"})
+    code, doc = run_json(capsys, "infer", str(path), "--decisions", "d=a",
+                         "--query", "x21")
+    assert code == 0 and doc["scope"] == ["x21"]
+    path.write_text(decid.serialize_model(chain(4)))
+    monkeypatch.setattr(decid.cli, "JOINT_OUTPUT_CELL_CAP", 15)
+    assert run_json(capsys, "infer", str(path), "--decisions", "d=a") == (
+        4, {"error": "16 joint cells exceed output cap 15; use --query"})
+    monkeypatch.setattr(decid.cli, "JOINT_OUTPUT_CELL_CAP", 16)
+    code, doc = run_json(capsys, "infer", str(path), "--decisions", "d=a")
+    assert code == 0 and len(doc["probabilities"]) == 16
 
 
 def test_check_hcf_requires_mechanisms(capsys):
