@@ -36,6 +36,13 @@ direction) pairs.  The suites hold ``Diagram.parents``,
 ``Diagram.children``, ``Diagram.topological_order`` and
 ``graphs.d_separated``, which read the bit index, against them.
 
+``parse_table``, ``is_names`` and ``check_table`` are the row decoder
+and the table judge as they were before rows were checked whole: each
+row's types are read entry by entry, and every table is walked row by
+row and entry by entry whether or not it has a fault.  The suites hold
+``parse_document``, ``validate_diagram`` and ``validate_hcf``, which run
+them in place of the builtin checks, to the same errors and reports.
+
 ``enumerate_policies`` lists every policy in canonical order from the
 decision order, the information parents and their instances alone, one
 ``Policy`` at a time, with no cap; ``choose`` reads a policy's rule at
@@ -49,10 +56,13 @@ import math
 
 import numpy as np
 
-from decid import ConditionalTable, Factor, FunctionalWorld, Policy
+from decid import (ConditionalTable, Factor, FunctionalWorld, ParseError,
+                   Policy)
 from decid.model import (CHANCE, DECISION, DETERMINISTIC, DO_NOTHING,
                          SET_PREFIX, TOL, UTILITY, instance_keys,
-                         parent_variables)
+                         parent_variables, row_coverage)
+from decid.modelfile import (_NAMES, _TABLE_KEYS, _get, _reject_unknown,
+                             _row_key)
 
 
 def local_distribution(d, node, assignment):
@@ -297,3 +307,50 @@ def choose(policy, decision, assignment):
     information parents take their values in ``assignment``."""
     key = tuple(assignment[p] for p in policy.info_order[decision])
     return policy.rules[decision][key]
+
+
+def parse_table(name, spec):
+    """A conditional table section decoded row by row, each row's entry
+    types read one at a time."""
+    _reject_unknown(spec, _TABLE_KEYS, f"table for {name}")
+    parents = _get(spec, "parent_order", _NAMES, name, ())
+    rows = {}
+    for key, dist in _get(spec, "rows", dict, name, {}).items():
+        # Exact types: JSON true and false decode to bool, an int subclass.
+        if not (isinstance(dist, list)
+                and all(type(p) in (int, float) for p in dist)):
+            raise ParseError(f"{name}: row {key!r} must be a list of numbers")
+        try:
+            rows[_row_key(key)] = tuple(float(p) for p in dist)
+        except OverflowError:
+            raise ParseError(f"{name}: row {key!r} has a number too large "
+                             "for a float") from None
+    return ConditionalTable(parents, rows)
+
+
+def is_names(value):
+    return isinstance(value, list) and all(isinstance(x, str) for x in value)
+
+
+def check_table(d, n):
+    """Every fault of node ``n``'s table: its missing and unexpected
+    rows, then, row by row in key order, its length, range, sum and (for
+    a deterministic node) one-hot faults."""
+    keys = set(instance_keys(parent_variables(d, n.table.parent_order)))
+    report = row_coverage(n.name, "CPT", keys, n.table.rows)
+    for k in sorted(keys.intersection(n.table.rows)):
+        dist = n.table.rows[k]
+        if len(dist) != len(n.states):
+            report.append(f"{n.name}: row {k} has {len(dist)} entries, "
+                          f"expected {len(n.states)}")
+            continue
+        if not all(0 <= p <= 1 for p in dist):
+            report.append(f"{n.name}: row {k} has entries outside [0, 1]")
+        if abs(sum(dist) - 1.0) > TOL:
+            report.append(f"{n.name}: row sum {sum(dist)!r} != 1 at row {k}")
+        if n.kind == DETERMINISTIC:
+            ones = sum(1 for p in dist if abs(p - 1.0) <= TOL)
+            zeros = sum(1 for p in dist if abs(p) <= TOL)
+            if ones != 1 or zeros != len(dist) - 1:
+                report.append(f"{n.name}: row {k} of deterministic node is not one-hot")
+    return report

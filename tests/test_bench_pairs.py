@@ -17,6 +17,7 @@ def _tool(name):
 
 bench_pairs = _tool("bench_pairs")
 cli_times = _tool("cli_times")      # imports bench_pairs by name
+tier1_times = _tool("tier1_times")
 
 
 PARENT = [800, 810, 820, 830, 840, 850, 860, 870, 880, 890]
@@ -98,6 +99,29 @@ def test_cli_times_claims_on_per_model_ratios():
     assert metrics["wall_ratio"]["change_wins"] == 10
     assert metrics["wall_ratio"]["claim_holds"]
     assert abs(metrics["wall_ratio"]["parent"]["median"] - 1.0) < 1e-12
+
+
+def test_tier1_times_reads_the_closing_summary_line():
+    assert tier1_times.counts("....\n793 passed in 31.20s\n") == {
+        "passed": 793}
+    assert tier1_times.counts(
+        "F.\n= short test summary info =\nFAILED t.py::x - 3 passed in\n"
+        "2 failed, 789 passed, 1 error, 3 warnings in 33.50s\n") == {
+        "failed": 2, "passed": 789, "error": 1, "warning": 3}
+    assert tier1_times.counts("no tests ran in 0.01s\n") == {}
+
+
+def test_tier1_times_runs_the_suite_of_a_tree(tmp_path):
+    """One run of a two-test suite: one test fails, and the record holds
+    both counts, the failure and pytest's exit code."""
+    (tmp_path / "src").mkdir()
+    (tmp_path / "test_two.py").write_text(
+        "def test_passes():\n    pass\n\n\n"
+        "def test_fails():\n    assert False\n")
+    out = tier1_times.run(tmp_path)
+    assert (out["counts"], out["failed"], out["exit"]) == (
+        {"passed": 1, "failed": 1}, 1, 1)
+    assert out["wall_s"] > 0
 
 
 def test_seed_lists():
