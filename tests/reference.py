@@ -329,6 +329,7 @@ def parse_table(name, spec):
 
 
 def is_names(value):
+    """Whether ``value`` is a list of strings, one entry at a time."""
     return isinstance(value, list) and all(isinstance(x, str) for x in value)
 
 

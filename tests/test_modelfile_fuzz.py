@@ -155,7 +155,7 @@ _ENTRIES = {"nan": float("nan"), "inf": float("inf"), "-inf": float("-inf"),
             "2": 2, "0": 0}
 
 
-def _mutate_row(rng, doc) -> str:
+def _mutate_row(rng, doc) -> str | None:
     """One mutation of one row of one table of ``doc``, in place, among
     the rows still of plain numbers in [-2, 2]; returns its kind, or
     None when no such row is left."""
