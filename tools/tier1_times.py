@@ -71,11 +71,10 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as work:
         trees = {"parent": checkout(args.parent, Path(work)),
                  "change": checkout(args.change, Path(work))}
+        sides = ("parent", "change")
         for r in range(args.rounds):
-            order = ("parent", "change") if r % 2 == 0 else ("change",
-                                                             "parent")
             pair = {"round": r + 1}
-            for side in order:
+            for side in sides if r % 2 == 0 else sides[::-1]:
                 pair[side] = run(trees[side])
             pairs.append(pair)
             print(f"round {r + 1}: parent {pair['parent']['wall_s']:.2f} s "
