@@ -9,6 +9,7 @@ human summary with --pretty).  Exit codes: 0 success, 1 usage error,
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -107,6 +108,7 @@ def _factor_doc(f) -> dict:
     }
 
 
+@functools.cache
 def build_parser() -> _Parser:
     p = _Parser(prog="decid",
                 description="Decision-based causality over influence diagrams")
@@ -177,9 +179,8 @@ def build_parser() -> _Parser:
 
 
 def run_command(argv) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else EXIT_USAGE
     try:

@@ -30,8 +30,7 @@ from .errors import (CycleIntroduced, NoDecisionOrder, NotObservable,
 from .graphs import _check_names
 from .inference import (Factor, _check_query, _conditional,
                         _require_full_decisions, _requisite_factors,
-                        _with_axes, eliminate, family_factor,
-                        value_label_node)
+                        eliminate, family_factor, value_label_node)
 from .model import (CHANCE, DECISION, DETERMINISTIC, TOL, Diagram, HcfDiagram,
                     _diagram_of, _require_hcf, instance_keys,
                     parent_variables)
@@ -97,8 +96,7 @@ def _utility_table(d: Diagram, info_order) -> Factor:
     keep = list(dict.fromkeys(d.decisions() + observed))
     # The utility's own factor holds its values, not its value labels.
     factors = _requisite_factors(d, {}, keep + list(u.utility.parent_order))
-    return eliminate(_with_axes(d, [*factors.values(), family_factor(d, u)],
-                                keep), keep)
+    return eliminate([*factors.values(), family_factor(d, u)], keep)
 
 
 def _scorer(q: Factor, info_order):

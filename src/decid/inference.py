@@ -3,16 +3,16 @@
 One core serves every query: ``table_factor`` reads a node's table,
 over its table parents, as one ``Factor``, the table reader of the
 audits in ``mechanisms``; ``family_factor`` builds on that read, adding
-an axis per set decision.
-``eliminate`` sums variables out of a factor product for ``posterior``,
-``joint`` and ``oracle_is_d_map`` and for expected utility and policy
-search in ``decisions``; it sizes every ``np.einsum`` contraction
-that ``_plan`` lists before it runs the first.  The oracles'
-``propagate`` and ``WorldTable`` carry worlds forward by reading each
-deterministic node's factor once, as a lookup from its rows to the
-state each picks, and indexing that lookup.  ``posterior``
-and the expected-utility table drop barren nodes first: only the
-variables asked about and their ancestors enter the elimination.
+an axis per set decision.  ``eliminate`` sums variables out of a factor
+product for ``posterior``, ``joint`` and ``oracle_is_d_map`` and for
+expected utility and policy search in ``decisions``; it sizes every
+``np.einsum`` contraction that ``_plan`` lists before it runs the
+first.  ``_requisite_factors`` lists its operands: the variables asked
+about and their ancestors, barren nodes left out, and for each decision
+asked about and left unbound, chosen and never drawn, a ones factor.
+The oracles' ``propagate`` and ``WorldTable`` carry worlds forward by
+reading each deterministic node's factor once, as a lookup from its
+rows to the state each picks, and indexing that lookup.
 
 The oracles realize fixed-set membership literally: every functional
 world of positive weight (joint instance of the fixed nodes, mechanisms
@@ -137,28 +137,24 @@ def joint(d: Diagram, decisions: Assignment) -> Factor:
 def _requisite_factors(d: Diagram, bound: Assignment, names) -> dict:
     """The family factors, keyed in node order, of the variables among
     ``names`` and their ancestors (a utility's over its value labels),
-    each reduced at the variables of ``bound`` in its scope.  Any other
+    each reduced at ``bound``; a decision among ``names`` that ``bound``
+    leaves free is chosen, never drawn: its factor is ones.  Any other
     uncertain variable is barren: its descendants are too and its rows
     sum to 1, so summing it out multiplies by 1."""
-    need = set(names) | d.ancestors(names)
+    names = set(names)
+    need = names | d.ancestors(names)
     factors = {}
     for n in d.nodes:
-        if n.name in need and n.kind != DECISION:
+        if n.kind != DECISION and n.name in need:
             f = family_factor(d, value_label_node(n))
             for v in f.scope:
                 if v in bound:
                     f = f.reduce(v, bound[v])
             factors[n.name] = f
+        elif n.name in names and n.name not in bound:
+            factors[n.name] = Factor([n.name], [n.states],
+                                     np.ones(len(n.states)))
     return factors
-
-
-def _with_axes(d: Diagram, factors, keep) -> list[Factor]:
-    """``factors`` plus a ones factor for each variable of ``keep`` that
-    none of them reads, so an elimination keeps that variable's axis."""
-    read = {v for f in factors for v in f.scope}
-    return factors + [Factor([x], [d.node(x).states],
-                             np.ones(len(d.node(x).states)))
-                      for x in keep if x not in read]
 
 
 def _require_full_decisions(d: Diagram, decisions: Assignment) -> None:
@@ -225,23 +221,23 @@ def eliminate(factors, keep) -> Factor:
     scope is ``keep``; with no factors it is the unit factor."""
     if not factors:
         return Factor((), (), 1.0)
-    size = {v: len(s) for f in factors for v, s in zip(f.scope, f.states)}
-    plan = _plan([f.scope for f in factors], size, keep)
+    states = {v: s for f in factors for v, s in zip(f.scope, f.states)}
+    plan = _plan([f.scope for f in factors], states, keep)
     for var, _, scope in plan:
-        cells = math.prod(size[v] for v in scope)
+        cells = math.prod(len(states[v]) for v in scope)
         if cells > FACTOR_CELL_CAP:
             step = "the result" if var is None else f"eliminating {var}"
             raise FactorCapExceeded(f"{cells} factor cells for {step} "
                                     f"exceed cap {FACTOR_CELL_CAP}")
     live = dict(enumerate(factors))
     for k, (_, operands, scope) in enumerate(plan, len(live)):
-        live[k] = _contract([live.pop(i) for i in operands], scope)
+        live[k] = _contract([live.pop(i) for i in operands], scope, states)
     return live[k]
 
 
-def _plan(scopes, size, keep) -> list[tuple]:
+def _plan(scopes, states, keep) -> list[tuple]:
     """The contractions that sum every variable outside ``keep`` out of
-    factors over ``scopes`` (``size``: each variable's state count), in
+    factors over ``scopes`` (``states``: each variable's states), in
     order: (variable summed out, None for the result; operand positions,
     counting the factors, then the products made before; output scope).
     A product of at most ``FUSED_CELLS`` cells times the factor count,
@@ -250,7 +246,7 @@ def _plan(scopes, size, keep) -> list[tuple]:
     tie-break.  Past 63 operands, ``np.einsum``'s limit, the first 62
     fold into a product over what the rest or the output still read."""
     n = len(scopes)
-    if n <= 63 and math.prod(size.values()) * n <= FUSED_CELLS:
+    if n <= 63 and math.prod(map(len, states.values())) * n <= FUSED_CELLS:
         return [(None, tuple(range(n)), tuple(keep))]
     scopes, live, plan = list(scopes), list(range(n)), []
 
@@ -264,10 +260,10 @@ def _plan(scopes, size, keep) -> list[tuple]:
         scopes.append(out)
         return len(scopes) - 1
 
-    todo = set(size).difference(keep)
+    todo = set(states).difference(keep)
     while todo:
         graph = {v: set().union(*(scopes[i] for i in live if v in scopes[i]))
-                 for v in size}
+                 for v in states}
         var = min(todo, key=lambda v: (sum(
             b not in graph[a]
             for a, b in itertools.combinations(graph[v] - {v}, 2)), v))
@@ -280,12 +276,12 @@ def _plan(scopes, size, keep) -> list[tuple]:
     return plan
 
 
-def _contract(factors, keep) -> Factor:
-    """The product of at most 63 ``factors`` summed to the scope ``keep``:
-    one ``np.einsum``, each variable an integer subscript."""
-    states = {v: s for f in factors for v, s in zip(f.scope, f.states)}
-    ids = {v: i for i, v in enumerate(states)}
-    args = [a for f in factors for a in (f.values, [ids[v] for v in f.scope])]
+def _contract(factors, keep, states) -> Factor:
+    """The product of at most 63 ``factors`` summed to the scope ``keep``
+    (``states`` maps each variable to its states): one ``np.einsum``."""
+    ids = {}
+    args = [a for f in factors for a in (
+        f.values, [ids.setdefault(v, len(ids)) for v in f.scope])]
     return Factor(keep, [states[v] for v in keep],
                   np.einsum(*args, [ids[v] for v in keep]))
 
@@ -404,12 +400,6 @@ def _fill(d: Diagram, given: dict) -> dict:
     return values
 
 
-def _indices(d: Diagram, cells, shape) -> dict:
-    """State indices of the variables bound in ``cells``, as ``shape``."""
-    return {x: np.reshape([d.node(x).states.index(c[x]) for c in cells], shape)
-            for x in cells[0] if d.has(x)}
-
-
 def propagate(diagram: Diagram, world: Assignment, decisions: Assignment
               ) -> dict:
     """Deterministically extend a functional world and a decision
@@ -418,7 +408,9 @@ def propagate(diagram: Diagram, world: Assignment, decisions: Assignment
     diagram = _diagram_of(diagram)
     _require_hcf(diagram)
     assignment = {**world, **decisions}
-    for x, i in _fill(diagram, _indices(diagram, [assignment], ())).items():
+    given = {x: diagram.node(x).states.index(s)
+             for x, s in assignment.items() if diagram.has(x)}
+    for x, i in _fill(diagram, given).items():
         assignment.setdefault(x, value_label_node(diagram.node(x)).states[i])
     return assignment
 
@@ -436,13 +428,15 @@ class WorldTable:
     def __init__(self, diagram: Diagram, world_pair_cap: int | None = None):
         cap = WORLD_PAIR_CAP if world_pair_cap is None else world_pair_cap
         self.diagram = diagram = _diagram_of(diagram)
-        self.decision_instances = enumerate_instances(
-            parent_variables(diagram, diagram.decisions()))
+        decisions = parent_variables(diagram, diagram.decisions())
+        self.decision_instances = enumerate_instances(decisions)
         n = len(self.decision_instances)
         self._index, self._weight = _listed_worlds(
             diagram, n ** 2, cap, "world/decision pairs")
         given = {x: a[:, None] for x, a in self._index.items()}
-        given.update(_indices(diagram, self.decision_instances, (1, -1)))
+        # ``np.indices`` lists the decision instances in the same order.
+        grid = np.indices([len(v.states) for v in decisions])
+        given.update(zip(diagram.decisions(), grid.reshape(-1, 1, n)))
         self._filled = _fill(diagram, given)
         # The pairs i < j in row order, as ``itertools.combinations``
         # lists them; ``np.triu_indices`` costs several times as much.
@@ -531,10 +525,9 @@ def oracle_is_d_map(d: Diagram, max_cond: int = 2):
     """
     if max_cond < 0:
         raise ValueError(f"max_cond must be non-negative, got {max_cond}")
-    chance = d.uncertain()
-    decisions = d.decisions()
-    factors = [family_factor(d, d.node(x)) for x in chance]
-    p = eliminate(_with_axes(d, factors, decisions), chance + decisions).values
+    chance, decisions = d.uncertain(), d.decisions()
+    factors = _requisite_factors(d, {}, chance + decisions)
+    p = eliminate(list(factors.values()), chance + decisions).values
     largest = min(max_cond + 2, len(chance))
 
     @functools.cache

@@ -6,6 +6,8 @@ import importlib.util
 import json
 import pathlib
 
+import pytest
+
 TOOL = pathlib.Path(__file__).parents[1] / "tools" / "cli_corpus.py"
 _spec = importlib.util.spec_from_file_location("cli_corpus", TOOL)
 cli_corpus = importlib.util.module_from_spec(_spec)
@@ -21,3 +23,16 @@ def test_every_corpus_call_gives_its_recorded_exit_and_stdout(tmp_path):
             changed.append((call["argv"], want, {"exit": code, **stored}))
     assert not changed, changed[:3]
     assert {c["exit"] for c in corpus["calls"]} == {0, 1, 2, 3, 4}
+
+
+@pytest.mark.parametrize("argv,code", [(["--help"], 0), (["--bogus"], 2)])
+def test_the_tool_writes_nothing_on_help_or_an_unknown_argument(
+        monkeypatch, tmp_path, capsys, argv, code):
+    """``--help`` prints usage and an unknown argument is a usage error;
+    neither replays a call or writes the corpus."""
+    monkeypatch.setattr(cli_corpus, "CORPUS", tmp_path / "cli_corpus.json")
+    with pytest.raises(SystemExit) as stop:
+        cli_corpus.main(argv)
+    assert stop.value.code == code
+    assert not cli_corpus.CORPUS.exists()
+    assert "usage:" in capsys.readouterr()[code != 0]

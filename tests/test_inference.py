@@ -22,6 +22,7 @@ from decid.model import TOL, _diagram_of, parent_variables
 
 from genmodels import (chain, grid, random_diagram,
                        random_functional_diagram, random_policy_diagram, star)
+import reference
 from reference import (barren, enumerate_joint, enumerate_worlds, marginalize,
                        multiply)
 
@@ -487,9 +488,9 @@ def test_eliminate_runs_the_plan_in_order(monkeypatch, fused_cells):
                        for _, operands, out in made)
         return made
 
-    def recorded_contract(factors, keep):
+    def recorded_contract(factors, keep, states):
         contracted.append(([f.scope for f in factors], tuple(keep)))
-        return contract(factors, keep)
+        return contract(factors, keep, states)
     monkeypatch.setattr(inference, "_plan", recorded_plan)
     monkeypatch.setattr(inference, "_contract", recorded_contract)
     for seed in range(300):
@@ -545,7 +546,7 @@ def test_long_operand_lists_are_folded_and_sized_first(monkeypatch):
                       initial=0.0) <= 1e-12, keep
     outputs = []
     monkeypatch.setattr(inference, "_contract",
-                        lambda fs, keep: outputs.append(keep))
+                        lambda fs, keep, states: outputs.append(keep))
     monkeypatch.setattr(inference, "FACTOR_CELL_CAP", 5)
     with pytest.raises(FactorCapExceeded, match=(
             r"^6 factor cells for eliminating x exceed cap 5$")):
@@ -811,8 +812,8 @@ def _check_cap_at_the_largest_contraction(monkeypatch, ask):
     outputs = []
     contract = inference._contract
 
-    def recorded(factors, keep):
-        outputs.append(contract(factors, keep))
+    def recorded(factors, keep, states):
+        outputs.append(contract(factors, keep, states))
         return outputs[-1]
     monkeypatch.setattr(inference, "_contract", recorded)
     want = ask().values.tobytes()
@@ -1059,22 +1060,25 @@ def _first_split_world(table, x, C):
                          [(0, 4, 2), (4, 3, 3)])
 def test_big_world_table_matches_propagate(seed, n_chance, max_states):
     """Tables the size of oracle_sweep's heaviest, at least 1024 worlds
-    under 4 decision instances, against ``propagate`` on 200 seeded
-    worlds: every value there, and every ``fixed_given`` verdict, which
-    must group the sample when it holds and is witnessed by a world that
-    ``propagate`` splits when it fails."""
+    under 4 decision instances, against the reference's ``propagate`` on
+    200 seeded worlds of its ``enumerate_worlds``, a route that shares no
+    code with the table: every value there, and every ``fixed_given``
+    verdict, which must group the sample when it holds and is witnessed
+    by a world that the reference splits when it fails."""
     d = to_hcf(random_diagram(seed, n_chance=n_chance, max_states=max_states,
                               n_decisions=2, with_utility=True)).diagram
     table = WorldTable(d)
-    assert len(table.worlds) >= 1024 and len(table.decision_instances) == 4
+    worlds = enumerate_worlds(d)
+    assert len(worlds) >= 1024 and len(table.decision_instances) == 4
+    assert {v.shape for v in table.values.values()} == {(len(worlds), 4)}
 
     @functools.cache
     def rows(k):
-        return [propagate(d, table.worlds[k].assignment, di)
+        return [reference.propagate(d, worlds[k].assignment, di)
                 for di in table.decision_instances]
 
     sample = {k: rows(k) for k in
-              random.Random(seed).sample(range(len(table.worlds)), 200)}
+              random.Random(seed).sample(range(len(worlds)), 200)}
     names = d.uncertain() + [d.utility().name]
     for k, row in sample.items():
         for x in names:

@@ -1,6 +1,7 @@
 """The CLI contract: the exit code and stdout of every corpus call.
 
     python3 tools/cli_corpus.py        # rewrite tests/cli_corpus.json
+    python3 tools/cli_corpus.py --help # print usage, write nothing
 
 The corpus holds, in the order they run:
 
@@ -29,8 +30,8 @@ it and lists each changed call as a CLI contract change.
 
 from __future__ import annotations
 
+import argparse
 import contextlib
-import functools
 import hashlib
 import io
 import json
@@ -84,13 +85,10 @@ def output(stdout: str) -> dict:
 def replay(corpus: dict, work: Path) -> list[tuple]:
     """Run every call of ``corpus`` with its documents written to
     ``work``: each call with its exit code and stored output."""
-    from decid import cli
     for name, text in corpus["documents"].items():
         (work / name).write_text(text)
     done = []
-    # The parser is the same for every call, so it is built once.
-    with mock.patch.dict(os.environ), mock.patch.object(
-            cli, "build_parser", functools.cache(cli.build_parser)):
+    with mock.patch.dict(os.environ):
         for call in corpus["calls"]:
             os.environ.update({"CID_CAP_WORLDS": "", **call.get("env", {})})
             code, stdout = run([_real(a, work) for a in call["argv"]])
@@ -149,7 +147,9 @@ def _calls(work: Path) -> tuple[dict, list]:
     return documents, out
 
 
-def main() -> int:
+def main(argv=None) -> int:
+    argparse.ArgumentParser(
+        description=__doc__.split("\n\n")[0]).parse_args(argv)
     sys.path[:0] = [str(ROOT / d) for d in ("src", "tools", "tests")]
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)

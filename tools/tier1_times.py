@@ -5,7 +5,7 @@
 
 Each side is a git revision or a directory, as in ``bench_pairs.py``.
 One round runs the tier-1 suite once per side, each as a fresh
-``python -m pytest -q --continue-on-collection-errors`` process in the
+``python -m pytest`` process, with ``TIER1``'s arguments, in the
 side's directory with its ``src`` on ``PYTHONPATH``; the side that runs
 first alternates from round to round.  One pair is one round.  Per
 side and round the record holds the wall time (``wall_s``), the counts
@@ -31,6 +31,7 @@ from pathlib import Path
 
 from bench_pairs import checkout, describe, machine, summarize
 
+# The tier-1 suite's pytest arguments; ``untested.py`` runs them too.
 TIER1 = ["-q", "--continue-on-collection-errors", "-p", "no:cacheprovider"]
 # pytest's closing line, as in "2 failed, 789 passed, 1 warning in 33.50s".
 COUNT = re.compile(r"(\d+) (passed|failed|errors?|skipped|xfailed|xpassed"

@@ -23,9 +23,10 @@ import threading
 import types
 from pathlib import Path
 
+from tier1_times import TIER1
+
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "decid"
-TIER1 = ["-q", "--continue-on-collection-errors", "-p", "no:cacheprovider"]
 
 
 def statements(path: Path) -> set[int]:
