@@ -35,4 +35,5 @@ def test_the_tool_writes_nothing_on_help_or_an_unknown_argument(
         cli_corpus.main(argv)
     assert stop.value.code == code
     assert not cli_corpus.CORPUS.exists()
-    assert "usage:" in capsys.readouterr()[code != 0]
+    out, err = capsys.readouterr()
+    assert "usage:" in (err if code else out)
