@@ -1,18 +1,18 @@
 """Exact inference and the semantic fixed-set / cause oracles.
 
-One core serves every query: ``table_factor`` reads a node's table,
-over its table parents, as one ``Factor``, the table reader of the
-audits in ``mechanisms``; ``family_factor`` builds on that read, adding
-an axis per set decision.  ``eliminate`` sums variables out of a factor
-product for ``posterior``, ``joint`` and ``oracle_is_d_map`` and for
-expected utility and policy search in ``decisions``; it sizes every
-``np.einsum`` contraction that ``_plan`` lists before it runs the
-first.  ``_requisite_factors`` lists its operands: the variables asked
-about and their ancestors, barren nodes left out, and for each decision
-asked about and left unbound, chosen and never drawn, a ones factor.
-The oracles' ``propagate`` and ``WorldTable`` carry worlds forward by
-reading each deterministic node's factor once, as a lookup from its
-rows to the state each picks, and indexing that lookup.
+One core serves every query: ``table_factor`` reads a node's table, over
+its table parents, as one ``Factor``, the table reader of the audits in
+``mechanisms``; ``family_factor`` builds on that read, adding an axis
+per set decision.  ``eliminate`` sums variables out of a factor product
+for ``posterior``, ``joint``, ``oracle_is_d_map``, the HCF audit in
+``mechanisms``, and expected utility and policy search in ``decisions``;
+it sizes every ``np.einsum`` contraction that ``_plan`` lists before it
+runs the first.  ``_requisite_factors`` lists its operands: the
+variables asked about and their ancestors, barren nodes left out, and
+for each decision asked about and left unbound, chosen and never drawn,
+a ones factor.  The oracles' ``propagate`` and ``WorldTable`` carry
+worlds forward by reading each deterministic node's factor once, as a
+lookup from its rows to the state each picks, and indexing that lookup.
 
 The oracles realize fixed-set membership literally: every functional
 world of positive weight (joint instance of the fixed nodes, mechanisms
@@ -392,8 +392,7 @@ def _fill(d: Diagram, given: dict) -> dict:
             continue
         node = value_label_node(d.node(x))
         if node.kind != DETERMINISTIC:
-            role = "decision" if node.kind == DECISION else "world"
-            raise UnknownVariable(f"missing {role} binding for {x}")
+            raise UnknownVariable(f"missing world binding for {x}")
         f = family_factor(d, node)
         lookup = (np.abs(f.values - 1.0) <= TOL).argmax(axis=-1)
         values[x] = lookup[tuple(values[p] for p in f.scope[:-1])]
@@ -402,14 +401,17 @@ def _fill(d: Diagram, given: dict) -> dict:
 
 def propagate(diagram: Diagram, world: Assignment, decisions: Assignment
               ) -> dict:
-    """Deterministically extend a functional world and a decision
+    """Deterministically extend a world of fixed variables and a decision
     instance to every variable of ``diagram``, or of an ``HcfDiagram``'s.
     Utility nodes get their value's string form, to be oracle targets."""
     diagram = _diagram_of(diagram)
     _require_hcf(diagram)
+    _require_full_decisions(diagram, decisions)
+    _check_query(diagram.node, world, [])
+    if unfixed := sorted(set(world) - diagram.fixed_nodes()):
+        raise UnknownVariable(f"{unfixed[0]} is not a fixed variable")
     assignment = {**world, **decisions}
-    given = {x: diagram.node(x).states.index(s)
-             for x, s in assignment.items() if diagram.has(x)}
+    given = {x: diagram.node(x).states.index(s) for x, s in assignment.items()}
     for x, i in _fill(diagram, given).items():
         assignment.setdefault(x, value_label_node(diagram.node(x)).states[i])
     return assignment

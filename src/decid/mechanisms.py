@@ -12,9 +12,9 @@ The default mechanism prior is the product completion: the response at
 each Y-instance is drawn independently from x's original conditional
 row.  It is the unique independent-response prior reproducing the
 original table; callers may supply their own prior, which
-``check_marginal_reproduction`` audits against the same marginals.  Both,
-and ``removable_arcs``, read x's table through ``inference.table_factor``,
-the read that elimination's ``family_factor`` builds on.
+``check_marginal_reproduction`` audits by one ``inference.eliminate``
+over the canonical form's tables of x and its mechanism, as every query
+reads them.  Audits and prior read through ``inference.table_factor``.
 
 Mechanism states are ordered lexicographically (by the mapping's values
 over lexicographically ordered Y-instances).  Comparisons against any
@@ -32,7 +32,7 @@ import numpy as np
 from .errors import (MechanismError, NotCausal, ReassessmentRequired,
                      StateSpaceExceeded, UnknownVariable)
 from .graphs import is_set_decision
-from .inference import table_factor
+from .inference import eliminate, table_factor
 from .model import (CHANCE, DECISION, DETERMINISTIC, TOL, ConditionalTable,
                     Diagram, HcfDiagram, MechanismSpec, Node, StateMapping,
                     Variable, _mechanism_violations, chance_node,
@@ -198,13 +198,13 @@ def to_hcf(d: Diagram, assume_causal: bool = False,
 
 
 def check_marginal_reproduction(orig: Diagram, hcf: HcfDiagram) -> list[str]:
-    """Verify each mechanism prior reproduces the original conditional
-    table: summing P(f | z) over mappings with f(y) = k must give
-    P(x = k | y, z).  A mechanism whose target the original lacks, or
-    has with parents other than its domain and fixed parents (a prior
-    conditioned on another mechanism, say), is one violation.  Returns
-    all violations; empty means pass."""
-    violations = []
+    """The violations of marginal reproduction, none when every prior
+    passes: P(x | y, z), eliminated from ``hcf``'s tables of x and its
+    mechanism, must be the original's.  A mechanism whose x is no chance
+    node of the original, has other parents there than its domain and
+    fixed parents (a prior on another mechanism, say), or other parents
+    in ``hcf`` than its domain and mechanism, is one violation."""
+    d, violations = hcf.diagram, []
     for spec in hcf.mechanisms:
         x, parents = spec.target, set(spec.domain) | set(spec.fixed_parents)
         node = orig.node(x) if orig.has(x) else None
@@ -218,30 +218,27 @@ def check_marginal_reproduction(orig: Diagram, hcf: HcfDiagram) -> list[str]:
                 f"{sorted(node.table.parent_order)} in the original, not "
                 f"{sorted(parents)}")
             continue
-        resp = _responses(orig, node, spec.domain, spec.fixed_parents)
-        y_keys = instance_keys(parent_variables(orig, spec.domain))
-        index = {s: k for k, s in enumerate(node.states)}
-        states = np.reshape([index.get(s, -1) for m in spec.states for s in m],
-                            (len(spec.states), len(y_keys)))
-        hits = states[:, :, None] == np.arange(len(node.states))
+        source, inputs = d.node(x).table, {*spec.domain, spec.name}
+        if source is None or set(source.parent_order) != inputs:
+            violations.append(f"{spec.name}: the canonical form does not "
+                              f"tabulate {x} over {sorted(inputs)}")
+            continue
         z_keys = instance_keys(parent_variables(orig, spec.fixed_parents))
-        for z, z_key in enumerate(z_keys):
-            # A prior table keyed in another order than the declared
-            # fixed parents has no such row.
-            prior_row = spec.prior.rows.get(z_key)
-            if prior_row is None:
-                violations.append(
-                    f"{x}: prior has no row for fixed parents {z_key}")
-                continue
-            # np.sum would add pairwise; cumsum adds in mapping order, as
-            # a running total does, to the last digit.
-            mass = np.where(hits, np.array(prior_row)[:, None, None], 0.0)
-            totals = np.cumsum(mass, axis=0, out=mass)[-1]
-            for i, k in zip(*np.nonzero(np.abs(totals - resp[z]) > TOL)):
-                total, want = float(totals[i, k]), float(resp[z, i, k])
-                violations.append(
-                    f"{x}: P({x}={node.states[k]} | y={y_keys[i]}, z={z_key}) "
-                    f"is {want!r} originally but {total!r} under the prior")
+        rows = d.node(spec.name).table.rows
+        if missing := [z for z in z_keys if z not in rows]:
+            violations += [f"{x}: prior has no row for fixed parents {z}"
+                           for z in missing]
+            continue
+        resp = _responses(orig, node, spec.domain, spec.fixed_parents)
+        totals = eliminate(
+            [table_factor(d, d.node(n)) for n in (x, spec.name)],
+            [*spec.fixed_parents, *spec.domain, x]).values.reshape(resp.shape)
+        y_keys = instance_keys(parent_variables(orig, spec.domain))
+        for z, i, k in zip(*np.nonzero(np.abs(totals - resp) > TOL)):
+            total, want = float(totals[z, i, k]), float(resp[z, i, k])
+            violations.append(
+                f"{x}: P({x}={node.states[k]} | y={y_keys[i]}, z={z_keys[z]}) "
+                f"is {want!r} originally but {total!r} under the prior")
     return violations
 
 

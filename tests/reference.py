@@ -24,6 +24,10 @@ hold elimination's one-contraction steps against them.
 ``removable_arcs`` and ``product_prior`` walk a node's row dicts key by
 key, the arc test and the mechanism prior as the definitions state them;
 the suites hold the factor-indexing versions against them.
+``reproduction`` walks a canonical form's row dicts the same way, the
+marginals each mechanism's prior gives its source through the source's
+deterministic table; the suites hold the elimination of
+``check_marginal_reproduction`` against it.
 
 ``reach`` is reachability over name sets, a walk from each source that
 enters no node of ``avoid``; the suites hold the bit-mask walk behind
@@ -210,6 +214,33 @@ def product_prior(d, target, domain, z_parents):
             dist.append(p)
         rows[z_key] = tuple(dist)
     return ConditionalTable(tuple(z_parents), rows)
+
+
+def reproduction(orig, hcf):
+    """P(x = k | y, z) for each mechanism's source x, as ``orig``'s table
+    gives it and as ``hcf`` gives it, keyed by (x, z instance, y
+    instance, k): a running sum over the mechanism's states of the prior
+    entry times x's row entry, one row dict lookup at a time."""
+    d, out = hcf.diagram, {}
+    for spec in hcf.mechanisms:
+        x, mech = d.node(spec.target), d.node(spec.name)
+        table = orig.node(spec.target).table
+        for z_key in instance_keys(parent_variables(d, spec.fixed_parents)):
+            bound = dict(zip(spec.fixed_parents, z_key))
+            prior = mech.table.rows[tuple(bound[a] for a in
+                                          mech.table.parent_order)]
+            for y_key in instance_keys(parent_variables(d, spec.domain)):
+                bound.update(zip(spec.domain, y_key))
+                want = table.rows[tuple(bound[a] for a in table.parent_order)]
+                totals = [0.0] * len(x.states)
+                for label, p in zip(mech.states, prior):
+                    bound[spec.name] = label
+                    row = x.table.rows[tuple(bound[a] for a in
+                                             x.table.parent_order)]
+                    totals = [t + p * r for t, r in zip(totals, row)]
+                for k, state in enumerate(x.states):
+                    out[x.name, z_key, y_key, state] = (want[k], totals[k])
+    return out
 
 
 def reach(arcs, sources, avoid=frozenset()):

@@ -355,6 +355,26 @@ def test_check_hcf_flags_broken_prior(capsys, tmp_path):
     assert report["pass"] is False and report["violations"]
 
 
+def test_check_hcf_reads_the_source_table(capsys, tmp_path):
+    """A reversed row of the source's deterministic table is caught, as
+    every query on the document would read it."""
+    out = tmp_path / "m1_hcf.json"
+    run(capsys, "to-hcf", model("m1"), "-o", str(out))
+    doc = json.loads(out.read_text())
+    doc["deterministic"]["lung_cancer"]["rows"]["no|no,no"] = [0.0, 1.0]
+    out.write_text(json.dumps(doc))
+    assert run_json(capsys, "validate", str(out)) == (
+        0, {"valid": True, "violations": []})
+    code, report = run_json(capsys, "check-hcf", str(out),
+                            "--original", model("m1"))
+    assert code == 3
+    assert report["violations"] == [
+        "lung_cancer: P(lung_cancer=no | y=('no',), z=()) is 0.95 "
+        "originally but 0.19 under the prior",
+        "lung_cancer: P(lung_cancer=yes | y=('no',), z=()) is 0.05 "
+        "originally but 0.81 under the prior"]
+
+
 @pytest.mark.parametrize("source,original,violations", [
     ("fig1", "m1", [
         "cardio(diet): the original has no chance node cardio",

@@ -583,6 +583,13 @@ def test_propagate_rejects_non_hcf(m1):
 @pytest.mark.parametrize("world,decisions,error", [
     ({"c": "heads"}, {}, "missing decision binding for d"),
     ({}, {"d": "heads"}, "missing world binding for c"),
+    ({"c": "heads", "zz": "x"}, {"d": "heads"}, "unknown variable 'zz'"),
+    ({"c": "heads"}, {"d": "heads", "zz": "x"}, "unknown variable 'zz'"),
+    ({"c": "edge"}, {"d": "heads"}, "'edge' is not a state of c"),
+    ({"c": "heads"}, {"d": "edge"}, "'edge' is not an alternative of d"),
+    ({"c": "heads", "w": "lose"}, {"d": "heads"}, "w is not a fixed variable"),
+    ({"c": "heads", "d": "tails"}, {"d": "heads"},
+     "d is not an uncertain variable"),
 ])
 def test_propagate_needs_every_binding(coin, world, decisions, error):
     with pytest.raises(UnknownVariable, match=f"^{error}$"):

@@ -1,4 +1,6 @@
+import ast
 import itertools
+import random
 import re
 
 import pytest
@@ -7,17 +9,17 @@ from decid import (Diagram, HcfDiagram, MechanismSpec, Variable,
                    canonical_mechanism_prior, chance_node,
                    check_marginal_reproduction, decision_node,
                    enumerate_mechanism_states, joint, mechanism_name,
-                   mechanism_state_label, set_decision_node, to_hcf,
-                   validate_diagram, validate_hcf)
+                   mechanism_state_label, posterior, set_decision_node,
+                   to_hcf, validate_diagram, validate_hcf)
 from decid import (CounterfactualQuery, WorldTable, counterfactual,
                    mechanisms)
 from decid.errors import (MechanismError, ModelError, NotCausal, NotHcf,
                           ReassessmentRequired, StateSpaceExceeded,
                           UnknownVariable)
-from decid.model import ConditionalTable
+from decid.model import TOL, ConditionalTable
 
 from genmodels import random_diagram, random_table_diagram
-from reference import marginalize, product_prior
+from reference import marginalize, product_prior, reproduction
 
 SMOKE = Variable("smoke", ("no", "yes"))
 LC = Variable("lung_cancer", ("no", "yes"))
@@ -323,13 +325,18 @@ def _below_smoke(h):
                                   prior=prior),))
 
 
+def _with_node(h, node):
+    """``h`` with ``node`` in place of its namesake."""
+    return HcfDiagram(h.diagram._replace(nodes=tuple(
+        node if n.name == node.name else n for n in h.diagram.nodes)),
+        h.mechanisms)
+
+
 def _chance_target(h):
     lc = h.diagram.node("lung_cancer")
     rows = dict.fromkeys(lc.table.rows, (0.5, 0.5))
-    node = chance_node("lung_cancer", lc.states, lc.table.parent_order, rows)
-    return HcfDiagram(h.diagram._replace(nodes=tuple(
-        node if n.name == "lung_cancer" else n for n in h.diagram.nodes)),
-        h.mechanisms)
+    return _with_node(h, chance_node("lung_cancer", lc.states,
+                                     lc.table.parent_order, rows))
 
 
 @pytest.mark.parametrize("edit,violations", [
@@ -425,10 +432,53 @@ def test_product_prior_reproduces_marginals(m1, fig6a):
 
 
 def test_prior_without_a_row_fails_reproduction(m1):
+    """The audit reads the mechanism node's rows; ``validate_hcf`` holds
+    the spec's prior to its fixed parents."""
     h = to_hcf(m1)
+    mech = h.diagram.node("lung_cancer(smoke)")
+    rowless = _with_node(h, chance_node(mech.name, mech.states, (), {}))
+    assert check_marginal_reproduction(m1, rowless) == [
+        "lung_cancer: prior has no row for fixed parents ()"]
     spec = h.mechanisms[0]._replace(prior=ConditionalTable((), {}))
-    assert check_marginal_reproduction(m1, HcfDiagram(h.diagram, (spec,))) \
-        == ["lung_cancer: prior has no row for fixed parents ()"]
+    assert validate_hcf(HcfDiagram(h.diagram, (spec,))) == [
+        "mechanism lung_cancer(smoke): missing prior row ()"]
+    assert check_marginal_reproduction(
+        m1, HcfDiagram(h.diagram, (spec,))) == []
+
+
+def test_a_reversed_source_row_fails_reproduction(m1):
+    """The audit reads the source's table, as every query does: with
+    lung_cancer's row for smoke=no under the mapping "no,no" reversed,
+    the canonical form still validates, but gives P(lung_cancer=no |
+    smoke=no) as 0.19, not 0.95."""
+    h = to_hcf(m1)
+    lc = h.diagram.node("lung_cancer")
+    rows = {**lc.table.rows, ("no", "no,no"): (0.0, 1.0)}
+    tampered = _with_node(h, chance_node(
+        lc.name, lc.states, lc.table.parent_order, rows, deterministic=True))
+    assert validate_hcf(tampered) == []
+    assert posterior(tampered, {"smoke": "no"}, {}, ["lung_cancer"]).value(
+        {"lung_cancer": "no"}) == pytest.approx(0.19)
+    assert check_marginal_reproduction(m1, tampered) == [
+        "lung_cancer: P(lung_cancer=no | y=('no',), z=()) is 0.95 "
+        "originally but 0.19 under the prior",
+        "lung_cancer: P(lung_cancer=yes | y=('no',), z=()) is 0.05 "
+        "originally but 0.81 under the prior"]
+
+
+@pytest.mark.parametrize("source", [
+    chance_node("lung_cancer", LC.states, ("lung_cancer(smoke)",), {},
+                deterministic=True),
+    chance_node("lung_cancer", LC.states, ("smoke",), {},
+                deterministic=True),
+    decision_node("lung_cancer", LC.states)])
+def test_a_source_off_its_domain_and_mechanism_fails_reproduction(m1,
+                                                                  source):
+    """A canonical form that does not tabulate the source over exactly
+    its domain and its mechanism is one violation, not an error."""
+    assert check_marginal_reproduction(m1, _with_node(to_hcf(m1), source)) \
+        == ["lung_cancer(smoke): the canonical form does not tabulate "
+            "lung_cancer over ['lung_cancer(smoke)', 'smoke']"]
 
 
 def test_uniform_prior_fails_reproduction(m1):
@@ -440,6 +490,54 @@ def test_uniform_prior_fails_reproduction(m1):
     violations = check_marginal_reproduction(m1, h)
     assert violations
     assert all("lung_cancer" in v for v in violations)
+
+
+def _perturbed_hcf(seed):
+    """A seeded diagram and its canonical form under priors whose rows
+    are each kept, renormalised at random, or scaled by 1 + 1e-10 u."""
+    d = (random_diagram(seed, n_chance=4, max_states=3, n_decisions=2)
+         if seed % 2 else random_table_diagram(seed))
+    rng = random.Random(-1 - seed)
+    priors = {}
+    for m in to_hcf(d).mechanisms:
+        rows = {}
+        for key, row in m.prior.rows.items():
+            how = rng.randrange(3)
+            if how == 1:
+                w = [p * rng.random() for p in row]
+                row = tuple(p / sum(w) for p in w)
+            elif how == 2:
+                row = tuple(p * (1 + 1e-10 * rng.uniform(-1, 1)) for p in row)
+            rows[key] = row
+        priors[m.target] = m._replace(prior=m.prior._replace(rows=rows))
+    return d, to_hcf(d, priors=priors)
+
+
+VIOLATION = re.compile(r"(\w+): P\(\1=(\w+) \| y=(\(.*\)), z=(\(.*\))\) "
+                       r"is (\S+) originally but (\S+) under the prior")
+
+
+def test_reproduction_audit_matches_the_row_walk():
+    """Over 300 canonical forms with perturbed priors, the audit flags
+    exactly the cells the row-dict walk of ``reference.reproduction``
+    puts beyond ``TOL``, with the same totals to 1e-12."""
+    flagged = passed = 0
+    for seed in range(300):
+        d, h = _perturbed_hcf(seed)
+        cells = reproduction(d, h)
+        want = {key for key, (p, total) in cells.items()
+                if abs(total - p) > TOL}
+        got = []
+        for v in check_marginal_reproduction(d, h):
+            x, k, y, z, p, total = VIOLATION.fullmatch(v).groups()
+            key = (x, ast.literal_eval(z), ast.literal_eval(y), k)
+            assert float(p) == cells[key][0], (seed, v)
+            assert abs(float(total) - cells[key][1]) <= 1e-12, (seed, v)
+            got.append(key)
+        assert sorted(got) == sorted(want), seed
+        flagged += len(got)
+        passed += bool(h.mechanisms) and not got
+    assert flagged >= 1000 and passed >= 50, (flagged, passed)
 
 
 @pytest.mark.parametrize("seed", range(8))
