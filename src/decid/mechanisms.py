@@ -198,12 +198,12 @@ def to_hcf(d: Diagram, assume_causal: bool = False,
 
 
 def check_marginal_reproduction(orig: Diagram, hcf: HcfDiagram) -> list[str]:
-    """The violations of marginal reproduction, none when every prior
-    passes: P(x | y, z), eliminated from ``hcf``'s tables of x and its
-    mechanism, must be the original's.  A mechanism whose x is no chance
-    node of the original, has other parents there than its domain and
-    fixed parents (a prior on another mechanism, say), or other parents
-    in ``hcf`` than its domain and mechanism, is one violation."""
+    """The violations of marginal reproduction: P(x | y, z), eliminated
+    from ``hcf``'s tables of x and its mechanism, must be the original's.
+    A mechanism is one violation if x is no chance node of the original;
+    if x's parents are not its domain and fixed parents there (a prior
+    on another mechanism, say), or its domain and mechanism in ``hcf``;
+    or if ``hcf`` states x or a parent otherwise."""
     d, violations = hcf.diagram, []
     for spec in hcf.mechanisms:
         x, parents = spec.target, set(spec.domain) | set(spec.fixed_parents)
@@ -219,15 +219,16 @@ def check_marginal_reproduction(orig: Diagram, hcf: HcfDiagram) -> list[str]:
                 f"{sorted(parents)}")
             continue
         source, inputs = d.node(x).table, {*spec.domain, spec.name}
-        if source is None or set(source.parent_order) != inputs:
+        if source is None or set(source.parent_order) != inputs or any(
+                d.node(v).states != orig.node(v).states for v in (x, *parents)):
             violations.append(f"{spec.name}: the canonical form does not "
-                              f"tabulate {x} over {sorted(inputs)}")
+                              f"tabulate {x} over {sorted(inputs)} in the "
+                              "original's states")
             continue
         z_keys = instance_keys(parent_variables(orig, spec.fixed_parents))
-        rows = d.node(spec.name).table.rows
-        if missing := [z for z in z_keys if z not in rows]:
-            violations += [f"{x}: prior has no row for fixed parents {z}"
-                           for z in missing]
+        if missing := [f"{x}: prior has no row for fixed parents {z}" for z in
+                       z_keys if z not in d.node(spec.name).table.rows]:
+            violations += missing
             continue
         resp = _responses(orig, node, spec.domain, spec.fixed_parents)
         totals = eliminate(

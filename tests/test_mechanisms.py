@@ -466,19 +466,23 @@ def test_a_reversed_source_row_fails_reproduction(m1):
         "originally but 0.81 under the prior"]
 
 
-@pytest.mark.parametrize("source", [
+@pytest.mark.parametrize("node", [
     chance_node("lung_cancer", LC.states, ("lung_cancer(smoke)",), {},
                 deterministic=True),
     chance_node("lung_cancer", LC.states, ("smoke",), {},
                 deterministic=True),
+    chance_node("lung_cancer", ("yes", "no"),
+                ("smoke", "lung_cancer(smoke)"), {}, deterministic=True),
+    decision_node("smoke", ("no", "yes", "maybe")),
     decision_node("lung_cancer", LC.states)])
-def test_a_source_off_its_domain_and_mechanism_fails_reproduction(m1,
-                                                                  source):
+def test_a_source_off_its_domain_and_mechanism_fails_reproduction(m1, node):
     """A canonical form that does not tabulate the source over exactly
-    its domain and its mechanism is one violation, not an error."""
-    assert check_marginal_reproduction(m1, _with_node(to_hcf(m1), source)) \
-        == ["lung_cancer(smoke): the canonical form does not tabulate "
-            "lung_cancer over ['lung_cancer(smoke)', 'smoke']"]
+    its domain and its mechanism, in the original's states, is one
+    violation, not an error."""
+    assert check_marginal_reproduction(m1, _with_node(to_hcf(m1), node)) == [
+        "lung_cancer(smoke): the canonical form does not tabulate "
+        "lung_cancer over ['lung_cancer(smoke)', 'smoke'] in the "
+        "original's states"]
 
 
 def test_uniform_prior_fails_reproduction(m1):
