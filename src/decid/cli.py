@@ -288,7 +288,7 @@ def _dispatch(args) -> int:
         doc = {"pass": not violations, "violations": violations,
                "priors": {m.name: {
                    "|".join(k): [sig12(p) for p in row]
-                   for k, row in sorted(m.prior.rows.items())}
+                   for k, row in sorted(d.node(m.name).table.rows.items())}
                    for m in parsed.mechanisms}}
         _emit(doc, lambda o: (["all mechanism priors reproduce the original "
                                "tables"] if o["pass"] else

@@ -35,9 +35,9 @@ from .graphs import is_set_decision
 from .inference import eliminate, table_factor
 from .model import (CHANCE, DECISION, DETERMINISTIC, TOL, ConditionalTable,
                     Diagram, HcfDiagram, MechanismSpec, Node, StateMapping,
-                    Variable, _mechanism_violations, chance_node,
-                    instance_keys, mechanism_name, mechanism_state_label,
-                    parent_variables)
+                    Variable, _check_table, _mechanism_violations,
+                    chance_node, instance_keys, mechanism_name,
+                    mechanism_state_label, parent_variables)
 
 MECHANISM_STATE_CAP = 10 ** 6
 
@@ -122,7 +122,8 @@ def to_hcf(d: Diagram, assume_causal: bool = False,
     depend on one another (the marginalized-common-cause case) are
     assessed here too: a spec's ``fixed_parents`` may name another
     mechanism, and its prior table conditions on it.  The transformation
-    cannot invent such a dependency.
+    cannot invent such a dependency.  A given prior is judged as every
+    table is.  Each spec returned has its mechanism node's table as prior.
     """
     if not (d.causal or assume_causal):
         raise NotCausal("diagram is not annotated causal; "
@@ -165,8 +166,7 @@ def to_hcf(d: Diagram, assume_causal: bool = False,
         elif (spec.target, spec.domain) != (x, domain):
             raise UnknownVariable(f"the prior given for {x} is for {spec.name}"
                                   f", not {mech}")
-        elif errors := _mechanism_violations(
-                spec, {k: n.states for k, n in nodes.items()}):
+        elif errors := _mechanism_violations(spec, nodes):
             raise MechanismError(errors[0])
         labels = [mechanism_state_label(m) for m in spec.states]
         nodes[mech] = chance_node(mech, labels, spec.fixed_parents,
@@ -185,11 +185,14 @@ def to_hcf(d: Diagram, assume_causal: bool = False,
                      if not (b == x and a in z_parents)]
         relevance.extend((z, mech) for z in spec.fixed_parents)
         relevance.append((mech, x))
-        mechanisms.append(spec)
+        mechanisms.append(spec._replace(prior=nodes[mech].table))
 
     out = Diagram(tuple(nodes.values()), tuple(relevance), d.information_arcs,
                   d.decision_order, causal=True,
                   declared_fixed=d.declared_fixed)
+    if errors := [e for m in mechanisms if m.target in priors
+                  for e in _check_table(out, out.node(m.name))]:
+        raise MechanismError(errors[0])
     return HcfDiagram(out, tuple(mechanisms))
 
 

@@ -556,20 +556,19 @@ def mechanism_state_label(mapping: StateMapping) -> str:
     return ",".join(mapping)
 
 
-def _mechanism_violations(spec: MechanismSpec, states_of, mech=None
+def _mechanism_violations(spec: MechanismSpec, nodes, mech=None
                           ) -> list[str]:
-    """Why ``spec`` is no mechanism over the variables ``states_of``
-    (name -> states in order), in the order checked; an unknown name is
-    the only one reported.  A ``mech`` given is the name its source and
-    domain must give, and names it in the messages."""
+    """Why ``spec`` is no mechanism over ``nodes`` (name -> Node), in the
+    order checked; an unknown name is the only one reported.  A ``mech``
+    given is the name its source and domain must give, and names it in
+    the messages.  Its prior must be its node's table, if built."""
     at = f"mechanism {mech or spec.name}"
     for role, names in (("source", [spec.target]), ("domain variable",
                         spec.domain), ("fixed parent", spec.fixed_parents)):
-        unknown = [v for v in names if v not in states_of]
-        if unknown:
+        if unknown := [v for v in names if v not in nodes]:
             return [f"{at}: unknown {role} {unknown[0]!r}"]
-    target, n = states_of[spec.target], len(spec.states)
-    r, q = len(target), math.prod(len(states_of[v]) for v in spec.domain)
+    target, n = dict.fromkeys(nodes[spec.target].states), len(spec.states)
+    r, q = len(target), math.prod(len(nodes[v].states) for v in spec.domain)
     # A long domain's r ** q would not fit in memory; no list is that long.
     count = r ** q if q < 64 or r < 2 else f"{r}^{q}"
     report = [f"{at}: {n} mappings for {count} states"] if n != count else []
@@ -579,22 +578,21 @@ def _mechanism_violations(spec: MechanismSpec, states_of, mech=None
                           f"per domain instance ({q})")
         report += [f"{at}: mapping {k} names {s!r}, not a state of "
                    f"{spec.target}" for s in m if s not in target]
-    if not report:      # the mechanism node's k-th state labels mapping k
-        labels = zip(map(mechanism_state_label, spec.states),
-                     states_of.get(mech or spec.name, ()))
+    node = nodes.get(mech or spec.name)
+    if node is not None and not report:     # its k-th state labels mapping k
+        labels = zip(map(mechanism_state_label, spec.states), node.states)
         report = [f"{at}: mapping {k} is {a!r}, but state {k} of the node is "
                   f"{b!r}" for k, (a, b) in enumerate(labels) if a != b]
-    prior = spec.prior
-    if prior.parent_order != spec.fixed_parents:
-        return report + [f"{at}: prior is keyed by {list(prior.parent_order)}"
-                         f", not the fixed parents {list(spec.fixed_parents)}"]
-    report += row_coverage(at, "prior", itertools.product(
-        *(states_of[z] for z in spec.fixed_parents)), prior.rows)
-    report += [f"{at}: prior row {key} has {len(row)} entries, not one per "
-               f"mapping ({n})"
-               for key, row in prior.rows.items() if len(row) != n]
-    if mech not in (None, spec.name):
+        if len(node.states) != n:
+            report = [f"{at}: {n} mappings, but the node has "
+                      f"{len(node.states)} states"]
+    if spec.prior.parent_order != spec.fixed_parents:
+        report.append(f"{at}: prior is keyed by {list(spec.prior.parent_order)}"
+                      f", not the fixed parents {list(spec.fixed_parents)}")
+    elif mech not in (None, spec.name):
         report.append(f"{at}: its source and domain give the name {spec.name}")
+    if node is not None and spec.prior != node.table:
+        report.append(f"{at}: prior is not the table of its node")
     return report
 
 
@@ -627,6 +625,6 @@ def _require_hcf(h) -> None:
 def validate_hcf(h: HcfDiagram) -> list[str]:
     """HCF invariants, on top of ordinary diagram validity: the
     canonical-form shape, then each mechanism's own violations."""
-    states_of = {n.name: n.states for n in h.diagram.nodes}
+    nodes = h.diagram._by_name
     return validate_diagram(h.diagram) + _shape_violations(h) + [
-        v for m in h.mechanisms for v in _mechanism_violations(m, states_of)]
+        v for m in h.mechanisms for v in _mechanism_violations(m, nodes)]

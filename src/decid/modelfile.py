@@ -51,7 +51,6 @@ def parse_document(text: str):
     if variables is None:
         raise ParseError("'variables' must be a list")
     nodes = []
-    states_of = {}      # name -> states, as dict keys: O(1) membership
     kinds = {}
     for entry in variables:
         _reject_unknown(entry, _VAR_KEYS, "variable entry")
@@ -59,12 +58,11 @@ def parse_document(text: str):
         kind = entry.get("kind")
         if not name:
             raise ParseError(f"variable entry {entry!r} needs a name")
-        if name in states_of:
+        if name in kinds:
             raise ParseError(f"duplicate variable {name!r}")
         if kind not in (CHANCE, DETERMINISTIC, DECISION, UTILITY):
             raise ParseError(f"{name}: unknown kind {kind!r}")
         states = _get(entry, "states", _NAMES, name, ())
-        states_of[name] = dict.fromkeys(states)
         kinds[name] = kind
         nodes.append((name, kind, states,
                       _get(entry, "set_decision_for", str, name)))
@@ -123,7 +121,7 @@ def parse_document(text: str):
                              _get(entry, "fixed_parents", _NAMES, mech, ()),
                              tuple(map(tuple, mappings)),
                              diagram.node(mech).table)
-        errors = _mechanism_violations(spec, states_of, mech)
+        errors = _mechanism_violations(spec, diagram._by_name, mech)
         if errors:
             raise ParseError(errors[0])
         mechanisms.append(spec)

@@ -431,6 +431,19 @@ def test_malformed_mechanism_mappings_are_exit_2(capsys, tmp_path, edit,
             2, {"error": f"mechanism lung_cancer(smoke): {error}"})
 
 
+def test_a_short_mechanism_row_is_a_violation(capsys, tmp_path):
+    """A mechanism's prior is its node's table: a row cut short parses,
+    and ``validate`` lists the fault as it lists any table's."""
+    doc = _m1_hcf()
+    rows = doc["cpts"]["lung_cancer(smoke)"]["rows"]
+    rows[""] = rows[""][:3]
+    path = tmp_path / "short_row.json"
+    path.write_text(json.dumps(doc))
+    assert run_json(capsys, "validate", str(path)) == (2, {
+        "valid": False,
+        "violations": ["lung_cancer(smoke): row () has 3 entries, expected 4"]})
+
+
 def _m1_hcf():
     """The m1 HCF document, as ``to-hcf`` writes it."""
     return json.loads(decid.serialize_model(decid.to_hcf(

@@ -258,32 +258,53 @@ def test_to_hcf_rejects_a_prior_for_another_mechanism(fig6a):
 
 def test_to_hcf_checks_a_given_prior_before_building(m1):
     """An entry that is no state of the target, a mapping too short, a
-    prior row without one entry per mapping, a fixed parent that is no
-    variable, and a prior without the row of the one fixed-parent
-    instance."""
+    fixed parent that is no variable: the spec's own faults.  Then the
+    prior is judged as every table is: a row without one entry per
+    mapping, no row for the one fixed-parent instance, an entry outside
+    [0, 1], a row sum off by 1e-6."""
     base = canonical_mechanism_prior(m1, "lung_cancer")
     row = base.prior.rows[()]
+    at = r"^mechanism lung_cancer\(smoke\): "
     for fixed, states, rows, message in [
             ((), (("no", "maybe"),) + base.states[1:], {(): row},
-             "mapping 0 names 'maybe', not a state of lung_cancer"),
+             at + "mapping 0 names 'maybe', not a state of lung_cancer$"),
             ((), base.states[:1] + (("no",),) + base.states[2:], {(): row},
-             r"mapping 1 has 1 entries, not one per domain instance \(2\)"),
-            ((), base.states, {(): row[:3]},
-             r"prior row \(\) has 3 entries, not one per mapping \(4\)"),
+             at + r"mapping 1 has 1 entries, not one per domain instance "
+             r"\(2\)$"),
             (("nosuch",), base.states, {("a",): row},
-             "unknown fixed parent 'nosuch'"),
-            ((), base.states, {}, r"missing prior row \(\)")]:
+             at + "unknown fixed parent 'nosuch'$"),
+            ((), base.states, {(): row[:3]},
+             r"^lung_cancer\(smoke\): row \(\) has 3 entries, expected 4$"),
+            ((), base.states, {},
+             r"^lung_cancer\(smoke\): missing CPT row \(\)$"),
+            ((), base.states, {(): (0.9, 0.9, -0.5, 0.7)},
+             r"^lung_cancer\(smoke\): row \(\) has entries outside "
+             r"\[0, 1\]$"),
+            ((), base.states, {(): (row[0] + 1e-6,) + row[1:]},
+             r"^lung_cancer\(smoke\): row sum 1\.00000\d* != 1 at row "
+             r"\(\)$")]:
         spec = MechanismSpec(base.target, base.domain, fixed, states,
                              ConditionalTable(fixed, rows))
-        with pytest.raises(MechanismError, match=(
-                r"^mechanism lung_cancer\(smoke\): " + message + "$")):
+        with pytest.raises(MechanismError, match=message):
             to_hcf(m1, priors={"lung_cancer": spec})
     assert issubclass(MechanismError, ModelError)
 
 
+def test_to_hcf_gives_each_mechanism_its_node_table_as_prior(m1, fig6a):
+    """One statement of each prior: the spec's is the node's table, for
+    the product prior and for a given one alike."""
+    given = canonical_mechanism_prior(m1, "lung_cancer")
+    for h in (to_hcf(m1), to_hcf(fig6a),
+              to_hcf(m1, priors={"lung_cancer": given})):
+        for m in h.mechanisms:
+            assert m.prior is h.diagram.node(m.name).table
+        assert validate_hcf(h) == []
+
+
 def test_validate_hcf_reports_every_mechanism_violation(m1):
     """A spec over an unknown variable is reported, not raised; a spec
-    over known ones has each of its faults reported."""
+    over known ones has each of its faults reported, a prior other than
+    its node's table among them."""
     h = to_hcf(m1)
     spec = h.mechanisms[0]
     ghost = spec._replace(domain=("ghost",))
@@ -297,8 +318,23 @@ def test_validate_hcf_reports_every_mechanism_violation(m1):
         "per domain instance (2)",
         "mechanism lung_cancer(smoke): mapping 2 names 'maybe', not a "
         "state of lung_cancer",
-        "mechanism lung_cancer(smoke): prior row () has 3 entries, not one "
-        "per mapping (4)"]
+        "mechanism lung_cancer(smoke): prior is not the table of its node"]
+
+
+def test_a_node_with_fewer_states_than_mappings_is_one_violation(m1):
+    """The node's labels are compared whole: with the mapping "yes,yes"
+    gone from the node, its table and its source's rows, every table is
+    whole and the one fault is the count."""
+    h = to_hcf(m1)
+    spec, lc = h.mechanisms[0], h.diagram.node("lung_cancer")
+    mech = chance_node(spec.name, h.diagram.node(spec.name).states[:3], (),
+                       {(): (0.5, 0.3, 0.2)})
+    rows = {k: v for k, v in lc.table.rows.items() if k[1] != "yes,yes"}
+    short = _with_node(_with_node(h, mech), lc._replace(
+        table=lc.table._replace(rows=rows)))
+    short = HcfDiagram(short.diagram, (spec._replace(prior=mech.table),))
+    assert validate_hcf(short) == [
+        "mechanism lung_cancer(smoke): 4 mappings, but the node has 3 states"]
 
 
 def test_validate_hcf_reports_mapping_order(m1):
@@ -433,7 +469,7 @@ def test_product_prior_reproduces_marginals(m1, fig6a):
 
 def test_prior_without_a_row_fails_reproduction(m1):
     """The audit reads the mechanism node's rows; ``validate_hcf`` holds
-    the spec's prior to its fixed parents."""
+    the spec's prior to that table."""
     h = to_hcf(m1)
     mech = h.diagram.node("lung_cancer(smoke)")
     rowless = _with_node(h, chance_node(mech.name, mech.states, (), {}))
@@ -441,7 +477,7 @@ def test_prior_without_a_row_fails_reproduction(m1):
         "lung_cancer: prior has no row for fixed parents ()"]
     spec = h.mechanisms[0]._replace(prior=ConditionalTable((), {}))
     assert validate_hcf(HcfDiagram(h.diagram, (spec,))) == [
-        "mechanism lung_cancer(smoke): missing prior row ()"]
+        "mechanism lung_cancer(smoke): prior is not the table of its node"]
     assert check_marginal_reproduction(
         m1, HcfDiagram(h.diagram, (spec,))) == []
 
