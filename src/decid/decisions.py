@@ -31,8 +31,8 @@ from .graphs import _check_names
 from .inference import (Factor, _check_query, _conditional,
                         _require_full_decisions, _requisite_factors,
                         eliminate, family_factor, value_label_node)
-from .model import (CHANCE, DECISION, DETERMINISTIC, TOL, Diagram, HcfDiagram,
-                    _diagram_of, _require_hcf, instance_keys,
+from .model import (CHANCE, DECISION, DETERMINISTIC, TOL, UTILITY, Diagram,
+                    HcfDiagram, _diagram_of, _require_hcf, instance_keys,
                     parent_variables)
 
 POLICY_SPACE_CAP = 10 ** 6
@@ -68,6 +68,9 @@ def expected_utility(d: Diagram, policy: Policy) -> float:
         if dec not in policy.info_order:
             raise UnknownVariable(f"policy has no rules for {dec}")
     info_order = {dec: policy.info_order[dec] for dec in d.decisions()}
+    if seen := [p for ps in info_order.values() for p in ps
+                if d.node(p).kind == UTILITY]:
+        raise UnknownVariable(f"a policy cannot observe the utility {seen[0]}")
     choices = {dec: [[_choice(d, dec, policy.rules.get(dec, {}), k) for k in
                       instance_keys(parent_variables(d, parents))]]
                for dec, parents in info_order.items()}

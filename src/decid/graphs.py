@@ -50,6 +50,15 @@ def _check_names(d: Diagram, names) -> None:
             raise UnknownVariable(f"unknown variable {x!r}")
 
 
+def _check_target(d: Diagram, target, conditioning=()) -> None:
+    """A fixed-set or cause query names known variables, and a target
+    that is no decision."""
+    _check_names(d, [target, *conditioning])
+    if d.node(target).kind == DECISION:
+        raise UnknownVariable(f"{target} is a decision; only chance variables "
+                              "have fixed-set membership")
+
+
 def blocks(d: Diagram, q: BlockingQuery) -> bool:
     """True iff every directed path (relevance and information arcs)
     from a decision in ``q.decisions`` to the target hits ``q.candidate_set``."""
@@ -103,6 +112,8 @@ def minimal_blocking_sets(d: Diagram, decisions, target, exclude=frozenset()
     """
     D = frozenset(decisions)
     _check_names(d, D | {target} | set(exclude))
+    if chance := sorted(x for x in D if d.node(x).kind != DECISION):
+        raise UnknownVariable(f"{chance[0]} is not a decision")
     on_path = (D | d.descendants(D)) & d.ancestors([target])
     pool = (on_path & (set(d.uncertain()) | set(d.decisions()))
             - {target} - set(exclude))
@@ -170,7 +181,7 @@ def graphical_fixed_set(d: Diagram, C=frozenset()) -> frozenset[str]:
 
 def graphical_causes(d: Diagram, target: str) -> CauseReport:
     """Minimal blocking sets read as cause sets (sound on causal D-maps)."""
-    _check_names(d, [target])
+    _check_target(d, target)
     D = set(d.decisions())
     if target not in d.descendants(D):
         return CauseReport(target, (), "graphical",

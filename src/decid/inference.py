@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import (FactorCapExceeded, UnknownVariable, WorldCapExceeded,
                      ZeroProbabilityEvidence)
-from .graphs import CauseReport, _check_names, d_separated, minimal_sets
+from .graphs import CauseReport, _check_target, d_separated, minimal_sets
 from .model import (CHANCE, DECISION, DETERMINISTIC, DO_NOTHING, SET_PREFIX,
                     TOL, UTILITY, Assignment, Diagram, Node, _diagram_of,
                     _require_hcf, chance_node, enumerate_instances,
@@ -475,7 +475,7 @@ def oracle_fixed_set_member(h, target: str, conditioning=frozenset()) -> bool:
     decision choices that agree on the conditioning set give the target
     the same value."""
     diagram = _diagram_of(h)
-    _check(diagram, target, conditioning)
+    _check_target(diagram, target, conditioning)
     return WorldTable(diagram).fixed_given(target, conditioning)
 
 
@@ -492,7 +492,7 @@ def oracle_causes(h, target: str, world_pair_cap: int | None = None):
     ``WORLD_PAIR_CAP``.
     """
     diagram = _diagram_of(h)
-    _check(diagram, target, ())
+    _check_target(diagram, target)
     table = WorldTable(diagram, world_pair_cap)
     if table.fixed_given(target, ()):
         return CauseReport(target, (), "oracle",
@@ -503,13 +503,6 @@ def oracle_causes(h, target: str, world_pair_cap: int | None = None):
     found = minimal_sets(pool,
                          lambda C: table.fixed_given(target, sorted(C)))
     return CauseReport(target, tuple(found), "oracle")
-
-
-def _check(diagram: Diagram, target, conditioning) -> None:
-    _check_names(diagram, [target, *conditioning])
-    if diagram.node(target).kind == DECISION:
-        raise UnknownVariable(f"{target} is a decision; only chance variables "
-                              "have fixed-set membership")
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,9 @@ serialize -> parse is identity, mechanisms section included.
 
 The parser decodes and ``validate_diagram`` judges: ParseError is for
 what cannot become a Diagram, such as bad JSON, an unknown key or kind,
-or a mechanism that does not bind; a missing or malformed table parses.
-A table row is type-checked and converted whole, by builtins.
+or a mechanism that does not bind; a missing or malformed table parses,
+a mechanism's prior (its node's table) among them.  A table row is
+type-checked and converted whole, by builtins.
 """
 
 from __future__ import annotations

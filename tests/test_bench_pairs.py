@@ -136,6 +136,22 @@ def _git(repo, *args):
         check=True, capture_output=True, text=True).stdout.strip()
 
 
+def test_both_sides_may_export_one_revision(tmp_path, monkeypatch):
+    """An A/A run: each side names HEAD and gets its own export."""
+    repo = tmp_path / "repo"
+    repo.mkdir()
+    _git(repo, "init", "-q")
+    (repo / "a.txt").write_text("one\n")
+    _git(repo, "add", "a.txt")
+    _git(repo, "commit", "-q", "-m", "one")
+    monkeypatch.setattr(bench_pairs, "ROOT", repo)
+    work = tmp_path / "work"
+    work.mkdir()
+    trees = [bench_pairs.checkout("HEAD", work) for _ in range(2)]
+    assert trees[0] != trees[1]
+    assert [(t / "a.txt").read_text() for t in trees] == ["one\n"] * 2
+
+
 def test_sides_are_recorded_as_commits(tmp_path, monkeypatch):
     repo = tmp_path / "repo"
     repo.mkdir()

@@ -285,6 +285,22 @@ def test_minimal_misspelt_exclude_is_exit_3(capsys):
     assert doc == {"error": "unknown variable 'smokee'"}
 
 
+def test_minimal_refuses_a_chance_node_as_a_decision(capsys):
+    code, doc = run_json(capsys, "minimal", model("fig1"),
+                         "--target", "life", "--decisions", "genotype")
+    assert (code, doc) == (3, {"error": "genotype is not a decision"})
+
+
+@pytest.mark.parametrize("method", ["graphical", "oracle"])
+def test_causes_of_a_decision_is_exit_3(capsys, method):
+    """Fixed-set membership, and so a cause, is undefined for a
+    decision: both routes refuse it with one message."""
+    assert run_json(capsys, "causes", model("m1"), "--of", "smoke",
+                    "--method", method) == (3, {
+        "error": "smoke is a decision; only chance variables have "
+                 "fixed-set membership"})
+
+
 def test_minimal_answers_where_only_the_pruned_pool_fits(capsys, tmp_path):
     # 24 candidates in all, only 10 on a path from a decision to x14.
     path = tmp_path / "dag25.json"

@@ -323,8 +323,9 @@ def test_expected_utility_coin(coin_utility):
 
 
 def test_expected_utility_checks_the_policy(coin_utility):
-    """A rule that picks no alternative of its decision, or a missing
-    rule, is named as an unknown variable, not a bare lookup error."""
+    """A rule that picks no alternative of its decision, a missing rule,
+    or a utility observed, is named as an unknown variable, not a bare
+    lookup or numpy error."""
     with pytest.raises(UnknownVariable,
                        match="'edge' is not an alternative of d"):
         expected_utility(coin_utility, _policy(coin_utility, d={(): "edge"}))
@@ -338,6 +339,9 @@ def test_expected_utility_checks_the_policy(coin_utility):
     with pytest.raises(UnknownVariable, match=r"no rule for \('tails',\)"):
         expected_utility(informed,
                          _policy(informed, d={("heads",): "heads"}))
+    with pytest.raises(UnknownVariable, match=(
+            "^a policy cannot observe the utility payoff$")):
+        expected_utility(coin_utility, Policy({"d": ("payoff",)}, {"d": {}}))
 
 
 def test_expected_utility_requires_utility(coin):

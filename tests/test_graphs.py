@@ -95,6 +95,18 @@ def test_minimal_sets_check_excluded_names(fig2a):
         minimal_blocking_sets(fig2a, {"smoke"}, "payoff", exclude={"smokee"})
 
 
+def test_blocking_queries_refuse_what_is_undefined(fig2a):
+    """Only decisions are blocked from a target, and only a chance
+    variable has causes; the least misplaced name is named."""
+    with pytest.raises(UnknownVariable, match="^genotype is not a decision$"):
+        minimal_blocking_sets(fig2a, {"smoke", "pleasure", "genotype"},
+                              "payoff")
+    with pytest.raises(UnknownVariable, match=(
+            "^smoke is a decision; only chance variables have fixed-set "
+            "membership$")):
+        graphical_causes(fig2a, "smoke")
+
+
 def test_minimal_sets_budget():
     d = ladder(10)
     with pytest.raises(NodeBudgetExceeded,

@@ -45,13 +45,13 @@ CLAIM_SHARE = 0.9
 
 def checkout(spec: str, work: Path) -> Path:
     """A directory holding ``spec``: itself if it is one, else an export
-    of that git revision."""
+    of that git revision into a new directory under ``work``, so that
+    both sides of an A/A run may name one revision."""
     if Path(spec).is_dir():
         return Path(spec).resolve()
-    dest = work / spec.replace("/", "_").replace("^", "_parent")
     archive = subprocess.run(["git", "archive", spec], cwd=ROOT,
                              check=True, capture_output=True).stdout
-    dest.mkdir()
+    dest = Path(tempfile.mkdtemp(dir=work))
     with tempfile.TemporaryFile() as f:
         f.write(archive)
         f.seek(0)
