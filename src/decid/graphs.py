@@ -112,8 +112,8 @@ def minimal_blocking_sets(d: Diagram, decisions, target, exclude=frozenset()
     """
     D = frozenset(decisions)
     _check_names(d, D | {target} | set(exclude))
-    if chance := sorted(x for x in D if d.node(x).kind != DECISION):
-        raise UnknownVariable(f"{chance[0]} is not a decision")
+    if others := sorted(x for x in D if d.node(x).kind != DECISION):
+        raise UnknownVariable(f"{others[0]} is not a decision")
     on_path = (D | d.descendants(D)) & d.ancestors([target])
     pool = (on_path & (set(d.uncertain()) | set(d.decisions()))
             - {target} - set(exclude))
