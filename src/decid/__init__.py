@@ -29,12 +29,12 @@ __version__ = "0.1.0"
 # ``import decid`` loads no numpy: each numeric name loads its module on
 # first use, through the module ``__getattr__`` (PEP 562).
 _NUMERIC = {name: module for module, names in {
-    "inference": "Factor FunctionalWorld WorldTable count_worlds "
-                 "functional_worlds joint oracle_causes "
+    "inference": "Factor FunctionalWorld WorldTable functional_worlds "
+                 "joint oracle_causes "
                  "oracle_fixed_set_member oracle_is_d_map posterior propagate",
     "mechanisms": "CertificationReport canonical_mechanism_prior "
                   "certify_causal_network check_marginal_reproduction "
-                  "enumerate_mechanism_states removable_arcs to_hcf",
+                  "removable_arcs to_hcf",
     "decisions": "CounterfactualQuery Policy counterfactual expected_utility "
                  "optimal_policy value_of_information",
 }.items() for name in names.split()}

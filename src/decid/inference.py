@@ -346,11 +346,6 @@ def _as_worlds(diagram: Diagram, index: dict, weight) -> list[FunctionalWorld]:
             for k, w in enumerate(weight.tolist())]
 
 
-def count_worlds(diagram: Diagram) -> int:
-    """``len(functional_worlds(diagram))``, uncapped and listing no world."""
-    return _world_count(_fixed_tables(_diagram_of(diagram)))
-
-
 def _world_count(tables) -> int:
     """The number of worlds of the ``_fixed_tables``: elimination over
     the 0/1 support of each table."""

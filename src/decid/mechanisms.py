@@ -34,10 +34,10 @@ from .errors import (MechanismError, NotCausal, ReassessmentRequired,
 from .graphs import is_set_decision
 from .inference import eliminate, table_factor
 from .model import (CHANCE, DECISION, DETERMINISTIC, TOL, ConditionalTable,
-                    Diagram, HcfDiagram, MechanismSpec, Node, StateMapping,
-                    Variable, _check_table, _mechanism_violations,
-                    chance_node, instance_keys, mechanism_name,
-                    mechanism_state_label, parent_variables)
+                    Diagram, HcfDiagram, MechanismSpec, Node, Variable,
+                    _check_table, _mechanism_violations, chance_node,
+                    instance_keys, mechanism_name, mechanism_state_label,
+                    parent_variables)
 
 MECHANISM_STATE_CAP = 10 ** 6
 
@@ -50,18 +50,6 @@ def _domain_size(x: Variable, y_vars: list[Variable]) -> int:
         raise StateSpaceExceeded(f"mechanism for {x.name} needs {count} "
                                  f"states, cap is {MECHANISM_STATE_CAP}")
     return q
-
-
-def enumerate_mechanism_states(x: Variable, domain: list[Variable]
-                               ) -> list[StateMapping]:
-    """All r^q mappings from domain instances to states of x, in
-    canonical lexicographic order."""
-    if not domain:
-        raise ValueError("mechanism domain must be nonempty")
-    if any(v.name == x.name for v in domain):
-        raise ValueError(f"{x.name} cannot be in its own mechanism domain")
-    return list(itertools.product(x.states,
-                                  repeat=_domain_size(x, domain)))
 
 
 def canonical_mechanism_prior(d: Diagram, target: str) -> MechanismSpec:

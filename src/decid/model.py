@@ -537,11 +537,6 @@ class HcfDiagram(NamedTuple):
     diagram: Diagram
     mechanisms: tuple[MechanismSpec, ...] = ()
 
-    @property
-    def provenance(self) -> dict:
-        """Mechanism name -> the node it was extracted from."""
-        return {m.name: m.target for m in self.mechanisms}
-
 
 def _diagram_of(parsed) -> Diagram:
     """The diagram itself, or the one inside an HcfDiagram."""

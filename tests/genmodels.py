@@ -1,10 +1,17 @@
-"""Seeded random model generators shared by the property suites."""
+"""Seeded random model generators shared by the property suites, and
+the world count they filter their corpora by."""
 
 import itertools
 import random
 
-from decid import (Diagram, chance_node, decision_node, set_decision_node,
-                   utility_node)
+from decid import (Diagram, chance_node, decision_node, inference,
+                   set_decision_node, utility_node)
+
+
+def count_worlds(d):
+    """The number of functional worlds of the canonical form ``d``, by
+    the elimination the world cap counts them with: none is listed."""
+    return inference._world_count(inference._fixed_tables(d))
 
 
 def random_distribution(rng, k):

@@ -14,14 +14,13 @@ import time
 import numpy as np
 import pytest
 
-from decid import (BlockingQuery, CounterfactualQuery, Variable,
-                   WorldTable, blocks, canonical_mechanism_prior,
-                   chance_node, check_marginal_reproduction, counterfactual,
+from decid import (BlockingQuery, CounterfactualQuery, WorldTable, blocks,
+                   canonical_mechanism_prior, chance_node,
+                   check_marginal_reproduction, counterfactual,
                    decision_node, Diagram, enumerate_instances,
-                   enumerate_mechanism_states, functional_worlds,
-                   graphical_causes, joint, mechanisms, oracle_causes,
-                   oracle_is_d_map, parse_model, posterior, to_hcf,
-                   validate_diagram, value_of_information)
+                   functional_worlds, graphical_causes, joint, mechanisms,
+                   oracle_causes, oracle_is_d_map, parse_model, posterior,
+                   to_hcf, validate_diagram, value_of_information)
 from decid.errors import NotObservable, StateSpaceExceeded
 
 from genmodels import random_dag, random_diagram, random_functional_diagram
@@ -59,13 +58,15 @@ def _decision_instances(d):
 
 
 def test_criterion_01_mechanism_states_binary(report):
-    x = Variable("x", ("no", "yes"))
-    y = Variable("y", ("no", "yes"))
-    got = enumerate_mechanism_states(x, [y])
+    y = decision_node("y", ["no", "yes"])
+    x = chance_node("x", ["no", "yes"], ["y"],
+                    {("no",): [0.5, 0.5], ("yes",): [0.5, 0.5]})
+    d = Diagram((y, x), (("y", "x"),))
+    got = canonical_mechanism_prior(d, "x").states
     content_ok = set(got) == {("no", "no"), ("no", "yes"),
                               ("yes", "no"), ("yes", "yes")}
     best = min(
-        _timed(lambda: enumerate_mechanism_states(x, [y]))
+        _timed(lambda: canonical_mechanism_prior(d, "x"))
         for _ in range(5))
     report(1, "mechanism states for binary cause/effect",
            content_ok and best < 1e-3,

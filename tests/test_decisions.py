@@ -6,7 +6,7 @@ import pytest
 
 import decid.decisions as decisions
 from decid import (CounterfactualQuery, Diagram, HcfDiagram, Policy,
-                   WorldTable, chance_node, count_worlds, counterfactual,
+                   WorldTable, chance_node, counterfactual,
                    decision_node, enumerate_instances, expected_utility,
                    functional_worlds, optimal_policy, oracle_fixed_set_member,
                    posterior, propagate, to_hcf, utility_node,
@@ -17,8 +17,8 @@ from decid.errors import (CycleIntroduced, NoDecisionOrder, NotHcf,
 from decid.inference import value_label_node
 from decid.model import TOL, parent_variables
 
-from genmodels import (random_diagram, random_policy_diagram,
-                       random_table_diagram)
+from genmodels import (count_worlds, random_diagram,
+                       random_policy_diagram, random_table_diagram)
 import reference
 from reference import barren, choose, enumerate_joint, enumerate_policies
 

@@ -1,5 +1,6 @@
 import ast
 import itertools
+import math
 import random
 import re
 
@@ -7,10 +8,9 @@ import pytest
 
 from decid import (Diagram, HcfDiagram, MechanismSpec, Variable,
                    canonical_mechanism_prior, chance_node,
-                   check_marginal_reproduction, decision_node,
-                   enumerate_mechanism_states, joint, mechanism_name,
-                   mechanism_state_label, posterior, set_decision_node,
-                   to_hcf, validate_diagram, validate_hcf)
+                   check_marginal_reproduction, decision_node, joint,
+                   mechanism_name, mechanism_state_label, posterior,
+                   set_decision_node, to_hcf, validate_diagram, validate_hcf)
 from decid import (CounterfactualQuery, WorldTable, counterfactual,
                    mechanisms)
 from decid.errors import (MechanismError, ModelError, NotCausal, NotHcf,
@@ -29,15 +29,27 @@ LC = Variable("lung_cancer", ("no", "yes"))
 # Mechanism state enumeration
 
 
+def _mechanism_states(x, domain):
+    """The mechanism states ``to_hcf`` lists for ``x`` under decisions
+    ``domain``: every mapping from the domain instances to x's states."""
+    rows = {key: [1 / len(x.states)] * len(x.states)
+            for key in itertools.product(*(v.states for v in domain))}
+    d = Diagram((*(decision_node(v.name, v.states) for v in domain),
+                 chance_node(x.name, x.states, [v.name for v in domain],
+                             rows)),
+                tuple((v.name, x.name) for v in domain))
+    return canonical_mechanism_prior(d, x.name).states
+
+
 def test_binary_target_binary_domain_has_four_mappings():
-    got = enumerate_mechanism_states(LC, [SMOKE])
-    assert got == [("no", "no"), ("no", "yes"), ("yes", "no"), ("yes", "yes")]
+    got = _mechanism_states(LC, [SMOKE])
+    assert got == (("no", "no"), ("no", "yes"), ("yes", "no"), ("yes", "yes"))
 
 
 def test_mapping_content_for_single_cause():
     """The four responses of a binary variable to a binary cause:
     never, follow, oppose, always."""
-    got = set(enumerate_mechanism_states(LC, [SMOKE]))
+    got = set(_mechanism_states(LC, [SMOKE]))
     assert got == {
         ("no", "no"),       # unaffected at "no"
         ("no", "yes"),      # tracks the cause
@@ -48,27 +60,19 @@ def test_mapping_content_for_single_cause():
 
 def test_mapping_count_is_r_to_the_q():
     x3 = Variable("x", ("a", "b", "c"))
-    assert len(enumerate_mechanism_states(x3, [SMOKE])) == 9
+    assert len(_mechanism_states(x3, [SMOKE])) == 9
     d2 = Variable("d2", ("0", "1"))
-    assert len(enumerate_mechanism_states(LC, [SMOKE, d2])) == 16
+    assert len(_mechanism_states(LC, [SMOKE, d2])) == 16
 
 
 def test_mapping_cap_enforced(monkeypatch):
     big = Variable("big", tuple(f"s{i}" for i in range(10)))
     big2 = Variable("big2", big.states)
     monkeypatch.setattr(mechanisms, "MECHANISM_STATE_CAP", 1000)
-    with pytest.raises(StateSpaceExceeded):
-        enumerate_mechanism_states(LC, [big, big2])
-
-
-def test_empty_domain_rejected():
-    with pytest.raises(ValueError):
-        enumerate_mechanism_states(LC, [])
-
-
-def test_target_cannot_be_its_own_cause():
-    with pytest.raises(ValueError):
-        enumerate_mechanism_states(LC, [LC])
+    with pytest.raises(StateSpaceExceeded, match=(
+            "^mechanism for lung_cancer needs 1267650600228229401496703205376 "
+            "states, cap is 1000$")):
+        _mechanism_states(LC, [big, big2])
 
 
 def test_state_labels_join_mapping_values():
@@ -126,7 +130,8 @@ def test_to_hcf_m1_shape(m1):
     mech = "lung_cancer(smoke)"
     assert d.has(mech)
     assert len(h.mechanisms) == 1
-    assert h.provenance == {mech: "lung_cancer"}
+    assert [(m.name, m.target) for m in h.mechanisms] == [
+        (mech, "lung_cancer")]
     lc = d.node("lung_cancer")
     assert lc.kind == "deterministic"
     assert lc.table.parent_order == ("smoke", mech)
@@ -603,7 +608,8 @@ def test_to_hcf_random_diagrams(seed):
 def test_product_priors_match_the_row_loop():
     """Every product prior of ``to_hcf`` equals the reference running
     product exactly, set-decision targets with an empty domain and
-    tables constant along a parent included."""
+    tables constant along a parent included; its states are the
+    mappings in ``itertools.product`` order, the order of its rows."""
     covered = dict.fromkeys(["empty domain", "fixed parents",
                              "two-parent domain"], 0)
     for seed in range(1000):
@@ -611,6 +617,9 @@ def test_product_priors_match_the_row_loop():
         for m in to_hcf(d).mechanisms:
             assert m.prior == product_prior(d, m.target, m.domain,
                                             m.fixed_parents), seed
+            q = math.prod(len(d.node(y).states) for y in m.domain)
+            assert m.states == tuple(itertools.product(
+                d.node(m.target).states, repeat=q)), seed
             covered["empty domain"] += not m.domain
             covered["fixed parents"] += bool(m.fixed_parents)
             covered["two-parent domain"] += len(m.domain) >= 2

@@ -21,15 +21,14 @@ EXPORTS = """Assignment BlockingQuery CapExceeded CauseReport CertificationRepor
     PolicySpaceExceeded QueryError ReassessmentRequired StateSpaceExceeded
     UnknownVariable UtilityTable Variable WorldCapExceeded WorldTable
     ZeroProbabilityEvidence blocks canonical_mechanism_prior chance_node
-    certify_causal_network check_marginal_reproduction count_worlds
-    counterfactual d_separated decision_node enumerate_instances
-    enumerate_mechanism_states expected_utility functional_worlds
-    graphical_causes graphical_fixed_set is_set_decision joint
-    mechanism_name mechanism_state_label minimal_blocking_sets minimal_sets
-    optimal_policy oracle_causes oracle_fixed_set_member oracle_is_d_map
-    parse_document parse_model posterior propagate removable_arcs
-    serialize_model set_decision_node to_hcf utility_node validate_diagram
-    validate_hcf value_of_information""".split()
+    certify_causal_network check_marginal_reproduction counterfactual
+    d_separated decision_node enumerate_instances expected_utility
+    functional_worlds graphical_causes graphical_fixed_set is_set_decision
+    joint mechanism_name mechanism_state_label minimal_blocking_sets
+    minimal_sets optimal_policy oracle_causes oracle_fixed_set_member
+    oracle_is_d_map parse_document parse_model posterior propagate
+    removable_arcs serialize_model set_decision_node to_hcf utility_node
+    validate_diagram validate_hcf value_of_information""".split()
 
 
 def test_every_error_class_is_exported():
