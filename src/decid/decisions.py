@@ -71,11 +71,27 @@ def expected_utility(d: Diagram, policy: Policy) -> float:
     if seen := [p for ps in info_order.values() for p in ps
                 if d.node(p).kind == UTILITY]:
         raise UnknownVariable(f"a policy cannot observe the utility {seen[0]}")
+    d = _informed(d, [(p, dec) for dec, ps in info_order.items() for p in ps])
     choices = {dec: [[_choice(d, dec, policy.rules.get(dec, {}), k) for k in
                       instance_keys(parent_variables(d, parents))]]
                for dec, parents in info_order.items()}
     q = _utility_table(d, info_order)
     return float(_scorer(q, info_order)(choices)[0])
+
+
+def _informed(d: Diagram, arcs) -> Diagram:
+    """``d`` with the information arcs ``arcs``, or ``d`` when they are
+    its own; an arc on a cycle, one not of ``d`` first, is refused."""
+    own = set(d.information_arcs)
+    if set(arcs) == own:
+        return d
+    d2 = d.with_arcs(information=arcs)
+    if len(d2.topological_order()) < len(d2.nodes):
+        for a, b in sorted(arcs, key=own.__contains__):
+            if a in d2.descendants([b]):
+                raise CycleIntroduced(
+                    f"information arc {a}->{b} creates a cycle")
+    return d2
 
 
 def _choice(d: Diagram, dec: str, rules, key) -> int:
@@ -117,7 +133,7 @@ def _scorer(q: Factor, info_order):
 
     def place(dec, path=()):
         if dec in path:
-            raise ValueError(
+            raise CycleIntroduced(
                 f"policy information order has a cycle through {dec}")
         if dec not in order:
             for p in info_order[dec]:
@@ -246,14 +262,10 @@ def value_of_information(d: Diagram, observed: str, decision: str,
             "an observable mechanism instead")
     targets = [decision]
     if no_forgetting and d.decision_order:
-        later = list(d.decision_order)[list(d.decision_order).index(decision):]
-        targets = later
+        targets = d.decision_order[d.decision_order.index(decision):]
     info = list(d.information_arcs)
     info.extend((observed, t) for t in targets if (observed, t) not in info)
-    d2 = d.with_arcs(information=info)
-    if len(d2.topological_order()) != len(d2.nodes):
-        raise CycleIntroduced(
-            f"information arc {observed}->{decision} creates a cycle")
+    d2 = _informed(d, info)
     base = _space(d)
     # One table scores both searches.  Family factors ignore information
     # arcs and d2 observes all that d does, so a base policy scores

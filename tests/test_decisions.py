@@ -344,6 +344,54 @@ def test_expected_utility_checks_the_policy(coin_utility):
         expected_utility(coin_utility, Policy({"d": ("payoff",)}, {"d": {}}))
 
 
+def _crossed():
+    """d0 sets x and d1 sets y, and the utility reads both; no decision
+    observes anything."""
+    x = chance_node("x", ["0", "1"], ["d0"],
+                    {("a",): [0.9, 0.1], ("b",): [0.2, 0.8]})
+    y = chance_node("y", ["0", "1"], ["d1"],
+                    {("a",): [0.7, 0.3], ("b",): [0.4, 0.6]})
+    u = utility_node("u", ["x", "y"], {("0", "0"): 0.0, ("0", "1"): 1.0,
+                                       ("1", "0"): 2.0, ("1", "1"): 3.5})
+    return Diagram((decision_node("d0", ["a", "b"]),
+                    decision_node("d1", ["a", "b"]), x, y, u),
+                   (("d0", "x"), ("d1", "y"), ("x", "u"), ("y", "u")), (),
+                   ("d0", "d1"))
+
+
+def test_expected_utility_refuses_a_policy_that_observes_its_future(
+        coin_utility):
+    """A decision sees only what is settled before it: an observed
+    descendant, the decision itself, or two decisions each observing
+    what the other sets close a cycle, as in ``value_of_information``."""
+    follow = {("0",): "a", ("1",): "b"}
+    for d, policy, arc in [
+            (coin_utility, Policy({"d": ("w",)}, {"d": {
+                ("win",): "heads", ("lose",): "tails"}}), "w->d"),
+            (coin_utility, Policy({"d": ("d",)}, {"d": {
+                ("heads",): "heads", ("tails",): "tails"}}), "d->d"),
+            (_crossed(), Policy({"d0": ("y",), "d1": ("x",)},
+                                {"d0": follow, "d1": follow}), "y->d0")]:
+        assert validate_diagram(d) == []
+        with pytest.raises(CycleIntroduced, match=(
+                f"^information arc {arc} creates a cycle$")):
+            expected_utility(d, policy)
+    # d1 may observe what d0 sets.
+    legal = Policy({"d0": (), "d1": ("x",)}, {"d0": {(): "b"}, "d1": follow})
+    informed = _crossed().with_arcs(information=[("x", "d1")])
+    assert expected_utility(_crossed(), legal) == pytest.approx(
+        _reference_eus(informed, [legal])[0], rel=1e-12, abs=1e-12)
+
+
+def test_policy_search_refuses_an_information_cycle_of_the_diagram():
+    """An unvalidated diagram whose own information arcs run d0 -> d1 ->
+    d0: the search orders its rules by them and finds no order."""
+    d = _crossed().with_arcs(information=[("d0", "d1"), ("d1", "d0")])
+    with pytest.raises(CycleIntroduced, match=(
+            "^policy information order has a cycle through d0$")):
+        optimal_policy(d)
+
+
 def test_expected_utility_requires_utility(coin):
     from decid.errors import NoUtilityNode
     with pytest.raises(NoUtilityNode):
@@ -705,6 +753,21 @@ def test_voi_declared_fixed_cycle():
         value_of_information(d, "x", "d")
 
 
+def test_voi_names_the_information_arc_on_the_cycle():
+    """x is declared fixed but set by the later decision d1: observing it
+    before d0 closes no cycle, and without forgetting, before d1, does."""
+    d0, d1 = decision_node("d0", ["a", "b"]), decision_node("d1", ["a", "b"])
+    x = chance_node("x", ["0", "1"], ["d1"],
+                    {("a",): [0.5, 0.5], ("b",): [0.2, 0.8]})
+    payoff = utility_node("payoff", ["x"], {("0",): 0.0, ("1",): 1.0})
+    d = Diagram((d0, d1, x, payoff), (("d1", "x"), ("x", "payoff")), (),
+                ("d0", "d1"), declared_fixed=frozenset({"x"}))
+    assert value_of_information(d, "x", "d0") == 0.0
+    with pytest.raises(CycleIntroduced,
+                       match="^information arc x->d1 creates a cycle$"):
+        value_of_information(d, "x", "d0", no_forgetting=True)
+
+
 def _two_stage():
     d0 = decision_node("d0", ["x0", "x1"])
     d1 = decision_node("d1", ["heads", "tails"])
@@ -812,7 +875,8 @@ def test_expected_utility_without_decision_order():
     cycle = Policy({"d1": ("d0",), "d0": ("d1",)},
                    {"d1": {("a0",): "a0", ("a1",): "a1"},
                     "d0": {("a0",): "a0", ("a1",): "a1"}})
-    with pytest.raises(ValueError, match="cycle"):
+    with pytest.raises(CycleIntroduced,
+                       match="^information arc d1->d0 creates a cycle$"):
         expected_utility(d, cycle)
 
 
