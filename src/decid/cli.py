@@ -23,7 +23,6 @@ from . import (CapExceeded, HcfDiagram, ModelError, QueryError, UnknownVariable,
                d_separated, graphical_causes, graphical_fixed_set,
                minimal_blocking_sets, parse_document, serialize_model,
                validate_diagram, validate_hcf)
-from .model import _diagram_of
 
 EXIT_OK, EXIT_USAGE, EXIT_INVALID, EXIT_QUERY, EXIT_CAP = 0, 1, 2, 3, 4
 JOINT_OUTPUT_CELL_CAP = 10 ** 5
@@ -209,8 +208,7 @@ def _world_cap() -> int | None:
 
 
 def _dispatch(args) -> int:
-    parsed, violations = _validated(args.model)
-    d = _diagram_of(parsed)
+    d, violations = _validated(args.model)
     if args.command == "validate":
         doc = {"valid": not violations, "violations": violations}
         _emit(doc, lambda o: (
@@ -234,7 +232,7 @@ def _dispatch(args) -> int:
             report = graphical_causes(d, args.target)
         else:
             cap = _world_cap()
-            report = decid.oracle_causes(_hcf(parsed), args.target,
+            report = decid.oracle_causes(_hcf(d), args.target,
                                          world_pair_cap=cap)
         doc = {"target": report.target, "method": report.method,
                "cause_sets": [sorted(s) for s in report.cause_sets],
@@ -277,19 +275,18 @@ def _dispatch(args) -> int:
         return EXIT_OK
 
     if args.command == "check-hcf":
-        if not isinstance(parsed, HcfDiagram):
+        if not isinstance(d, HcfDiagram):
             raise QueryError("model has no mechanisms section; "
                              "run to-hcf first")
         orig, violations = _validated(args.original)
         if violations:
             return _refuse(violations)
-        violations = decid.check_marginal_reproduction(_diagram_of(orig),
-                                                       parsed)
+        violations = decid.check_marginal_reproduction(orig, d)
         doc = {"pass": not violations, "violations": violations,
                "priors": {m.name: {
                    "|".join(k): [sig12(p) for p in row]
                    for k, row in sorted(d.node(m.name).table.rows.items())}
-                   for m in parsed.mechanisms}}
+                   for m in d.mechanisms}}
         _emit(doc, lambda o: (["all mechanism priors reproduce the original "
                                "tables"] if o["pass"] else
                               [f"violation: {v}" for v in o["violations"]]),
@@ -311,7 +308,7 @@ def _dispatch(args) -> int:
         return _emit(doc, _pretty_factor, args)
 
     if args.command == "counterfactual":
-        hcf = _hcf(parsed, assume_causal=args.assume_causal)
+        hcf = _hcf(d, assume_causal=args.assume_causal)
         q = decid.CounterfactualQuery(args.factual_decisions, args.evidence,
                                       args.counterfactual_decisions,
                                       tuple(args.query))

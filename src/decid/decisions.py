@@ -32,7 +32,7 @@ from .inference import (Factor, _check_query, _conditional,
                         _require_full_decisions, _requisite_factors,
                         eliminate, family_factor, value_label_node)
 from .model import (CHANCE, DECISION, DETERMINISTIC, TOL, UTILITY, Diagram,
-                    HcfDiagram, _diagram_of, _require_hcf, instance_keys,
+                    HcfDiagram, _require_hcf, instance_keys,
                     parent_variables)
 
 POLICY_SPACE_CAP = 10 ** 6
@@ -61,9 +61,7 @@ class CounterfactualQuery(NamedTuple):
 
 
 def expected_utility(d: Diagram, policy: Policy) -> float:
-    """Sum over joint outcomes of P(outcome | policy) * utility.  ``d``
-    may be an ``HcfDiagram``."""
-    d = _diagram_of(d)
+    """Sum over joint outcomes of P(outcome | policy) * utility."""
     for dec in d.decisions():
         if dec not in policy.info_order:
             raise UnknownVariable(f"policy has no rules for {dec}")
@@ -229,8 +227,7 @@ def optimal_policy(d: Diagram, cap: int | None = None
     the first policy in canonical order: decisions in decision order,
     information instances lexicographic, alternatives in state order.
     A ``cap`` given replaces ``POLICY_SPACE_CAP``; the benchmark's
-    self-test passes it.  ``d`` may be an ``HcfDiagram``."""
-    d = _diagram_of(d)
+    self-test passes it."""
     space = _space(d, cap)
     return _search(d, space, _utility_table(d, space[0]))
 
@@ -246,10 +243,8 @@ def value_of_information(d: Diagram, observed: str, decision: str,
 
     Only fixed-set variables are observable: a variable the decisions
     can still affect cannot be seen before those decisions are made, so
-    asking for its value of information is rejected.  ``d`` may be an
-    ``HcfDiagram``.
+    asking for its value of information is rejected.
     """
-    d = _diagram_of(d)
     node = d.node(observed)
     if node.kind not in (CHANCE, DETERMINISTIC):
         raise UnknownVariable(f"{observed} is not a chance variable")

@@ -37,9 +37,8 @@ from .errors import (FactorCapExceeded, UnknownVariable, WorldCapExceeded,
                      ZeroProbabilityEvidence)
 from .graphs import CauseReport, _check_target, d_separated, minimal_sets
 from .model import (CHANCE, DECISION, DETERMINISTIC, DO_NOTHING, SET_PREFIX,
-                    TOL, UTILITY, Assignment, Diagram, Node, _diagram_of,
-                    _require_hcf, chance_node, enumerate_instances,
-                    parent_variables)
+                    TOL, UTILITY, Assignment, Diagram, Node, _require_hcf,
+                    chance_node, enumerate_instances, parent_variables)
 
 WORLD_PAIR_CAP = 10 ** 7
 FACTOR_CELL_CAP = 10 ** 7
@@ -126,9 +125,7 @@ def family_factor(d: Diagram, node: Node) -> Factor:
 
 def joint(d: Diagram, decisions: Assignment) -> Factor:
     """Joint factor over all uncertain variables given a full decision
-    instance: the product of the family factors reduced at it.  ``d``
-    may be an ``HcfDiagram``."""
-    d = _diagram_of(d)
+    instance: the product of the family factors reduced at it."""
     _require_full_decisions(d, decisions)
     factors = _requisite_factors(d, decisions, d.uncertain())
     return eliminate(list(factors.values()), d.uncertain())
@@ -176,9 +173,7 @@ def _require_full_decisions(d: Diagram, decisions: Assignment) -> None:
 def posterior(d: Diagram, decisions: Assignment, evidence: Assignment,
               query) -> Factor:
     """P(query | evidence, decisions) by variable elimination over the
-    family factors, reduced at the decisions and the evidence alike.
-    ``d`` may be an ``HcfDiagram``."""
-    d = _diagram_of(d)
+    family factors, reduced at the decisions and the evidence alike."""
     _require_full_decisions(d, decisions)
     query = list(query)
     _check_query(d.node, evidence, query)
@@ -298,8 +293,7 @@ class FunctionalWorld(NamedTuple):
 def functional_worlds(diagram: Diagram) -> list[FunctionalWorld]:
     """Joint instances of the fixed nodes with their prior weights;
     zero-weight worlds are dropped.  More worlds than ``WORLD_PAIR_CAP``
-    raise before any is listed.  ``diagram`` may be an ``HcfDiagram``."""
-    diagram = _diagram_of(diagram)
+    raise before any is listed."""
     return _as_worlds(diagram, *_listed_worlds(diagram, 1, WORLD_PAIR_CAP,
                                                "worlds"))
 
@@ -397,9 +391,8 @@ def _fill(d: Diagram, given: dict) -> dict:
 def propagate(diagram: Diagram, world: Assignment, decisions: Assignment
               ) -> dict:
     """Deterministically extend a world of fixed variables and a decision
-    instance to every variable of ``diagram``, or of an ``HcfDiagram``'s.
-    Utility nodes get their value's string form, to be oracle targets."""
-    diagram = _diagram_of(diagram)
+    instance to every variable of ``diagram``.  Utility nodes get their
+    value's string form, to be oracle targets."""
     _require_hcf(diagram)
     _require_full_decisions(diagram, decisions)
     _check_query(diagram.node, world, [])
@@ -417,14 +410,14 @@ class WorldTable:
     ``values[x]`` holds x's state index (a utility's: its value label's)
     as an int array of shape (worlds, decision instances).  The cap,
     ``world_pair_cap`` if given, else ``WORLD_PAIR_CAP``, is checked
-    before any world is listed.  ``diagram`` may be an ``HcfDiagram``.
+    before any world is listed.
     x's difference bitset has a bit per world and pair i < j of decision
     instances, set where x differs; it is 0 without packing when x has
     no decision axis.  ``values`` and ``worlds`` are built when read."""
 
     def __init__(self, diagram: Diagram, world_pair_cap: int | None = None):
         cap = WORLD_PAIR_CAP if world_pair_cap is None else world_pair_cap
-        self.diagram = diagram = _diagram_of(diagram)
+        self.diagram = diagram
         decisions = parent_variables(diagram, diagram.decisions())
         self.decision_instances = enumerate_instances(decisions)
         n = len(self.decision_instances)
@@ -469,9 +462,8 @@ def oracle_fixed_set_member(h, target: str, conditioning=frozenset()) -> bool:
     """Definition-level check: in every positive-weight functional world,
     decision choices that agree on the conditioning set give the target
     the same value."""
-    diagram = _diagram_of(h)
-    _check_target(diagram, target, conditioning)
-    return WorldTable(diagram).fixed_given(target, conditioning)
+    _check_target(h, target, conditioning)
+    return WorldTable(h).fixed_given(target, conditioning)
 
 
 def oracle_causes(h, target: str, world_pair_cap: int | None = None):
@@ -486,15 +478,14 @@ def oracle_causes(h, target: str, world_pair_cap: int | None = None):
     counts these nodes.  A ``world_pair_cap`` given replaces
     ``WORLD_PAIR_CAP``.
     """
-    diagram = _diagram_of(h)
-    _check_target(diagram, target)
-    table = WorldTable(diagram, world_pair_cap)
+    _check_target(h, target)
+    table = WorldTable(h, world_pair_cap)
     if table.fixed_given(target, ()):
         return CauseReport(target, (), "oracle",
                            reason=f"{target} is unaffected by the decisions "
                                   "(member of the fixed set)")
-    D = set(diagram.decisions())
-    pool = D | (diagram.descendants(D) & set(diagram.uncertain()) - {target})
+    D = set(h.decisions())
+    pool = D | (h.descendants(D) & set(h.uncertain()) - {target})
     found = minimal_sets(pool,
                          lambda C: table.fixed_given(target, sorted(C)))
     return CauseReport(target, tuple(found), "oracle")

@@ -534,13 +534,15 @@ class MechanismSpec(NamedTuple):
 
 
 class HcfDiagram(NamedTuple):
+    """A diagram in canonical form and its mechanisms.  It reads as its
+    diagram: any attribute it lacks is the diagram's, so every function
+    that reads a diagram takes it."""
+
     diagram: Diagram
     mechanisms: tuple[MechanismSpec, ...] = ()
 
-
-def _diagram_of(parsed) -> Diagram:
-    """The diagram itself, or the one inside an HcfDiagram."""
-    return parsed.diagram if isinstance(parsed, HcfDiagram) else parsed
+    def __getattr__(self, name):
+        return getattr(self.diagram, name)
 
 
 def mechanism_name(target: str, domain) -> str:
@@ -592,16 +594,15 @@ def _mechanism_violations(spec: MechanismSpec, nodes, mech=None
 
 
 def _shape_violations(h) -> list[str]:
-    """Why ``h`` is not in canonical form: an HcfDiagram is not causal
-    (the world oracles take a bare diagram's functional shape); a fixed
-    node has a non-fixed table parent; a decision descendant is not
+    """Why ``h`` is not in canonical form: an HcfDiagram is not annotated
+    causal (a bare diagram is judged by its shape alone); a fixed node
+    has a non-fixed table parent; a decision descendant is not
     deterministic; a mechanism is a decision descendant."""
-    d = _diagram_of(h)
     mechanisms = h.mechanisms if isinstance(h, HcfDiagram) else None
     report = (["HCF diagram must be annotated causal"]
-              if mechanisms is not None and not d.causal else [])
-    fixed, desc = d.fixed_nodes(), d.descendants(d.decisions())
-    for n in d.nodes:
+              if mechanisms is not None and not h.causal else [])
+    fixed, desc = h.fixed_nodes(), h.descendants(h.decisions())
+    for n in h.nodes:
         if n.name in fixed and n.table is not None and (
                 set(n.table.parent_order) - fixed):
             report.append(f"fixed node {n.name} has a non-fixed parent")

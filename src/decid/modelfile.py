@@ -20,7 +20,7 @@ import json
 from .errors import ParseError
 from .model import (CHANCE, DECISION, DETERMINISTIC, UTILITY,
                     ConditionalTable, Diagram, HcfDiagram, MechanismSpec, Node,
-                    UtilityTable, Variable, _diagram_of, _mechanism_violations)
+                    UtilityTable, Variable, _mechanism_violations)
 
 _TOP_KEYS = {"variables", "relevance_arcs", "information_arcs", "cpts",
              "deterministic", "utility", "decision_order", "annotations",
@@ -130,7 +130,8 @@ def parse_document(text: str):
 
 
 def parse_model(text: str) -> Diagram:
-    return _diagram_of(parse_document(text))
+    parsed = parse_document(text)
+    return parsed.diagram if isinstance(parsed, HcfDiagram) else parsed
 
 
 def _reject_unknown(obj, allowed, where):

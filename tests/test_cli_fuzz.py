@@ -33,7 +33,6 @@ from hypothesis import given, settings, strategies as st
 import decid
 from decid import (ParseError, cli, parse_document, serialize_model, to_hcf,
                    validate_diagram)
-from decid.model import _diagram_of
 
 from genmodels import (chain, ladder, random_dag_with_information,
                        random_diagram, random_functional_diagram,
@@ -76,7 +75,7 @@ def models(tmp_path_factory):
 
 @functools.cache
 def _diagram(path):
-    return _diagram_of(parse_document(pathlib.Path(path).read_text()))
+    return parse_document(pathlib.Path(path).read_text())
 
 
 def _argv(choose, models, command=None):

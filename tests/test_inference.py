@@ -6,19 +6,21 @@ import random
 import numpy as np
 import pytest
 
-from decid import (Diagram, Factor, Policy, WorldTable, chance_node,
-                   decision_node, enumerate_instances,
-                   expected_utility, functional_worlds, graphical_fixed_set,
-                   graphs, inference, joint, minimal_sets, optimal_policy,
-                   oracle_causes, oracle_fixed_set_member, oracle_is_d_map,
-                   parse_model, posterior, propagate, serialize_model,
-                   set_decision_node, to_hcf, utility_node,
-                   validate_diagram, value_of_information)
+from decid import (BlockingQuery, Diagram, Factor, Policy, WorldTable,
+                   blocks, canonical_mechanism_prior, certify_causal_network,
+                   chance_node, d_separated, decision_node,
+                   enumerate_instances, expected_utility, functional_worlds,
+                   graphical_causes, graphical_fixed_set, graphs, inference,
+                   is_set_decision, joint, minimal_blocking_sets, minimal_sets,
+                   optimal_policy, oracle_causes, oracle_fixed_set_member,
+                   oracle_is_d_map, parse_model, posterior, propagate,
+                   removable_arcs, serialize_model, set_decision_node, to_hcf,
+                   utility_node, validate_diagram, value_of_information)
 from decid.errors import (FactorCapExceeded, NodeBudgetExceeded, NotHcf,
                           UnknownVariable, WorldCapExceeded,
                           ZeroProbabilityEvidence)
 from decid.inference import value_label_node
-from decid.model import TOL, _diagram_of, parent_variables
+from decid.model import TOL, parent_variables
 
 from genmodels import (chain, count_worlds, grid, random_diagram,
                        random_functional_diagram, random_policy_diagram, star)
@@ -137,10 +139,9 @@ def _functional_worlds_answer(d):
 
 
 def _propagate_answer(d):
-    b = _diagram_of(d)
-    instances = WorldTable(b).decision_instances
+    instances = WorldTable(d).decision_instances
     return [propagate(d, w.assignment, di)
-            for w in functional_worlds(b)[:16] for di in instances]
+            for w in functional_worlds(d)[:16] for di in instances]
 
 
 @pytest.mark.parametrize("name", ["fig2a", "coin_utility", "fig1"])
@@ -153,15 +154,13 @@ def test_hcf_diagram_argument_gives_the_diagrams_world_answer(
 
 
 def _joint_answer(d):
-    b = _diagram_of(d)
-    return joint(d, {x: b.node(x).states[-1] for x in b.decisions()}
+    return joint(d, {x: d.node(x).states[-1] for x in d.decisions()}
                  ).values.tolist()
 
 
 def _expected_utility_answer(d):
-    b = _diagram_of(d)
-    policy = Policy({x: () for x in b.decisions()},
-                    {x: {(): b.node(x).states[-1]} for x in b.decisions()})
+    policy = Policy({x: () for x in d.decisions()},
+                    {x: {(): d.node(x).states[-1]} for x in d.decisions()})
     return expected_utility(d, policy)
 
 
@@ -170,9 +169,8 @@ def _optimal_policy_answer(d):
 
 
 def _value_of_information_answer(d):
-    b = _diagram_of(d)
-    observed = next(x for x in b.uncertain() if x in b.fixed_nodes())
-    return value_of_information(d, observed, b.decision_order[-1])
+    observed = next(x for x in d.uncertain() if x in d.fixed_nodes())
+    return value_of_information(d, observed, d.decision_order[-1])
 
 
 @pytest.mark.parametrize("name", ["fig2a", "coin_utility", "fig1"])
@@ -183,6 +181,80 @@ def test_hcf_diagram_argument_gives_the_diagrams_utility_answer(
         request, name, answer):
     h = to_hcf(request.getfixturevalue(name))
     assert answer(h) == answer(h.diagram)
+
+
+def _graphical_causes_answer(d):
+    return [graphical_causes(d, x) for x in d.uncertain()]
+
+
+def _graphical_fixed_set_answer(d):
+    return [graphical_fixed_set(d, C) for C in [(), d.uncertain()[:1]]]
+
+
+def _d_separated_answer(d):
+    return [d_separated(d, {x}, {y}, set(d.decisions()))
+            for x, y in itertools.combinations(d.uncertain(), 2)]
+
+
+def _minimal_blocking_sets_answer(d):
+    return [minimal_blocking_sets(d, d.decisions(), x) for x in d.uncertain()]
+
+
+def _blocks_answer(d):
+    D = frozenset(d.decisions())
+    return [blocks(d, BlockingQuery(frozenset({c}), D, x))
+            for x in d.uncertain() for c in d.uncertain()]
+
+
+def _is_set_decision_answer(d):
+    return [is_set_decision(d, s, x)
+            for s in d.decisions() for x in d.uncertain()]
+
+
+@pytest.mark.parametrize("name", ["fig2a", "coin_utility", "fig1"])
+@pytest.mark.parametrize("answer", [
+    _graphical_causes_answer, _graphical_fixed_set_answer, _d_separated_answer,
+    _minimal_blocking_sets_answer, _blocks_answer, _is_set_decision_answer,
+    validate_diagram])
+def test_hcf_diagram_argument_gives_the_diagrams_graph_answer(
+        request, name, answer):
+    h = to_hcf(request.getfixturevalue(name))
+    assert answer(h) == answer(h.diagram)
+
+
+def _canonical_mechanism_prior_answer(d):
+    return [canonical_mechanism_prior(d, x)
+            for x in d.uncertain() if x not in d.fixed_nodes()]
+
+
+def _to_hcf_answer(d):
+    return to_hcf(d).diagram
+
+
+def _oracle_is_d_map_answer(d):
+    return oracle_is_d_map(d, max_cond=1)
+
+
+@pytest.mark.parametrize("name", ["fig2a", "coin_utility", "fig1"])
+@pytest.mark.parametrize("answer", [
+    removable_arcs, certify_causal_network, _canonical_mechanism_prior_answer,
+    _to_hcf_answer, _oracle_is_d_map_answer])
+def test_hcf_diagram_argument_gives_the_diagrams_table_answer(
+        request, name, answer):
+    h = to_hcf(request.getfixturevalue(name))
+    assert answer(h) == answer(h.diagram)
+
+
+@pytest.mark.parametrize("oracle", [
+    WorldTable, lambda d: oracle_causes(d, "lung_cancer")])
+def test_world_oracles_judge_an_hcf_diagram_as_a_whole_form(m1, oracle):
+    """An HcfDiagram must be annotated causal; its bare diagram is
+    judged by its shape alone."""
+    h = to_hcf(m1)
+    h = h._replace(diagram=h.diagram._replace(causal=False))
+    with pytest.raises(NotHcf, match="^HCF diagram must be annotated causal$"):
+        oracle(h)
+    oracle(h.diagram)
 
 
 @pytest.mark.parametrize("evidence,query,error", [
