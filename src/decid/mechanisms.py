@@ -112,6 +112,7 @@ def to_hcf(d: Diagram, assume_causal: bool = False,
     mechanism, and its prior table conditions on it.  The transformation
     cannot invent such a dependency.  A given prior is judged as every
     table is.  Each spec returned has its mechanism node's table as prior.
+    An ``HcfDiagram`` given keeps its mechanisms, listed first.
     """
     if not (d.causal or assume_causal):
         raise NotCausal("diagram is not annotated causal; "
@@ -181,7 +182,7 @@ def to_hcf(d: Diagram, assume_causal: bool = False,
     if errors := [e for m in mechanisms if m.target in priors
                   for e in _check_table(out, out.node(m.name))]:
         raise MechanismError(errors[0])
-    return HcfDiagram(out, tuple(mechanisms))
+    return HcfDiagram(out, (*getattr(d, "mechanisms", ()), *mechanisms))
 
 
 # ---------------------------------------------------------------------------

@@ -306,6 +306,15 @@ def test_to_hcf_gives_each_mechanism_its_node_table_as_prior(m1, fig6a):
         assert validate_hcf(h) == []
 
 
+@pytest.mark.parametrize("name", [
+    "coin", "coin_utility", "fig1", "fig2a", "fig2b", "fig6a", "m1"])
+def test_to_hcf_of_a_canonical_form_is_that_form(request, name):
+    """A canonical form has no mechanism left to extract, and keeps the
+    mechanisms it has."""
+    h = to_hcf(request.getfixturevalue(name), assume_causal=True)
+    assert to_hcf(h) == h
+
+
 def test_validate_hcf_reports_every_mechanism_violation(m1):
     """A spec over an unknown variable is reported, not raised; a spec
     over known ones has each of its faults reported, a prior other than
