@@ -6,6 +6,7 @@ counterfactuals, optimal policies, and value of information.
 """
 
 import importlib
+import types
 
 from .errors import (CapExceeded, CycleIntroduced, DecidError,
                      FactorCapExceeded, MechanismError, ModelError,
@@ -38,7 +39,8 @@ _NUMERIC = {name: module for module, names in {
     "decisions": "CounterfactualQuery Policy counterfactual expected_utility "
                  "optimal_policy value_of_information",
 }.items() for name in names.split()}
-__all__ = [n for n in globals() if n[0] != "_" and n != "importlib"]
+__all__ = [n for n, v in globals().items()
+           if n[0] != "_" and not isinstance(v, types.ModuleType)]
 __all__ += _NUMERIC
 
 

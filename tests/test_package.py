@@ -60,7 +60,7 @@ def test_caps_are_module_constants_not_parameters():
 
 
 def test_every_name_is_listed_and_loads():
-    assert set(EXPORTS) <= set(dir(decid)) & set(decid.__all__)
+    assert set(decid.__all__) == set(EXPORTS) <= set(dir(decid))
     assert all(getattr(decid, name) is not None for name in EXPORTS)
     from decid import Factor, WorldTable, removable_arcs, to_hcf
     from decid import inference, mechanisms
