@@ -14,6 +14,9 @@ The corpus holds, in the order they run:
 - each of those subcommands on a fixture with one structural edit, as
   ``test_cli_fuzz._edited`` makes it; the edited documents are stored
   in the corpus;
+- calls on the variants of m1 that ``_variants`` makes, stored in the
+  corpus, and flags no call above passes: each reaches a path of the
+  CLI or its engines that no call above does;
 - one call per error exit: a document that is not JSON, a cause query
   on an unknown variable, a query that names a variable twice;
 - usage errors: a world cap that is not a positive integer, a missing
@@ -125,8 +128,29 @@ def _calls(work: Path) -> tuple[dict, list]:
         (work / name).write_text(documents[name])
         edited.append(calls(work / name, None)[sub])
 
+    documents |= _variants((FIXTURES / "m1.json").read_text(),
+                           (work / "m1_hcf.json").read_text())
+    m1, fig1 = str(FIXTURES / "m1.json"), str(FIXTURES / "fig1.json")
+    variant = str(work / "m1_set.json")
+    reached = [
+        ["infer", variant, "--decisions", "smoke=yes,s=set=no"],
+        ["causes", variant, "--of", "lung_cancer"],
+        ["causes", variant, "--of", "lung_cancer", "--method", "oracle"],
+        ["certify-causal", variant],
+        ["counterfactual", variant, "--factual-decisions",
+         "smoke=yes,s=do_nothing", "--counterfactual-decisions",
+         "smoke=yes,s=set=no", "--query", "lung_cancer"],
+        ["check-hcf", str(work / "m1_hcf_reversed.json"), "--original", m1],
+        ["check-hcf", str(work / "m1_hcf.json"), "--original",
+         str(work / "m1_row_sum.json")],
+        ["voi", fig1, "--node", "genotype", "--decision", "smoke",
+         "--no-forgetting"],
+        ["is-d-map", fig1, "--max-cond", "0"],
+        ["is-d-map", fig1, "--max-cond", "x"],
+        ["certify-causal", str(work / "m1_not_causal.json")],
+        ["certify-causal", str(work / "m1_flat.json")]]
+
     documents["not_json.json"] = "not json\n"
-    m1 = str(FIXTURES / "m1.json")
     errors = [(["validate", str(work / "not_json.json")], {}),
               (["causes", m1, "--of", "nosuch"], {}),
               (["infer", m1, "--decisions", "smoke=yes", "--query",
@@ -137,7 +161,7 @@ def _calls(work: Path) -> tuple[dict, list]:
               (["causes", m1], {})]
     plan = ([(argv, {}) for argv in todo]
             + [(argv, {"CID_CAP_WORLDS": "1"}) for argv in capped]
-            + [(argv, {}) for argv in edited] + errors)
+            + [(argv, {}) for argv in edited + reached] + errors)
     out = []
     for argv, env in plan:
         call = {"argv": [_normal(a, work) for a in argv]}
@@ -145,6 +169,39 @@ def _calls(work: Path) -> tuple[dict, list]:
             call["env"] = env
         out.append(call)
     return documents, out
+
+
+def _variants(m1: str, hcf: str) -> dict:
+    """Documents made from m1 and its HCF document, by name: a set
+    decision ``s`` on ``lung_cancer``; the HCF with its first
+    ``lung_cancer`` row reversed; a row that sums to 1.1; no causal
+    annotation; and both ``lung_cancer`` rows equal."""
+    def edited(text, edit):
+        doc = json.loads(text)
+        edit(doc)
+        return json.dumps(doc, indent=1, sort_keys=True) + "\n"
+
+    def set_decision(doc):
+        doc["variables"].append(
+            {"name": "s", "kind": "decision", "set_decision_for":
+             "lung_cancer", "states": ["do_nothing", "set=no", "set=yes"]})
+        doc["relevance_arcs"].append(["s", "lung_cancer"])
+        doc["decision_order"].append("s")
+
+    def reversed_row(doc):
+        rows = doc["deterministic"]["lung_cancer"]["rows"]
+        rows["no|no,no"] = rows["no|no,no"][::-1]
+
+    def rows(no, yes):
+        return lambda doc: doc["cpts"]["lung_cancer"].update(
+            rows={"no": no, "yes": yes})
+
+    return {"m1_set.json": edited(m1, set_decision),
+            "m1_hcf_reversed.json": edited(hcf, reversed_row),
+            "m1_row_sum.json": edited(m1, rows([0.95, 0.15], [0.8, 0.2])),
+            "m1_not_causal.json": edited(m1, lambda doc: doc[
+                "annotations"].update(causal=False)),
+            "m1_flat.json": edited(m1, rows([0.9, 0.1], [0.9, 0.1]))}
 
 
 def main(argv=None) -> int:
