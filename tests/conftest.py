@@ -2,15 +2,14 @@ import pathlib
 
 import pytest
 
-from decid import HcfDiagram, parse_document, validate_diagram
+from decid import parse_document, validate_diagram
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
 
 def load(name):
     parsed = parse_document((FIXTURES / f"{name}.json").read_text())
-    d = parsed.diagram if isinstance(parsed, HcfDiagram) else parsed
-    assert validate_diagram(d) == []
+    assert validate_diagram(parsed) == []
     return parsed
 
 
