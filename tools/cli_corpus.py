@@ -14,9 +14,9 @@ The corpus holds, in the order they run:
 - each of those subcommands on a fixture with one structural edit, as
   ``test_cli_fuzz._edited`` makes it; the edited documents are stored
   in the corpus;
-- calls on the variants of m1 that ``_variants`` makes, stored in the
-  corpus, and flags no call above passes: each reaches a path of the
-  CLI or its engines that no call above does;
+- calls that reach paths of the CLI and its engines that no call above
+  reaches: on the variants of m1 that ``_variants`` makes, which are
+  stored in the corpus, and with flags no call above passes;
 - one call per error exit: a document that is not JSON, a cause query
   on an unknown variable, a query that names a variable twice;
 - usage errors: a world cap that is not a positive integer, a missing
