@@ -32,7 +32,7 @@ from .inference import (Factor, _check_query, _conditional,
                         _require_full_decisions, _requisite_factors,
                         eliminate, family_factor, value_label_node)
 from .model import (CHANCE, DECISION, DETERMINISTIC, TOL, UTILITY, Diagram,
-                    HcfDiagram, _require_hcf, instance_keys,
+                    HcfDiagram, _reach_bits, _require_hcf, instance_keys,
                     parent_variables)
 
 POLICY_SPACE_CAP = 10 ** 6
@@ -66,9 +66,6 @@ def expected_utility(d: Diagram, policy: Policy) -> float:
         if dec not in policy.info_order:
             raise UnknownVariable(f"policy has no rules for {dec}")
     info_order = {dec: policy.info_order[dec] for dec in d.decisions()}
-    if seen := [p for ps in info_order.values() for p in ps
-                if d.node(p).kind == UTILITY]:
-        raise UnknownVariable(f"a policy cannot observe the utility {seen[0]}")
     d = _informed(d, [(p, dec) for dec, ps in info_order.items() for p in ps])
     choices = {dec: [[_choice(d, dec, policy.rules.get(dec, {}), k) for k in
                       instance_keys(parent_variables(d, parents))]]
@@ -78,18 +75,18 @@ def expected_utility(d: Diagram, policy: Policy) -> float:
 
 
 def _informed(d: Diagram, arcs) -> Diagram:
-    """``d`` with the information arcs ``arcs``, or ``d`` when they are
-    its own; an arc on a cycle, one not of ``d`` first, is refused."""
+    """``d`` with the information arcs ``arcs``, each judged, those not
+    of ``d`` first: a policy observes no utility, and no descendant of
+    its decision, for that arc closes a cycle."""
     own = set(d.information_arcs)
-    if set(arcs) == own:
-        return d
-    d2 = d.with_arcs(information=arcs)
-    if len(d2.topological_order()) < len(d2.nodes):
-        for a, b in sorted(arcs, key=own.__contains__):
-            if a in d2.descendants([b]):
-                raise CycleIntroduced(
-                    f"information arc {a}->{b} creates a cycle")
-    return d2
+    d = d if set(arcs) == own else d.with_arcs(information=arcs)
+    ix = d._bits
+    for a, b in sorted(arcs, key=own.__contains__):
+        if d.has(a) and d.node(a).kind == UTILITY:
+            raise UnknownVariable(f"a policy cannot observe the utility {a}")
+        if _reach_bits(ix.children, ix.bit[b], 0) & ix.bit[a]:
+            raise CycleIntroduced(f"information arc {a}->{b} creates a cycle")
+    return d
 
 
 def _choice(d: Diagram, dec: str, rules, key) -> int:
@@ -129,14 +126,11 @@ def _scorer(q: Factor, info_order):
             for x, s in axes.items() if x not in info_order}
     order: list[str] = []
 
-    def place(dec, path=()):
-        if dec in path:
-            raise CycleIntroduced(
-                f"policy information order has a cycle through {dec}")
+    def place(dec):
         if dec not in order:
             for p in info_order[dec]:
                 if p in info_order:
-                    place(p, path + (dec,))
+                    place(p)
             order.append(dec)
     for dec in info_order:
         place(dec)
@@ -228,7 +222,7 @@ def optimal_policy(d: Diagram, cap: int | None = None
     information instances lexicographic, alternatives in state order.
     A ``cap`` given replaces ``POLICY_SPACE_CAP``; the benchmark's
     self-test passes it."""
-    space = _space(d, cap)
+    space = _space(_informed(d, d.information_arcs), cap)
     return _search(d, space, _utility_table(d, space[0]))
 
 

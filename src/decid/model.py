@@ -388,6 +388,8 @@ def validate_diagram(d: Diagram) -> list[str]:
             report.append(f"information arc {a}->{b}: unknown endpoint")
         elif d.node(b).kind != DECISION:
             report.append(f"information arc {a}->{b}: target is not a decision")
+        elif d.node(a).kind == UTILITY:
+            report.append(f"information arc {a}->{b}: source is a utility")
     if len(d.topological_order()) != len(set(names)):
         report.append("cycle in combined arc graph")
 

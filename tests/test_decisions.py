@@ -1,5 +1,7 @@
 import itertools
 import math
+import random
+import re
 
 import numpy as np
 import pytest
@@ -15,7 +17,7 @@ from decid.errors import (CycleIntroduced, NoDecisionOrder, NotHcf,
                           NotObservable, PolicySpaceExceeded, UnknownVariable,
                           ZeroProbabilityEvidence)
 from decid.inference import value_label_node
-from decid.model import TOL, parent_variables
+from decid.model import TOL, UTILITY, instance_keys, parent_variables
 
 from genmodels import (count_worlds, random_diagram,
                        random_policy_diagram, random_table_diagram)
@@ -385,11 +387,52 @@ def test_expected_utility_refuses_a_policy_that_observes_its_future(
 
 def test_policy_search_refuses_an_information_cycle_of_the_diagram():
     """An unvalidated diagram whose own information arcs run d0 -> d1 ->
-    d0: the search orders its rules by them and finds no order."""
+    d0: the search judges the diagram's arcs as a policy's."""
     d = _crossed().with_arcs(information=[("d0", "d1"), ("d1", "d0")])
     with pytest.raises(CycleIntroduced, match=(
-            "^policy information order has a cycle through d0$")):
+            "^information arc d0->d1 creates a cycle$")):
         optimal_policy(d)
+
+
+def _observed_cycle():
+    """An unvalidated diagram whose own arcs run d1 -> x -> d2 -> y ->
+    d1: each decision observes what the other sets."""
+    x = chance_node("x", ["0", "1"], ["d1"],
+                    {("a",): [0.9, 0.1], ("b",): [0.2, 0.8]})
+    y = chance_node("y", ["0", "1"], ["d2"],
+                    {("a",): [0.7, 0.3], ("b",): [0.4, 0.6]})
+    u = utility_node("u", ["x", "y"], {("0", "0"): 0.0, ("0", "1"): 1.0,
+                                       ("1", "0"): 2.0, ("1", "1"): 3.5})
+    return Diagram((decision_node("d1", ["a", "b"]),
+                    decision_node("d2", ["a", "b"]), x, y, u),
+                   (("d1", "x"), ("d2", "y"), ("x", "u"), ("y", "u")),
+                   (("x", "d2"), ("y", "d1")), ("d1", "d2"))
+
+
+def test_every_policy_entry_point_refuses_a_cycle_through_observations():
+    """The cycle runs through chance nodes, so no decision observes
+    another directly; the diagram's own arcs are judged all the same."""
+    d = _observed_cycle()
+    assert "cycle in combined arc graph" in validate_diagram(d)
+    follow = {("0",): "a", ("1",): "b"}
+    policy = Policy({"d1": ("y",), "d2": ("x",)}, {"d1": follow, "d2": follow})
+    for call in (lambda: optimal_policy(d), lambda: expected_utility(d, policy)):
+        with pytest.raises(CycleIntroduced, match=(
+                "^information arc (x->d2|y->d1) creates a cycle$")):
+            call()
+
+
+def test_every_policy_entry_point_refuses_an_observed_utility(coin_utility):
+    """An unvalidated diagram in which a second decision, ``bet``, which
+    sets nothing, observes the utility: no cycle, only the utility."""
+    d = Diagram((*coin_utility.nodes, decision_node("bet", ["no", "yes"])),
+                coin_utility.relevance_arcs, (("payoff", "bet"),),
+                ("d", "bet"))
+    for call in (lambda: optimal_policy(d),
+                 lambda: value_of_information(d, "c", "d")):
+        with pytest.raises(UnknownVariable, match=(
+                "^a policy cannot observe the utility payoff$")):
+            call()
 
 
 def test_expected_utility_requires_utility(coin):
@@ -878,6 +921,48 @@ def test_expected_utility_without_decision_order():
     with pytest.raises(CycleIntroduced,
                        match="^information arc d1->d0 creates a cycle$"):
         expected_utility(d, cycle)
+
+
+def test_policy_entry_points_refuse_exactly_the_cycles_networkx_finds():
+    """An independent route to the one gate: each seeded policy diagram
+    gains one or two drawn information arcs from non-utility nodes into
+    decisions, in a policy for ``expected_utility`` and in the diagram
+    for ``optimal_policy``.  Both refuse exactly when networkx finds a
+    cycle in the combined arcs, and name an arc a->b with a path b ~> a."""
+    nx = pytest.importorskip("networkx")
+    verdicts = []
+    for seed in range(1000):
+        d = random_policy_diagram(seed)
+        rng = random.Random(seed)
+        sources = [x for x in d.names() if d.node(x).kind != UTILITY]
+        arcs = list(dict.fromkeys([*d.information_arcs, *(
+            (rng.choice(sources), rng.choice(d.decisions()))
+            for _ in range(rng.randint(1, 2)))]))
+        graph = nx.DiGraph([*d.relevance_arcs, *arcs])
+        acyclic = nx.is_directed_acyclic_graph(graph)
+        informed = d.with_arcs(information=arcs)
+        info = {dec: tuple(informed.info_parents(dec))
+                for dec in d.decisions()}
+        policy = Policy(info, {dec: {
+            k: rng.choice(d.node(dec).states)
+            for k in instance_keys(parent_variables(d, parents))}
+            for dec, parents in info.items()})
+        # The search is capped small; the gate runs before the cap.
+        for call in (lambda: expected_utility(d, policy),
+                     lambda: optimal_policy(informed, cap=4096)):
+            try:
+                call()
+            except CycleIntroduced as e:
+                a, b = re.fullmatch("information arc (.+)->(.+) creates a "
+                                    "cycle", str(e)).groups()
+                assert not acyclic and (a, b) in arcs, seed
+                assert nx.has_path(graph, b, a), seed
+            except PolicySpaceExceeded:
+                assert acyclic, seed
+            else:
+                assert acyclic, seed
+        verdicts.append(acyclic)
+    assert 100 < sum(verdicts) < 900
 
 
 def test_expected_utility_reads_the_policy_information():

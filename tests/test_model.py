@@ -121,6 +121,8 @@ def _with(*nodes, arcs=(), info=(), **kw):
      ["information arc ghost->d: unknown endpoint"]),
     (_with(chance_node("y", ["0", "1"], [], _FLAT), info=(("y", "x"),)),
      ["information arc y->x: target is not a decision"]),
+    (_with(utility_node("u", [], {(): 1.0}), info=(("u", "d"),)),
+     ["information arc u->d: source is a utility"]),
     (_with(Node(Variable("y", ("0", "1")), "chance")),
      ["y: missing conditional table"]),
     (_with(Node(Variable("e", ("0", "1")), "decision",
