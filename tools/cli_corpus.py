@@ -15,8 +15,9 @@ The corpus holds, in the order they run:
   ``test_cli_fuzz._edited`` makes it; the edited documents are stored
   in the corpus;
 - calls that reach paths of the CLI and its engines that no call above
-  reaches: on the variants of m1 that ``_variants`` makes, which are
-  stored in the corpus, and with flags no call above passes;
+  reaches: on the variants of m1 and coin_utility that ``_variants``
+  makes, which are stored in the corpus, and with flags no call above
+  passes;
 - one call per error exit: a document that is not JSON, a cause query
   on an unknown variable, a query that names a variable twice;
 - usage errors: a world cap that is not a positive integer, a missing
@@ -129,9 +130,10 @@ def _calls(work: Path) -> tuple[dict, list]:
         edited.append(calls(work / name, None)[sub])
 
     documents |= _variants((FIXTURES / "m1.json").read_text(),
-                           (work / "m1_hcf.json").read_text())
+                           (work / "m1_hcf.json").read_text(),
+                           (FIXTURES / "coin_utility.json").read_text())
     m1, fig1 = str(FIXTURES / "m1.json"), str(FIXTURES / "fig1.json")
-    variant = str(work / "m1_set.json")
+    variant, bet = str(work / "m1_set.json"), str(work / "coin_bet.json")
     reached = [
         ["infer", variant, "--decisions", "smoke=yes,s=set=no"],
         ["causes", variant, "--of", "lung_cancer"],
@@ -148,7 +150,9 @@ def _calls(work: Path) -> tuple[dict, list]:
         ["is-d-map", fig1, "--max-cond", "0"],
         ["is-d-map", fig1, "--max-cond", "x"],
         ["certify-causal", str(work / "m1_not_causal.json")],
-        ["certify-causal", str(work / "m1_flat.json")]]
+        ["certify-causal", str(work / "m1_flat.json")],
+        ["validate", bet], ["evaluate", bet],
+        ["voi", bet, "--node", "c", "--decision", "d"]]
 
     documents["not_json.json"] = "not json\n"
     errors = [(["validate", str(work / "not_json.json")], {}),
@@ -171,11 +175,12 @@ def _calls(work: Path) -> tuple[dict, list]:
     return documents, out
 
 
-def _variants(m1: str, hcf: str) -> dict:
-    """Documents made from m1 and its HCF document, by name: a set
-    decision ``s`` on ``lung_cancer``; the HCF with its first
-    ``lung_cancer`` row reversed; a row that sums to 1.1; no causal
-    annotation; and both ``lung_cancer`` rows equal."""
+def _variants(m1: str, hcf: str, coin: str) -> dict:
+    """Documents made from m1, its HCF document and coin_utility, by
+    name: a set decision ``s`` on ``lung_cancer``; the HCF with its
+    first ``lung_cancer`` row reversed; a row that sums to 1.1; no
+    causal annotation; both ``lung_cancer`` rows equal; and a second
+    coin decision ``bet`` that observes the utility."""
     def edited(text, edit):
         doc = json.loads(text)
         edit(doc)
@@ -192,6 +197,12 @@ def _variants(m1: str, hcf: str) -> dict:
         rows = doc["deterministic"]["lung_cancer"]["rows"]
         rows["no|no,no"] = rows["no|no,no"][::-1]
 
+    def bet(doc):
+        doc["variables"].append(
+            {"name": "bet", "kind": "decision", "states": ["no", "yes"]})
+        doc["information_arcs"].append(["payoff", "bet"])
+        doc["decision_order"].append("bet")
+
     def rows(no, yes):
         return lambda doc: doc["cpts"]["lung_cancer"].update(
             rows={"no": no, "yes": yes})
@@ -201,7 +212,8 @@ def _variants(m1: str, hcf: str) -> dict:
             "m1_row_sum.json": edited(m1, rows([0.95, 0.15], [0.8, 0.2])),
             "m1_not_causal.json": edited(m1, lambda doc: doc[
                 "annotations"].update(causal=False)),
-            "m1_flat.json": edited(m1, rows([0.9, 0.1], [0.9, 0.1]))}
+            "m1_flat.json": edited(m1, rows([0.9, 0.1], [0.9, 0.1])),
+            "coin_bet.json": edited(coin, bet)}
 
 
 def main(argv=None) -> int:
