@@ -394,31 +394,18 @@ def test_policy_search_refuses_an_information_cycle_of_the_diagram():
         optimal_policy(d)
 
 
-def _observed_cycle():
-    """An unvalidated diagram whose own arcs run d1 -> x -> d2 -> y ->
-    d1: each decision observes what the other sets."""
-    x = chance_node("x", ["0", "1"], ["d1"],
-                    {("a",): [0.9, 0.1], ("b",): [0.2, 0.8]})
-    y = chance_node("y", ["0", "1"], ["d2"],
-                    {("a",): [0.7, 0.3], ("b",): [0.4, 0.6]})
-    u = utility_node("u", ["x", "y"], {("0", "0"): 0.0, ("0", "1"): 1.0,
-                                       ("1", "0"): 2.0, ("1", "1"): 3.5})
-    return Diagram((decision_node("d1", ["a", "b"]),
-                    decision_node("d2", ["a", "b"]), x, y, u),
-                   (("d1", "x"), ("d2", "y"), ("x", "u"), ("y", "u")),
-                   (("x", "d2"), ("y", "d1")), ("d1", "d2"))
-
-
 def test_every_policy_entry_point_refuses_a_cycle_through_observations():
-    """The cycle runs through chance nodes, so no decision observes
-    another directly; the diagram's own arcs are judged all the same."""
-    d = _observed_cycle()
+    """An unvalidated diagram whose own arcs run d0 -> x -> d1 -> y ->
+    d0: each decision observes what the other sets, through a chance
+    node, and the diagram's own arcs are judged all the same."""
+    d = _crossed().with_arcs(information=[("x", "d1"), ("y", "d0")])
     assert "cycle in combined arc graph" in validate_diagram(d)
     follow = {("0",): "a", ("1",): "b"}
-    policy = Policy({"d1": ("y",), "d2": ("x",)}, {"d1": follow, "d2": follow})
-    for call in (lambda: optimal_policy(d), lambda: expected_utility(d, policy)):
+    policy = Policy({"d0": ("y",), "d1": ("x",)}, {"d0": follow, "d1": follow})
+    for call in (lambda: optimal_policy(d),
+                 lambda: expected_utility(d, policy)):
         with pytest.raises(CycleIntroduced, match=(
-                "^information arc (x->d2|y->d1) creates a cycle$")):
+                "^information arc (x->d1|y->d0) creates a cycle$")):
             call()
 
 
